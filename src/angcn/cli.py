@@ -204,11 +204,9 @@ def _load_features(args) -> tuple[dataio.DatasetBundle, np.ndarray]:
 def _graph_for(args, bundle, features) -> tuple[Graph, float]:
     sigma = getattr(args, "sigma", None)
     adjacency = getattr(args, "adjacency", None)
-    if adjacency is not None:
-        g = dataio.load_adjacency(adjacency, n=features.shape[0])
-        resolved = sigma if sigma is not None else auto_sigma(features)
-        return g, resolved
     resolved = sigma if sigma is not None else auto_sigma(features)
+    if adjacency is not None:
+        return dataio.load_adjacency(adjacency, n=features.shape[0]), resolved
     spec = PopulationGraphSpec(features=features, measures=bundle.phenotypes, sigma=resolved)
     return build_adjacency(spec), resolved
 
@@ -353,14 +351,15 @@ def _cmd_eval(args) -> int:
     sigma = config_snapshot.get("sigma_resolved")
     spec = PopulationGraphSpec(features=features, measures=bundle.phenotypes, sigma=sigma)
     g = build_adjacency(spec)
-    gamma, rebuilt_digest = _gamma_for(replace(config, seed=seed), g)
+    _, rebuilt_digest = _gamma_for(replace(config, seed=seed), g)
     if rebuilt_digest != digest:
         raise ValueError(
             "aggregation statistics rebuilt from the checkpoint config do not match "
             f"the stored digest ({rebuilt_digest[:12]} != {digest[:12]})"
         )
+    # gamma only debiases subgraph-restricted training: score with unit aggregation
     a_hat = normalize_adjacency(add_self_loops(g))
-    probs = predict(forward(params, a_hat, gamma, features).logits)
+    probs = predict(forward(params, a_hat, ones_gamma(g), features).logits)
     report = _fold_metrics(bundle.labels, probs)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out is not None:

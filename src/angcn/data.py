@@ -200,12 +200,13 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def _parse_float(cell: str, path: Path, line: int, column: str) -> float:
+def _parse_cell(cell: str, path: Path, line: int, column: str, cast=float):
     try:
-        return float(cell)
+        return cast(cell)
     except ValueError as exc:
+        what = "an integer" if cast is int else "a number"
         raise ParseError(
-            f"{path}: line {line}, column {column!r}: cannot parse {cell!r} as a number"
+            f"{path}: line {line}, column {column!r}: cannot parse {cell!r} as {what}"
         ) from exc
 
 
@@ -224,7 +225,7 @@ def load_bundle(directory: str | Path, name: str = "synthetic") -> DatasetBundle
         if len(row) != len(header):
             raise ParseError(f"features.csv: line {r + 2}: expected {len(header)} cells")
         for c, cell in enumerate(row[1:]):
-            features[r, c] = _parse_float(cell, directory / "features.csv", r + 2, feat_cols[c])
+            features[r, c] = _parse_cell(cell, directory / "features.csv", r + 2, feat_cols[c])
 
     try:
         schema = json.loads((directory / "phenotypes.schema.json").read_text())
@@ -246,7 +247,7 @@ def load_bundle(directory: str | Path, name: str = "synthetic") -> DatasetBundle
         raw = [row[k] for row in rows]
         if kind == QUANTITATIVE:
             values = tuple(
-                _parse_float(cell, directory / "phenotypes.csv", r + 2, mname)
+                _parse_cell(cell, directory / "phenotypes.csv", r + 2, mname)
                 for r, cell in enumerate(raw)
             )
             phenotypes.append(
@@ -284,10 +285,11 @@ def load_adjacency(path: str | Path, n: int) -> Graph:
     if header[:3] != ["i", "j", "weight"]:
         raise SchemaMismatch(f"adjacency header must be i,j,weight, got {header}")
     edges = []
-    for r, row in enumerate(rows):
-        i, j = int(row[0]), int(row[1])
-        w = _parse_float(row[2], Path(path), r + 2, "weight")
-        edges.append((i, j, w))
+    for line, row in enumerate(rows, start=2):
+        if len(row) < 3:
+            raise ParseError(f"{path}: line {line}, column {header[len(row)]!r}: missing cell")
+        edges.append(tuple(_parse_cell(row[c], path, line, header[c], cast)
+                           for c, cast in enumerate((int, int, float))))
     return Graph(n=n, edges=tuple(edges))
 
 

@@ -21,32 +21,42 @@ class Graph:
     """Undirected weighted graph over nodes 0..n-1.
 
     Edges are stored once with i < j and weight >= 0; self-loops are never
-    stored (they are added explicitly where the math needs them).
+    stored (they are added explicitly where the math needs them). The
+    columns of `edges` are also kept as the arrays `src`, `dst`, `weight`.
     """
 
     n: int
     edges: tuple[Edge, ...] = field(default_factory=tuple)
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"graph needs at least one node, got n={self.n}")
         object.__setattr__(self, "edges", tuple(self.edges))
-        seen = set()
-        for i, j, w in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i}, {j}) is not 0 <= i < j < {self.n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            if w < 0:
-                raise ValueError(f"edge ({i}, {j}) has negative weight {w}")
-            seen.add((i, j))
+        i, j, w = np.array(self.edges, dtype=float).reshape(-1, 3).T
+        out_of_range = ~((0 <= i) & (i < j) & (j < self.n))
+        key = np.where(out_of_range, -1.0, i * self.n + j)
+        duplicate = ~np.isin(np.arange(len(key)), np.unique(key, return_index=True)[1])
+        bad = out_of_range | duplicate | (w < 0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            a, b, wk = self.edges[k]
+            if out_of_range[k]:
+                raise ValueError(f"edge ({a}, {b}) is not 0 <= i < j < {self.n}")
+            if duplicate[k]:
+                raise ValueError(f"duplicate edge ({a}, {b})")
+            raise ValueError(f"edge ({a}, {b}) has negative weight {wk}")
+        object.__setattr__(self, "src", i.astype(int))
+        object.__setattr__(self, "dst", j.astype(int))
+        object.__setattr__(self, "weight", w)
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency matrix A with zero diagonal."""
         a = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            a[i, j] = w
-            a[j, i] = w
+        a[self.src, self.dst] = self.weight
+        a[self.dst, self.src] = self.weight
         return a
 
 
@@ -90,11 +100,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
     return a @ b
-
-
-def support_mask(g: Graph) -> np.ndarray:
-    """0/1 matrix marking the support of A + I (edges plus the diagonal)."""
-    return (add_self_loops(g) > 0).astype(float)
 
 
 def _check_2d(m: np.ndarray) -> None:

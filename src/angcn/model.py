@@ -104,16 +104,6 @@ def _activate(x: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def feature_diffusion(a_hat: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Weight-free propagation a_hat @ h."""
-    return matmul(a_hat, h)
-
-
-def aggregated_diffusion(a_hat: np.ndarray, gamma: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Aggregator-normalized propagation (a_hat * gamma) @ h."""
-    return matmul(hadamard(a_hat, gamma), h)
-
-
 def layer_forward(
     h: np.ndarray,
     x0: np.ndarray,

@@ -49,11 +49,15 @@ class PhenotypicMeasure:
             if self.tau is None or self.tau <= 0:
                 raise ValueError(f"quantitative measure {self.name!r} needs tau > 0")
 
-    def distance(self, i: int, j: int) -> float:
-        """Indicator similarity-distance between subjects i and j (0 or 1)."""
+    def agreement(self) -> np.ndarray:
+        """N x N indicator similarity-distance: entry (i, j) is 1.0 when
+        subjects i and j are similar on this measure, else 0.0."""
         if self.kind == QUALITATIVE:
-            return 1.0 if self.values[i] == self.values[j] else 0.0
-        return 1.0 if abs(self.values[i] - self.values[j]) < self.tau else 0.0
+            codes: dict = {}
+            v = np.array([codes.setdefault(x, len(codes)) for x in self.values], dtype=int)
+            return (v[:, None] == v[None, :]).astype(float)
+        v = np.asarray(self.values, dtype=float)
+        return (np.abs(v[:, None] - v[None, :]) < self.tau).astype(float)
 
 
 @dataclass
@@ -104,21 +108,22 @@ def kernel_similarity(rho: float, sigma: float) -> float:
     return math.exp(-(rho * rho) / (2.0 * sigma * sigma))
 
 
-def phenotypic_distance(m: PhenotypicMeasure, i: int, j: int) -> float:
-    """Indicator distance for one measure (1 = similar, 0 = dissimilar)."""
-    return m.distance(i, j)
+def _correlation_distances(features: np.ndarray) -> np.ndarray:
+    """N x N correlation distances 1 - r_ij, with r the Gram matrix of the
+    centred, row-normalised features. DegenerateVector names a constant row."""
+    x = np.asarray(features, dtype=float)
+    flat = np.ptp(x, axis=1) == 0.0
+    if flat.any():
+        raise DegenerateVector(f"subject {int(np.argmax(flat))} has a constant feature vector")
+    centred = x - x.mean(axis=1, keepdims=True)
+    z = centred / np.linalg.norm(centred, axis=1, keepdims=True)
+    return 1.0 - z @ z.T
 
 
 def auto_sigma(features: np.ndarray) -> float:
     """Median of all pairwise correlation distances (median heuristic)."""
-    features = np.asarray(features, dtype=float)
-    n = features.shape[0]
-    rhos = [
-        correlation_distance(features[i], features[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    return float(np.median(rhos))
+    rho = _correlation_distances(features)
+    return float(np.median(rho[np.triu_indices(len(rho), k=1)]))
 
 
 def build_adjacency(spec: PopulationGraphSpec) -> Graph:
@@ -128,28 +133,20 @@ def build_adjacency(spec: PopulationGraphSpec) -> Graph:
     edge. Raises DegenerateVector naming the offending subject if a feature
     row is constant.
     """
-    x = spec.features
-    n = x.shape[0]
+    n = spec.features.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 subjects, got {n}")
     if not spec.measures:
         raise ValueError("need at least one phenotypic measure")
-    for i in range(n):
-        if np.ptp(x[i]) == 0.0:
-            raise DegenerateVector(f"subject {i} has a constant feature vector")
-    sigma = spec.sigma if spec.sigma is not None else auto_sigma(x)
+    rho = _correlation_distances(spec.features)
+    upper = np.triu_indices(n, k=1)
+    sigma = spec.sigma if spec.sigma is not None else float(np.median(rho[upper]))
     if sigma <= 0:
         raise NonPositiveSigma(f"resolved sigma must be > 0, got {sigma}")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pheno = sum(m.distance(i, j) for m in spec.measures)
-            if pheno == 0.0:
-                continue
-            rho = correlation_distance(x[i], x[j])
-            w = kernel_similarity(rho, sigma) * pheno
-            if w > 0.0:
-                edges.append((i, j, w))
+    pheno = sum(m.agreement() for m in spec.measures)
+    weights = (np.exp(-(rho * rho) / (2.0 * sigma * sigma)) * pheno)[upper]
+    keep = weights > 0.0   # a zero phenotypic sum gives no edge
+    edges = zip(upper[0][keep].tolist(), upper[1][keep].tolist(), weights[keep].tolist())
     return Graph(n=n, edges=tuple(edges))
 
 
@@ -171,16 +168,6 @@ def connectome_features(corr: np.ndarray) -> np.ndarray:
             f"off-diagonal correlation at flat index {bad} is {upper[bad]}, needs |r| < 1"
         )
     return np.arctanh(upper)
-
-
-def triangle_to_matrix(vec: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of connectome_features up to the z-transform: rebuilds the
-    symmetric z-matrix with zero diagonal from a row-wise triangle vector."""
-    vec = np.asarray(vec, dtype=float)
-    out = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    out[iu] = vec
-    return out + out.T
 
 
 def rfe_ridge(

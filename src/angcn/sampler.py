@@ -17,14 +17,6 @@ from .errors import BudgetOutOfRange, EmptyStats, ForeignSample
 from .graph_core import Graph
 
 
-@dataclass(frozen=True)
-class SubgraphSample:
-    """A node-induced subgraph: sorted node tuple plus the induced edges."""
-
-    nodes: tuple[int, ...]
-    induced_edges: tuple[tuple[int, int], ...]
-
-
 @dataclass
 class AggregationStats:
     """Appearance counts over sampler runs.
@@ -58,33 +50,33 @@ class AggregationStats:
         )
 
 
-def sample_node_subgraph(g: Graph, budget: int, rng: np.random.Generator) -> SubgraphSample:
-    """Uniformly sample `budget` distinct nodes and take the induced edges."""
+def sample_node_subgraph(g: Graph, budget: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly sample `budget` distinct nodes; returns their sorted ids."""
     if not 1 <= budget <= g.n:
         raise BudgetOutOfRange(f"budget must be in [1, {g.n}], got {budget}")
-    nodes = np.sort(rng.choice(g.n, size=budget, replace=False))
-    chosen = set(int(v) for v in nodes)
-    induced = tuple((i, j) for i, j, _ in g.edges if i in chosen and j in chosen)
-    return SubgraphSample(nodes=tuple(int(v) for v in nodes), induced_edges=induced)
+    return np.sort(rng.choice(g.n, size=budget, replace=False))
 
 
-def accumulate_counts(g: Graph, samples: list[SubgraphSample]) -> AggregationStats:
-    """Tally node and edge appearance counts over a list of samples."""
-    node_counts = np.zeros(g.n, dtype=int)
-    edge_counts = {(i, j): 0 for i, j, _ in g.edges}
-    for s in samples:
-        for v in s.nodes:
-            if not 0 <= v < g.n:
-                raise ForeignSample(f"sample references node {v}, graph has n={g.n}")
-        chosen = set(s.nodes)
-        for v in chosen:
-            node_counts[v] += 1
-        for i, j, _ in g.edges:
-            if i in chosen and j in chosen:
-                edge_counts[(i, j)] += 1
-    for v in range(g.n):
-        edge_counts[(v, v)] = int(node_counts[v])
-    return AggregationStats(runs=len(samples), node_counts=node_counts, edge_counts=edge_counts)
+def accumulate_counts(g: Graph, samples: list[np.ndarray]) -> AggregationStats:
+    """Tally node and edge appearance counts over a list of node samples.
+
+    With S the runs x n 0/1 matrix of sample membership, C_i = sum_r S_ri
+    and C_ij = (S^T S)_ij.
+    """
+    membership = np.zeros((len(samples), g.n))
+    for r, nodes in enumerate(samples):
+        nodes = np.asarray(nodes, dtype=int)
+        foreign = nodes[(nodes < 0) | (nodes >= g.n)]
+        if foreign.size:
+            raise ForeignSample(f"sample references node {foreign[0]}, graph has n={g.n}")
+        membership[r, nodes] = 1.0
+    pair_counts = membership.T @ membership   # exact integers; diagonal = C_i
+    i = np.concatenate([g.src, np.arange(g.n)])
+    j = np.concatenate([g.dst, np.arange(g.n)])
+    counts = dict(zip(zip(i.tolist(), j.tolist()), pair_counts[i, j].astype(int).tolist()))
+    return AggregationStats(
+        runs=len(samples), node_counts=membership.sum(axis=0).astype(int), edge_counts=counts
+    )
 
 
 def aggregation_matrix(stats: AggregationStats, g: Graph) -> np.ndarray:
@@ -98,14 +90,14 @@ def aggregation_matrix(stats: AggregationStats, g: Graph) -> np.ndarray:
     """
     if stats.runs < 1:
         raise EmptyStats("aggregation statistics need at least one sampler run")
-    gamma = np.zeros((g.n, g.n))
     c = stats.node_counts.astype(float)
-    for i, j, _ in g.edges:
-        cij = max(stats.edge_counts.get((i, j), 0), 1)
-        gamma[i, j] = c[i] / cij
-        gamma[j, i] = c[j] / cij
-    for v in range(g.n):
-        gamma[v, v] = c[v] / max(c[v], 1.0)
+    pair_counts = np.zeros((g.n, g.n))
+    keys = np.array(list(stats.edge_counts), dtype=int).reshape(-1, 2)
+    pair_counts[keys[:, 0], keys[:, 1]] = list(stats.edge_counts.values())
+    c_edge = np.maximum(pair_counts[g.src, g.dst], 1.0)
+    gamma = np.diag(c / np.maximum(c, 1.0))
+    gamma[g.src, g.dst] = c[g.src] / c_edge
+    gamma[g.dst, g.src] = c[g.dst] / c_edge
     return gamma
 
 
@@ -114,17 +106,15 @@ def ones_gamma(g: Graph) -> np.ndarray:
 
     This is what the counts collapse to when every run samples the whole
     graph, and it is the correct constant whenever aggregation is never
-    restricted to a subgraph (full-batch training).
+    restricted to a subgraph (full-batch training and full-graph inference).
     """
-    gamma = np.zeros((g.n, g.n))
-    for i, j, _ in g.edges:
-        gamma[i, j] = 1.0
-        gamma[j, i] = 1.0
-    np.fill_diagonal(gamma, 1.0)
+    gamma = np.eye(g.n)
+    gamma[g.src, g.dst] = 1.0
+    gamma[g.dst, g.src] = 1.0
     return gamma
 
 
-def presample(g: Graph, runs: int, budget: int, seed: int) -> tuple[AggregationStats, list[SubgraphSample]]:
+def presample(g: Graph, runs: int, budget: int, seed: int) -> tuple[AggregationStats, list[np.ndarray]]:
     """Run the sampler `runs` times with per-run derived seeds and tally counts.
 
     Run r uses default_rng([seed, r]), so runs are independent and the result
@@ -135,16 +125,3 @@ def presample(g: Graph, runs: int, budget: int, seed: int) -> tuple[AggregationS
         for r in range(runs)
     ]
     return accumulate_counts(g, samples), samples
-
-
-def minibatches(samples: list[SubgraphSample], batch_budget: int) -> list[np.ndarray]:
-    """One training batch per sample, in order, truncated to batch_budget nodes.
-
-    Full-batch mode is the degenerate case: pass a single exhaustive sample
-    and the one batch is the full node set.
-    """
-    batches = []
-    for s in samples:
-        nodes = np.array(s.nodes[:batch_budget], dtype=int)
-        batches.append(nodes)
-    return batches

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ClassTooSmall, EmptyLabeledSet, ShapeMismatch, TraceMismatch
 from .graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
 from .model import ForwardTrace, ModelParams, forward, init_params, predict
-from .sampler import minibatches, sample_node_subgraph
+from .sampler import ones_gamma, sample_node_subgraph
 
 
 @dataclass
@@ -37,10 +37,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        for name, low in (("max_epochs", 0), ("patience", 1), ("folds", 2), ("layers", 0),
+                          ("hidden_dim", 1), ("sampler_runs", 1), ("batch_budget", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.loss_reduction not in ("sum", "mean"):
             raise ValueError(f"loss_reduction must be sum or mean, got {self.loss_reduction}")
 
@@ -273,6 +274,9 @@ def train(
     each epoch. Training stops early once the validation loss has failed to
     improve on its best value for `patience` consecutive epochs, and the
     parameters from the best epoch are returned.
+
+    `gamma` weights the training forwards only: it debiases subgraph-restricted
+    aggregation, so the end-of-epoch losses use unit aggregation on the full graph.
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
@@ -282,6 +286,7 @@ def train(
     labels_oh = one_hot(labels)
     a_hat = normalize_adjacency(add_self_loops(graph))
     op = hadamard(a_hat, gamma)
+    unit = ones_gamma(graph)
 
     rng = np.random.default_rng([config.seed, 0])
     params = init_params(
@@ -300,8 +305,7 @@ def train(
     if config.max_epochs == 0:
         return best_params, history
 
-    train_mask = np.zeros(graph.n, dtype=bool)
-    train_mask[train_idx] = True
+    train_mask = np.isin(np.arange(graph.n), train_idx)
     for epoch in range(1, config.max_epochs + 1):
         if config.batch_budget is None or config.batch_budget >= graph.n:
             trace = forward(params, a_hat, gamma, features, activation)
@@ -310,20 +314,14 @@ def train(
             )
             params, state = adam_step(params, grads, state, config.learning_rate)
         else:
-            n_batches = -(-graph.n // config.batch_budget)  # ceil
-            samples = [
-                sample_node_subgraph(
+            for b in range(-(-graph.n // config.batch_budget)):  # ceil(n / budget) batches
+                batch = sample_node_subgraph(
                     graph, config.batch_budget, np.random.default_rng([config.seed, 2, epoch, b])
                 )
-                for b in range(n_batches)
-            ]
-            for batch in minibatches(samples, config.batch_budget):
-                batch_train = batch[train_mask[batch]]
-                if batch_train.size == 0:
+                labeled_local = np.flatnonzero(train_mask[batch])
+                if labeled_local.size == 0:
                     continue
                 sub = np.ix_(batch, batch)
-                pos = {int(v): p for p, v in enumerate(batch)}
-                labeled_local = np.array([pos[int(v)] for v in batch_train], dtype=int)
                 trace = forward(params, a_hat[sub], gamma[sub], features[batch], activation)
                 grads = backward(
                     trace,
@@ -336,7 +334,7 @@ def train(
                 )
                 params, state = adam_step(params, grads, state, config.learning_rate)
 
-        trace = forward(params, a_hat, gamma, features, activation)
+        trace = forward(params, a_hat, unit, features, activation)
         y_hat = predict(trace.logits)
         train_loss = cross_entropy(y_hat, labels_oh, train_idx, config.loss_reduction)
         val_loss = cross_entropy(y_hat, labels_oh, val_idx, config.loss_reduction)
@@ -412,9 +410,11 @@ def cross_validate(
     val_frac: float = 0.1,
 ) -> list[FoldResult]:
     """Stratified k-fold evaluation; each fold trains on the rest with an
-    inner stratified validation split for early stopping."""
+    inner stratified validation split for early stopping. Test
+    probabilities come from a full-graph forward with unit aggregation."""
     labels = np.asarray(labels, dtype=int)
     a_hat = normalize_adjacency(add_self_loops(graph))
+    unit = ones_gamma(graph)
     folds = stratified_kfold(labels, config.folds, config.seed)
     results = []
     for f, test_idx in enumerate(folds):
@@ -423,7 +423,6 @@ def cross_validate(
         tr_idx, val_idx = stratified_holdout(labels, pool, val_frac, fold_seed)
         fold_config = replace(config, seed=fold_seed)
         params, history = train(fold_config, graph, gamma, features, labels, tr_idx, val_idx)
-        trace = forward(params, a_hat, gamma, features)
-        probs = predict(trace.logits)[test_idx]
+        probs = predict(forward(params, a_hat, unit, features).logits)[test_idx]
         results.append(FoldResult(fold=f, test_idx=test_idx, probs=probs, history=history, params=params))
     return results

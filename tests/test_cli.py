@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from angcn import cli
 from angcn.cli import cli_run
 from angcn.data import load_adjacency, load_bundle
 
@@ -140,6 +141,32 @@ class TestEval:
         assert report_a.read_bytes() == report_b.read_bytes()
         body = json.loads(report_a.read_text())
         assert 0.0 <= body["accuracy"] <= 1.0
+
+    def test_sampled_checkpoint_probabilities_unsaturated(self, data_dir, tmp_path, monkeypatch):
+        # a ten-layer model trained at budget n/2: scoring the full graph
+        # with gamma (~2 per edge) would push the softmax to 0/1
+        run = tmp_path / "run"
+        rc = cli_run(
+            ["train", "--data", str(data_dir), "--out", str(run), "--folds", "3",
+             "--epochs", "10", "--patience", "10", "--layers", "10", "--hidden", "12",
+             "--seed", "2", "--batch-budget", "24", "--sampler-runs", "40"]
+        )
+        assert rc == 0
+        seen = []
+        real_predict = cli.predict
+
+        def spy(logits):
+            seen.append(real_predict(logits))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "predict", spy)
+        rc = cli_run(
+            ["eval", "--checkpoint", str(run / "checkpoint_fold0.json"), "--data", str(data_dir)]
+        )
+        assert rc == 0
+        (probs,) = seen
+        assert probs.shape == (48, 2)
+        assert probs.min() > 1e-6
 
     def test_tampered_digest_rejected(self, data_dir, train_dir, tmp_path):
         payload = json.loads((train_dir / "checkpoint_fold0.json").read_text())

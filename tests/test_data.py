@@ -140,6 +140,18 @@ class TestAdjacencyFile:
         back = load_adjacency(path, n=4)
         assert back == g
 
+    @pytest.mark.parametrize("row, where", [
+        ("0,x,1.0", "line 3, column 'j'"),
+        ("1.5,2,1.0", "line 3, column 'i'"),
+        ("0,2", "line 3, column 'weight'"),
+        ("0,2,heavy", "line 3, column 'weight'"),
+    ])
+    def test_bad_row_names_file_line_and_column(self, tmp_path, row, where):
+        path = tmp_path / "adjacency.csv"
+        path.write_text(f"i,j,weight\n0,1,1.0\n{row}\n")
+        with pytest.raises(ParseError, match=f"adjacency.csv: {where}"):
+            load_adjacency(path, n=3)
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "adjacency.csv"
         path.write_text("a,b,c\n0,1,2.0\n")

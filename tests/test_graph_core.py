@@ -10,8 +10,8 @@ from angcn.graph_core import (
     hadamard,
     matmul,
     normalize_adjacency,
-    support_mask,
 )
+from angcn.sampler import ones_gamma
 
 
 def naive_matmul(a, b):
@@ -55,6 +55,14 @@ class TestGraph:
             Graph(n=3, edges=((1, 1, 1.0),))
         with pytest.raises(ValueError):
             Graph(n=3, edges=((2, 1, 1.0),))
+
+    def test_first_bad_edge_is_reported(self):
+        with pytest.raises(ValueError, match=r"^edge \(1, 2\) has negative weight -0.5$"):
+            Graph(n=4, edges=((0, 1, 1.0), (1, 2, -0.5), (0, 1, 2.0)))
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            Graph(n=4, edges=((0, 1, 1.0), (0, 1, 2.0), (3, 1, 1.0)))
+        with pytest.raises(ValueError, match=r"^edge \(3, 1\) is not 0 <= i < j < 4$"):
+            Graph(n=4, edges=((0, 1, 1.0), (3, 1, 1.0), (0, 1, -1.0)))
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="negative"):
@@ -168,6 +176,8 @@ def test_hadamard_matmul_agree_with_oracles(seed):
 
 
 def test_support_mask_marks_edges_and_diagonal():
+    # the 0/1 support of A + I is the unit aggregation matrix
     g = Graph(n=3, edges=((0, 2, 0.7),))
     expected = [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
-    assert np.array_equal(support_mask(g), expected)
+    assert np.array_equal(ones_gamma(g), expected)
+    assert np.array_equal(ones_gamma(g), add_self_loops(g) > 0)

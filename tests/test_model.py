@@ -5,8 +5,6 @@ from angcn.errors import ShapeMismatch
 from angcn.graph_core import Graph, add_self_loops, hadamard, matmul, normalize_adjacency
 from angcn.model import (
     ModelParams,
-    aggregated_diffusion,
-    feature_diffusion,
     forward,
     init_params,
     layer_forward,
@@ -38,21 +36,40 @@ def random_graph(n, p, seed):
     return Graph(n=n, edges=tuple(edges))
 
 
+def diffuse(op, h):
+    """Weight-free propagation op @ h through one layer: alpha = beta = 0
+    with zero skip input and zero weights leaves only the diffusion term."""
+    f = h.shape[1]
+    pre, _ = layer_forward(h, np.zeros_like(h), op, np.zeros((f, f)), alpha=0.0, beta=0.0)
+    return pre
+
+
+def aggregate(a_hat, gamma, h):
+    """Aggregator-normalized propagation (a_hat * gamma) @ h through the full
+    forward pass: identity projection, one plain layer, identity head."""
+    f = h.shape[1]
+    params = ModelParams(
+        input_projection=np.eye(f), layers=[np.zeros((f, f))], output_head=np.eye(f),
+        alpha=0.0, beta=0.0,
+    )
+    return forward(params, a_hat, gamma, h, activation="identity").logits
+
+
 class TestFeatureDiffusion:
     def test_identity_operator(self):
         h = np.random.default_rng(0).normal(size=(4, 3))
-        assert np.array_equal(feature_diffusion(np.eye(4), h), h)
+        assert np.array_equal(diffuse(np.eye(4), h), h)
 
     def test_two_node_averaging(self):
         a_hat = np.full((2, 2), 0.5)
         h = np.array([[2.0], [4.0]])
-        assert np.array_equal(feature_diffusion(a_hat, h), [[3.0], [3.0]])
+        assert np.array_equal(diffuse(a_hat, h), [[3.0], [3.0]])
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(6, 6))
         h = rng.normal(size=(6, 3))
-        np.testing.assert_allclose(feature_diffusion(a, h), naive_matmul(a, h), atol=1e-13)
+        np.testing.assert_allclose(diffuse(a, h), naive_matmul(a, h), atol=1e-13)
 
 
 class TestAggregatedDiffusion:
@@ -60,19 +77,15 @@ class TestAggregatedDiffusion:
         g = random_graph(6, 0.5, seed=2)
         a_hat = normalize_adjacency(add_self_loops(g))
         h = np.random.default_rng(3).normal(size=(6, 4))
-        out = aggregated_diffusion(a_hat, ones_gamma(g), h)
-        assert np.array_equal(out, feature_diffusion(a_hat, h))
+        out = aggregate(a_hat, ones_gamma(g), h)
+        assert np.array_equal(out, a_hat @ h)
 
     def test_constant_gamma_scales(self):
         g = random_graph(5, 0.6, seed=4)
         a_hat = normalize_adjacency(add_self_loops(g))
         gamma = 2.0 * (add_self_loops(g) > 0)
         h = np.random.default_rng(5).normal(size=(5, 3))
-        np.testing.assert_allclose(
-            aggregated_diffusion(a_hat, gamma, h),
-            2.0 * feature_diffusion(a_hat, h),
-            atol=1e-13,
-        )
+        np.testing.assert_allclose(aggregate(a_hat, gamma, h), 2.0 * (a_hat @ h), atol=1e-13)
 
     def test_composition_of_hadamard_then_matmul(self):
         g = random_graph(7, 0.4, seed=6)
@@ -81,7 +94,7 @@ class TestAggregatedDiffusion:
         gamma = aggregation_matrix(stats, g)
         h = np.random.default_rng(8).normal(size=(7, 2))
         expected = matmul(hadamard(a_hat, gamma), h)
-        assert np.array_equal(aggregated_diffusion(a_hat, gamma, h), expected)
+        assert np.array_equal(aggregate(a_hat, gamma, h), expected)
 
 
 class TestLayerForward:
@@ -104,7 +117,7 @@ class TestLayerForward:
         x0 = rng.normal(size=(5, 3))
         w = rng.normal(size=(3, 3))
         pre, _ = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0)
-        assert np.array_equal(pre, feature_diffusion(a_hat, h))
+        assert np.array_equal(pre, a_hat @ h)
 
     def test_four_term_hand_expansion(self):
         # W = 0 makes I + W = I, so with alpha=0.1, beta=0.3 the layer is
@@ -199,7 +212,7 @@ class TestForward:
             x0 = rng.normal(size=(n, 4))
             w = rng.normal(size=(4, 4))
             pre, _ = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0)
-            assert np.array_equal(pre, feature_diffusion(a_hat, h))
+            assert np.array_equal(pre, a_hat @ h)
 
 
 class TestPredict:

@@ -17,9 +17,7 @@ from angcn.popgraph import (
     correlation_distance,
     elimination_order,
     kernel_similarity,
-    phenotypic_distance,
     rfe_ridge,
-    triangle_to_matrix,
 )
 
 # -- independent oracles ------------------------------------------------------
@@ -129,13 +127,18 @@ class TestKernelSimilarity:
 class TestPhenotypicDistance:
     def test_qualitative_equal(self):
         m = PhenotypicMeasure(name="gender", kind=QUALITATIVE, values=("F", "F", "M"))
-        assert phenotypic_distance(m, 0, 1) == 1.0
-        assert phenotypic_distance(m, 0, 2) == 0.0
+        d = m.agreement()
+        assert d[0, 1] == 1.0
+        assert d[0, 2] == 0.0
+        assert np.array_equal(d, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
     def test_quantitative_threshold(self):
         m = PhenotypicMeasure(name="age", kind=QUANTITATIVE, values=(30.0, 31.0, 33.0), tau=2.0)
-        assert phenotypic_distance(m, 0, 1) == 1.0   # |30-31| = 1 < 2
-        assert phenotypic_distance(m, 0, 2) == 0.0   # |30-33| = 3 >= 2
+        d = m.agreement()
+        assert d[0, 1] == 1.0   # |30-31| = 1 < 2
+        assert d[0, 2] == 0.0   # |30-33| = 3 >= 2
+        assert d[1, 2] == 0.0   # |31-33| = 2, not < 2
+        assert np.array_equal(d, d.T)
 
     def test_quantitative_requires_positive_tau(self):
         with pytest.raises(ValueError):
@@ -233,14 +236,18 @@ class TestConnectomeFeatures:
             connectome_features(corr)
 
     def test_round_trip_is_identity(self):
+        # filling the upper triangle row by row and mirroring it is the
+        # inverse of the row-wise vectorization, up to the z-transform
         rng = np.random.default_rng(9)
         n = 6
+        iu = np.triu_indices(n, 1)
         z = rng.normal(size=n * (n - 1) // 2)
-        corr = np.eye(n) + np.tanh(triangle_to_matrix(z, n))
-        np.fill_diagonal(corr, 1.0)
+        corr = np.eye(n)
+        corr[iu] = np.tanh(z)
+        corr = corr + np.triu(corr, 1).T
         vec = connectome_features(corr)
-        rebuilt = triangle_to_matrix(vec, n)
-        np.testing.assert_allclose(rebuilt[np.triu_indices(n, 1)], vec, atol=0)
+        np.testing.assert_allclose(vec, z, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(vec, np.arctanh(corr[iu]), atol=0)
 
 
 # -- recursive feature elimination --------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,8 @@ from angcn.errors import BudgetOutOfRange, EmptyStats, ForeignSample
 from angcn.graph_core import Graph, add_self_loops, normalize_adjacency
 from angcn.sampler import (
     AggregationStats,
-    SubgraphSample,
     accumulate_counts,
     aggregation_matrix,
-    minibatches,
     ones_gamma,
     presample,
     sample_node_subgraph,
@@ -17,6 +17,12 @@ from angcn.sampler import (
 
 def path_graph(n):
     return Graph(n=n, edges=tuple((i, i + 1, 1.0) for i in range(n - 1)))
+
+
+def induced_edges(g, nodes):
+    """Edges of g inside the node sample, read off the appearance counts."""
+    counts = accumulate_counts(g, [nodes]).edge_counts
+    return {(i, j) for i, j, _ in g.edges if counts[(i, j)] == 1}
 
 
 def random_graph(n, p, seed):
@@ -33,19 +39,20 @@ class TestSampleNodeSubgraph:
     def test_exhaustive_budget(self):
         g = path_graph(5)
         s = sample_node_subgraph(g, budget=5, rng=np.random.default_rng(0))
-        assert s.nodes == (0, 1, 2, 3, 4)
-        assert set(s.induced_edges) == {(i, j) for i, j, _ in g.edges}
+        assert s.tolist() == [0, 1, 2, 3, 4]
+        assert induced_edges(g, s) == {(i, j) for i, j, _ in g.edges}
 
     def test_budget_one_has_no_edges(self):
-        s = sample_node_subgraph(path_graph(4), budget=1, rng=np.random.default_rng(1))
-        assert len(s.nodes) == 1
-        assert s.induced_edges == ()
+        g = path_graph(4)
+        s = sample_node_subgraph(g, budget=1, rng=np.random.default_rng(1))
+        assert len(s) == 1
+        assert induced_edges(g, s) == set()
 
     def test_fixed_seed_is_deterministic(self):
         g = path_graph(5)
         a = sample_node_subgraph(g, budget=3, rng=np.random.default_rng(77))
         b = sample_node_subgraph(g, budget=3, rng=np.random.default_rng(77))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_budget_out_of_range(self):
         with pytest.raises(BudgetOutOfRange):
@@ -57,9 +64,9 @@ class TestSampleNodeSubgraph:
         g = random_graph(8, 0.5, seed=2)
         for seed in range(10):
             s = sample_node_subgraph(g, budget=4, rng=np.random.default_rng(seed))
-            chosen = set(s.nodes)
+            chosen = set(s.tolist())
             expected = {(i, j) for i, j, _ in g.edges if i in chosen and j in chosen}
-            assert set(s.induced_edges) == expected
+            assert induced_edges(g, s) == expected
 
 
 class TestAccumulateCounts:
@@ -82,11 +89,7 @@ class TestAccumulateCounts:
     def test_hand_tally_fixture(self):
         # path 0-1-2-3; three hand-listed samples
         g = path_graph(4)
-        samples = [
-            SubgraphSample(nodes=(0, 1), induced_edges=((0, 1),)),
-            SubgraphSample(nodes=(1, 2, 3), induced_edges=((1, 2), (2, 3))),
-            SubgraphSample(nodes=(0, 2, 3), induced_edges=((2, 3),)),
-        ]
+        samples = [(0, 1), (1, 2, 3), (0, 2, 3)]
         stats = accumulate_counts(g, samples)
         assert stats.node_counts.tolist() == [2, 2, 2, 2]
         assert stats.edge_counts[(0, 1)] == 1
@@ -98,9 +101,8 @@ class TestAccumulateCounts:
 
     def test_foreign_sample(self):
         g = path_graph(3)
-        bad = SubgraphSample(nodes=(0, 5), induced_edges=())
-        with pytest.raises(ForeignSample):
-            accumulate_counts(g, [bad])
+        with pytest.raises(ForeignSample, match="node 5"):
+            accumulate_counts(g, [(0, 5)])
 
     def test_counts_monotone_under_appending(self):
         g = random_graph(6, 0.5, seed=4)
@@ -167,6 +169,40 @@ class TestAggregationMatrix:
         assert gamma[2, 2] == 0.0          # never-sampled node
 
 
+class TestLoopReference:
+    # the per-edge loops the array code replaced; the arithmetic is the same,
+    # so results must match exactly
+
+    def test_counts_match_per_edge_tally(self):
+        g = random_graph(15, 0.4, seed=9)
+        stats, samples = presample(g, runs=60, budget=6, seed=4)
+        node_counts = np.zeros(g.n, dtype=int)
+        edge_counts = {(i, j): 0 for i, j, _ in g.edges}
+        for nodes in samples:
+            chosen = set(nodes.tolist())
+            for v in chosen:
+                node_counts[v] += 1
+            for i, j, _ in g.edges:
+                if i in chosen and j in chosen:
+                    edge_counts[(i, j)] += 1
+        edge_counts.update({(v, v): int(node_counts[v]) for v in range(g.n)})
+        assert np.array_equal(stats.node_counts, node_counts)
+        assert stats.edge_counts == edge_counts
+
+    def test_gamma_matches_per_edge_loop(self):
+        g = random_graph(15, 0.4, seed=10)
+        stats, _ = presample(g, runs=30, budget=4, seed=5)
+        c = stats.node_counts.astype(float)
+        want = np.zeros((g.n, g.n))
+        for i, j, _ in g.edges:
+            cij = max(stats.edge_counts.get((i, j), 0), 1)
+            want[i, j] = c[i] / cij
+            want[j, i] = c[j] / cij
+        for v in range(g.n):
+            want[v, v] = c[v] / max(c[v], 1.0)
+        assert np.array_equal(aggregation_matrix(stats, g), want)
+
+
 class TestUnbiasedness:
     def test_normalized_subgraph_aggregation_matches_full_graph(self):
         # Monte-Carlo oracle: average the gamma-weighted, subgraph-masked
@@ -180,8 +216,7 @@ class TestUnbiasedness:
         gamma = aggregation_matrix(stats, g)
         op = a_hat * gamma
         total = np.zeros_like(h)
-        for s in samples:
-            nodes = np.array(s.nodes)
+        for nodes in samples:
             mask = np.zeros((20, 20))
             mask[np.ix_(nodes, nodes)] = 1.0
             total += (op * mask) @ h
@@ -200,8 +235,7 @@ class TestUnbiasedness:
         op = a_hat * aggregation_matrix(stats_a, g)
         stats_b, samples_b = presample(g, runs=4000, budget=10, seed=2)
         total = np.zeros_like(h)
-        for s in samples_b:
-            nodes = np.array(s.nodes)
+        for nodes in samples_b:
             mask = np.zeros((20, 20))
             mask[np.ix_(nodes, nodes)] = 1.0
             total += (op * mask) @ h
@@ -218,6 +252,21 @@ class TestDeterminismAndExport:
         assert np.array_equal(a.node_counts, b.node_counts)
         assert a.edge_counts == b.edge_counts
 
+    def test_stats_json_bytes_are_pinned(self):
+        # checkpoint digests hash these bytes; the digest was recorded with
+        # the original per-edge loop implementation of the counts
+        rng = np.random.default_rng(31)
+        edges = [
+            (i, j, float(rng.uniform(0.5, 2.0)))
+            for i in range(12)
+            for j in range(i + 1, 12)
+            if rng.uniform() < 0.4
+        ]
+        g = Graph(n=12, edges=tuple(edges))
+        stats, _ = presample(g, runs=40, budget=5, seed=2)
+        digest = hashlib.sha256(stats.to_json().encode()).hexdigest()
+        assert digest == "1170aa4302e59f471efcc6622573807201bfd426adc2b9c5bc5371a78eaa069f"
+
     def test_json_round_trip(self):
         g = random_graph(7, 0.5, seed=8)
         stats, _ = presample(g, runs=25, budget=3, seed=3)
@@ -228,27 +277,28 @@ class TestDeterminismAndExport:
 
 
 class TestMinibatches:
+    # training uses each sample as one minibatch, in sampler order
+
     def test_single_exhaustive_sample_is_full_batch(self):
         g = path_graph(6)
         s = sample_node_subgraph(g, budget=6, rng=np.random.default_rng(0))
-        batches = minibatches([s], batch_budget=6)
-        assert len(batches) == 1
-        assert batches[0].tolist() == [0, 1, 2, 3, 4, 5]
+        assert s.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_budget_n_every_batch_is_full(self):
         g = path_graph(4)
-        samples = [
-            sample_node_subgraph(g, budget=4, rng=np.random.default_rng(r)) for r in range(3)
-        ]
-        for batch in minibatches(samples, batch_budget=4):
-            assert batch.tolist() == [0, 1, 2, 3]
+        for r in range(3):
+            s = sample_node_subgraph(g, budget=4, rng=np.random.default_rng(r))
+            assert s.tolist() == [0, 1, 2, 3]
 
     def test_order_preserving_bijection(self):
+        # a batch lists distinct nodes in ascending order, so local row p is
+        # global node batch[p] and the labeled rows keep their global order
         g = random_graph(8, 0.4, seed=1)
-        samples = [
-            sample_node_subgraph(g, budget=3, rng=np.random.default_rng(r)) for r in range(3)
-        ]
-        batches = minibatches(samples, batch_budget=3)
-        assert len(batches) == 3
-        for s, batch in zip(samples, batches):
-            assert batch.tolist() == list(s.nodes)
+        train_mask = np.zeros(8, dtype=bool)
+        train_mask[[1, 2, 5, 6]] = True
+        for r in range(3):
+            batch = sample_node_subgraph(g, budget=3, rng=np.random.default_rng(r))
+            assert len(batch) == 3
+            assert np.all(np.diff(batch) > 0)
+            local = np.flatnonzero(train_mask[batch])
+            assert batch[local].tolist() == sorted(set(batch.tolist()) & {1, 2, 5, 6})

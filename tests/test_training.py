@@ -10,7 +10,7 @@ from angcn.errors import ClassTooSmall, EmptyLabeledSet, TraceMismatch
 from angcn.graph_core import Graph, add_self_loops, normalize_adjacency
 from angcn.model import ModelParams, forward, init_params, predict
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
-from angcn.sampler import ones_gamma
+from angcn.sampler import aggregation_matrix, ones_gamma, presample
 from angcn.training import (
     AdamState,
     EarlyStopper,
@@ -358,6 +358,57 @@ class TestTrain:
         y_hat = predict(forward(params, a_hat, gamma, bundle.features).logits)
         acc = np.mean(y_hat.argmax(axis=1)[idx[:64]] == bundle.labels[idx[:64]])
         assert acc > 0.9
+
+
+class TestSampledInference:
+    def test_half_budget_lands_near_full_batch(self):
+        # gamma ~ 2 per edge at budget n/2; ten layers of it on the full
+        # graph would saturate the softmax, so validation and test must
+        # use unit aggregation
+        bundle = generate_synthetic(
+            SyntheticSpec(n_subjects=60, n_roi=10, class_separation=3.0, seed=0)
+        )
+        g = build_adjacency(
+            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
+        )
+        cfg = TrainConfig(max_epochs=100, patience=100, folds=3, layers=10, hidden_dim=16,
+                          seed=1)
+        sampled_cfg = replace(cfg, batch_budget=30, sampler_runs=50)
+        stats, _ = presample(g, runs=50, budget=30, seed=1)
+
+        def accuracy(results):
+            return np.mean([
+                np.mean(r.probs.argmax(axis=1) == bundle.labels[r.test_idx]) for r in results
+            ])
+
+        full = cross_validate(cfg, g, ones_gamma(g), bundle.features, bundle.labels)
+        sampled = cross_validate(
+            sampled_cfg, g, aggregation_matrix(stats, g), bundle.features, bundle.labels
+        )
+        assert accuracy(full) > 0.9
+        assert accuracy(sampled) >= accuracy(full) - 0.1
+        for r in sampled:
+            assert len({h[1] for h in r.history}) > 1
+            assert len({h[2] for h in r.history}) > 1
+            assert r.probs.min() > 1e-6
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_budget", 0),
+        ("batch_budget", -5),
+        ("layers", -1),
+        ("hidden_dim", 0),
+        ("sampler_runs", 0),
+        ("max_epochs", -3),
+    ])
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        cfg = TrainConfig(batch_budget=1, layers=0, hidden_dim=1, sampler_runs=1, max_epochs=0)
+        assert cfg.batch_budget == 1
 
 
 class TestCrossValidate:
