@@ -359,7 +359,7 @@ def _cmd_eval(args) -> int:
         )
     # gamma only debiases subgraph-restricted training: score with unit aggregation
     a_hat = normalize_adjacency(add_self_loops(g))
-    probs = predict(forward(params, a_hat, ones_gamma(g), features).logits)
+    probs = predict(forward(params, a_hat, features).logits)
     report = _fold_metrics(bundle.labels, probs)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out is not None:

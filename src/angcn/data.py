@@ -210,22 +210,64 @@ def _parse_cell(cell: str, path: Path, line: int, column: str, cast=float):
         ) from exc
 
 
+def _float_array(cells: list[list[str]], path: Path, columns: list[str]) -> np.ndarray:
+    """Rows of numeric cells (data lines from line 2) as one float array.
+
+    Every cell must parse and be finite; the first one that is not is named
+    by file, line and column.
+    """
+    try:
+        out = np.array(cells, dtype=float).reshape(len(cells), len(columns))
+    except ValueError:  # re-parse cell by cell to name the bad one
+        out = np.array([[_parse_cell(cell, path, r + 2, columns[c]) for c, cell in enumerate(row)]
+                        for r, row in enumerate(cells)]).reshape(len(cells), len(columns))
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        r, c = bad[0]
+        raise ParseError(
+            f"{path}: line {r + 2}, column {columns[c]!r}: {cells[r][c]!r} is not finite"
+        )
+    return out
+
+
+def _subject_rows(rows: list[list[str]], header: list[str], name: str) -> dict[str, int]:
+    """Map each subject_id (first cell) to its row index; rows must be complete
+    and ids unique."""
+    position: dict[str, int] = {}
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(f"{name}: line {r + 2}: expected {len(header)} cells")
+        if row[0] in position:
+            raise SchemaMismatch(f"{name}: line {r + 2}: duplicate subject_id {row[0]!r}")
+        position[row[0]] = r
+    return position
+
+
+def _join_order(subject_ids: list[str], position: dict[str, int], name: str) -> list[int]:
+    """Row index in `name` of each subject, in features.csv order."""
+    missing = [sid for sid in subject_ids if sid not in position]
+    if missing:
+        raise SchemaMismatch(f"{name} has no row for subject_id {missing[0]!r}")
+    if len(position) > len(subject_ids):
+        known = set(subject_ids)
+        unknown = next(sid for sid in position if sid not in known)
+        raise SchemaMismatch(f"{name}: subject_id {unknown!r} is not in features.csv")
+    return [position[sid] for sid in subject_ids]
+
+
 def load_bundle(directory: str | Path, name: str = "synthetic") -> DatasetBundle:
-    """Read the CSV trio back; inverse of save_bundle."""
+    """Read the CSV trio back; inverse of save_bundle.
+
+    Subjects follow the row order of features.csv; phenotypes.csv and
+    labels.csv are joined to it on subject_id, so their row order is free.
+    """
     directory = Path(directory)
 
     header, rows = _read_csv(directory / "features.csv")
     if not header or header[0] != "subject_id":
         raise SchemaMismatch(f"features.csv must start with subject_id, got {header[:1]}")
-    feat_cols = header[1:]
-    features = np.zeros((len(rows), len(feat_cols)))
-    subject_ids = []
-    for r, row in enumerate(rows):
-        subject_ids.append(row[0])
-        if len(row) != len(header):
-            raise ParseError(f"features.csv: line {r + 2}: expected {len(header)} cells")
-        for c, cell in enumerate(row[1:]):
-            features[r, c] = _parse_cell(cell, directory / "features.csv", r + 2, feat_cols[c])
+    subject_ids = list(_subject_rows(rows, header, "features.csv"))
+    features = _float_array([row[1:] for row in rows], directory / "features.csv", header[1:])
 
     try:
         schema = json.loads((directory / "phenotypes.schema.json").read_text())
@@ -233,10 +275,10 @@ def load_bundle(directory: str | Path, name: str = "synthetic") -> DatasetBundle
         raise ParseError(f"phenotypes.schema.json: {exc}") from exc
 
     header, rows = _read_csv(directory / "phenotypes.csv")
-    if len(rows) != len(subject_ids):
-        raise SchemaMismatch(
-            f"phenotypes.csv has {len(rows)} subjects, features.csv has {len(subject_ids)}"
-        )
+    if header[:1] != ["subject_id"]:
+        raise SchemaMismatch(f"phenotypes.csv must start with subject_id, got {header[:1]}")
+    order = _join_order(subject_ids, _subject_rows(rows, header, "phenotypes.csv"),
+                        "phenotypes.csv")
     col_index = {name_: k for k, name_ in enumerate(header)}
     phenotypes = []
     for entry in schema:
@@ -244,30 +286,24 @@ def load_bundle(directory: str | Path, name: str = "synthetic") -> DatasetBundle
         if mname not in col_index:
             raise SchemaMismatch(f"phenotypes.csv is missing declared column {mname!r}")
         k = col_index[mname]
-        raw = [row[k] for row in rows]
         if kind == QUANTITATIVE:
-            values = tuple(
-                _parse_cell(cell, directory / "phenotypes.csv", r + 2, mname)
-                for r, cell in enumerate(raw)
-            )
-            phenotypes.append(
-                PhenotypicMeasure(name=mname, kind=kind, values=values, tau=entry["tau"])
-            )
+            column = _float_array([[row[k]] for row in rows], directory / "phenotypes.csv",
+                                  [mname])[order, 0]
+            phenotypes.append(PhenotypicMeasure(
+                name=mname, kind=kind, values=tuple(column.tolist()), tau=entry["tau"]
+            ))
         else:
-            phenotypes.append(PhenotypicMeasure(name=mname, kind=kind, values=tuple(raw)))
+            values = tuple(rows[r][k] for r in order)
+            phenotypes.append(PhenotypicMeasure(name=mname, kind=kind, values=values))
 
     header, rows = _read_csv(directory / "labels.csv")
     if header[:2] != ["subject_id", "label"]:
         raise SchemaMismatch(f"labels.csv header must be subject_id,label, got {header}")
-    if len(rows) != len(subject_ids):
-        raise SchemaMismatch(
-            f"labels.csv has {len(rows)} subjects, features.csv has {len(subject_ids)}"
-        )
-    labels = np.zeros(len(rows), dtype=int)
+    order = _join_order(subject_ids, _subject_rows(rows, header, "labels.csv"), "labels.csv")
     for r, row in enumerate(rows):
         if row[1] not in ("0", "1"):
             raise ParseError(f"labels.csv: line {r + 2}, column 'label': got {row[1]!r}")
-        labels[r] = int(row[1])
+    labels = np.array([int(rows[r][1]) for r in order], dtype=int)
 
     return DatasetBundle(features=features, phenotypes=phenotypes, labels=labels, name=name)
 

@@ -70,3 +70,7 @@ class ParseError(ValueError):
 
 class SchemaMismatch(ValueError):
     """A data file does not match its declared schema."""
+
+
+class NonFiniteLoss(ValueError):
+    """Training produced a NaN or infinite loss."""

@@ -1,16 +1,22 @@
 """Forward computation of the aggregator-normalized GCN.
 
-Each hidden layer mixes four terms: the (aggregation-weighted) neighborhood
-diffusion of the current features, the same diffusion passed through an
-identity-plus-weight map, and skip connections that re-inject the projected
-input features both directly and through the identity map:
+Each hidden layer mixes four terms: the neighborhood diffusion s = M h of the
+current features, the same diffusion passed through an identity-plus-weight
+map, and skip connections that re-inject the projected input features both
+directly and through the identity map:
 
-    pre = (1 - alpha) * M h  +  beta * M h (I + W)
-        +      alpha  * x0  +  beta * x0 (I + W),      M = a_hat * gamma
+    pre = (1 - alpha) * s  +  beta * s (I + W)
+        +      alpha  * x0 +  beta * x0 (I + W),      s = M h
 
-followed by ReLU. Widths are constant across layers (the identity map needs
-square weights), so a learned projection maps raw inputs to the hidden width
-once, and a linear head maps the last layer to class scores.
+followed by ReLU. M is the propagation operator the caller passes in: the
+normalized adjacency a_hat for full-graph forwards, or a_hat * gamma
+restricted to a sampled subgraph during minibatch training. Widths are
+constant across layers (the identity map needs square weights), so a learned
+projection maps raw inputs to the hidden width once, and a linear head maps
+the last layer to class scores.
+
+The forward trace keeps each layer's diffusion s and activation, so the
+backward pass never repeats an N x N product.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatch
-from .graph_core import hadamard, matmul
+from .graph_core import matmul
 
 
 @dataclass
@@ -48,22 +54,23 @@ class ModelParams:
             )
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            input_projection=self.input_projection.copy(),
-            layers=[w.copy() for w in self.layers],
-            output_head=self.output_head.copy(),
-            alpha=self.alpha,
-            beta=self.beta,
-        )
+        return ModelParams(self.input_projection.copy(), [w.copy() for w in self.layers],
+                           self.output_head.copy(), self.alpha, self.beta)
 
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, cached layer by layer."""
+    """Everything the backward pass needs, cached layer by layer.
+
+    diffused[l] is the layer's diffusion s = op @ h_(l-1), so the backward
+    pass reads it instead of recomputing the N x N product. activations[l]
+    is the layer output; its positive entries are exactly those of the
+    pre-activation, which is all the ReLU derivative needs.
+    """
 
     raw_input: np.ndarray
     projected_input: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
+    diffused: list[np.ndarray] = field(default_factory=list)
     activations: list[np.ndarray] = field(default_factory=list)
     logits: np.ndarray | None = None
 
@@ -83,22 +90,14 @@ def init_params(
     rng: np.random.Generator,
 ) -> ModelParams:
     """Seeded uniform Glorot initialization for every weight matrix."""
-    return ModelParams(
-        input_projection=glorot(f_in, f_hidden, rng),
-        layers=[glorot(f_hidden, f_hidden, rng) for _ in range(n_layers)],
-        output_head=glorot(f_hidden, n_classes, rng),
-        alpha=alpha,
-        beta=beta,
-    )
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    projection = glorot(f_in, f_hidden, rng)
+    layers = [glorot(f_hidden, f_hidden, rng) for _ in range(n_layers)]
+    return ModelParams(projection, layers, glorot(f_hidden, n_classes, rng), alpha, beta)
 
 
 def _activate(x: np.ndarray, activation: str) -> np.ndarray:
     if activation == "relu":
-        return relu(x)
+        return np.maximum(x, 0.0)
     if activation == "identity":  # test hook for kink-free gradient checks
         return x.copy()
     raise ValueError(f"unknown activation {activation!r}")
@@ -107,52 +106,52 @@ def _activate(x: np.ndarray, activation: str) -> np.ndarray:
 def layer_forward(
     h: np.ndarray,
     x0: np.ndarray,
-    diffused_op: np.ndarray,
+    op: np.ndarray,
     w: np.ndarray,
     alpha: float,
     beta: float,
     activation: str = "relu",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One propagation layer; returns (pre_activation, activation).
+    """One propagation layer; returns (diffusion op @ h, activation).
 
-    diffused_op is the fixed N x N operator a_hat * gamma. All four terms
-    are always computed, so alpha = beta = 0 reduces exactly to the plain
-    diffusion diffused_op @ h.
+    All four terms are always computed, so alpha = beta = 0 with the identity
+    activation reduces exactly to the plain diffusion op @ h.
     """
     if h.shape != x0.shape:
         raise ShapeMismatch(f"h {h.shape} and x0 {x0.shape} must match")
     if w.shape != (h.shape[1], h.shape[1]):
         raise ShapeMismatch(f"weight {w.shape} incompatible with width {h.shape[1]}")
-    s = matmul(diffused_op, h)
+    s = matmul(op, h)
     iw = np.eye(w.shape[0]) + w
     pre = (1.0 - alpha) * s + beta * (s @ iw) + alpha * x0 + beta * (x0 @ iw)
-    return pre, _activate(pre, activation)
+    return s, _activate(pre, activation)
 
 
 def forward(
     params: ModelParams,
-    a_hat: np.ndarray,
-    gamma: np.ndarray,
+    op: np.ndarray,
     x_raw: np.ndarray,
     activation: str = "relu",
 ) -> ForwardTrace:
-    """Full forward pass: project, L propagation layers, linear head."""
+    """Full forward pass over the N x N operator op: project, L propagation
+    layers, linear head."""
     x_raw = np.asarray(x_raw, dtype=float)
     if x_raw.shape[1] != params.input_projection.shape[0]:
         raise ShapeMismatch(
             f"input width {x_raw.shape[1]} != projection rows "
             f"{params.input_projection.shape[0]}"
         )
-    op = hadamard(a_hat, gamma)
+    if np.shape(op) != (x_raw.shape[0], x_raw.shape[0]):
+        raise ShapeMismatch(f"operator {np.shape(op)} does not match {x_raw.shape[0]} input rows")
     x0 = matmul(x_raw, params.input_projection)
     trace = ForwardTrace(raw_input=x_raw, projected_input=x0)
     h = x0
     for ell, w in enumerate(params.layers):
         try:
-            pre, h = layer_forward(h, x0, op, w, params.alpha, params.beta, activation)
+            s, h = layer_forward(h, x0, op, w, params.alpha, params.beta, activation)
         except ShapeMismatch as exc:
             raise ShapeMismatch(f"layer {ell}: {exc}") from exc
-        trace.pre_activations.append(pre)
+        trace.diffused.append(s)
         trace.activations.append(h)
     trace.logits = matmul(h, params.output_head)
     return trace

@@ -3,6 +3,8 @@
 The backward pass differentiates the four-term propagation rule by hand;
 a central finite-difference harness validates it entry by entry. The loss
 is a sum over labeled nodes (a mean variant is available as a config flag).
+Backward reads each layer's diffusion from the forward trace, so an epoch
+costs two N x N products per layer: op @ h forward and op.T @ d_s backward.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ClassTooSmall, EmptyLabeledSet, ShapeMismatch, TraceMismatch
+from .errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, ShapeMismatch, TraceMismatch
 from .graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
 from .model import ForwardTrace, ModelParams, forward, init_params, predict
-from .sampler import ones_gamma, sample_node_subgraph
+from .sampler import sample_node_subgraph
 
 
 @dataclass
@@ -95,18 +97,19 @@ def cross_entropy(
     return loss
 
 
-def _relu_mask(pre: np.ndarray, activation: str) -> np.ndarray:
+def _relu_mask(h: np.ndarray, activation: str) -> np.ndarray:
+    """ReLU derivative read off the layer output: h > 0 exactly where pre > 0."""
     if activation == "relu":
-        return (pre > 0).astype(float)
+        return (h > 0).astype(float)
     if activation == "identity":
-        return np.ones_like(pre)
+        return np.ones_like(h)
     raise ValueError(f"unknown activation {activation!r}")
 
 
 def backward(
     trace: ForwardTrace,
     params: ModelParams,
-    a_hat_gamma: np.ndarray,
+    op: np.ndarray,
     labels_onehot: np.ndarray,
     labeled_idx: Sequence[int],
     activation: str = "relu",
@@ -117,7 +120,8 @@ def backward(
     Softmax and cross-entropy fuse to (Yhat - Y) on labeled rows. Each layer
     contributes through the diffusion term, the identity-plus-weight term,
     and both skip terms, so the projected input collects gradient from every
-    layer. ReLU subgradient at 0 is taken as 0.
+    layer. ReLU subgradient at 0 is taken as 0. `op` must be the operator the
+    trace was computed with.
     """
     n_layers = len(params.layers)
     if len(trace.activations) != n_layers:
@@ -145,15 +149,14 @@ def backward(
     d_x0 = np.zeros_like(x0)
     alpha, beta = params.alpha, params.beta
     for ell in range(n_layers - 1, -1, -1):
-        g = d_h * _relu_mask(trace.pre_activations[ell], activation)
-        h_in = trace.activations[ell - 1] if ell > 0 else x0
-        s = a_hat_gamma @ h_in
+        g = d_h * _relu_mask(trace.activations[ell], activation)
+        s = trace.diffused[ell]
         iw = np.eye(params.layers[ell].shape[0]) + params.layers[ell]
         d_layers[ell] = beta * ((s + x0).T @ g)
         g_iw = g @ iw.T
         d_s = (1.0 - alpha) * g + beta * g_iw
         d_x0 += alpha * g + beta * g_iw
-        d_h = a_hat_gamma.T @ d_s
+        d_h = op.T @ d_s
     d_x0 += d_h  # H^(0) = x0
     d_projection = trace.raw_input.T @ d_x0
     return GradientSet(input_projection=d_projection, layers=d_layers, output_head=d_head)
@@ -180,22 +183,8 @@ def adam_step(
         updated.append(theta - lr * m_hat / (np.sqrt(v_hat) + state.epsilon))
         new_m.append(m)
         new_v.append(v)
-    new_params = ModelParams(
-        input_projection=updated[0],
-        layers=updated[1:-1],
-        output_head=updated[-1],
-        alpha=params.alpha,
-        beta=params.beta,
-    )
-    new_state = AdamState(
-        first_moment=new_m,
-        second_moment=new_v,
-        t=t,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-    )
-    return new_params, new_state
+    new_params = ModelParams(updated[0], updated[1:-1], updated[-1], params.alpha, params.beta)
+    return new_params, replace(state, first_moment=new_m, second_moment=new_v, t=t)
 
 
 def stratified_kfold(labels: Sequence[int], k: int, seed: int) -> list[np.ndarray]:
@@ -273,10 +262,13 @@ def train(
     History rows are (epoch, train_loss, val_loss) recorded at the end of
     each epoch. Training stops early once the validation loss has failed to
     improve on its best value for `patience` consecutive epochs, and the
-    parameters from the best epoch are returned.
+    parameters from the best epoch are returned. A non-finite loss raises
+    NonFiniteLoss naming the epoch.
 
     `gamma` weights the training forwards only: it debiases subgraph-restricted
-    aggregation, so the end-of-epoch losses use unit aggregation on the full graph.
+    aggregation, so the end-of-epoch losses use unit aggregation (plain a_hat)
+    on the full graph. Full-batch training therefore needs unit gamma, and
+    each end-of-epoch forward is also the next epoch's training forward.
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
@@ -286,18 +278,15 @@ def train(
     labels_oh = one_hot(labels)
     a_hat = normalize_adjacency(add_self_loops(graph))
     op = hadamard(a_hat, gamma)
-    unit = ones_gamma(graph)
+    full_batch = config.batch_budget is None or config.batch_budget >= graph.n
+    if full_batch:
+        if not np.array_equal(op, a_hat):
+            raise ValueError("full-batch training needs unit gamma (1 on the support of A + I)")
+        op = a_hat
 
     rng = np.random.default_rng([config.seed, 0])
-    params = init_params(
-        f_in=features.shape[1],
-        f_hidden=config.hidden_dim,
-        n_classes=labels_oh.shape[1],
-        n_layers=config.layers,
-        alpha=config.alpha,
-        beta=config.beta,
-        rng=rng,
-    )
+    params = init_params(features.shape[1], config.hidden_dim, labels_oh.shape[1],
+                         config.layers, config.alpha, config.beta, rng)
     state = AdamState.for_params(params)
     stopper = EarlyStopper(config.patience)
     best_params = params.copy()
@@ -306,38 +295,39 @@ def train(
         return best_params, history
 
     train_mask = np.isin(np.arange(graph.n), train_idx)
-    for epoch in range(1, config.max_epochs + 1):
-        if config.batch_budget is None or config.batch_budget >= graph.n:
-            trace = forward(params, a_hat, gamma, features, activation)
-            grads = backward(
-                trace, params, op, labels_oh, train_idx, activation, config.loss_reduction
-            )
-            params, state = adam_step(params, grads, state, config.learning_rate)
-        else:
-            for b in range(-(-graph.n // config.batch_budget)):  # ceil(n / budget) batches
-                batch = sample_node_subgraph(
-                    graph, config.batch_budget, np.random.default_rng([config.seed, 2, epoch, b])
-                )
-                labeled_local = np.flatnonzero(train_mask[batch])
-                if labeled_local.size == 0:
-                    continue
-                sub = np.ix_(batch, batch)
-                trace = forward(params, a_hat[sub], gamma[sub], features[batch], activation)
-                grads = backward(
-                    trace,
-                    params,
-                    op[sub],
-                    labels_oh[batch],
-                    labeled_local,
-                    activation,
-                    config.loss_reduction,
-                )
-                params, state = adam_step(params, grads, state, config.learning_rate)
 
-        trace = forward(params, a_hat, unit, features, activation)
+    def steps(epoch: int):
+        """(operator, features, labels, labeled rows) of each gradient step."""
+        if full_batch:
+            yield op, features, labels_oh, train_idx
+            return
+        for b in range(-(-graph.n // config.batch_budget)):  # ceil(n / budget) batches
+            batch = sample_node_subgraph(
+                graph, config.batch_budget, np.random.default_rng([config.seed, 2, epoch, b])
+            )
+            labeled_local = np.flatnonzero(train_mask[batch])
+            if labeled_local.size:
+                yield op[np.ix_(batch, batch)], features[batch], labels_oh[batch], labeled_local
+
+    trace = forward(params, a_hat, features, activation) if full_batch else None
+    for epoch in range(1, config.max_epochs + 1):
+        for step_op, x, y, labeled in steps(epoch):
+            if trace is None:
+                trace = forward(params, step_op, x, activation)
+            grads = backward(trace, params, step_op, y, labeled, activation, config.loss_reduction)
+            trace = None  # release it before the next forward: one trace live at a time
+            params, state = adam_step(params, grads, state, config.learning_rate)
+
+        trace = forward(params, a_hat, features, activation)
         y_hat = predict(trace.logits)
+        if not full_batch:
+            trace = None  # subgraph steps make their own traces
         train_loss = cross_entropy(y_hat, labels_oh, train_idx, config.loss_reduction)
         val_loss = cross_entropy(y_hat, labels_oh, val_idx, config.loss_reduction)
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            raise NonFiniteLoss(
+                f"epoch {epoch}: train loss {train_loss}, validation loss {val_loss}"
+            )
         history.append((epoch, train_loss, val_loss))
         should_stop = stopper.update(epoch, val_loss)
         if stopper.best_epoch == epoch:
@@ -349,7 +339,7 @@ def train(
 
 def finite_difference_check(
     params: ModelParams,
-    a_hat_gamma: np.ndarray,
+    op: np.ndarray,
     x_raw: np.ndarray,
     labels_onehot: np.ndarray,
     labeled_idx: Sequence[int],
@@ -363,14 +353,13 @@ def finite_difference_check(
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    ones = np.ones_like(a_hat_gamma)
 
     def loss_of(p: ModelParams) -> float:
-        trace = forward(p, a_hat_gamma, ones, x_raw, activation)
+        trace = forward(p, op, x_raw, activation)
         return cross_entropy(predict(trace.logits), labels_onehot, labeled_idx)
 
-    trace = forward(params, a_hat_gamma, ones, x_raw, activation)
-    grads = backward(trace, params, a_hat_gamma, labels_onehot, labeled_idx, activation)
+    trace = forward(params, op, x_raw, activation)
+    grads = backward(trace, params, op, labels_onehot, labeled_idx, activation)
     worst = 0.0
     work = params.copy()
     mats = [work.input_projection, *work.layers, work.output_head]
@@ -411,10 +400,10 @@ def cross_validate(
 ) -> list[FoldResult]:
     """Stratified k-fold evaluation; each fold trains on the rest with an
     inner stratified validation split for early stopping. Test
-    probabilities come from a full-graph forward with unit aggregation."""
+    probabilities come from a full-graph forward with unit aggregation (a_hat).
+    A non-finite loss raises NonFiniteLoss naming the fold and epoch."""
     labels = np.asarray(labels, dtype=int)
     a_hat = normalize_adjacency(add_self_loops(graph))
-    unit = ones_gamma(graph)
     folds = stratified_kfold(labels, config.folds, config.seed)
     results = []
     for f, test_idx in enumerate(folds):
@@ -422,7 +411,10 @@ def cross_validate(
         fold_seed = int(np.random.SeedSequence([config.seed, 17, f]).generate_state(1)[0])
         tr_idx, val_idx = stratified_holdout(labels, pool, val_frac, fold_seed)
         fold_config = replace(config, seed=fold_seed)
-        params, history = train(fold_config, graph, gamma, features, labels, tr_idx, val_idx)
-        probs = predict(forward(params, a_hat, unit, features).logits)[test_idx]
-        results.append(FoldResult(fold=f, test_idx=test_idx, probs=probs, history=history, params=params))
+        try:
+            params, history = train(fold_config, graph, gamma, features, labels, tr_idx, val_idx)
+        except NonFiniteLoss as exc:
+            raise NonFiniteLoss(f"fold {f}, {exc}") from exc
+        probs = predict(forward(params, a_hat, features).logits)[test_idx]
+        results.append(FoldResult(f, test_idx, probs, history, params))
     return results

@@ -99,7 +99,7 @@ def test_criterion_4_reduction_identity():
         h = rng.normal(size=(n, f))
         x0 = rng.normal(size=(n, f))
         w = rng.normal(size=(f, f))
-        pre, _ = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0)
+        _, pre = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0, activation="identity")
         if not np.array_equal(pre, a_hat @ h):
             failures += 1
     report(
@@ -240,16 +240,15 @@ def test_criterion_8_determinism_and_complexity(tmp_path):
     rng = np.random.default_rng(0)
     g = random_graph(n, 0.1, seed=1)
     a_hat = normalize_adjacency(add_self_loops(g))
-    gamma = ones_gamma(g)
     x = rng.normal(size=(n, f_in))
     times = {}
     for layers in (10, 20):
         params = init_params(f_in, hidden, 2, layers, alpha=0.1, beta=0.3, rng=rng)
-        forward(params, a_hat, gamma, x)  # warm-up
+        forward(params, a_hat, x)  # warm-up
         best = math.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            forward(params, a_hat, gamma, x)
+            forward(params, a_hat, x)
             best = min(best, time.perf_counter() - t0)
         times[layers] = best
     ratio = times[20] / times[10]

@@ -132,6 +132,63 @@ class TestBundleRoundTrip:
             load_bundle(tmp_path)
 
 
+def edit_cell(path, line, column, value):
+    """Overwrite one cell of a CSV file (line 1 is the header)."""
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def shuffle_rows(path, seed):
+    lines = path.read_text().splitlines()
+    body = [lines[1 + k] for k in np.random.default_rng(seed).permutation(len(lines) - 1)]
+    path.write_text("\n".join([lines[0], *body]) + "\n")
+
+
+class TestBundleValidation:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_feature_names_file_line_and_column(self, tmp_path, value):
+        save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=8)), tmp_path)
+        edit_cell(tmp_path / "features.csv", 6, "f3", value)
+        with pytest.raises(ParseError, match=r"features.csv: line 6, column 'f3'.*not finite"):
+            load_bundle(tmp_path)
+
+    def test_non_finite_quantitative_phenotype_rejected(self, tmp_path):
+        save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=8)), tmp_path)
+        edit_cell(tmp_path / "phenotypes.csv", 9, "age", "NaN")
+        with pytest.raises(ParseError, match=r"phenotypes.csv: line 9, column 'age'"):
+            load_bundle(tmp_path)
+
+    def test_shuffled_phenotype_and_label_rows_load_the_same_bundle(self, tmp_path):
+        bundle = generate_synthetic(SyntheticSpec(n_subjects=30, n_roi=5, seed=10))
+        save_bundle(bundle, tmp_path)
+        shuffle_rows(tmp_path / "labels.csv", seed=1)
+        shuffle_rows(tmp_path / "phenotypes.csv", seed=2)
+        assert (tmp_path / "labels.csv").read_text().splitlines()[1] != "0," + str(bundle.labels[0])
+        assert load_bundle(tmp_path) == bundle
+
+    @pytest.mark.parametrize("file, line, new_id, message", [
+        ("labels.csv", 4, "99", "no row for subject_id '2'"),
+        ("labels.csv", 4, "0", "line 4: duplicate subject_id '0'"),
+        ("phenotypes.csv", 3, "x7", "no row for subject_id '1'"),
+        ("features.csv", 5, "1", "line 5: duplicate subject_id '1'"),
+    ])
+    def test_subject_ids_must_match_one_to_one(self, tmp_path, file, line, new_id, message):
+        save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=8)), tmp_path)
+        edit_cell(tmp_path / file, line, "subject_id", new_id)
+        with pytest.raises(SchemaMismatch, match=f"{file}.*{message}"):
+            load_bundle(tmp_path)
+
+    def test_unknown_subject_rejected(self, tmp_path):
+        save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=8)), tmp_path)
+        with open(tmp_path / "labels.csv", "a") as fh:
+            fh.write("extra,1\n")
+        with pytest.raises(SchemaMismatch, match="subject_id 'extra' is not in features.csv"):
+            load_bundle(tmp_path)
+
+
 class TestAdjacencyFile:
     def test_round_trip(self, tmp_path):
         g = Graph(n=4, edges=((0, 1, 0.25), (1, 3, 1.75)))
@@ -182,12 +239,11 @@ class TestCheckpoint:
         params = init_params(6, 4, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
         x = rng.normal(size=(5, 6))
         op = np.eye(5)
-        gamma = np.ones((5, 5))
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, params, config={}, gamma_digest="d", seed=0)
         loaded, _, _, _ = load_checkpoint(path)
-        before = forward(params, op, gamma, x).logits
-        after = forward(loaded, op, gamma, x).logits
+        before = forward(params, op, x).logits
+        after = forward(loaded, op, x).logits
         assert np.array_equal(before, after)
 
     def test_version_mismatch_rejected(self, tmp_path):

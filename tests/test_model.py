@@ -40,7 +40,9 @@ def diffuse(op, h):
     """Weight-free propagation op @ h through one layer: alpha = beta = 0
     with zero skip input and zero weights leaves only the diffusion term."""
     f = h.shape[1]
-    pre, _ = layer_forward(h, np.zeros_like(h), op, np.zeros((f, f)), alpha=0.0, beta=0.0)
+    _, pre = layer_forward(
+        h, np.zeros_like(h), op, np.zeros((f, f)), alpha=0.0, beta=0.0, activation="identity"
+    )
     return pre
 
 
@@ -52,7 +54,7 @@ def aggregate(a_hat, gamma, h):
         input_projection=np.eye(f), layers=[np.zeros((f, f))], output_head=np.eye(f),
         alpha=0.0, beta=0.0,
     )
-    return forward(params, a_hat, gamma, h, activation="identity").logits
+    return forward(params, hadamard(a_hat, gamma), h, activation="identity").logits
 
 
 class TestFeatureDiffusion:
@@ -104,9 +106,11 @@ class TestLayerForward:
         x0 = rng.normal(size=(3, 2))
         op = rng.uniform(size=(3, 3))
         w = rng.normal(size=(2, 2))
-        pre, act = layer_forward(h, x0, op, w, alpha=1.0, beta=0.0)
+        _, pre = layer_forward(h, x0, op, w, alpha=1.0, beta=0.0, activation="identity")
+        s, act = layer_forward(h, x0, op, w, alpha=1.0, beta=0.0)
         np.testing.assert_allclose(pre, x0, atol=1e-15)
         assert np.array_equal(act, np.maximum(pre, 0.0))
+        assert np.array_equal(s, op @ h)
 
     def test_alpha_beta_zero_is_plain_diffusion_bitwise(self):
         g = random_graph(5, 0.5, seed=1)
@@ -116,7 +120,7 @@ class TestLayerForward:
         h = rng.normal(size=(5, 3))
         x0 = rng.normal(size=(5, 3))
         w = rng.normal(size=(3, 3))
-        pre, _ = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0)
+        _, pre = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0, activation="identity")
         assert np.array_equal(pre, a_hat @ h)
 
     def test_four_term_hand_expansion(self):
@@ -128,9 +132,11 @@ class TestLayerForward:
         w = np.zeros((2, 2))
         mh = m @ h
         expected = 0.9 * mh + 0.3 * mh + 0.1 * x0 + 0.3 * x0
-        pre, act = layer_forward(h, x0, m, w, alpha=0.1, beta=0.3)
+        _, pre = layer_forward(h, x0, m, w, alpha=0.1, beta=0.3, activation="identity")
+        s, act = layer_forward(h, x0, m, w, alpha=0.1, beta=0.3)
         np.testing.assert_allclose(pre, expected, atol=1e-15)
         np.testing.assert_allclose(act, np.maximum(expected, 0.0), atol=1e-15)
+        assert np.array_equal(s, mh)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -144,10 +150,11 @@ class TestForward:
         rng = np.random.default_rng(0)
         params = init_params(4, 3, 2, n_layers=0, alpha=0.1, beta=0.3, rng=rng)
         x = rng.normal(size=(5, 4))
-        trace = forward(params, np.eye(5), np.eye(5), x)
+        trace = forward(params, np.eye(5), x)
         expected = (x @ params.input_projection) @ params.output_head
         np.testing.assert_allclose(trace.logits, expected, atol=1e-15)
-        assert trace.pre_activations == []
+        assert trace.diffused == []
+        assert trace.activations == []
 
     def test_single_layer_matches_layer_forward(self):
         g = random_graph(4, 0.6, seed=3)
@@ -156,12 +163,11 @@ class TestForward:
         rng = np.random.default_rng(4)
         params = init_params(3, 2, 2, n_layers=1, alpha=0.1, beta=0.3, rng=rng)
         x = rng.normal(size=(4, 3))
-        trace = forward(params, a_hat, gamma, x)
+        op = hadamard(a_hat, gamma)
+        trace = forward(params, op, x)
         x0 = x @ params.input_projection
-        pre, act = layer_forward(
-            x0, x0, hadamard(a_hat, gamma), params.layers[0], 0.1, 0.3
-        )
-        assert np.array_equal(trace.pre_activations[0], pre)
+        s, act = layer_forward(x0, x0, op, params.layers[0], 0.1, 0.3)
+        assert np.array_equal(trace.diffused[0], s)
         assert np.array_equal(trace.activations[0], act)
         assert np.array_equal(trace.logits, act @ params.output_head)
 
@@ -170,7 +176,7 @@ class TestForward:
         a_hat = normalize_adjacency(add_self_loops(g))
         rng = np.random.default_rng(6)
         params = init_params(4, 5, 2, n_layers=3, alpha=0.2, beta=0.1, rng=rng)
-        trace = forward(params, a_hat, ones_gamma(g), rng.normal(size=(6, 4)))
+        trace = forward(params, hadamard(a_hat, ones_gamma(g)), rng.normal(size=(6, 4)))
         for act in trace.activations:
             assert np.all(act >= 0.0)
             assert act.shape == (6, 5)
@@ -184,10 +190,9 @@ class TestForward:
         params = init_params(3, 4, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
         x = rng.normal(size=(7, 3))
         perm = rng.permutation(7)
-        base = forward(params, a_hat, gamma, x)
-        permuted = forward(
-            params, a_hat[np.ix_(perm, perm)], gamma[np.ix_(perm, perm)], x[perm]
-        )
+        op = hadamard(a_hat, gamma)
+        base = forward(params, op, x)
+        permuted = forward(params, op[np.ix_(perm, perm)], x[perm])
         np.testing.assert_allclose(permuted.logits, base.logits[perm], rtol=1e-12, atol=1e-12)
         for got, want in zip(permuted.activations, base.activations):
             np.testing.assert_allclose(got, want[perm], rtol=1e-12, atol=1e-12)
@@ -197,7 +202,27 @@ class TestForward:
         params = init_params(3, 4, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
         params.layers[1] = np.ones((5, 5))   # wrong width mid-stack
         with pytest.raises(ShapeMismatch, match="layer 1"):
-            forward(params, np.eye(4), np.ones((4, 4)), rng.normal(size=(4, 3)))
+            forward(params, np.eye(4), rng.normal(size=(4, 3)))
+
+    def test_operator_must_match_input_rows(self):
+        rng = np.random.default_rng(13)
+        params = init_params(3, 4, 2, n_layers=1, alpha=0.1, beta=0.3, rng=rng)
+        with pytest.raises(ShapeMismatch, match="operator"):
+            forward(params, np.eye(5), rng.normal(size=(4, 3)))
+
+    def test_trace_diffusion_is_operator_times_previous_layer_bitwise(self):
+        # backward reads diffused[l] instead of recomputing op @ h_(l-1)
+        g = random_graph(8, 0.5, seed=14)
+        a_hat = normalize_adjacency(add_self_loops(g))
+        stats, _ = presample(g, runs=30, budget=4, seed=15)
+        op = hadamard(a_hat, aggregation_matrix(stats, g))
+        rng = np.random.default_rng(16)
+        params = init_params(3, 5, 2, n_layers=4, alpha=0.1, beta=0.3, rng=rng)
+        trace = forward(params, op, rng.normal(size=(8, 3)))
+        inputs = [trace.projected_input, *trace.activations[:-1]]
+        assert len(trace.diffused) == len(inputs) == 4
+        for s, h_in in zip(trace.diffused, inputs):
+            assert np.array_equal(s, op @ h_in)
 
     def test_reduction_identity_on_random_fixtures(self):
         # alpha = beta = 0 with all-ones gamma must reproduce the plain
@@ -211,7 +236,7 @@ class TestForward:
             h = rng.normal(size=(n, 4))
             x0 = rng.normal(size=(n, 4))
             w = rng.normal(size=(4, 4))
-            pre, _ = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0)
+            _, pre = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0, activation="identity")
             assert np.array_equal(pre, a_hat @ h)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -6,11 +7,12 @@ import pytest
 
 from angcn.cli import gradcheck_fixture
 from angcn.data import SyntheticSpec, generate_synthetic
-from angcn.errors import ClassTooSmall, EmptyLabeledSet, TraceMismatch
+from angcn.errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, TraceMismatch
 from angcn.graph_core import Graph, add_self_loops, normalize_adjacency
 from angcn.model import ModelParams, forward, init_params, predict
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
 from angcn.sampler import aggregation_matrix, ones_gamma, presample
+import angcn.training as training
 from angcn.training import (
     AdamState,
     EarlyStopper,
@@ -72,7 +74,7 @@ class TestBackward:
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         onehot = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         op = np.eye(3)
-        trace = forward(params, op, np.ones((3, 3)), x)
+        trace = forward(params, op, x)
         assert np.array_equal(predict(trace.logits)[[0, 1]], onehot[[0, 1]])
         grads = backward(trace, params, op, onehot, [0, 1])
         assert np.all(grads.input_projection == 0.0)
@@ -87,7 +89,7 @@ class TestBackward:
         onehot[np.arange(6), labels] = 1.0
         labeled = np.array([0, 2, 5])
         op = np.eye(6)
-        trace = forward(params, op, np.ones((6, 6)), x)
+        trace = forward(params, op, x)
         grads = backward(trace, params, op, onehot, labeled)
         # hand derivation: d(head) = H0^T (Yhat - Y) restricted to labeled rows
         x0 = x @ params.input_projection
@@ -110,7 +112,7 @@ class TestBackward:
 
     def test_mean_reduction_scales_gradients(self):
         params, op, x_raw, onehot, labeled = gradcheck_fixture(seed=3)
-        trace = forward(params, op, np.ones_like(op), x_raw)
+        trace = forward(params, op, x_raw)
         g_sum = backward(trace, params, op, onehot, labeled)
         g_mean = backward(trace, params, op, onehot, labeled, reduction="mean")
         np.testing.assert_allclose(
@@ -122,7 +124,7 @@ class TestBackward:
         params = init_params(3, 4, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
         other = init_params(3, 4, 2, n_layers=3, alpha=0.1, beta=0.3, rng=rng)
         x = rng.normal(size=(5, 3))
-        trace = forward(params, np.eye(5), np.ones((5, 5)), x)
+        trace = forward(params, np.eye(5), x)
         with pytest.raises(TraceMismatch):
             backward(trace, other, np.eye(5), np.zeros((5, 2)), [0])
 
@@ -301,7 +303,7 @@ class TestTrain:
             cfg, g, gamma, bundle.features, bundle.labels, idx[:30], idx[30:]
         )
         a_hat = normalize_adjacency(add_self_loops(g))
-        y_hat = predict(forward(params, a_hat, gamma, bundle.features).logits)
+        y_hat = predict(forward(params, a_hat, bundle.features).logits)
         onehot = np.zeros((40, 2))
         onehot[idx, bundle.labels] = 1.0
         val_loss = cross_entropy(y_hat, onehot, idx[30:])
@@ -355,9 +357,104 @@ class TestTrain:
         assert train_losses[-1] < train_losses[0]
         assert min(train_losses) < 0.1 * train_losses[0]
         a_hat = normalize_adjacency(add_self_loops(g))
-        y_hat = predict(forward(params, a_hat, gamma, bundle.features).logits)
+        y_hat = predict(forward(params, a_hat, bundle.features).logits)
         acc = np.mean(y_hat.argmax(axis=1)[idx[:64]] == bundle.labels[idx[:64]])
         assert acc > 0.9
+
+
+class TestTrainTraceReuse:
+    """One forward per gradient step plus one end-of-epoch forward; in full
+    batch the end-of-epoch forward is the next epoch's training forward."""
+
+    @staticmethod
+    def setup(n=40):
+        bundle = generate_synthetic(SyntheticSpec(n_subjects=n, n_roi=6, seed=4))
+        g = build_adjacency(
+            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
+        )
+        return bundle, g, np.arange(n)
+
+    @staticmethod
+    def count_calls(monkeypatch, name, op_position):
+        """Record the operator rows of every call to training.<name>."""
+        calls = []
+        real = getattr(training, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args[op_position].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, name, counted)
+        return calls
+
+    @staticmethod
+    def digest(history):
+        text = "\n".join(f"{e},{tr!r},{vl!r}" for e, tr, vl in history)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_full_batch_forwards_once_per_epoch_plus_one(self, monkeypatch):
+        bundle, g, idx = self.setup()
+        forwards = self.count_calls(monkeypatch, "forward", 1)
+        backwards = self.count_calls(monkeypatch, "backward", 2)
+        cfg = TrainConfig(max_epochs=7, patience=7, layers=2, hidden_dim=8, seed=9)
+        _, history = train(cfg, g, ones_gamma(g), bundle.features, bundle.labels,
+                           idx[:30], idx[30:])
+        assert len(history) == 7
+        assert forwards == [40] * 8
+        assert backwards == [40] * 7
+
+    def test_sampled_forwards_once_per_batch_plus_one_per_epoch(self, monkeypatch):
+        # 36 of 40 nodes are labeled, so every 15-node batch trains
+        bundle, g, idx = self.setup()
+        stats, _ = presample(g, runs=30, budget=15, seed=9)
+        forwards = self.count_calls(monkeypatch, "forward", 1)
+        cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9,
+                          batch_budget=15, sampler_runs=30)
+        train(cfg, g, aggregation_matrix(stats, g), bundle.features, bundle.labels,
+              idx[:36], idx[36:])
+        assert forwards == [15, 15, 15, 40] * 5   # ceil(40 / 15) batches, then the full graph
+
+    def test_full_batch_rejects_non_unit_gamma(self):
+        bundle, g, idx = self.setup()
+        stats, _ = presample(g, runs=30, budget=15, seed=9)
+        cfg = TrainConfig(max_epochs=3, patience=3, layers=1, hidden_dim=4, seed=9)
+        with pytest.raises(ValueError, match="gamma"):
+            train(cfg, g, aggregation_matrix(stats, g), bundle.features, bundle.labels,
+                  idx[:30], idx[30:])
+
+    def test_history_matches_digests_taken_before_trace_reuse(self):
+        # sha256 of the history.csv-style rows, recorded when every epoch ran
+        # a separate training forward and backward recomputed op @ h
+        bundle, g, idx = self.setup()
+        cfg = TrainConfig(max_epochs=12, patience=12, layers=3, hidden_dim=8, seed=9)
+        _, full = train(cfg, g, ones_gamma(g), bundle.features, bundle.labels,
+                        idx[:30], idx[30:])
+        stats, _ = presample(g, runs=30, budget=15, seed=9)
+        sampled_cfg = replace(cfg, batch_budget=15, sampler_runs=30)
+        _, sampled = train(sampled_cfg, g, aggregation_matrix(stats, g), bundle.features,
+                           bundle.labels, idx[:30], idx[30:])
+        assert self.digest(full) == (
+            "535b345ae289fb10b108c26cbf87f26e56a49afae847393fe39cea4a2ebadfa3")
+        assert self.digest(sampled) == (
+            "5002de1b870c672006802ed87d9f527d472958a343779b22fddb93324692ad5c")
+
+
+class TestNonFiniteLoss:
+    def test_nan_feature_fails_at_epoch_one(self):
+        bundle, g, idx = TestTrainTraceReuse.setup()
+        features = bundle.features.copy()
+        features[3, 2] = np.nan
+        cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9)
+        with pytest.raises(NonFiniteLoss, match="epoch 1"):
+            train(cfg, g, ones_gamma(g), features, bundle.labels, idx[:30], idx[30:])
+
+    def test_cross_validate_names_the_fold(self):
+        bundle, g, _ = TestTrainTraceReuse.setup()
+        features = bundle.features.copy()
+        features[3, 2] = np.nan
+        cfg = TrainConfig(max_epochs=5, patience=5, folds=2, layers=2, hidden_dim=8, seed=9)
+        with pytest.raises(NonFiniteLoss, match="fold 0, epoch 1"):
+            cross_validate(cfg, g, ones_gamma(g), features, bundle.labels)
 
 
 class TestSampledInference:
