@@ -189,16 +189,16 @@ def resolve_config(args, defaults: TrainConfig | None = None) -> TrainConfig:
     return TrainConfig(**values)
 
 
-def _load_features(args) -> tuple[dataio.DatasetBundle, np.ndarray]:
-    """Load the bundle and apply optional ridge-RFE column selection."""
+def _load_features(args) -> tuple[dataio.DatasetBundle, np.ndarray, np.ndarray | None]:
+    """Load the bundle and apply optional ridge-RFE column selection; returns
+    the bundle, the selected features and the kept columns (None for all)."""
     bundle = dataio.load_bundle(args.data)
-    features = bundle.features
     rfe_dim = getattr(args, "rfe_dim", None)
-    if rfe_dim is not None:
-        pm1 = 2.0 * bundle.labels.astype(float) - 1.0
-        keep = rfe_ridge(features, pm1, target_dim=rfe_dim)
-        features = features[:, keep]
-    return bundle, features
+    if rfe_dim is None:
+        return bundle, bundle.features, None
+    pm1 = 2.0 * bundle.labels.astype(float) - 1.0
+    keep = rfe_ridge(bundle.features, pm1, target_dim=rfe_dim)
+    return bundle, bundle.features[:, keep], keep
 
 
 def _graph_for(args, bundle, features) -> tuple[Graph, float]:
@@ -211,21 +211,18 @@ def _graph_for(args, bundle, features) -> tuple[Graph, float]:
     return build_adjacency(spec), resolved
 
 
-def _gamma_for(config: TrainConfig, g: Graph) -> tuple[np.ndarray, str]:
-    """The aggregation matrix and a digest of how it was built.
+def _gamma_for(config: TrainConfig, g: Graph) -> np.ndarray:
+    """The aggregation matrix for training.
 
     Full-batch aggregation is never restricted to a subgraph, so its
     normalization constants are the exhaustive-sampling ones (all 1).
     Sampled mode derives them from pre-training runs at the batch budget.
     """
     if config.batch_budget is None or config.batch_budget >= g.n:
-        gamma = ones_gamma(g)
-        digest = dataio.stats_digest(json.dumps({"mode": "exhaustive", "n": g.n}))
-        return gamma, digest
+        return ones_gamma(g)
     stats, _ = presample(g, runs=config.sampler_runs, budget=config.batch_budget,
                          seed=config.seed)
-    gamma = aggregation_matrix(stats, g)
-    return gamma, dataio.stats_digest(stats.to_json())
+    return aggregation_matrix(stats, g)
 
 
 def _fold_metrics(y_true: np.ndarray, probs: np.ndarray) -> dict:
@@ -279,7 +276,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_build_graph(args) -> int:
-    bundle, features = _load_features(args)
+    bundle, features, _ = _load_features(args)
     g, sigma = _graph_for(args, bundle, features)
     dataio.save_adjacency(g, args.out)
     print(f"wrote {args.out} ({len(g.edges)} edges, sigma={sigma:.6g})")
@@ -287,20 +284,20 @@ def _cmd_build_graph(args) -> int:
 
 
 def _cmd_sample_stats(args) -> int:
-    bundle, features = _load_features(args)
+    bundle, features, _ = _load_features(args)
     g, _ = _graph_for(args, bundle, features)
     budget = args.budget if args.budget is not None else -(-g.n // 2)
     stats, _ = presample(g, runs=args.runs, budget=budget, seed=args.seed)
-    dataio._atomic_write(Path(args.out), stats.to_json() + "\n")
+    dataio._atomic_write(Path(args.out), stats.to_json(g) + "\n")
     print(f"wrote {args.out} (runs={stats.runs}, budget={budget})")
     return 0
 
 
 def _cmd_train(args) -> int:
     config = resolve_config(args)
-    bundle, features = _load_features(args)
+    bundle, features, columns = _load_features(args)
     g, sigma = _graph_for(args, bundle, features)
-    gamma, digest = _gamma_for(config, g)
+    gamma = _gamma_for(config, g)
 
     results = cross_validate(config, g, gamma, features, bundle.labels)
     out = Path(args.out)
@@ -311,6 +308,7 @@ def _cmd_train(args) -> int:
     history_lines = ["fold,epoch,train_loss,val_loss"]
     config_snapshot = asdict(config)
     config_snapshot["sigma_resolved"] = sigma
+    digest = dataio.graph_digest(g)
     for r in results:
         y_true = bundle.labels[r.test_idx]
         fm = _fold_metrics(y_true, r.probs)
@@ -322,10 +320,8 @@ def _cmd_train(args) -> int:
             history_lines.append(f"{r.fold},{epoch},{tr!r},{vl!r}")
         dataio.save_checkpoint(
             out / f"checkpoint_fold{r.fold}.json",
-            r.params,
-            config={**config_snapshot, "fold": r.fold},
-            gamma_digest=digest,
-            seed=config.seed,
+            dataio.Checkpoint(r.params, {**config_snapshot, "fold": r.fold}, digest,
+                              r.test_idx, columns),
         )
 
     report = {"aggregate": _aggregate(per_fold), "folds": per_fold}
@@ -342,25 +338,26 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    params, config_snapshot, digest, seed = dataio.load_checkpoint(args.checkpoint)
+    ckpt = dataio.load_checkpoint(args.checkpoint)
     bundle = dataio.load_bundle(args.data)
     features = bundle.features
-    config_fields = {f.name for f in fields(TrainConfig)}
-    config = TrainConfig(**{k: v for k, v in config_snapshot.items() if k in config_fields})
-
-    sigma = config_snapshot.get("sigma_resolved")
-    spec = PopulationGraphSpec(features=features, measures=bundle.phenotypes, sigma=sigma)
+    if ckpt.feature_columns is not None:
+        features = features[:, ckpt.feature_columns]
+    spec = PopulationGraphSpec(features=features, measures=bundle.phenotypes,
+                               sigma=ckpt.config["sigma_resolved"])
     g = build_adjacency(spec)
-    _, rebuilt_digest = _gamma_for(replace(config, seed=seed), g)
-    if rebuilt_digest != digest:
+    digest = dataio.graph_digest(g)
+    if digest != ckpt.graph_digest:
         raise ValueError(
-            "aggregation statistics rebuilt from the checkpoint config do not match "
-            f"the stored digest ({rebuilt_digest[:12]} != {digest[:12]})"
+            f"graph digest {digest[:12]} of the graph rebuilt from {args.data} does not "
+            f"match the checkpoint's training graph digest {ckpt.graph_digest[:12]}"
         )
     # gamma only debiases subgraph-restricted training: score with unit aggregation
     a_hat = normalize_adjacency(add_self_loops(g))
-    probs = predict(forward(params, a_hat, features).logits)
-    report = _fold_metrics(bundle.labels, probs)
+    probs = predict(forward(ckpt.params, a_hat, features).logits)
+    test = ckpt.test_idx
+    report = {**_fold_metrics(bundle.labels[test], probs[test]), "fold": ckpt.config["fold"],
+              "all_subjects": _fold_metrics(bundle.labels, probs)}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         dataio._atomic_write(Path(args.out), text)
@@ -371,7 +368,7 @@ def _cmd_eval(args) -> int:
 def _sweep_setup(args):
     sweep_defaults = TrainConfig(max_epochs=SWEEP_EPOCHS, patience=SWEEP_EPOCHS)
     config = resolve_config(args, defaults=sweep_defaults)
-    bundle, features = _load_features(args)
+    bundle, features, _ = _load_features(args)
     g, _ = _graph_for(args, bundle, features)
     return config, bundle, features, g
 
@@ -379,7 +376,7 @@ def _sweep_setup(args):
 def _cmd_sweep_depth(args) -> int:
     config, bundle, features, g = _sweep_setup(args)
     depths = [int(d) for d in args.depths.split(",") if d]
-    gamma_an, _ = _gamma_for(config, g)
+    gamma_an = _gamma_for(config, g)
     gamma_ones = ones_gamma(g)
     lines = ["depth,angcn_accuracy,gcn_accuracy"]
     for depth in depths:
@@ -407,7 +404,7 @@ def _cmd_sweep_batch(args) -> int:
     ]
     for budget in budgets:
         cfg = replace(config, batch_budget=budget)
-        gamma, _ = _gamma_for(cfg, g)
+        gamma = _gamma_for(cfg, g)
         acc = _cv_accuracy(cfg, g, gamma, features, bundle.labels)
         lines.append(f"{budget},{acc!r}")
         print(f"budget {budget}: accuracy {acc:.4f}")

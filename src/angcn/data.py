@@ -8,7 +8,9 @@ Two phenotypic measures accompany them: a site-like categorical one and an
 age-like thresholded one, each weakly class-informative.
 
 All files are CSV/JSON written atomically (temp + rename); floats round-trip
-exactly.
+exactly. A checkpoint binds the graph it was trained on by a digest of the
+adjacency matrix, and stores the fold's test subjects and the feature columns
+it reads, so `eval` can rebuild exactly what training saw.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .graph_core import Graph
 from .model import ModelParams
 from .popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure, connectome_features
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Scales chosen so class_separation ~ 2 gives a dataset a linear model can
 # fit well while class_separation = 0 carries no signal at all. The subject
@@ -334,44 +336,50 @@ def load_adjacency(path: str | Path, n: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 def _encode_matrix(mat: np.ndarray) -> dict:
-    return {
-        "shape": list(mat.shape),
-        "data": [f"{v:.16e}" for v in mat.ravel()],
-    }
+    return {"shape": list(mat.shape), "data": mat.ravel().tolist()}
 
 
 def _decode_matrix(obj: dict) -> np.ndarray:
-    return np.array([float(v) for v in obj["data"]]).reshape(obj["shape"])
+    return np.array(obj["data"], dtype=float).reshape(obj["shape"])
 
 
-def stats_digest(payload: str) -> str:
-    return hashlib.sha256(payload.encode()).hexdigest()
+def graph_digest(g: Graph) -> str:
+    """SHA-256 of the dense adjacency matrix; independent of edge order."""
+    return hashlib.sha256(g.adjacency().tobytes()).hexdigest()
 
 
-def save_checkpoint(
-    path: str | Path,
-    params: ModelParams,
-    config: dict,
-    gamma_digest: str,
-    seed: int,
-) -> None:
-    """Versioned JSON checkpoint; floats carry 17 significant digits so the
-    round-trip is bit-exact."""
+@dataclass
+class Checkpoint:
+    """One trained fold and what `eval` needs to score it again."""
+
+    params: ModelParams
+    config: dict                        # TrainConfig fields plus fold and sigma_resolved
+    graph_digest: str                   # graph_digest of the training graph
+    test_idx: np.ndarray                # the fold's held-out subjects
+    feature_columns: np.ndarray | None  # columns kept by RFE; None keeps all
+
+
+def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    """Versioned JSON checkpoint; weights are JSON numbers, whose shortest
+    repr makes the round trip bit-exact."""
+    params = ckpt.params
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "config": config,
-        "seed": seed,
-        "gamma_digest": gamma_digest,
+        "config": ckpt.config,
+        "graph_digest": ckpt.graph_digest,
+        "test_idx": ckpt.test_idx.tolist(),
+        "feature_columns": (None if ckpt.feature_columns is None
+                            else ckpt.feature_columns.tolist()),
         "alpha": params.alpha,
         "beta": params.beta,
         "input_projection": _encode_matrix(params.input_projection),
         "layers": [_encode_matrix(w) for w in params.layers],
         "output_head": _encode_matrix(params.output_head),
     }
-    _atomic_write(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(Path(path), json.dumps(payload, sort_keys=True) + "\n")
 
 
-def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict, str, int]:
+def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -387,4 +395,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict, str, int]:
         alpha=payload["alpha"],
         beta=payload["beta"],
     )
-    return params, payload["config"], payload["gamma_digest"], payload["seed"]
+    columns = payload["feature_columns"]
+    return Checkpoint(params, payload["config"], payload["graph_digest"],
+                      np.array(payload["test_idx"], dtype=int),
+                      None if columns is None else np.array(columns, dtype=int))

@@ -2,14 +2,15 @@
 
 Uniform node samples drawn before training yield appearance counts C_i and
 C_ij; their ratio gives the per-edge normalization constants that debias
-subgraph-restricted aggregation. Counts for the synthetic self-loop entry
-(i, i) always equal C_i, so the self term is never rescaled.
+subgraph-restricted aggregation. Both live in one integer matrix S^T S, with
+C_ij off the diagonal and C_i on it, so the self term (i, i) is never
+rescaled. The counts become JSON only when `sample-stats` writes them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,33 +22,31 @@ from .graph_core import Graph
 class AggregationStats:
     """Appearance counts over sampler runs.
 
-    node_counts[i] = number of samples containing node i; edge_counts maps
-    each (i, j) edge of the parent graph, plus one (i, i) entry per node, to
-    the number of samples whose induced subgraph contains it.
+    pair_counts = S^T S for the runs x n 0/1 sample-membership matrix S, as
+    integers: entry (i, j) is C_ij, the number of samples containing both i
+    and j, and the diagonal entry (i, i) is C_i, the number containing i.
     """
 
     runs: int
-    node_counts: np.ndarray
-    edge_counts: dict[tuple[int, int], int] = field(default_factory=dict)
+    pair_counts: np.ndarray
 
-    def to_json(self) -> str:
+    @property
+    def node_counts(self) -> np.ndarray:
+        return np.diagonal(self.pair_counts)
+
+    def to_json(self, g: Graph) -> str:
+        """The stats.json text: runs, C_i, and [i, j, C_ij] rows for every edge
+        of g plus one (i, i) row per node, sorted by (i, j)."""
+        i = np.concatenate([g.src, np.arange(g.n)])
+        j = np.concatenate([g.dst, np.arange(g.n)])
+        order = np.lexsort((j, i))
+        i, j = i[order], j[order]
         payload = {
             "runs": self.runs,
-            "node_counts": [int(c) for c in self.node_counts],
-            "edge_counts": [
-                [i, j, int(c)] for (i, j), c in sorted(self.edge_counts.items())
-            ],
+            "node_counts": self.node_counts.tolist(),
+            "edge_counts": np.stack([i, j, self.pair_counts[i, j]], axis=1).tolist(),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AggregationStats":
-        payload = json.loads(text)
-        return cls(
-            runs=payload["runs"],
-            node_counts=np.array(payload["node_counts"], dtype=int),
-            edge_counts={(i, j): c for i, j, c in payload["edge_counts"]},
-        )
 
 
 def sample_node_subgraph(g: Graph, budget: int, rng: np.random.Generator) -> np.ndarray:
@@ -58,11 +57,7 @@ def sample_node_subgraph(g: Graph, budget: int, rng: np.random.Generator) -> np.
 
 
 def accumulate_counts(g: Graph, samples: list[np.ndarray]) -> AggregationStats:
-    """Tally node and edge appearance counts over a list of node samples.
-
-    With S the runs x n 0/1 matrix of sample membership, C_i = sum_r S_ri
-    and C_ij = (S^T S)_ij.
-    """
+    """Tally pair appearance counts S^T S over a list of node samples."""
     membership = np.zeros((len(samples), g.n))
     for r, nodes in enumerate(samples):
         nodes = np.asarray(nodes, dtype=int)
@@ -70,13 +65,8 @@ def accumulate_counts(g: Graph, samples: list[np.ndarray]) -> AggregationStats:
         if foreign.size:
             raise ForeignSample(f"sample references node {foreign[0]}, graph has n={g.n}")
         membership[r, nodes] = 1.0
-    pair_counts = membership.T @ membership   # exact integers; diagonal = C_i
-    i = np.concatenate([g.src, np.arange(g.n)])
-    j = np.concatenate([g.dst, np.arange(g.n)])
-    counts = dict(zip(zip(i.tolist(), j.tolist()), pair_counts[i, j].astype(int).tolist()))
-    return AggregationStats(
-        runs=len(samples), node_counts=membership.sum(axis=0).astype(int), edge_counts=counts
-    )
+    # a float product is exact for integer counts and runs on BLAS
+    return AggregationStats(len(samples), (membership.T @ membership).astype(np.int64))
 
 
 def aggregation_matrix(stats: AggregationStats, g: Graph) -> np.ndarray:
@@ -91,10 +81,7 @@ def aggregation_matrix(stats: AggregationStats, g: Graph) -> np.ndarray:
     if stats.runs < 1:
         raise EmptyStats("aggregation statistics need at least one sampler run")
     c = stats.node_counts.astype(float)
-    pair_counts = np.zeros((g.n, g.n))
-    keys = np.array(list(stats.edge_counts), dtype=int).reshape(-1, 2)
-    pair_counts[keys[:, 0], keys[:, 1]] = list(stats.edge_counts.values())
-    c_edge = np.maximum(pair_counts[g.src, g.dst], 1.0)
+    c_edge = np.maximum(stats.pair_counts[g.src, g.dst], 1).astype(float)
     gamma = np.diag(c / np.maximum(c, 1.0))
     gamma[g.src, g.dst] = c[g.src] / c_edge
     gamma[g.dst, g.src] = c[g.dst] / c_edge

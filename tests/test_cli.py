@@ -168,13 +168,54 @@ class TestEval:
         assert probs.shape == (48, 2)
         assert probs.min() > 1e-6
 
-    def test_tampered_digest_rejected(self, data_dir, train_dir, tmp_path):
+    def test_tampered_digest_rejected(self, data_dir, train_dir, tmp_path, capsys):
         payload = json.loads((train_dir / "checkpoint_fold0.json").read_text())
-        payload["gamma_digest"] = "0" * 64
+        payload["graph_digest"] = "0" * 64
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         rc = cli_run(["eval", "--checkpoint", str(bad), "--data", str(data_dir)])
         assert rc == 1
+        assert "graph digest" in capsys.readouterr().err
+
+    def test_eval_reproduces_each_fold_of_metrics_json(self, data_dir, train_dir, tmp_path):
+        folds = json.loads((train_dir / "metrics.json").read_text())["folds"]
+        for k, fold in enumerate(folds):
+            report = tmp_path / f"eval{k}.json"
+            rc = cli_run(["eval", "--checkpoint", str(train_dir / f"checkpoint_fold{k}.json"),
+                          "--data", str(data_dir), "--out", str(report)])
+            assert rc == 0
+            body = json.loads(report.read_text())
+            assert {key: body[key] for key in fold} == fold
+            # all 48 subjects are scored separately, under their own label
+            assert set(body["all_subjects"]) == set(fold) - {"fold"}
+
+    def test_rfe_checkpoint_evaluates(self, data_dir, tmp_path):
+        run = tmp_path / "run"
+        rc = cli_run(["train", "--data", str(data_dir), "--out", str(run), "--rfe-dim", "5"]
+                     + FAST_TRAIN)
+        assert rc == 0
+        payload = json.loads((run / "checkpoint_fold0.json").read_text())
+        assert len(payload["feature_columns"]) == 5
+        rc = cli_run(["eval", "--checkpoint", str(run / "checkpoint_fold0.json"),
+                      "--data", str(data_dir)])
+        assert rc == 0
+
+    def test_graph_mismatch_names_the_digest(self, data_dir, tmp_path, capsys):
+        for sigma, want in ((None, 0), ("0.05", 1)):
+            adj = tmp_path / f"adjacency_{sigma}.csv"
+            flags = [] if sigma is None else ["--sigma", sigma]
+            assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]
+                           + flags) == 0
+            run = tmp_path / f"run_{sigma}"
+            rc = cli_run(["train", "--data", str(data_dir), "--adjacency", str(adj),
+                          "--out", str(run)] + FAST_TRAIN)
+            assert rc == 0
+            capsys.readouterr()
+            rc = cli_run(["eval", "--checkpoint", str(run / "checkpoint_fold0.json"),
+                          "--data", str(data_dir)])
+            assert rc == want
+            if want:
+                assert "graph digest" in capsys.readouterr().err
 
 
 class TestSweeps:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from angcn.data import (
+    Checkpoint,
     DatasetBundle,
     SyntheticSpec,
     generate_synthetic,
+    graph_digest,
     load_adjacency,
     load_bundle,
     load_checkpoint,
@@ -221,16 +223,20 @@ class TestCheckpoint:
         rng = np.random.default_rng(13)
         params = init_params(7, 5, 2, n_layers=3, alpha=0.1, beta=0.3, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, params, config={"layers": 3}, gamma_digest="abc", seed=13)
-        loaded, config, digest, seed = load_checkpoint(path)
+        save_checkpoint(path, Checkpoint(params, {"layers": 3}, "abc", np.array([1, 4, 6]),
+                                         np.array([0, 2, 5])))
+        ckpt = load_checkpoint(path)
+        loaded = ckpt.params
         assert np.array_equal(loaded.input_projection, params.input_projection)
         assert np.array_equal(loaded.output_head, params.output_head)
+        assert len(loaded.layers) == 3
         for a, b in zip(loaded.layers, params.layers):
             assert np.array_equal(a, b)
         assert (loaded.alpha, loaded.beta) == (0.1, 0.3)
-        assert config == {"layers": 3}
-        assert digest == "abc"
-        assert seed == 13
+        assert ckpt.config == {"layers": 3}
+        assert ckpt.graph_digest == "abc"
+        assert ckpt.test_idx.tolist() == [1, 4, 6]
+        assert ckpt.feature_columns.tolist() == [0, 2, 5]
 
     def test_round_trip_preserves_forward_outputs(self, tmp_path):
         from angcn.model import forward
@@ -240,8 +246,10 @@ class TestCheckpoint:
         x = rng.normal(size=(5, 6))
         op = np.eye(5)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, params, config={}, gamma_digest="d", seed=0)
-        loaded, _, _, _ = load_checkpoint(path)
+        save_checkpoint(path, Checkpoint(params, {}, "d", np.arange(5), None))
+        ckpt = load_checkpoint(path)
+        assert ckpt.feature_columns is None
+        loaded = ckpt.params
         before = forward(params, op, x).logits
         after = forward(loaded, op, x).logits
         assert np.array_equal(before, after)
@@ -250,12 +258,20 @@ class TestCheckpoint:
         rng = np.random.default_rng(14)
         params = init_params(3, 2, 2, n_layers=0, alpha=0.0, beta=0.0, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, params, config={}, gamma_digest="x", seed=0)
+        save_checkpoint(path, Checkpoint(params, {}, "x", np.arange(2), None))
         payload = json.loads(path.read_text())
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaMismatch):
-            load_checkpoint(path)
+        for version in (1, 99):  # 1: the format before graph digests
+            payload["format_version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(SchemaMismatch):
+                load_checkpoint(path)
+
+    def test_graph_digest_ignores_edge_order_only(self):
+        edges = ((0, 1, 0.5), (1, 3, 2.0), (0, 2, 1.25))
+        digest = graph_digest(Graph(n=4, edges=edges))
+        assert graph_digest(Graph(n=4, edges=edges[::-1])) == digest
+        assert graph_digest(Graph(n=4, edges=edges[:2] + ((0, 2, 1.5),))) != digest
+        assert graph_digest(Graph(n=5, edges=edges)) != digest
 
 
 def test_bundle_validates_coverage():
