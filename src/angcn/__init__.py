@@ -18,7 +18,6 @@ from .sampler import (
     AggregationStats,
     accumulate_counts,
     aggregation_matrix,
-    ones_gamma,
     presample,
     sample_node_subgraph,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "load_bundle",
     "matmul",
     "normalize_adjacency",
-    "ones_gamma",
     "pr_curve",
     "predict",
     "presample",

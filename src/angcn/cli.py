@@ -27,7 +27,7 @@ from .graph_core import Graph, add_self_loops, normalize_adjacency
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import forward, init_params, predict
 from .popgraph import PopulationGraphSpec, auto_sigma, build_adjacency, rfe_ridge
-from .sampler import aggregation_matrix, ones_gamma, presample
+from .sampler import aggregation_matrix, presample
 from .training import TrainConfig, cross_validate, finite_difference_check
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -167,7 +167,10 @@ def resolve_config(args, defaults: TrainConfig | None = None) -> TrainConfig:
         values.update(file_values)
     env_seed = os.environ.get("ANGCN_SEED")
     if env_seed is not None:
-        values["seed"] = int(env_seed)
+        try:
+            values["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"ANGCN_SEED must be an integer, got {env_seed!r}") from None
     flag_map = {
         "lr": "learning_rate",
         "epochs": "max_epochs",
@@ -201,25 +204,27 @@ def _load_features(args) -> tuple[dataio.DatasetBundle, np.ndarray, np.ndarray |
     return bundle, bundle.features[:, keep], keep
 
 
-def _graph_for(args, bundle, features) -> tuple[Graph, float]:
+def _graph_for(args, bundle, features) -> tuple[Graph, float | None]:
+    """The population graph and its sigma: for an --adjacency file the --sigma
+    flag as given (None without it), else --sigma or the median heuristic."""
     sigma = getattr(args, "sigma", None)
     adjacency = getattr(args, "adjacency", None)
-    resolved = sigma if sigma is not None else auto_sigma(features)
     if adjacency is not None:
-        return dataio.load_adjacency(adjacency, n=features.shape[0]), resolved
+        return dataio.load_adjacency(adjacency, n=features.shape[0]), sigma
+    resolved = sigma if sigma is not None else auto_sigma(features)
     spec = PopulationGraphSpec(features=features, measures=bundle.phenotypes, sigma=resolved)
     return build_adjacency(spec), resolved
 
 
-def _gamma_for(config: TrainConfig, g: Graph) -> np.ndarray:
-    """The aggregation matrix for training.
+def _gamma_for(config: TrainConfig, g: Graph) -> np.ndarray | None:
+    """The aggregation matrix for training, or None for unit aggregation.
 
-    Full-batch aggregation is never restricted to a subgraph, so its
-    normalization constants are the exhaustive-sampling ones (all 1).
-    Sampled mode derives them from pre-training runs at the batch budget.
+    Full-batch aggregation is never restricted to a subgraph, so it needs no
+    normalization constants. Sampled mode derives them from pre-training
+    runs at the batch budget.
     """
     if config.batch_budget is None or config.batch_budget >= g.n:
-        return ones_gamma(g)
+        return None
     stats, _ = presample(g, runs=config.sampler_runs, budget=config.batch_budget,
                          seed=config.seed)
     return aggregation_matrix(stats, g)
@@ -377,13 +382,12 @@ def _cmd_sweep_depth(args) -> int:
     config, bundle, features, g = _sweep_setup(args)
     depths = [int(d) for d in args.depths.split(",") if d]
     gamma_an = _gamma_for(config, g)
-    gamma_ones = ones_gamma(g)
     lines = ["depth,angcn_accuracy,gcn_accuracy"]
     for depth in depths:
         an_cfg = replace(config, layers=depth)
         gcn_cfg = replace(config, layers=depth, alpha=0.0, beta=0.0)
         acc_an = _cv_accuracy(an_cfg, g, gamma_an, features, bundle.labels)
-        acc_gcn = _cv_accuracy(gcn_cfg, g, gamma_ones, features, bundle.labels)
+        acc_gcn = _cv_accuracy(gcn_cfg, g, None, features, bundle.labels)
         lines.append(f"{depth},{acc_an!r},{acc_gcn!r}")
         print(f"depth {depth}: angcn {acc_an:.4f}, gcn {acc_gcn:.4f}")
     dataio._atomic_write(Path(args.out), "\n".join(lines) + "\n")

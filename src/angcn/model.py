@@ -9,8 +9,9 @@ directly and through the identity map:
         +      alpha  * x0 +  beta * x0 (I + W),      s = M h
 
 followed by ReLU. M is the propagation operator the caller passes in: the
-normalized adjacency a_hat for full-graph forwards, or a_hat * gamma
-restricted to a sampled subgraph during minibatch training. Widths are
+normalized adjacency a_hat for full-graph forwards and full-batch training,
+or a_hat * gamma restricted to a sampled subgraph during minibatch training;
+`training.cross_validate` builds both once for all its folds. Widths are
 constant across layers (the identity map needs square weights), so a learned
 projection maps raw inputs to the hidden width once, and a linear head maps
 the last layer to class scores.

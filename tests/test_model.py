@@ -10,7 +10,7 @@ from angcn.model import (
     layer_forward,
     predict,
 )
-from angcn.sampler import aggregation_matrix, ones_gamma, presample
+from angcn.sampler import aggregation_matrix, presample
 
 
 def naive_matmul(a, b):
@@ -46,15 +46,15 @@ def diffuse(op, h):
     return pre
 
 
-def aggregate(a_hat, gamma, h):
-    """Aggregator-normalized propagation (a_hat * gamma) @ h through the full
-    forward pass: identity projection, one plain layer, identity head."""
+def aggregate(op, h):
+    """Propagation op @ h through the full forward pass: identity projection,
+    one plain layer, identity head."""
     f = h.shape[1]
     params = ModelParams(
         input_projection=np.eye(f), layers=[np.zeros((f, f))], output_head=np.eye(f),
         alpha=0.0, beta=0.0,
     )
-    return forward(params, hadamard(a_hat, gamma), h, activation="identity").logits
+    return forward(params, op, h, activation="identity").logits
 
 
 class TestFeatureDiffusion:
@@ -79,7 +79,7 @@ class TestAggregatedDiffusion:
         g = random_graph(6, 0.5, seed=2)
         a_hat = normalize_adjacency(add_self_loops(g))
         h = np.random.default_rng(3).normal(size=(6, 4))
-        out = aggregate(a_hat, ones_gamma(g), h)
+        out = aggregate(a_hat, h)
         assert np.array_equal(out, a_hat @ h)
 
     def test_constant_gamma_scales(self):
@@ -87,7 +87,9 @@ class TestAggregatedDiffusion:
         a_hat = normalize_adjacency(add_self_loops(g))
         gamma = 2.0 * (add_self_loops(g) > 0)
         h = np.random.default_rng(5).normal(size=(5, 3))
-        np.testing.assert_allclose(aggregate(a_hat, gamma, h), 2.0 * (a_hat @ h), atol=1e-13)
+        np.testing.assert_allclose(
+            aggregate(hadamard(a_hat, gamma), h), 2.0 * (a_hat @ h), atol=1e-13
+        )
 
     def test_composition_of_hadamard_then_matmul(self):
         g = random_graph(7, 0.4, seed=6)
@@ -96,7 +98,7 @@ class TestAggregatedDiffusion:
         gamma = aggregation_matrix(stats, g)
         h = np.random.default_rng(8).normal(size=(7, 2))
         expected = matmul(hadamard(a_hat, gamma), h)
-        assert np.array_equal(aggregate(a_hat, gamma, h), expected)
+        assert np.array_equal(aggregate(hadamard(a_hat, gamma), h), expected)
 
 
 class TestLayerForward:
@@ -115,7 +117,7 @@ class TestLayerForward:
     def test_alpha_beta_zero_is_plain_diffusion_bitwise(self):
         g = random_graph(5, 0.5, seed=1)
         a_hat = normalize_adjacency(add_self_loops(g))
-        op = hadamard(a_hat, ones_gamma(g))
+        op = a_hat
         rng = np.random.default_rng(2)
         h = rng.normal(size=(5, 3))
         x0 = rng.normal(size=(5, 3))
@@ -158,12 +160,10 @@ class TestForward:
 
     def test_single_layer_matches_layer_forward(self):
         g = random_graph(4, 0.6, seed=3)
-        a_hat = normalize_adjacency(add_self_loops(g))
-        gamma = ones_gamma(g)
+        op = normalize_adjacency(add_self_loops(g))
         rng = np.random.default_rng(4)
         params = init_params(3, 2, 2, n_layers=1, alpha=0.1, beta=0.3, rng=rng)
         x = rng.normal(size=(4, 3))
-        op = hadamard(a_hat, gamma)
         trace = forward(params, op, x)
         x0 = x @ params.input_projection
         s, act = layer_forward(x0, x0, op, params.layers[0], 0.1, 0.3)
@@ -176,7 +176,7 @@ class TestForward:
         a_hat = normalize_adjacency(add_self_loops(g))
         rng = np.random.default_rng(6)
         params = init_params(4, 5, 2, n_layers=3, alpha=0.2, beta=0.1, rng=rng)
-        trace = forward(params, hadamard(a_hat, ones_gamma(g)), rng.normal(size=(6, 4)))
+        trace = forward(params, a_hat, rng.normal(size=(6, 4)))
         for act in trace.activations:
             assert np.all(act >= 0.0)
             assert act.shape == (6, 5)
@@ -225,14 +225,14 @@ class TestForward:
             assert np.array_equal(s, op @ h_in)
 
     def test_reduction_identity_on_random_fixtures(self):
-        # alpha = beta = 0 with all-ones gamma must reproduce the plain
-        # diffusion bit for bit, whatever the weights are
+        # alpha = beta = 0 with unit aggregation (op = a_hat) must reproduce
+        # the plain diffusion bit for bit, whatever the weights are
         for seed in range(100):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 9))
             g = random_graph(n, 0.5, seed=seed + 1000)
             a_hat = normalize_adjacency(add_self_loops(g))
-            op = hadamard(a_hat, ones_gamma(g))
+            op = a_hat
             h = rng.normal(size=(n, 4))
             x0 = rng.normal(size=(n, 4))
             w = rng.normal(size=(4, 4))

@@ -8,10 +8,10 @@ import pytest
 from angcn.cli import gradcheck_fixture
 from angcn.data import SyntheticSpec, generate_synthetic
 from angcn.errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, TraceMismatch
-from angcn.graph_core import Graph, add_self_loops, normalize_adjacency
+from angcn.graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
 from angcn.model import ModelParams, forward, init_params, predict
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
-from angcn.sampler import aggregation_matrix, ones_gamma, presample
+from angcn.sampler import aggregation_matrix, presample
 import angcn.training as training
 from angcn.training import (
     AdamState,
@@ -253,6 +253,10 @@ class TestEarlyStopper:
         assert stopper.update(2, 0.5)
 
 
+def a_hat_of(g):
+    return normalize_adjacency(add_self_loops(g))
+
+
 def two_node_setup():
     g = Graph(n=2, edges=((0, 1, 1.0),))
     features = np.array([[1.0, 0.5], [1.0, 0.5]])
@@ -268,14 +272,15 @@ class TestTrain:
         cfg = TrainConfig(
             max_epochs=10, patience=1, layers=1, hidden_dim=4, seed=5, folds=2
         )
+        a_hat = a_hat_of(g)
         params, history = train(
-            cfg, g, ones_gamma(g), features, labels, np.array([0]), np.array([1])
+            cfg, a_hat, a_hat, features, labels, np.array([0]), np.array([1])
         )
         assert len(history) == 2
         assert history[1][2] > history[0][2]
         one_epoch = replace(cfg, max_epochs=1)
         params_one, _ = train(
-            one_epoch, g, ones_gamma(g), features, labels, np.array([0]), np.array([1])
+            one_epoch, a_hat, a_hat, features, labels, np.array([0]), np.array([1])
         )
         assert np.array_equal(params.input_projection, params_one.input_projection)
         assert np.array_equal(params.output_head, params_one.output_head)
@@ -283,8 +288,9 @@ class TestTrain:
     def test_zero_epochs_returns_init(self):
         g, features, labels = two_node_setup()
         cfg = TrainConfig(max_epochs=0, layers=1, hidden_dim=4, seed=5)
+        a_hat = a_hat_of(g)
         params, history = train(
-            cfg, g, ones_gamma(g), features, labels, np.array([0]), np.array([1])
+            cfg, a_hat, a_hat, features, labels, np.array([0]), np.array([1])
         )
         assert history == []
         rng = np.random.default_rng([5, 0])
@@ -296,13 +302,12 @@ class TestTrain:
         g = build_adjacency(
             PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
         )
-        gamma = ones_gamma(g)
+        a_hat = a_hat_of(g)
         idx = np.arange(40)
         cfg = TrainConfig(max_epochs=40, patience=5, layers=2, hidden_dim=8, seed=9)
         params, history = train(
-            cfg, g, gamma, bundle.features, bundle.labels, idx[:30], idx[30:]
+            cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:30], idx[30:]
         )
-        a_hat = normalize_adjacency(add_self_loops(g))
         y_hat = predict(forward(params, a_hat, bundle.features).logits)
         onehot = np.zeros((40, 2))
         onehot[idx, bundle.labels] = 1.0
@@ -314,11 +319,11 @@ class TestTrain:
         g = build_adjacency(
             PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
         )
-        gamma = ones_gamma(g)
+        a_hat = a_hat_of(g)
         idx = np.arange(30)
         cfg = TrainConfig(max_epochs=15, patience=15, layers=2, hidden_dim=8, seed=3)
-        out_a = train(cfg, g, gamma, bundle.features, bundle.labels, idx[:24], idx[24:])
-        out_b = train(cfg, g, gamma, bundle.features, bundle.labels, idx[:24], idx[24:])
+        out_a = train(cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:24], idx[24:])
+        out_b = train(cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:24], idx[24:])
         assert out_a[1] == out_b[1]
         assert np.array_equal(out_a[0].input_projection, out_b[0].input_projection)
         assert np.array_equal(out_a[0].output_head, out_b[0].output_head)
@@ -330,13 +335,13 @@ class TestTrain:
         g = build_adjacency(
             PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
         )
-        gamma = ones_gamma(g)
+        a_hat = a_hat_of(g)
         idx = np.arange(40)
         cfg = TrainConfig(
             max_epochs=20, patience=20, layers=1, hidden_dim=8, seed=3, batch_budget=15
         )
-        out_a = train(cfg, g, gamma, bundle.features, bundle.labels, idx[:32], idx[32:])
-        out_b = train(cfg, g, gamma, bundle.features, bundle.labels, idx[:32], idx[32:])
+        out_a = train(cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:32], idx[32:])
+        out_b = train(cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:32], idx[32:])
         assert out_a[1] == out_b[1]
         assert out_a[1][-1][1] < out_a[1][0][1]
 
@@ -347,16 +352,15 @@ class TestTrain:
         g = build_adjacency(
             PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
         )
-        gamma = ones_gamma(g)
+        a_hat = a_hat_of(g)
         idx = np.arange(80)
         cfg = TrainConfig(max_epochs=200, patience=200, layers=2, hidden_dim=16, seed=1)
         params, history = train(
-            cfg, g, gamma, bundle.features, bundle.labels, idx[:64], idx[64:72]
+            cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:64], idx[64:72]
         )
         train_losses = [h[1] for h in history]
         assert train_losses[-1] < train_losses[0]
         assert min(train_losses) < 0.1 * train_losses[0]
-        a_hat = normalize_adjacency(add_self_loops(g))
         y_hat = predict(forward(params, a_hat, bundle.features).logits)
         acc = np.mean(y_hat.argmax(axis=1)[idx[:64]] == bundle.labels[idx[:64]])
         assert acc > 0.9
@@ -397,7 +401,8 @@ class TestTrainTraceReuse:
         forwards = self.count_calls(monkeypatch, "forward", 1)
         backwards = self.count_calls(monkeypatch, "backward", 2)
         cfg = TrainConfig(max_epochs=7, patience=7, layers=2, hidden_dim=8, seed=9)
-        _, history = train(cfg, g, ones_gamma(g), bundle.features, bundle.labels,
+        a_hat = a_hat_of(g)
+        _, history = train(cfg, a_hat, a_hat, bundle.features, bundle.labels,
                            idx[:30], idx[30:])
         assert len(history) == 7
         assert forwards == [40] * 8
@@ -410,28 +415,35 @@ class TestTrainTraceReuse:
         forwards = self.count_calls(monkeypatch, "forward", 1)
         cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9,
                           batch_budget=15, sampler_runs=30)
-        train(cfg, g, aggregation_matrix(stats, g), bundle.features, bundle.labels,
-              idx[:36], idx[36:])
+        a_hat = a_hat_of(g)
+        op = hadamard(a_hat, aggregation_matrix(stats, g))
+        train(cfg, a_hat, op, bundle.features, bundle.labels, idx[:36], idx[36:])
         assert forwards == [15, 15, 15, 40] * 5   # ceil(40 / 15) batches, then the full graph
 
     def test_full_batch_rejects_non_unit_gamma(self):
         bundle, g, idx = self.setup()
         stats, _ = presample(g, runs=30, budget=15, seed=9)
-        cfg = TrainConfig(max_epochs=3, patience=3, layers=1, hidden_dim=4, seed=9)
+        gamma = aggregation_matrix(stats, g)
+        a_hat = a_hat_of(g)
+        cfg = TrainConfig(max_epochs=3, patience=3, folds=2, layers=1, hidden_dim=4, seed=9)
         with pytest.raises(ValueError, match="gamma"):
-            train(cfg, g, aggregation_matrix(stats, g), bundle.features, bundle.labels,
+            train(cfg, a_hat, hadamard(a_hat, gamma), bundle.features, bundle.labels,
                   idx[:30], idx[30:])
+        with pytest.raises(ValueError, match="gamma"):
+            cross_validate(cfg, g, gamma, bundle.features, bundle.labels)
 
     def test_history_matches_digests_taken_before_trace_reuse(self):
         # sha256 of the history.csv-style rows, recorded when every epoch ran
         # a separate training forward and backward recomputed op @ h
         bundle, g, idx = self.setup()
         cfg = TrainConfig(max_epochs=12, patience=12, layers=3, hidden_dim=8, seed=9)
-        _, full = train(cfg, g, ones_gamma(g), bundle.features, bundle.labels,
+        a_hat = a_hat_of(g)
+        _, full = train(cfg, a_hat, a_hat, bundle.features, bundle.labels,
                         idx[:30], idx[30:])
         stats, _ = presample(g, runs=30, budget=15, seed=9)
         sampled_cfg = replace(cfg, batch_budget=15, sampler_runs=30)
-        _, sampled = train(sampled_cfg, g, aggregation_matrix(stats, g), bundle.features,
+        op = hadamard(a_hat, aggregation_matrix(stats, g))
+        _, sampled = train(sampled_cfg, a_hat, op, bundle.features,
                            bundle.labels, idx[:30], idx[30:])
         assert self.digest(full) == (
             "535b345ae289fb10b108c26cbf87f26e56a49afae847393fe39cea4a2ebadfa3")
@@ -446,7 +458,8 @@ class TestNonFiniteLoss:
         features[3, 2] = np.nan
         cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9)
         with pytest.raises(NonFiniteLoss, match="epoch 1"):
-            train(cfg, g, ones_gamma(g), features, bundle.labels, idx[:30], idx[30:])
+            a_hat = a_hat_of(g)
+            train(cfg, a_hat, a_hat, features, bundle.labels, idx[:30], idx[30:])
 
     def test_cross_validate_names_the_fold(self):
         bundle, g, _ = TestTrainTraceReuse.setup()
@@ -454,7 +467,7 @@ class TestNonFiniteLoss:
         features[3, 2] = np.nan
         cfg = TrainConfig(max_epochs=5, patience=5, folds=2, layers=2, hidden_dim=8, seed=9)
         with pytest.raises(NonFiniteLoss, match="fold 0, epoch 1"):
-            cross_validate(cfg, g, ones_gamma(g), features, bundle.labels)
+            cross_validate(cfg, g, None, features, bundle.labels)
 
 
 class TestSampledInference:
@@ -478,7 +491,7 @@ class TestSampledInference:
                 np.mean(r.probs.argmax(axis=1) == bundle.labels[r.test_idx]) for r in results
             ])
 
-        full = cross_validate(cfg, g, ones_gamma(g), bundle.features, bundle.labels)
+        full = cross_validate(cfg, g, None, bundle.features, bundle.labels)
         sampled = cross_validate(
             sampled_cfg, g, aggregation_matrix(stats, g), bundle.features, bundle.labels
         )
@@ -515,9 +528,25 @@ class TestCrossValidate:
             PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
         )
         cfg = TrainConfig(max_epochs=5, patience=5, folds=4, layers=1, hidden_dim=8, seed=2)
-        results = cross_validate(cfg, g, ones_gamma(g), bundle.features, bundle.labels)
+        results = cross_validate(cfg, g, None, bundle.features, bundle.labels)
         assert len(results) == 4
         seen = np.concatenate([r.test_idx for r in results])
         assert sorted(seen.tolist()) == list(range(40))
         for r in results:
             assert r.probs.shape == (r.test_idx.size, 2)
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_builds_each_operator_once_per_call(self, monkeypatch, sampled):
+        bundle, g, _ = TestTrainTraceReuse.setup()
+        builds = TestTrainTraceReuse.count_calls(monkeypatch, "normalize_adjacency", 0)
+        products = TestTrainTraceReuse.count_calls(monkeypatch, "hadamard", 0)
+        cfg = TrainConfig(max_epochs=2, patience=2, folds=3, layers=1, hidden_dim=4, seed=9)
+        gamma = None
+        if sampled:
+            cfg = replace(cfg, batch_budget=15, sampler_runs=30)
+            stats, _ = presample(g, runs=30, budget=15, seed=9)
+            gamma = aggregation_matrix(stats, g)
+        results = cross_validate(cfg, g, gamma, bundle.features, bundle.labels)
+        assert len(results) == 3
+        assert builds == [40]
+        assert products == ([40] if sampled else [])
