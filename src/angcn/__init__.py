@@ -10,8 +10,6 @@ from .popgraph import (
     PopulationGraphSpec,
     build_adjacency,
     connectome_features,
-    correlation_distance,
-    kernel_similarity,
     rfe_ridge,
 )
 from .sampler import (
@@ -49,7 +47,6 @@ __all__ = [
     "build_adjacency",
     "confusion",
     "connectome_features",
-    "correlation_distance",
     "cross_entropy",
     "cross_validate",
     "finite_difference_check",
@@ -57,7 +54,6 @@ __all__ = [
     "generate_synthetic",
     "hadamard",
     "init_params",
-    "kernel_similarity",
     "layer_forward",
     "load_bundle",
     "matmul",

@@ -26,7 +26,7 @@ from . import data as dataio
 from .graph_core import Graph, add_self_loops, normalize_adjacency
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import forward, init_params, predict
-from .popgraph import PopulationGraphSpec, auto_sigma, build_adjacency, rfe_ridge
+from .popgraph import PopulationGraphSpec, build_adjacency, rfe_ridge
 from .sampler import aggregation_matrix, presample
 from .training import TrainConfig, cross_validate, finite_difference_check
 
@@ -204,16 +204,14 @@ def _load_features(args) -> tuple[dataio.DatasetBundle, np.ndarray, np.ndarray |
     return bundle, bundle.features[:, keep], keep
 
 
-def _graph_for(args, bundle, features) -> tuple[Graph, float | None]:
-    """The population graph and its sigma: for an --adjacency file the --sigma
-    flag as given (None without it), else --sigma or the median heuristic."""
-    sigma = getattr(args, "sigma", None)
-    adjacency = getattr(args, "adjacency", None)
+def _graph_for(bundle, features, sigma, adjacency=None) -> tuple[Graph, float | None]:
+    """The population graph and its sigma: for an adjacency file the sigma as
+    given (None without it), else the graph built from the features at sigma
+    or, for None, at the median heuristic, which is then returned."""
     if adjacency is not None:
         return dataio.load_adjacency(adjacency, n=features.shape[0]), sigma
-    resolved = sigma if sigma is not None else auto_sigma(features)
-    spec = PopulationGraphSpec(features=features, measures=bundle.phenotypes, sigma=resolved)
-    return build_adjacency(spec), resolved
+    spec = PopulationGraphSpec(features=features, measures=bundle.phenotypes, sigma=sigma)
+    return build_adjacency(spec), spec.sigma
 
 
 def _gamma_for(config: TrainConfig, g: Graph) -> np.ndarray | None:
@@ -282,7 +280,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_build_graph(args) -> int:
     bundle, features, _ = _load_features(args)
-    g, sigma = _graph_for(args, bundle, features)
+    g, sigma = _graph_for(bundle, features, args.sigma)
     dataio.save_adjacency(g, args.out)
     print(f"wrote {args.out} ({len(g.edges)} edges, sigma={sigma:.6g})")
     return 0
@@ -290,7 +288,7 @@ def _cmd_build_graph(args) -> int:
 
 def _cmd_sample_stats(args) -> int:
     bundle, features, _ = _load_features(args)
-    g, _ = _graph_for(args, bundle, features)
+    g, _ = _graph_for(bundle, features, args.sigma, args.adjacency)
     budget = args.budget if args.budget is not None else -(-g.n // 2)
     stats, _ = presample(g, runs=args.runs, budget=budget, seed=args.seed)
     dataio._atomic_write(Path(args.out), stats.to_json(g) + "\n")
@@ -301,7 +299,7 @@ def _cmd_sample_stats(args) -> int:
 def _cmd_train(args) -> int:
     config = resolve_config(args)
     bundle, features, columns = _load_features(args)
-    g, sigma = _graph_for(args, bundle, features)
+    g, sigma = _graph_for(bundle, features, args.sigma, args.adjacency)
     gamma = _gamma_for(config, g)
 
     results = cross_validate(config, g, gamma, features, bundle.labels)
@@ -348,9 +346,7 @@ def _cmd_eval(args) -> int:
     features = bundle.features
     if ckpt.feature_columns is not None:
         features = features[:, ckpt.feature_columns]
-    spec = PopulationGraphSpec(features=features, measures=bundle.phenotypes,
-                               sigma=ckpt.config["sigma_resolved"])
-    g = build_adjacency(spec)
+    g, _ = _graph_for(bundle, features, ckpt.config["sigma_resolved"])
     digest = dataio.graph_digest(g)
     if digest != ckpt.graph_digest:
         raise ValueError(
@@ -374,7 +370,7 @@ def _sweep_setup(args):
     sweep_defaults = TrainConfig(max_epochs=SWEEP_EPOCHS, patience=SWEEP_EPOCHS)
     config = resolve_config(args, defaults=sweep_defaults)
     bundle, features, _ = _load_features(args)
-    g, _ = _graph_for(args, bundle, features)
+    g, _ = _graph_for(bundle, features, args.sigma)
     return config, bundle, features, g
 
 

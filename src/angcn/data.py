@@ -203,25 +203,27 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def _parse_cell(cell: str, path: Path, line: int, column: str, cast=float):
-    try:
-        return cast(cell)
-    except ValueError as exc:
+    try:  # as numpy parses it: an integer must also fit in 64 bits
+        return np.array(cell, dtype=cast).item()
+    except (ValueError, OverflowError) as exc:
         what = "an integer" if cast is int else "a number"
         raise ParseError(
             f"{path}: line {line}, column {column!r}: cannot parse {cell!r} as {what}"
         ) from exc
 
 
-def _float_array(cells: list[list[str]], path: Path, columns: list[str]) -> np.ndarray:
-    """Rows of numeric cells (data lines from line 2) as one float array.
+def _number_array(cells, path: Path, columns: list[str], cast=float) -> np.ndarray:
+    """Rows of numeric cell strings (data lines from line 2; a list of rows or a
+    2-D object array) as one array of `cast`.
 
     Every cell must parse and be finite; the first one that is not is named
     by file, line and column.
     """
     try:
-        out = np.array(cells, dtype=float).reshape(len(cells), len(columns))
-    except ValueError:  # re-parse cell by cell to name the bad one
-        out = np.array([[_parse_cell(cell, path, r + 2, columns[c]) for c, cell in enumerate(row)]
+        out = np.array(cells, dtype=cast).reshape(len(cells), len(columns))
+    except (ValueError, OverflowError):  # re-parse cell by cell to name the bad one
+        out = np.array([[_parse_cell(cell, path, r + 2, columns[c], cast)
+                         for c, cell in enumerate(row)]
                         for r, row in enumerate(cells)]).reshape(len(cells), len(columns))
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
@@ -269,7 +271,7 @@ def load_bundle(directory: str | Path, name: str = "synthetic") -> DatasetBundle
     if not header or header[0] != "subject_id":
         raise SchemaMismatch(f"features.csv must start with subject_id, got {header[:1]}")
     subject_ids = list(_subject_rows(rows, header, "features.csv"))
-    features = _float_array([row[1:] for row in rows], directory / "features.csv", header[1:])
+    features = _number_array([row[1:] for row in rows], directory / "features.csv", header[1:])
 
     try:
         schema = json.loads((directory / "phenotypes.schema.json").read_text())
@@ -289,7 +291,7 @@ def load_bundle(directory: str | Path, name: str = "synthetic") -> DatasetBundle
             raise SchemaMismatch(f"phenotypes.csv is missing declared column {mname!r}")
         k = col_index[mname]
         if kind == QUANTITATIVE:
-            column = _float_array([[row[k]] for row in rows], directory / "phenotypes.csv",
+            column = _number_array([[row[k]] for row in rows], directory / "phenotypes.csv",
                                   [mname])[order, 0]
             phenotypes.append(PhenotypicMeasure(
                 name=mname, kind=kind, values=tuple(column.tolist()), tau=entry["tau"]
@@ -311,24 +313,27 @@ def load_bundle(directory: str | Path, name: str = "synthetic") -> DatasetBundle
 
 
 def save_adjacency(g: Graph, path: str | Path) -> None:
-    """Write edges as i,j,weight rows with i < j."""
-    lines = ["i,j,weight"]
-    for i, j, w in g.edges:
-        lines.append(f"{i},{j},{_fmt(w)}")
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    """Write edges as i,j,weight rows with i < j, in the graph's edge order."""
+    rows = zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())
+    _atomic_write(Path(path), "i,j,weight\n" + "".join(f"{i},{j},{w!r}\n" for i, j, w in rows))
 
 
 def load_adjacency(path: str | Path, n: int) -> Graph:
+    """Inverse of save_adjacency. Each row holds exactly an integer i and j and
+    a finite weight, else ParseError names the file, line and column."""
     header, rows = _read_csv(Path(path))
-    if header[:3] != ["i", "j", "weight"]:
+    if header != ["i", "j", "weight"]:
         raise SchemaMismatch(f"adjacency header must be i,j,weight, got {header}")
-    edges = []
-    for line, row in enumerate(rows, start=2):
-        if len(row) < 3:
-            raise ParseError(f"{path}: line {line}, column {header[len(row)]!r}: missing cell")
-        edges.append(tuple(_parse_cell(row[c], path, line, header[c], cast)
-                           for c, cast in enumerate((int, int, float))))
-    return Graph(n=n, edges=tuple(edges))
+    try:  # an E x 3 grid of the cell strings, parsed a column block at a time
+        cells = np.array(rows, dtype=object).reshape(len(rows), 3)
+    except ValueError:  # some row does not have three cells: name the first
+        line, row = next((r + 2, row) for r, row in enumerate(rows) if len(row) != 3)
+        where = (f", column {header[len(row)]!r}: missing cell" if len(row) < 3
+                 else f": expected 3 cells, got {len(row)}")
+        raise ParseError(f"{path}: line {line}{where}") from None
+    ij = _number_array(cells[:, :2], path, header[:2], cast=int)
+    weight = _number_array(cells[:, 2:], path, header[2:])
+    return Graph(n=n, edges=np.column_stack((ij, weight)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,41 +13,47 @@ import numpy as np
 
 from .errors import ShapeMismatch, ZeroDegree
 
-Edge = tuple[int, int, float]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected weighted graph over nodes 0..n-1.
 
-    Edges are stored once with i < j and weight >= 0; self-loops are never
-    stored (they are added explicitly where the math needs them). The
-    columns of `edges` are also kept as the arrays `src`, `dst`, `weight`.
+    `edges` is one read-only (E, 3) float array of (i, j, weight) rows, built
+    from any sequence of such triples: each edge once, integer 0 <= i < j < n,
+    finite weight >= 0 (a ValueError names the first bad edge), and no
+    self-loops (they are added explicitly where the math needs them). The
+    columns are also kept as `src`, `dst` (ints) and `weight`. Equality is
+    identity.
     """
 
     n: int
-    edges: tuple[Edge, ...] = field(default_factory=tuple)
-    src: np.ndarray = field(init=False, repr=False, compare=False)
-    dst: np.ndarray = field(init=False, repr=False, compare=False)
-    weight: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray = ()
+    src: np.ndarray = field(init=False, repr=False)
+    dst: np.ndarray = field(init=False, repr=False)
+    weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"graph needs at least one node, got n={self.n}")
-        object.__setattr__(self, "edges", tuple(self.edges))
-        i, j, w = np.array(self.edges, dtype=float).reshape(-1, 3).T
+        edges = np.array(self.edges, dtype=float).reshape(len(self.edges), 3)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        i, j, w = edges.T
         out_of_range = ~((0 <= i) & (i < j) & (j < self.n))
         key = np.where(out_of_range, -1.0, i * self.n + j)
         duplicate = ~np.isin(np.arange(len(key)), np.unique(key, return_index=True)[1])
-        bad = out_of_range | duplicate | (w < 0)
+        non_finite = ~np.isfinite(w)
+        bad = out_of_range | duplicate | non_finite | (w < 0)
         if bad.any():
             k = int(np.argmax(bad))
-            a, b, wk = self.edges[k]
+            edge = f"edge ({i[k]:g}, {j[k]:g})"
             if out_of_range[k]:
-                raise ValueError(f"edge ({a}, {b}) is not 0 <= i < j < {self.n}")
+                raise ValueError(f"{edge} is not 0 <= i < j < {self.n}")
             if duplicate[k]:
-                raise ValueError(f"duplicate edge ({a}, {b})")
-            raise ValueError(f"edge ({a}, {b}) has negative weight {wk}")
+                raise ValueError(f"duplicate {edge}")
+            if non_finite[k]:
+                raise ValueError(f"{edge} has non-finite weight {w[k]}")
+            raise ValueError(f"{edge} has negative weight {w[k]}")
         object.__setattr__(self, "src", i.astype(int))
         object.__setattr__(self, "dst", j.astype(int))
         object.__setattr__(self, "weight", w)

@@ -2,14 +2,16 @@
 
 Edge weights combine a correlation-distance kernel over per-subject feature
 vectors with indicator distances over non-imaging measures (gender-like
-categories, age-like thresholded numbers). Also hosts the connectome-style
-feature pipeline: Fisher z-transform of correlation matrices and ridge-based
+categories, age-like thresholded numbers). The graph stays in arrays:
+PopulationGraphSpec computes the N x N correlation distances once and
+resolves the kernel width from them, and build_adjacency reuses both and
+hands Graph one (E, 3) edge array. Also hosts the connectome-style feature
+pipeline: Fisher z-transform of correlation matrices and ridge-based
 recursive feature elimination.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -64,90 +66,64 @@ class PhenotypicMeasure:
 class PopulationGraphSpec:
     """Inputs for adjacency construction: N x F features, measures, kernel width.
 
-    sigma=None selects the median heuristic (median of all pairwise
-    correlation distances).
+    Construction computes `distances`, the N x N correlation distances
+    1 - Pearson r between feature rows, once; DegenerateVector names a
+    subject whose feature row is constant. sigma=None resolves to the median
+    heuristic, the median of the distances over all pairs i < j, so `sigma`
+    is always the width build_adjacency uses. A width that is not > 0 (NaN
+    included) raises NonPositiveSigma.
     """
 
     features: np.ndarray
     measures: list[PhenotypicMeasure]
     sigma: float | None = None
+    distances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         n = self.features.shape[0]
+        if n < 2:
+            raise ValueError(f"need at least 2 subjects, got {n}")
+        if not self.measures:
+            raise ValueError("need at least one phenotypic measure")
         for m in self.measures:
             if len(m.values) != n:
                 raise ValueError(
                     f"measure {m.name!r} covers {len(m.values)} subjects, expected {n}"
                 )
-        if self.sigma is not None and self.sigma <= 0:
+        self.distances = _correlation_distances(self.features)
+        if self.sigma is None:
+            self.sigma = float(np.median(self.distances[np.triu_indices(n, k=1)]))
+        if not self.sigma > 0:
             raise NonPositiveSigma(f"sigma must be > 0, got {self.sigma}")
-
-
-def correlation_distance(x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """1 - Pearson correlation between two feature vectors; in [0, 2]."""
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    if x_i.shape != x_j.shape or x_i.ndim != 1 or x_i.size < 2:
-        raise ShapeMismatch(
-            f"need two equal-length 1-D vectors of size >= 2, got {x_i.shape} and {x_j.shape}"
-        )
-    di = x_i - x_i.mean()
-    dj = x_j - x_j.mean()
-    ni = np.sqrt(np.dot(di, di))
-    nj = np.sqrt(np.dot(dj, dj))
-    if ni == 0.0 or nj == 0.0:
-        raise DegenerateVector("constant feature vector has undefined correlation")
-    return 1.0 - float(np.dot(di, dj) / (ni * nj))
-
-
-def kernel_similarity(rho: float, sigma: float) -> float:
-    """Gaussian kernel exp(-rho^2 / (2 sigma^2)); in (0, 1]."""
-    if sigma <= 0:
-        raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
-    return math.exp(-(rho * rho) / (2.0 * sigma * sigma))
 
 
 def _correlation_distances(features: np.ndarray) -> np.ndarray:
     """N x N correlation distances 1 - r_ij, with r the Gram matrix of the
     centred, row-normalised features. DegenerateVector names a constant row."""
-    x = np.asarray(features, dtype=float)
-    flat = np.ptp(x, axis=1) == 0.0
+    flat = np.ptp(features, axis=1) == 0.0
     if flat.any():
         raise DegenerateVector(f"subject {int(np.argmax(flat))} has a constant feature vector")
-    centred = x - x.mean(axis=1, keepdims=True)
+    centred = features - features.mean(axis=1, keepdims=True)
     z = centred / np.linalg.norm(centred, axis=1, keepdims=True)
     return 1.0 - z @ z.T
 
 
-def auto_sigma(features: np.ndarray) -> float:
-    """Median of all pairwise correlation distances (median heuristic)."""
-    rho = _correlation_distances(features)
-    return float(np.median(rho[np.triu_indices(len(rho), k=1)]))
-
-
 def build_adjacency(spec: PopulationGraphSpec) -> Graph:
-    """Weighted population graph: A_ij = K(i,j) * sum_t d(M_t(i), M_t(j)).
+    """Weighted population graph: A_ij = K(i,j) * sum_t d(M_t(i), M_t(j)), with
+    the Gaussian kernel K(i,j) = exp(-rho_ij^2 / (2 sigma^2)) over the spec's
+    correlation distances rho and width sigma.
 
     Symmetric with zero diagonal; pairs whose phenotypic sum is zero get no
-    edge. Raises DegenerateVector naming the offending subject if a feature
-    row is constant.
+    edge. Edges come in row-major (i, j) order.
     """
-    n = spec.features.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 subjects, got {n}")
-    if not spec.measures:
-        raise ValueError("need at least one phenotypic measure")
-    rho = _correlation_distances(spec.features)
-    upper = np.triu_indices(n, k=1)
-    sigma = spec.sigma if spec.sigma is not None else float(np.median(rho[upper]))
-    if sigma <= 0:
-        raise NonPositiveSigma(f"resolved sigma must be > 0, got {sigma}")
+    rho, sigma = spec.distances, spec.sigma
+    upper = np.triu_indices(len(rho), k=1)
     pheno = sum(m.agreement() for m in spec.measures)
     weights = (np.exp(-(rho * rho) / (2.0 * sigma * sigma)) * pheno)[upper]
     keep = weights > 0.0   # a zero phenotypic sum gives no edge
-    edges = zip(upper[0][keep].tolist(), upper[1][keep].tolist(), weights[keep].tolist())
-    return Graph(n=n, edges=tuple(edges))
+    edges = np.column_stack((upper[0][keep], upper[1][keep], weights[keep]))
+    return Graph(n=len(rho), edges=edges)
 
 
 def connectome_features(corr: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from angcn import cli
+from angcn import cli, popgraph
 from angcn.cli import cli_run
-from angcn.data import load_adjacency, load_bundle
+from angcn.data import graph_digest, load_adjacency, load_bundle
 
 SMALL = ["--n-subjects", "48", "--n-roi", "6", "--seed", "5"]
 FAST_TRAIN = [
@@ -56,6 +57,50 @@ class TestBuildGraph:
         assert a.min() >= 0.0
         for i, j, w in g.edges:
             assert i < j and w > 0
+
+    @pytest.mark.parametrize("flags, file_sha, digest", [
+        ([], "2b54f19dccbfbef1d03215697e9d714337060e7bf7975ee2743c200914813e36",
+         "22ca01fbd8825a8c7847ca520be1cd924211d70235da71818b545ee2d224f417"),
+        (["--sigma", "0.05"], "167b4bb87b2fe5a64eccbe14e67cd0ffe8aaea332338a5a9cc8b4f3729473553",
+         "f45b97d6288b046af1a1f044a8db99233ac02c7e4806c480a1765c63f64dfd57"),
+    ])
+    def test_adjacency_bytes_are_pinned(self, data_dir, tmp_path, capsys, flags, file_sha,
+                                        digest):
+        out = tmp_path / "adjacency.csv"
+        capsys.readouterr()
+        assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(out)] + flags) == 0
+        assert capsys.readouterr().out.endswith(" (458 edges, sigma=%s)\n"
+                                                % ("0.794666" if not flags else "0.05"))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == file_sha
+        assert graph_digest(load_adjacency(out, n=48)) == digest
+
+    def test_median_sigma_is_pinned(self, data_dir, train_dir):
+        bundle = load_bundle(data_dir)
+        spec = popgraph.PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
+        assert repr(spec.sigma) == "0.7946659174222371"
+        payload = json.loads((train_dir / "checkpoint_fold0.json").read_text())
+        assert repr(payload["config"]["sigma_resolved"]) == "0.7946659174222371"
+        assert payload["graph_digest"] == (
+            "22ca01fbd8825a8c7847ca520be1cd924211d70235da71818b545ee2d224f417")
+
+    def test_distances_computed_at_most_once(self, data_dir, tmp_path, monkeypatch):
+        adj = tmp_path / "adjacency.csv"
+        assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]) == 0
+        calls = []
+        distances = popgraph._correlation_distances
+
+        def counted(features):
+            calls.append(features.shape)
+            return distances(features)
+
+        monkeypatch.setattr(popgraph, "_correlation_distances", counted)
+        quick = FAST_TRAIN + ["--folds", "2", "--epochs", "2"]
+        assert cli_run(["train", "--data", str(data_dir), "--out", str(tmp_path / "a")]
+                       + quick) == 0
+        assert calls == [(48, 15)]
+        assert cli_run(["train", "--data", str(data_dir), "--adjacency", str(adj),
+                        "--out", str(tmp_path / "b")] + quick) == 0
+        assert calls == [(48, 15)]
 
     def test_train_accepts_prebuilt_adjacency(self, data_dir, tmp_path):
         adj = tmp_path / "adjacency.csv"
@@ -221,13 +266,14 @@ class TestEval:
         adj = tmp_path / "adjacency.csv"
         assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]) == 0
 
-        def no_sigma(features):
-            raise AssertionError("auto_sigma called for a graph read from a file")
+        def no_distances(features):
+            raise AssertionError("correlation distances computed for a graph read from a file")
 
-        monkeypatch.setattr(cli, "auto_sigma", no_sigma)
         run = tmp_path / "run"
-        rc = cli_run(["train", "--data", str(data_dir), "--adjacency", str(adj),
-                      "--out", str(run)] + FAST_TRAIN)
+        with monkeypatch.context() as patch:
+            patch.setattr(popgraph, "_correlation_distances", no_distances)
+            rc = cli_run(["train", "--data", str(data_dir), "--adjacency", str(adj),
+                          "--out", str(run)] + FAST_TRAIN)
         assert rc == 0
         payload = json.loads((run / "checkpoint_fold0.json").read_text())
         assert payload["config"]["sigma_resolved"] is None

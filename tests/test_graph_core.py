@@ -68,6 +68,19 @@ class TestGraph:
         with pytest.raises(ValueError, match="negative"):
             Graph(n=2, edges=((0, 1, -0.5),))
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match=rf"^edge \(1, 2\) has non-finite weight {weight}$"):
+            Graph(n=3, edges=((0, 1, 1.0), (1, 2, weight)))
+
+    def test_edges_are_one_read_only_array(self):
+        g = Graph(n=3, edges=((0, 1, 0.5), (1, 2, 2.0)))
+        assert g.edges.shape == (2, 3) and not g.edges.flags.writeable
+        assert g.src.tolist() == [0, 1] and g.dst.tolist() == [1, 2]
+        assert g.weight.tolist() == [0.5, 2.0]
+        same = Graph(n=3, edges=g.edges)
+        assert np.array_equal(same.adjacency(), g.adjacency())
+
 
 class TestAddSelfLoops:
     def test_single_node_no_edges(self):

@@ -11,12 +11,9 @@ from angcn.popgraph import (
     QUANTITATIVE,
     PhenotypicMeasure,
     PopulationGraphSpec,
-    auto_sigma,
     build_adjacency,
     connectome_features,
-    correlation_distance,
     elimination_order,
-    kernel_similarity,
     rfe_ridge,
 )
 
@@ -76,6 +73,26 @@ def random_spec(seed, n=6, f=5):
 
 # -- correlation distance -----------------------------------------------------
 
+AGREE = [PhenotypicMeasure(name="g", kind=QUALITATIVE, values=("a", "a"))]
+
+
+def two_subject_spec(x, y, sigma=1.0):
+    """A spec over two subjects that agree on their one phenotypic measure, so
+    the edge weight between them is the kernel value alone."""
+    return PopulationGraphSpec(features=np.array([x, y], dtype=float), measures=AGREE,
+                               sigma=sigma)
+
+
+def correlation_distance(x, y):
+    return two_subject_spec(x, y).distances[0, 1]
+
+
+def kernel_weight(x, y, sigma):
+    """The one edge weight of a two-subject graph: K(rho(x, y), sigma)."""
+    g = build_adjacency(two_subject_spec(x, y, sigma))
+    assert g.src.tolist() == [0] and g.dst.tolist() == [1]
+    return g.weight[0]
+
 
 class TestCorrelationDistance:
     def test_perfect_positive(self):
@@ -90,7 +107,7 @@ class TestCorrelationDistance:
         assert correlation_distance(x, y) == pytest.approx(1.0 - pearson_oracle(x, y), abs=1e-14)
 
     def test_degenerate_vector(self):
-        with pytest.raises(DegenerateVector):
+        with pytest.raises(DegenerateVector, match="subject 0"):
             correlation_distance([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     @settings(max_examples=40, deadline=None)
@@ -105,23 +122,35 @@ class TestCorrelationDistance:
 
 
 class TestKernelSimilarity:
+    # pairs with exactly known distances: identical rows (rho = 0),
+    # uncorrelated rows (rho = 1) and anti-correlated rows (rho = 2)
+    UNCORRELATED = ([1.0, 0.0, -1.0], [1.0, -2.0, 1.0])
+
     def test_zero_distance(self):
-        assert kernel_similarity(0.0, 1.7) == 1.0
+        assert kernel_weight([1, 2, 3], [1, 2, 3], sigma=1.7) == 1.0
 
     def test_unit_exponent(self):
-        sigma = 0.8
-        assert kernel_similarity(sigma * math.sqrt(2.0), sigma) == pytest.approx(
+        sigma = math.sqrt(2.0)   # rho = 2 = sigma * sqrt(2)
+        assert kernel_weight([1, 2, 3], [-1, -2, -3], sigma) == pytest.approx(
             math.exp(-1.0), abs=1e-12
         )
-        assert kernel_similarity(sigma * math.sqrt(2.0), sigma) == pytest.approx(0.36788, abs=1e-5)
+        assert kernel_weight([1, 2, 3], [-1, -2, -3], sigma) == pytest.approx(0.36788, abs=1e-5)
 
     def test_direct_substitution(self):
-        assert kernel_similarity(1.0, 0.5) == pytest.approx(math.exp(-2.0), abs=1e-12)
-        assert kernel_similarity(1.0, 0.5) == pytest.approx(0.13534, abs=1e-5)
+        assert correlation_distance(*self.UNCORRELATED) == 1.0
+        assert kernel_weight(*self.UNCORRELATED, sigma=0.5) == pytest.approx(
+            math.exp(-2.0), abs=1e-12
+        )
+        assert kernel_weight(*self.UNCORRELATED, sigma=0.5) == pytest.approx(0.13534, abs=1e-5)
 
     def test_nonpositive_sigma(self):
         with pytest.raises(NonPositiveSigma):
-            kernel_similarity(1.0, 0.0)
+            two_subject_spec(*self.UNCORRELATED, sigma=0.0)
+
+    def test_nan_sigma_rejected(self):
+        # a NaN width would make every weight NaN and so drop every edge
+        with pytest.raises(NonPositiveSigma, match="got nan"):
+            two_subject_spec(*self.UNCORRELATED, sigma=float("nan"))
 
 
 class TestPhenotypicDistance:
@@ -196,14 +225,17 @@ class TestBuildAdjacency:
             build_adjacency(PopulationGraphSpec(features=features, measures=measures, sigma=1.0))
 
     def test_auto_sigma_is_median_of_distances(self):
+        # sigma=None resolves to the median heuristic over all pairs i < j
         rng = np.random.default_rng(3)
         features = rng.normal(size=(5, 6))
         rhos = [
-            correlation_distance(features[i], features[j])
+            1.0 - pearson_oracle(features[i], features[j])
             for i in range(5)
             for j in range(i + 1, 5)
         ]
-        assert auto_sigma(features) == pytest.approx(float(np.median(rhos)), abs=1e-15)
+        measures = [PhenotypicMeasure(name="g", kind=QUALITATIVE, values=("a",) * 5)]
+        spec = PopulationGraphSpec(features=features, measures=measures)
+        assert spec.sigma == pytest.approx(float(np.median(rhos)), abs=1e-15)
 
 
 # -- connectome features ------------------------------------------------------

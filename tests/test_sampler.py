@@ -19,10 +19,15 @@ def path_graph(n):
     return Graph(n=n, edges=tuple((i, i + 1, 1.0) for i in range(n - 1)))
 
 
+def edge_pairs(g):
+    """The graph's (i, j) endpoints as Python int pairs, in edge order."""
+    return list(zip(g.src.tolist(), g.dst.tolist()))
+
+
 def induced_edges(g, nodes):
     """Edges of g inside the node sample, read off the appearance counts."""
     counts = accumulate_counts(g, [nodes]).pair_counts
-    return {(i, j) for i, j, _ in g.edges if counts[i, j] == 1}
+    return {(i, j) for i, j in edge_pairs(g) if counts[i, j] == 1}
 
 
 def random_graph(n, p, seed):
@@ -40,7 +45,7 @@ class TestSampleNodeSubgraph:
         g = path_graph(5)
         s = sample_node_subgraph(g.n, budget=5, rng=np.random.default_rng(0))
         assert s.tolist() == [0, 1, 2, 3, 4]
-        assert induced_edges(g, s) == {(i, j) for i, j, _ in g.edges}
+        assert induced_edges(g, s) == set(edge_pairs(g))
 
     def test_budget_one_has_no_edges(self):
         g = path_graph(4)
@@ -65,7 +70,7 @@ class TestSampleNodeSubgraph:
         for seed in range(10):
             s = sample_node_subgraph(g.n, budget=4, rng=np.random.default_rng(seed))
             chosen = set(s.tolist())
-            expected = {(i, j) for i, j, _ in g.edges if i in chosen and j in chosen}
+            expected = {(i, j) for i, j in edge_pairs(g) if i in chosen and j in chosen}
             assert induced_edges(g, s) == expected
 
 
@@ -78,7 +83,7 @@ class TestAccumulateCounts:
         stats = accumulate_counts(g, samples)
         assert stats.runs == 7
         assert np.all(stats.node_counts == 7)
-        for i, j, _ in g.edges:
+        for i, j in edge_pairs(g):
             assert stats.pair_counts[i, j] == 7
 
     def test_zero_runs(self):
@@ -145,7 +150,7 @@ class TestAggregationMatrix:
         assert np.all(np.diag(gamma) == 1.0)
         support = (add_self_loops(g) > 0)
         assert np.all(gamma[~support] == 0.0)
-        off = [(i, j) for i, j, _ in g.edges]
+        off = edge_pairs(g)
         for i, j in off:
             if stats.pair_counts[i, j] >= 1:
                 assert gamma[i, j] >= 1.0
@@ -170,12 +175,12 @@ class TestLoopReference:
         g = random_graph(15, 0.4, seed=9)
         stats, samples = presample(g, runs=60, budget=6, seed=4)
         node_counts = np.zeros(g.n, dtype=int)
-        edge_counts = {(i, j): 0 for i, j, _ in g.edges}
+        edge_counts = {(i, j): 0 for i, j in edge_pairs(g)}
         for nodes in samples:
             chosen = set(nodes.tolist())
             for v in chosen:
                 node_counts[v] += 1
-            for i, j, _ in g.edges:
+            for i, j in edge_pairs(g):
                 if i in chosen and j in chosen:
                     edge_counts[(i, j)] += 1
         edge_counts.update({(v, v): int(node_counts[v]) for v in range(g.n)})
@@ -187,7 +192,7 @@ class TestLoopReference:
         stats, _ = presample(g, runs=30, budget=4, seed=5)
         c = stats.node_counts.astype(float)
         want = np.zeros((g.n, g.n))
-        for i, j, _ in g.edges:
+        for i, j in edge_pairs(g):
             cij = max(stats.pair_counts[i, j], 1)
             want[i, j] = c[i] / cij
             want[j, i] = c[j] / cij
@@ -265,7 +270,7 @@ class TestDeterminismAndExport:
         back = json.loads(stats.to_json(g))
         assert back["runs"] == stats.runs
         assert back["node_counts"] == stats.node_counts.tolist()
-        keys = sorted([(i, j) for i, j, _ in g.edges] + [(v, v) for v in range(g.n)])
+        keys = sorted(edge_pairs(g) + [(v, v) for v in range(g.n)])
         assert back["edge_counts"] == [[i, j, stats.pair_counts[i, j]] for i, j in keys]
 
 
