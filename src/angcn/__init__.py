@@ -2,7 +2,7 @@
 convolutions, skip connections, and identity mapping."""
 
 from .data import DatasetBundle, SyntheticSpec, generate_synthetic, load_bundle, save_bundle
-from .graph_core import Graph, add_self_loops, hadamard, matmul, normalize_adjacency
+from .graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import ModelParams, forward, init_params, layer_forward, predict
 from .popgraph import (
@@ -56,7 +56,6 @@ __all__ = [
     "init_params",
     "layer_forward",
     "load_bundle",
-    "matmul",
     "normalize_adjacency",
     "pr_curve",
     "predict",

@@ -123,6 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--adjacency", type=Path, default=None,
+                   help="the adjacency file the checkpoint was trained on")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep-depth", help="accuracy vs depth for both model variants")
@@ -346,11 +348,12 @@ def _cmd_eval(args) -> int:
     features = bundle.features
     if ckpt.feature_columns is not None:
         features = features[:, ckpt.feature_columns]
-    g, _ = _graph_for(bundle, features, ckpt.config["sigma_resolved"])
+    g, _ = _graph_for(bundle, features, ckpt.config["sigma_resolved"], args.adjacency)
     digest = dataio.graph_digest(g)
     if digest != ckpt.graph_digest:
+        source = args.adjacency or f"the graph rebuilt from {args.data}"
         raise ValueError(
-            f"graph digest {digest[:12]} of the graph rebuilt from {args.data} does not "
+            f"graph digest {digest[:12]} of {source} does not "
             f"match the checkpoint's training graph digest {ckpt.graph_digest[:12]}"
         )
     # gamma only debiases subgraph-restricted training: score with unit aggregation

@@ -97,17 +97,6 @@ def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_2d(a)
-    _check_2d(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def _check_2d(m: np.ndarray) -> None:
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")

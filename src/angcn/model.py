@@ -8,7 +8,9 @@ directly and through the identity map:
     pre = (1 - alpha) * s  +  beta * s (I + W)
         +      alpha  * x0 +  beta * x0 (I + W),      s = M h
 
-followed by ReLU. M is the propagation operator the caller passes in: the
+followed by ReLU. A term whose coefficient is exactly 0 is never computed:
+at alpha = beta = 0 (the plain GCN) a layer is one N x N product and no
+H x H products. M is the propagation operator the caller passes in: the
 normalized adjacency a_hat for full-graph forwards and full-batch training,
 or a_hat * gamma restricted to a sampled subgraph during minibatch training;
 `training.cross_validate` builds both once for all its folds. Widths are
@@ -17,7 +19,9 @@ projection maps raw inputs to the hidden width once, and a linear head maps
 the last layer to class scores.
 
 The forward trace keeps each layer's diffusion s and activation, so the
-backward pass never repeats an N x N product.
+backward pass never repeats an N x N product. `pre` is accumulated in place
+in the order written above, so skipping a zero term changes no bit of the
+result (save the sign of an exact zero, and NaN from 0 * inf).
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatch
-from .graph_core import matmul
 
 
 @dataclass
@@ -96,14 +99,6 @@ def init_params(
     return ModelParams(projection, layers, glorot(f_hidden, n_classes, rng), alpha, beta)
 
 
-def _activate(x: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(x, 0.0)
-    if activation == "identity":  # test hook for kink-free gradient checks
-        return x.copy()
-    raise ValueError(f"unknown activation {activation!r}")
-
-
 def layer_forward(
     h: np.ndarray,
     x0: np.ndarray,
@@ -115,17 +110,28 @@ def layer_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One propagation layer; returns (diffusion op @ h, activation).
 
-    All four terms are always computed, so alpha = beta = 0 with the identity
-    activation reduces exactly to the plain diffusion op @ h.
+    Terms with a zero coefficient are skipped, so alpha = beta = 0 with the
+    identity activation ("identity" is the test hook for kink-free gradient
+    checks) reduces exactly to the plain diffusion op @ h.
     """
+    if activation not in ("relu", "identity"):
+        raise ValueError(f"unknown activation {activation!r}")
     if h.shape != x0.shape:
         raise ShapeMismatch(f"h {h.shape} and x0 {x0.shape} must match")
     if w.shape != (h.shape[1], h.shape[1]):
         raise ShapeMismatch(f"weight {w.shape} incompatible with width {h.shape[1]}")
-    s = matmul(op, h)
-    iw = np.eye(w.shape[0]) + w
-    pre = (1.0 - alpha) * s + beta * (s @ iw) + alpha * x0 + beta * (x0 @ iw)
-    return s, _activate(pre, activation)
+    s = op @ h
+    pre = (1.0 - alpha) * s
+    if beta:
+        iw = np.eye(w.shape[0]) + w
+        pre += beta * (s @ iw)
+    if alpha:
+        pre += alpha * x0
+    if beta:
+        pre += beta * (x0 @ iw)
+    if activation == "relu":
+        np.maximum(pre, 0.0, out=pre)
+    return s, pre
 
 
 def forward(
@@ -144,7 +150,7 @@ def forward(
         )
     if np.shape(op) != (x_raw.shape[0], x_raw.shape[0]):
         raise ShapeMismatch(f"operator {np.shape(op)} does not match {x_raw.shape[0]} input rows")
-    x0 = matmul(x_raw, params.input_projection)
+    x0 = x_raw @ params.input_projection
     trace = ForwardTrace(raw_input=x_raw, projected_input=x0)
     h = x0
     for ell, w in enumerate(params.layers):
@@ -154,7 +160,7 @@ def forward(
             raise ShapeMismatch(f"layer {ell}: {exc}") from exc
         trace.diffused.append(s)
         trace.activations.append(h)
-    trace.logits = matmul(h, params.output_head)
+    trace.logits = h @ params.output_head
     return trace
 
 

@@ -5,6 +5,8 @@ a central finite-difference harness validates it entry by entry. The loss
 is a sum over labeled nodes (a mean variant is available as a config flag).
 Backward reads each layer's diffusion from the forward trace, so an epoch
 costs two N x N products per layer: op @ h forward and op.T @ d_s backward.
+Both passes skip every term whose coefficient is 0, so at alpha = beta = 0
+a layer does no H x H product either way.
 `cross_validate` builds the operators once and every fold shares them.
 """
 
@@ -98,15 +100,6 @@ def cross_entropy(
     return loss
 
 
-def _relu_mask(h: np.ndarray, activation: str) -> np.ndarray:
-    """ReLU derivative read off the layer output: h > 0 exactly where pre > 0."""
-    if activation == "relu":
-        return (h > 0).astype(float)
-    if activation == "identity":
-        return np.ones_like(h)
-    raise ValueError(f"unknown activation {activation!r}")
-
-
 def backward(
     trace: ForwardTrace,
     params: ModelParams,
@@ -121,9 +114,13 @@ def backward(
     Softmax and cross-entropy fuse to (Yhat - Y) on labeled rows. Each layer
     contributes through the diffusion term, the identity-plus-weight term,
     and both skip terms, so the projected input collects gradient from every
-    layer. ReLU subgradient at 0 is taken as 0. `op` must be the operator the
+    layer; as in the forward pass, a term whose coefficient is 0 is skipped.
+    The ReLU derivative is read off the layer output (h > 0 exactly where
+    pre > 0), so its subgradient at 0 is 0. `op` must be the operator the
     trace was computed with.
     """
+    if activation not in ("relu", "identity"):
+        raise ValueError(f"unknown activation {activation!r}")
     n_layers = len(params.layers)
     if len(trace.activations) != n_layers:
         raise TraceMismatch(
@@ -150,13 +147,15 @@ def backward(
     d_x0 = np.zeros_like(x0)
     alpha, beta = params.alpha, params.beta
     for ell in range(n_layers - 1, -1, -1):
-        g = d_h * _relu_mask(trace.activations[ell], activation)
-        s = trace.diffused[ell]
-        iw = np.eye(params.layers[ell].shape[0]) + params.layers[ell]
-        d_layers[ell] = beta * ((s + x0).T @ g)
-        g_iw = g @ iw.T
-        d_s = (1.0 - alpha) * g + beta * g_iw
-        d_x0 += alpha * g + beta * g_iw
+        g = d_h * (trace.activations[ell] > 0) if activation == "relu" else d_h
+        d_s = (1.0 - alpha) * g
+        if beta:
+            d_layers[ell] = beta * ((trace.diffused[ell] + x0).T @ g)
+            g_iw = g @ (np.eye(params.layers[ell].shape[0]) + params.layers[ell]).T
+            d_s += beta * g_iw
+            d_x0 += alpha * g + beta * g_iw
+        elif alpha:
+            d_x0 += alpha * g
         d_h = op.T @ d_s
     d_x0 += d_h  # H^(0) = x0
     d_projection = trace.raw_input.T @ d_x0

@@ -262,6 +262,29 @@ class TestEval:
             if want:
                 assert "graph digest" in capsys.readouterr().err
 
+    def test_eval_with_the_adjacency_file_reproduces_fold_zero(self, data_dir, tmp_path,
+                                                              capsys):
+        adj, other = tmp_path / "adjacency.csv", tmp_path / "other.csv"
+        assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj),
+                        "--sigma", "0.05"]) == 0
+        assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(other)]) == 0
+        run = tmp_path / "run"
+        assert cli_run(["train", "--data", str(data_dir), "--adjacency", str(adj),
+                        "--out", str(run)] + FAST_TRAIN) == 0
+        ckpt = ["eval", "--checkpoint", str(run / "checkpoint_fold0.json"),
+                "--data", str(data_dir)]
+        capsys.readouterr()
+        assert cli_run(ckpt) == 1
+        assert "graph digest" in capsys.readouterr().err
+        assert cli_run(ckpt + ["--adjacency", str(other)]) == 1
+        err = capsys.readouterr().err
+        assert "graph digest" in err and str(other) in err
+        report = tmp_path / "eval.json"
+        assert cli_run(ckpt + ["--adjacency", str(adj), "--out", str(report)]) == 0
+        fold = json.loads((run / "metrics.json").read_text())["folds"][0]
+        body = json.loads(report.read_text())
+        assert {key: body[key] for key in fold} == fold
+
     def test_adjacency_run_records_no_unused_sigma(self, data_dir, tmp_path, monkeypatch):
         adj = tmp_path / "adjacency.csv"
         assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]) == 0

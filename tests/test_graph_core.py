@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angcn.data import SyntheticSpec, generate_synthetic
 from angcn.errors import ShapeMismatch, ZeroDegree
 from angcn.graph_core import (
     Graph,
     add_self_loops,
     hadamard,
-    matmul,
     normalize_adjacency,
 )
+from angcn.model import ModelParams, forward
+from angcn.popgraph import PopulationGraphSpec, build_adjacency
 from angcn.sampler import accumulate_counts, aggregation_matrix
 
 
@@ -27,6 +29,13 @@ def naive_matmul(a, b):
                 acc += a[i, t] * b[t, j]
             out[i, j] = acc
     return out
+
+
+def project(x, w):
+    """x @ w as the forward pass computes it: projection w, no layers and an
+    identity head, which leaves the product exact."""
+    params = ModelParams(w, [], np.eye(w.shape[1]), alpha=0.0, beta=0.0)
+    return forward(params, np.eye(len(x)), x).logits
 
 
 def random_graph(n, p, seed):
@@ -158,23 +167,25 @@ class TestHadamard:
 
 
 class TestMatmul:
+    """Products of the forward pass, checked through `forward` itself."""
+
     def test_identity(self):
         m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), m), m)
+        assert np.array_equal(project(np.eye(3), m), m)
 
     def test_row_times_column(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
+        out = project(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
         assert np.array_equal(out, [[11.0]])
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(42)
         a = rng.normal(size=(5, 5))
         b = rng.normal(size=(5, 5))
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(project(a, b), naive_matmul(a, b), rtol=1e-13, atol=1e-13)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ShapeMismatch, match="input width 3 != projection rows 2"):
+            project(np.ones((2, 3)), np.ones((2, 3)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -185,7 +196,23 @@ def test_hadamard_matmul_agree_with_oracles(seed):
     b = rng.normal(size=(4, 3))
     c = rng.normal(size=(3, 5))
     assert np.array_equal(hadamard(a, b), np.multiply(a, b))
-    np.testing.assert_allclose(matmul(a, c), naive_matmul(a, c), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(project(a, c), naive_matmul(a, c), rtol=1e-12, atol=1e-12)
+
+
+# a_hat is exactly symmetric, so a_hat.T equals a_hat bit for bit
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=40))
+def test_normalized_operator_exactly_symmetric_on_random_weighted_graphs(seed, n):
+    out = normalize_adjacency(add_self_loops(random_graph(n, 0.3, seed)))
+    assert np.array_equal(out, out.T)
+
+
+def test_normalized_population_graph_exactly_symmetric():
+    bundle = generate_synthetic(SyntheticSpec(n_subjects=120, n_roi=8, seed=3))
+    g = build_adjacency(PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes))
+    assert len(g.edges) > 0
+    out = normalize_adjacency(add_self_loops(g))
+    assert np.array_equal(out, out.T)
 
 
 def test_support_mask_marks_edges_and_diagonal():

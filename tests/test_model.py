@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from angcn.errors import ShapeMismatch
-from angcn.graph_core import Graph, add_self_loops, hadamard, matmul, normalize_adjacency
+from angcn.graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
 from angcn.model import (
     ModelParams,
     forward,
@@ -97,7 +97,7 @@ class TestAggregatedDiffusion:
         stats, _ = presample(g, runs=40, budget=3, seed=7)
         gamma = aggregation_matrix(stats, g)
         h = np.random.default_rng(8).normal(size=(7, 2))
-        expected = matmul(hadamard(a_hat, gamma), h)
+        expected = hadamard(a_hat, gamma) @ h
         assert np.array_equal(aggregate(hadamard(a_hat, gamma), h), expected)
 
 
@@ -139,6 +139,26 @@ class TestLayerForward:
         np.testing.assert_allclose(pre, expected, atol=1e-15)
         np.testing.assert_allclose(act, np.maximum(expected, 0.0), atol=1e-15)
         assert np.array_equal(s, mh)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.1, 0.0), (0.0, 0.3), (0.1, 0.3)])
+    def test_skipped_terms_leave_the_four_term_rule_bitwise(self, alpha, beta):
+        # a zero-coefficient term is skipped, not added as zeros: same bits
+        rng = np.random.default_rng(3)
+        op = normalize_adjacency(add_self_loops(random_graph(9, 0.4, seed=3)))
+        h, x0 = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
+        w = rng.normal(size=(4, 4))
+        iw = np.eye(4) + w
+        s = op @ h
+        expected = (1.0 - alpha) * s + beta * (s @ iw) + alpha * x0 + beta * (x0 @ iw)
+        _, pre = layer_forward(h, x0, op, w, alpha, beta, activation="identity")
+        _, act = layer_forward(h, x0, op, w, alpha, beta)
+        assert np.array_equal(pre, expected)
+        assert np.array_equal(act, np.maximum(expected, 0.0))
+
+    def test_unknown_activation_is_named(self):
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            layer_forward(np.ones((2, 2)), np.ones((2, 2)), np.eye(2), np.eye(2), 0.1, 0.3,
+                          activation="tanh")
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

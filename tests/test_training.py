@@ -60,7 +60,42 @@ class TestCrossEntropy:
             cross_entropy(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]), [])
 
 
+def four_term_backward(trace, params, op, onehot, labeled):
+    """Reference backward that computes every term, zero coefficients included."""
+    y_hat = predict(trace.logits)
+    d_logits = np.zeros_like(y_hat)
+    d_logits[labeled] = y_hat[labeled] - onehot[labeled]
+    x0 = trace.projected_input
+    d_head = trace.activations[-1].T @ d_logits
+    d_h = d_logits @ params.output_head.T
+    d_layers, d_x0 = [None] * len(params.layers), np.zeros_like(x0)
+    alpha, beta = params.alpha, params.beta
+    for ell in range(len(params.layers) - 1, -1, -1):
+        g = d_h * (trace.activations[ell] > 0).astype(float)
+        iw = np.eye(params.layers[ell].shape[0]) + params.layers[ell]
+        d_layers[ell] = beta * ((trace.diffused[ell] + x0).T @ g)
+        g_iw = g @ iw.T
+        d_x0 += alpha * g + beta * g_iw
+        d_h = op.T @ ((1.0 - alpha) * g + beta * g_iw)
+    d_x0 += d_h
+    return GradientSet(trace.raw_input.T @ d_x0, d_layers, d_head)
+
+
 class TestBackward:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.1, 0.0), (0.0, 0.3), (0.1, 0.3)])
+    def test_skipped_terms_leave_the_four_term_gradients_bitwise(self, alpha, beta, symmetric):
+        params, op, x_raw, onehot, labeled = gradcheck_fixture(seed=5)
+        params = replace(params, alpha=alpha, beta=beta)
+        if symmetric:  # like a_hat; a_hat * gamma is asymmetric
+            op = (op + op.T) / 2.0
+        assert np.array_equal(op, op.T) == symmetric
+        trace = forward(params, op, x_raw)
+        got = backward(trace, params, op, onehot, labeled)
+        want = four_term_backward(trace, params, op, onehot, labeled)
+        for g, w in zip(got.matrices(), want.matrices()):
+            assert np.array_equal(g, w)
+
     def test_zero_learning_signal(self):
         # logits separated by 800 underflow the softmax to an exact one-hot,
         # so (prediction - label) vanishes identically
@@ -285,6 +320,26 @@ class TestTrain:
         assert np.array_equal(params.input_projection, params_one.input_projection)
         assert np.array_equal(params.output_head, params_one.output_head)
 
+    @pytest.mark.parametrize("budget", [None, 15])
+    def test_plain_gcn_leaves_layer_weights_at_their_initial_values(self, budget):
+        # at alpha = beta = 0 no layer weight reaches the loss, so Adam never moves one
+        bundle, g, idx = TestTrainTraceReuse.setup()
+        cfg = TrainConfig(max_epochs=6, patience=6, layers=3, hidden_dim=8, seed=9,
+                          alpha=0.0, beta=0.0, batch_budget=budget, sampler_runs=30)
+        a_hat = a_hat_of(g)
+        op = a_hat
+        if budget is not None:
+            stats, _ = presample(g, runs=30, budget=budget, seed=9)
+            op = hadamard(a_hat, aggregation_matrix(stats, g))
+        params, history = train(cfg, a_hat, op, bundle.features, bundle.labels,
+                                idx[:30], idx[30:])
+        fresh = init_params(bundle.features.shape[1], 8, 2, 3, 0.0, 0.0,
+                            np.random.default_rng([9, 0]))
+        assert len(history) == 6
+        assert not np.array_equal(params.input_projection, fresh.input_projection)
+        for got, want in zip(params.layers, fresh.layers, strict=True):
+            assert np.array_equal(got, want)
+
     def test_zero_epochs_returns_init(self):
         g, features, labels = two_node_setup()
         cfg = TrainConfig(max_epochs=0, layers=1, hidden_dim=4, seed=5)
@@ -450,16 +505,41 @@ class TestTrainTraceReuse:
         assert self.digest(sampled) == (
             "5002de1b870c672006802ed87d9f527d472958a343779b22fddb93324692ad5c")
 
+    @pytest.mark.parametrize("alpha, beta, want", [
+        (0.0, 0.0, "6598b4bf418532bc10e383cd8541c124a0441ebeae62b735b7b7836029cef478"),
+        (0.1, 0.0, "ba75f82ac29c491d9e9b2656a3f643bc478a61176565996fa3178949414399f0"),
+        (0.0, 0.3, "813bd8d8922135cf1c7ccfba79091a0842cbd82b21ad71043f50121c0c6bc316"),
+    ])
+    def test_skip_branch_histories_match_digests_taken_before_term_skipping(
+        self, alpha, beta, want
+    ):
+        # recorded when every layer computed all four terms, zero coefficients included
+        bundle, g, idx = self.setup()
+        cfg = TrainConfig(max_epochs=12, patience=12, layers=3, hidden_dim=8, seed=9,
+                          alpha=alpha, beta=beta)
+        a_hat = a_hat_of(g)
+        _, history = train(cfg, a_hat, a_hat, bundle.features, bundle.labels,
+                           idx[:30], idx[30:])
+        assert self.digest(history) == want
+
 
 class TestNonFiniteLoss:
-    def test_nan_feature_fails_at_epoch_one(self):
+    @staticmethod
+    def train_with_nan_feature(**coefficients):
         bundle, g, idx = TestTrainTraceReuse.setup()
         features = bundle.features.copy()
         features[3, 2] = np.nan
-        cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9)
+        cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9,
+                          **coefficients)
         with pytest.raises(NonFiniteLoss, match="epoch 1"):
             a_hat = a_hat_of(g)
             train(cfg, a_hat, a_hat, features, bundle.labels, idx[:30], idx[30:])
+
+    def test_nan_feature_fails_at_epoch_one(self):
+        self.train_with_nan_feature()
+
+    def test_nan_feature_fails_at_epoch_one_without_skip_terms(self):
+        self.train_with_nan_feature(alpha=0.0, beta=0.0)
 
     def test_cross_validate_names_the_fold(self):
         bundle, g, _ = TestTrainTraceReuse.setup()
