@@ -62,14 +62,17 @@ def cli_run(argv: list[str]) -> int:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON file with TrainConfig fields")
-    p.add_argument("--lr", type=float, default=None, help="learning rate")
-    p.add_argument("--epochs", type=int, default=None, help="max training epochs")
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
+                   help="learning rate")
+    p.add_argument("--epochs", dest="max_epochs", metavar="EPOCHS", type=int, default=None,
+                   help="max training epochs")
     p.add_argument("--patience", type=int, default=None, help="early-stopping patience")
     p.add_argument("--folds", type=int, default=None, help="cross-validation folds")
     p.add_argument("--alpha", type=float, default=None, help="skip-connection weight")
     p.add_argument("--beta", type=float, default=None, help="identity-mapping weight")
     p.add_argument("--layers", type=int, default=None, help="number of hidden layers")
-    p.add_argument("--hidden", type=int, default=None, help="hidden width")
+    p.add_argument("--hidden", dest="hidden_dim", metavar="HIDDEN", type=int, default=None,
+                   help="hidden width")
     p.add_argument("--seed", type=int, default=None, help="master seed")
     p.add_argument("--batch-budget", type=int, default=None,
                    help="nodes per sampled minibatch (omit for full-batch)")
@@ -173,24 +176,10 @@ def resolve_config(args, defaults: TrainConfig | None = None) -> TrainConfig:
             values["seed"] = int(env_seed)
         except ValueError:
             raise ValueError(f"ANGCN_SEED must be an integer, got {env_seed!r}") from None
-    flag_map = {
-        "lr": "learning_rate",
-        "epochs": "max_epochs",
-        "patience": "patience",
-        "folds": "folds",
-        "alpha": "alpha",
-        "beta": "beta",
-        "layers": "layers",
-        "hidden": "hidden_dim",
-        "seed": "seed",
-        "batch_budget": "batch_budget",
-        "sampler_runs": "sampler_runs",
-        "loss_reduction": "loss_reduction",
-    }
-    for flag, key in flag_map.items():
-        v = getattr(args, flag, None)
+    for f in fields(TrainConfig):  # every train flag's dest is its field's name
+        v = getattr(args, f.name, None)
         if v is not None:
-            values[key] = v
+            values[f.name] = v
     return TrainConfig(**values)
 
 

@@ -16,6 +16,7 @@ it reads, so `eval` can rebuild exactly what training saw.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -192,11 +193,17 @@ def save_bundle(bundle: DatasetBundle, directory: str | Path) -> None:
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    # Pause cyclic GC: the row lists hold no cycles but trigger costly collections.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     if not rows:
         raise ParseError(f"{path}: line 1: empty file")
     return rows[0], rows[1:]

@@ -57,6 +57,10 @@ class ModelParams:
                 f"output head rows {self.output_head.shape[0]} != hidden width {h}"
             )
 
+    def matrices(self) -> list[np.ndarray]:
+        """Every weight matrix in the one fixed order: projection, layers, head."""
+        return [self.input_projection, *self.layers, self.output_head]
+
     def copy(self) -> "ModelParams":
         return ModelParams(self.input_projection.copy(), [w.copy() for w in self.layers],
                            self.output_head.copy(), self.alpha, self.beta)

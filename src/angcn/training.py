@@ -63,22 +63,24 @@ class GradientSet:
         return [self.input_projection, *self.layers, self.output_head]
 
 
+# Adam's fixed hyperparameters (Kingma & Ba); only the learning rate is configurable.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
+    """Adam's moments, one per parameter matrix in `ModelParams.matrices()` order."""
+
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        mats = [params.input_projection, *params.layers, params.output_head]
-        return cls(
-            first_moment=[np.zeros_like(m) for m in mats],
-            second_moment=[np.zeros_like(m) for m in mats],
-        )
+        mats = params.matrices()
+        return cls([np.zeros_like(m) for m in mats], [np.zeros_like(m) for m in mats])
 
 
 def cross_entropy(
@@ -167,24 +169,20 @@ def adam_step(
     grads: GradientSet,
     state: AdamState,
     lr: float,
-) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
-    mats = [params.input_projection, *params.layers, params.output_head]
+) -> None:
+    """One bias-corrected Adam update of `params` and `state`, in place."""
+    mats = params.matrices()
     gmats = grads.matrices()
     if len(mats) != len(gmats) or any(m.shape != g.shape for m, g in zip(mats, gmats)):
         raise ShapeMismatch("gradient shapes do not mirror parameter shapes")
-    t = state.t + 1
-    new_m, new_v, updated = [], [], []
+    state.t += 1
+    c1, c2 = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
     for theta, g, m, v in zip(mats, gmats, state.first_moment, state.second_moment):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        updated.append(theta - lr * m_hat / (np.sqrt(v_hat) + state.epsilon))
-        new_m.append(m)
-        new_v.append(v)
-    new_params = ModelParams(updated[0], updated[1:-1], updated[-1], params.alpha, params.beta)
-    return new_params, replace(state, first_moment=new_m, second_moment=new_v, t=t)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 def stratified_kfold(labels: Sequence[int], k: int, seed: int) -> list[np.ndarray]:
@@ -287,7 +285,7 @@ def train(
                          config.layers, config.alpha, config.beta, rng)
     state = AdamState.for_params(params)
     stopper = EarlyStopper(config.patience)
-    best_params = params.copy()
+    best_params = params.copy()  # a copy: adam_step updates params in place
     history: list[tuple[int, float, float]] = []
     if config.max_epochs == 0:
         return best_params, history
@@ -314,7 +312,7 @@ def train(
                 trace = forward(params, step_op, x, activation)
             grads = backward(trace, params, step_op, y, labeled, activation, config.loss_reduction)
             trace = None  # release it before the next forward: one trace live at a time
-            params, state = adam_step(params, grads, state, config.learning_rate)
+            adam_step(params, grads, state, config.learning_rate)
 
         trace = forward(params, a_hat, features, activation)
         y_hat = predict(trace.logits)
@@ -360,8 +358,7 @@ def finite_difference_check(
     grads = backward(trace, params, op, labels_onehot, labeled_idx, activation)
     worst = 0.0
     work = params.copy()
-    mats = [work.input_projection, *work.layers, work.output_head]
-    for mat, grad in zip(mats, grads.matrices()):
+    for mat, grad in zip(work.matrices(), grads.matrices()):
         it = np.nditer(mat, flags=["multi_index"])
         for _ in it:
             ix = it.multi_index

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from angcn import cli, popgraph
 from angcn.cli import cli_run
 from angcn.data import graph_digest, load_adjacency, load_bundle
+from angcn.training import TrainConfig
 
 SMALL = ["--n-subjects", "48", "--n-roi", "6", "--seed", "5"]
 FAST_TRAIN = [
@@ -346,7 +348,36 @@ class TestGradcheck:
         assert "max relative gradient error" in out
 
 
+# TrainConfig field -> (its flag, a config-file value, a different flag value)
+TRAIN_FLAGS = {
+    "learning_rate": ("--lr", 0.5, 0.25),
+    "max_epochs": ("--epochs", 7, 9),
+    "patience": ("--patience", 3, 4),
+    "folds": ("--folds", 3, 5),
+    "alpha": ("--alpha", 0.2, 0.4),
+    "beta": ("--beta", 0.1, 0.6),
+    "layers": ("--layers", 2, 3),
+    "hidden_dim": ("--hidden", 8, 16),
+    "seed": ("--seed", 1, 2),
+    "batch_budget": ("--batch-budget", 20, 30),
+    "sampler_runs": ("--sampler-runs", 5, 6),
+    "loss_reduction": ("--loss-reduction", "mean", "sum"),
+}
+
+
 class TestConfigPrecedence:
+    @pytest.mark.parametrize("field", [f.name for f in fields(TrainConfig)])
+    def test_flag_beats_config_file(self, field, tmp_path, monkeypatch):
+        flag, file_value, flag_value = TRAIN_FLAGS[field]
+        monkeypatch.delenv("ANGCN_SEED", raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: file_value}))
+        argv = ["train", "--data", "bundle", "--out", "run", "--config", str(config)]
+        parser = cli._build_parser()
+        assert getattr(cli.resolve_config(parser.parse_args(argv)), field) == file_value
+        flagged = cli.resolve_config(parser.parse_args(argv + [flag, str(flag_value)]))
+        assert getattr(flagged, field) == flag_value
+
     def test_usage_error_is_exit_two(self):
         assert cli_run(["no-such-command"]) == 2
         assert cli_run([]) == 2

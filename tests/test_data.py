@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -223,6 +224,21 @@ class TestAdjacencyFile:
         path.write_text("a,b,c\n0,1,2.0\n")
         with pytest.raises(SchemaMismatch):
             load_adjacency(path, n=3)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_read_restores_gc_state(self, tmp_path, enabled):
+        path = tmp_path / "adjacency.csv"
+        save_adjacency(Graph(n=3, edges=((0, 1, 0.5),)), path)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            load_adjacency(path, n=3)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ParseError):
+                load_adjacency(tmp_path / "missing.csv", n=3)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestCheckpoint:

@@ -7,7 +7,13 @@ import pytest
 
 from angcn.cli import gradcheck_fixture
 from angcn.data import SyntheticSpec, generate_synthetic
-from angcn.errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, TraceMismatch
+from angcn.errors import (
+    ClassTooSmall,
+    EmptyLabeledSet,
+    NonFiniteLoss,
+    ShapeMismatch,
+    TraceMismatch,
+)
 from angcn.graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
 from angcn.model import ModelParams, forward, init_params, predict
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
@@ -192,6 +198,29 @@ def one_param_model(value):
     )
 
 
+def out_of_place_adam(mats, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The update rule as fresh arrays per step, in the in-place rule's arithmetic order."""
+    mats = [w.copy() for w in mats]
+    ms = [np.zeros_like(w) for w in mats]
+    vs = [np.zeros_like(w) for w in mats]
+    for t, gmats in enumerate(grads_seq, start=1):
+        ms = [beta1 * m + (1.0 - beta1) * g for m, g in zip(ms, gmats)]
+        vs = [beta2 * v + (1.0 - beta2) * g * g for v, g in zip(vs, gmats)]
+        mats = [
+            w - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+            for w, m, v in zip(mats, ms, vs)
+        ]
+    return mats, ms, vs
+
+
+def random_grads(params, rng):
+    return GradientSet(
+        input_projection=rng.normal(size=params.input_projection.shape),
+        layers=[rng.normal(size=w.shape) for w in params.layers],
+        output_head=rng.normal(size=params.output_head.shape),
+    )
+
+
 class TestAdamStep:
     def test_first_step_is_signed_learning_rate(self):
         rng = np.random.default_rng(2)
@@ -201,29 +230,31 @@ class TestAdamStep:
             layers=[rng.normal(size=(3, 3)) - 2.0],
             output_head=np.full((3, 2), 0.5),
         )
+        before = params.copy()
         state = AdamState.for_params(params)
-        updated, new_state = adam_step(params, grads, state, lr=0.05)
+        assert adam_step(params, grads, state, lr=0.05) is None
         np.testing.assert_allclose(
-            updated.input_projection - params.input_projection,
+            params.input_projection - before.input_projection,
             -0.05 * np.sign(grads.input_projection),
             atol=1e-8,
         )
         np.testing.assert_allclose(
-            updated.output_head - params.output_head,
+            params.output_head - before.output_head,
             -0.05 * np.sign(grads.output_head),
             atol=1e-8,
         )
-        assert new_state.t == 1
+        assert state.t == 1
 
     def test_zero_gradient_leaves_params(self):
         params = one_param_model(1.5)
+        before = params.copy()
         grads = GradientSet(
             input_projection=np.zeros((1, 1)), layers=[], output_head=np.zeros((1, 1))
         )
         state = AdamState.for_params(params)
-        updated, new_state = adam_step(params, grads, state, lr=0.1)
-        assert np.array_equal(updated.input_projection, params.input_projection)
-        assert new_state.t == 1
+        adam_step(params, grads, state, lr=0.1)
+        assert np.array_equal(params.input_projection, before.input_projection)
+        assert state.t == 1
 
     def test_two_steps_match_hand_recurrence(self):
         g1, g2 = 0.7, -1.3
@@ -233,10 +264,42 @@ class TestAdamStep:
             grads = GradientSet(
                 input_projection=np.array([[g]]), layers=[], output_head=np.zeros((1, 1))
             )
-            params, state = adam_step(params, grads, state, lr=0.01)
-        expected = hand_adam(0.25, [g1, g2], lr=0.01)
-        assert params.input_projection[0, 0] == pytest.approx(expected, abs=1e-12)
+            adam_step(params, grads, state, lr=0.01)
+        assert params.input_projection[0, 0] == hand_adam(0.25, [g1, g2], lr=0.01)
         assert state.t == 2
+
+    def test_three_steps_bitwise_equal_out_of_place_rule(self):
+        rng = np.random.default_rng(8)
+        params = init_params(5, 4, 2, n_layers=3, alpha=0.1, beta=0.3, rng=rng)
+        grads_seq = [random_grads(params, rng) for _ in range(3)]
+        want, want_m, want_v = out_of_place_adam(
+            params.matrices(), [g.matrices() for g in grads_seq], lr=0.02
+        )
+        state = AdamState.for_params(params)
+        for grads in grads_seq:
+            adam_step(params, grads, state, lr=0.02)
+        assert state.t == 3
+        for got, expected in zip(params.matrices(), want):
+            assert np.array_equal(got, expected)
+        for got, expected in zip(state.first_moment + state.second_moment, want_m + want_v):
+            assert np.array_equal(got, expected)
+
+    def test_wrong_shape_raises_before_mutating(self):
+        rng = np.random.default_rng(9)
+        params = init_params(5, 4, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
+        state = AdamState.for_params(params)
+        adam_step(params, random_grads(params, rng), state, lr=0.02)  # nonzero moments
+        before = params.copy()
+        moments = [m.copy() for m in state.first_moment + state.second_moment]
+        bad = random_grads(params, rng)
+        bad.layers[1] = np.ones((4, 3))
+        with pytest.raises(ShapeMismatch):
+            adam_step(params, bad, state, lr=0.02)
+        assert state.t == 1
+        for got, expected in zip(params.matrices(), before.matrices()):
+            assert np.array_equal(got, expected)
+        for got, expected in zip(state.first_moment + state.second_moment, moments):
+            assert np.array_equal(got, expected)
 
 
 class TestStratifiedKfold:
