@@ -23,6 +23,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -142,12 +143,13 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
 # file formats
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
+    """Write `text`, or the concatenation of its pieces, to `path` atomically."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -347,8 +349,8 @@ def load_adjacency(path: str | Path, n: int) -> Graph:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _encode_matrix(mat: np.ndarray) -> dict:
-    return {"shape": list(mat.shape), "data": mat.ravel().tolist()}
+def _matrix_json(mat: np.ndarray) -> str:
+    return json.dumps({"shape": list(mat.shape), "data": mat.ravel().tolist()}, sort_keys=True)
 
 
 def _decode_matrix(obj: dict) -> np.ndarray:
@@ -371,9 +373,9 @@ class Checkpoint:
     feature_columns: np.ndarray | None  # columns kept by RFE; None keeps all
 
 
-def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    """Versioned JSON checkpoint; weights are JSON numbers, whose shortest
-    repr makes the round trip bit-exact."""
+def _checkpoint_json(ckpt: Checkpoint) -> Iterator[str]:
+    """json.dumps(payload, sort_keys=True) + "\\n" in pieces, one per weight
+    matrix: a matrix becomes a float list only when its piece is due."""
     params = ckpt.params
     payload = {
         "format_version": CHECKPOINT_VERSION,
@@ -384,11 +386,30 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
                             else ckpt.feature_columns.tolist()),
         "alpha": params.alpha,
         "beta": params.beta,
-        "input_projection": _encode_matrix(params.input_projection),
-        "layers": [_encode_matrix(w) for w in params.layers],
-        "output_head": _encode_matrix(params.output_head),
+        "input_projection": params.input_projection,
+        "layers": params.layers,
+        "output_head": params.output_head,
     }
-    _atomic_write(Path(path), json.dumps(payload, sort_keys=True) + "\n")
+    for k, key in enumerate(sorted(payload)):
+        yield ("{" if k == 0 else ", ") + json.dumps(key) + ": "
+        value = payload[key]
+        if key == "layers":
+            yield "["
+            for j, w in enumerate(value):
+                yield (", " if j else "") + _matrix_json(w)
+            yield "]"
+        elif isinstance(value, np.ndarray):
+            yield _matrix_json(value)
+        else:
+            yield json.dumps(value, sort_keys=True)
+    yield "}\n"
+
+
+def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    """Versioned JSON checkpoint; weights are JSON numbers, whose shortest
+    repr makes the round trip bit-exact. The text streams to the file one
+    weight matrix at a time."""
+    _atomic_write(Path(path), _checkpoint_json(ckpt))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -7,13 +7,23 @@ Backward reads each layer's diffusion from the forward trace, so an epoch
 costs two N x N products per layer: op @ h forward and op.T @ d_s backward.
 Both passes skip every term whose coefficient is 0, so at alpha = beta = 0
 a layer does no H x H product either way.
-`cross_validate` builds the operators once and every fold shares them.
+`cross_validate` builds the operators once and every fold shares them. It
+trains the folds in forked worker processes, one per usable CPU, each with a
+single OpenBLAS thread; a single worker, a platform without `fork` or
+without OpenBLAS's thread-count symbols, or a caller running other threads
+trains them in this process instead,
+with BLAS held at one thread where those symbols exist. Results are the same
+bits for any worker count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -385,6 +395,93 @@ class FoldResult:
     params: ModelParams
 
 
+def fold_workers(folds: int) -> int:
+    """How many folds `cross_validate` trains at once: one per usable CPU,
+    at most one per fold."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, folds))
+
+
+@functools.cache
+def _blas_thread_api():
+    """OpenBLAS's (get, set) thread-count functions in the library numpy
+    loaded, or None where numpy bundles no OpenBLAS that exports them."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.restype = ctypes.c_int
+                set_.argtypes = [ctypes.c_int]
+                return get, set_
+    return None
+
+
+def _train_fold(shared: tuple, task: tuple) -> FoldResult:
+    """Train fold `task` = (fold, config, test_idx, train_idx, val_idx) on the
+    shared (a_hat, op, features, labels); the config carries the fold's seed."""
+    a_hat, op, features, labels = shared
+    fold, config, test_idx, train_idx, val_idx = task
+    try:
+        params, history = train(config, a_hat, op, features, labels, train_idx, val_idx)
+    except NonFiniteLoss as exc:
+        raise NonFiniteLoss(f"fold {fold}, {exc}") from exc
+    probs = predict(forward(params, a_hat, features).logits)[test_idx]
+    return FoldResult(fold, test_idx, probs, history, params)
+
+
+_worker_shared: tuple | None = None  # set in each forked worker by _start_worker
+
+
+def _start_worker(shared: tuple) -> None:
+    global _worker_shared
+    _worker_shared = shared
+    _blas_thread_api()[1](1)
+
+
+def _train_fold_in_worker(task: tuple) -> FoldResult:
+    return _train_fold(_worker_shared, task)
+
+
+def _train_folds(shared: tuple, tasks: list[tuple]) -> list[FoldResult]:
+    """Every task's FoldResult, in task order, trained with one BLAS thread
+    per fold: in forked workers when more than one is worth starting."""
+    api = _blas_thread_api()
+    workers = fold_workers(len(tasks))
+    if workers > 1 and api is not None:
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork copies only this thread: a lock another thread holds would stay
+        # locked in the worker, so a caller running threads trains in-process.
+        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+            # Forked workers inherit `shared` copy-on-write: nothing N x N is pickled.
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_start_worker, initargs=(shared,)) as pool:
+                futures = [pool.submit(_train_fold_in_worker, task) for task in tasks]
+                try:
+                    return [future.result() for future in futures]
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+    if api is None:
+        return [_train_fold(shared, task) for task in tasks]
+    get, set_ = api
+    previous = get()
+    set_(1)
+    try:
+        return [_train_fold(shared, task) for task in tasks]
+    finally:
+        set_(previous)
+
+
 def cross_validate(
     config: TrainConfig,
     graph: Graph,
@@ -398,23 +495,24 @@ def cross_validate(
 
     `gamma` is None for unit aggregation (full batch, plain GCN) or the N x N
     aggregation matrix for sampled training. The operators a_hat and
-    a_hat * gamma are built once here and shared by every fold. Test
-    probabilities come from a full-graph forward with unit aggregation (a_hat).
-    A non-finite loss raises NonFiniteLoss naming the fold and epoch."""
+    a_hat * gamma, the splits and the fold seeds are built once here; the
+    folds then train `fold_workers(folds)` at a time in forked processes
+    that share those arrays, each with one BLAS thread, and the results
+    come back in fold order. With one worker, without `fork` or OpenBLAS's
+    thread-count symbols, or while the caller runs other Python threads
+    (which `fork` would not copy), the folds train here one after another
+    (with BLAS held at one thread where the symbols exist), so the results
+    are the same bits for any worker count. Test probabilities come from a
+    full-graph forward with unit aggregation (a_hat). A non-finite loss
+    raises NonFiniteLoss naming the fold and epoch; an error in any fold
+    reaches the caller, the earliest failing fold's first."""
     labels = np.asarray(labels, dtype=int)
     a_hat = normalize_adjacency(add_self_loops(graph))
     op = a_hat if gamma is None else hadamard(a_hat, gamma)
-    folds = stratified_kfold(labels, config.folds, config.seed)
-    results = []
-    for f, test_idx in enumerate(folds):
+    tasks = []
+    for f, test_idx in enumerate(stratified_kfold(labels, config.folds, config.seed)):
         pool = np.setdiff1d(np.arange(graph.n), test_idx)
         fold_seed = int(np.random.SeedSequence([config.seed, 17, f]).generate_state(1)[0])
         tr_idx, val_idx = stratified_holdout(labels, pool, val_frac, fold_seed)
-        fold_config = replace(config, seed=fold_seed)
-        try:
-            params, history = train(fold_config, a_hat, op, features, labels, tr_idx, val_idx)
-        except NonFiniteLoss as exc:
-            raise NonFiniteLoss(f"fold {f}, {exc}") from exc
-        probs = predict(forward(params, a_hat, features).logits)[test_idx]
-        results.append(FoldResult(f, test_idx, probs, history, params))
-    return results
+        tasks.append((f, replace(config, seed=fold_seed), test_idx, tr_idx, val_idx))
+    return _train_folds((a_hat, op, features, labels), tasks)

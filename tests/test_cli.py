@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from angcn import cli, popgraph
+from angcn import cli, popgraph, training
 from angcn.cli import cli_run
 from angcn.data import graph_digest, load_adjacency, load_bundle
 from angcn.training import TrainConfig
@@ -339,6 +339,37 @@ class TestSweeps:
         assert lines[1] == "budget,accuracy"
         budgets = [int(line.split(",")[0]) for line in lines[2:]]
         assert budgets == [16, 48]
+
+
+class TestFoldWorkerCount:
+    """Every CLI path that trains writes the same bytes whether its folds
+    train in this process or in two forked workers."""
+
+    @staticmethod
+    def digests(path):
+        files = sorted(path.rglob("*")) if path.is_dir() else [path]
+        return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", []),
+        ("train", ["--batch-budget", "24", "--sampler-runs", "40"]),
+        ("train", ["--rfe-dim", "5"]),
+        ("sweep-depth", ["--depths", "2,3"]),
+        ("sweep-batch", ["--budgets", "16,24", "--sampler-runs", "40"]),
+    ])
+    def test_one_and_two_workers_write_identical_files(self, data_dir, tmp_path, monkeypatch,
+                                                       command, extra):
+        seen = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(training, "fold_workers", lambda folds, w=workers: w)
+            out = tmp_path / f"workers{workers}" / ("run" if command == "train" else "out.csv")
+            out.parent.mkdir()
+            rc = cli_run([command, "--data", str(data_dir), "--out", str(out)]
+                         + FAST_TRAIN + extra)
+            assert rc == 0
+            seen[workers] = self.digests(out)
+        assert seen[1] == seen[2]
+        assert len(seen[1]) == (3 + 4 if command == "train" else 1)   # 3 checkpoints + 4
 
 
 class TestGradcheck:

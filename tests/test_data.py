@@ -289,6 +289,28 @@ class TestCheckpoint:
             with pytest.raises(SchemaMismatch):
                 load_checkpoint(path)
 
+    @pytest.mark.parametrize("n_layers, columns", [(0, None), (3, np.array([0, 2, 5]))])
+    def test_streamed_bytes_equal_the_one_string_encoding(self, tmp_path, n_layers, columns):
+        # the encoding written before checkpoints streamed: one json.dumps string
+        rng = np.random.default_rng(16)
+        params = init_params(7, 5, 2, n_layers=n_layers, alpha=0.1, beta=0.3, rng=rng)
+        config = {"layers": n_layers, "sigma_resolved": None, "fold": 1}
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, Checkpoint(params, config, "abc", np.array([1, 4, 6]), columns))
+
+        def encode(mat):
+            return {"shape": list(mat.shape), "data": mat.ravel().tolist()}
+
+        payload = {
+            "format_version": 2, "config": config, "graph_digest": "abc",
+            "test_idx": [1, 4, 6], "feature_columns": None if columns is None else [0, 2, 5],
+            "alpha": 0.1, "beta": 0.3,
+            "input_projection": encode(params.input_projection),
+            "layers": [encode(w) for w in params.layers],
+            "output_head": encode(params.output_head),
+        }
+        assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
     def test_graph_digest_ignores_edge_order_only(self):
         edges = ((0, 1, 0.5), (1, 3, 2.0), (0, 2, 1.25))
         digest = graph_digest(Graph(n=4, edges=edges))

@@ -1,6 +1,12 @@
 import hashlib
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -604,13 +610,15 @@ class TestNonFiniteLoss:
     def test_nan_feature_fails_at_epoch_one_without_skip_terms(self):
         self.train_with_nan_feature(alpha=0.0, beta=0.0)
 
-    def test_cross_validate_names_the_fold(self):
+    def test_cross_validate_names_the_fold(self, monkeypatch):
         bundle, g, _ = TestTrainTraceReuse.setup()
         features = bundle.features.copy()
         features[3, 2] = np.nan
         cfg = TrainConfig(max_epochs=5, patience=5, folds=2, layers=2, hidden_dim=8, seed=9)
-        with pytest.raises(NonFiniteLoss, match="fold 0, epoch 1"):
-            cross_validate(cfg, g, None, features, bundle.labels)
+        for workers in (1, 2):
+            monkeypatch.setattr(training, "fold_workers", lambda folds, w=workers: w)
+            with pytest.raises(NonFiniteLoss, match="fold 0, epoch 1"):
+                cross_validate(cfg, g, None, features, bundle.labels)
 
 
 class TestSampledInference:
@@ -693,3 +701,155 @@ class TestCrossValidate:
         assert len(results) == 3
         assert builds == [40]
         assert products == ([40] if sampled else [])
+
+
+needs_blas_threads = pytest.mark.skipif(
+    training._blas_thread_api() is None or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="no OpenBLAS thread-count symbols or no fork: folds always train in-process",
+)
+
+
+class TestFoldWorkers:
+    """Folds train in forked workers, one BLAS thread each, with the same
+    results as in-process training."""
+
+    CFG = TrainConfig(max_epochs=6, patience=6, folds=3, layers=2, hidden_dim=8, seed=9)
+
+    @staticmethod
+    def use_workers(monkeypatch, workers):
+        monkeypatch.setattr(training, "fold_workers", lambda folds: workers)
+
+    @staticmethod
+    def in_process_folds(monkeypatch):
+        """Fold numbers `_train_fold` trains in this process (not in a worker)."""
+        folds = []
+        real = training._train_fold
+
+        def spy(shared, task):
+            folds.append(task[0])
+            return real(shared, task)
+
+        monkeypatch.setattr(training, "_train_fold", spy)
+        return folds
+
+    @staticmethod
+    def assert_same_results(a, b):
+        assert len(a) == len(b)
+        for ra, rb in zip(a, b):
+            assert ra.fold == rb.fold
+            assert np.array_equal(ra.test_idx, rb.test_idx)
+            assert ra.history == rb.history
+            assert ra.probs.tobytes() == rb.probs.tobytes()
+            for ma, mb in zip(ra.params.matrices(), rb.params.matrices()):
+                assert ma.tobytes() == mb.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    @pytest.mark.parametrize("folds", [2, 3, 10])
+    def test_worker_count_is_between_one_and_folds(self, monkeypatch, cpus, folds):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert training.fold_workers(folds) == min(cpus, folds)
+
+    def test_worker_count_without_affinity_or_cpu_count_is_one(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert training.fold_workers(10) == 1
+
+    @needs_blas_threads
+    def test_two_workers_match_one_and_leave_no_child(self, monkeypatch):
+        bundle, g, _ = TestTrainTraceReuse.setup()
+        in_process = self.in_process_folds(monkeypatch)
+        get_threads = training._blas_thread_api()[0]
+        threads = get_threads()
+        self.use_workers(monkeypatch, 1)
+        serial = cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        assert in_process == [0, 1, 2]
+        assert get_threads() == threads   # restored after the single-thread folds
+        self.use_workers(monkeypatch, 2)
+        parallel = cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        assert in_process == [0, 1, 2]    # the workers trained every fold
+        assert get_threads() == threads
+        assert multiprocessing.active_children() == []
+        self.assert_same_results(serial, parallel)
+
+    @needs_blas_threads
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_fold_trains_on_one_blas_thread(self, monkeypatch, workers):
+        bundle, g, _ = TestTrainTraceReuse.setup()
+        get_threads = training._blas_thread_api()[0]
+
+        def report_threads(config, a_hat, op, features, *_):
+            params = init_params(features.shape[1], 2, 2, 0, 0.0, 0.0,
+                                 np.random.default_rng(0))
+            return params, [(get_threads(), 0.0, 0.0)]
+
+        monkeypatch.setattr(training, "train", report_threads)
+        self.use_workers(monkeypatch, workers)
+        threads = get_threads()
+        results = cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        assert [r.history for r in results] == [[(1, 0.0, 0.0)]] * 3
+        assert get_threads() == threads
+
+    @needs_blas_threads
+    def test_worker_error_reaches_the_caller_and_leaves_no_child(self, monkeypatch):
+        bundle, g, _ = TestTrainTraceReuse.setup()
+        real_train = training.train
+
+        def train_failing_on_second_fold(config, *args):
+            if config.seed == seeds[1]:
+                raise KeyError(f"no such thing in seed {config.seed}")
+            return real_train(config, *args)
+
+        seeds = [int(np.random.SeedSequence([self.CFG.seed, 17, f]).generate_state(1)[0])
+                 for f in range(self.CFG.folds)]
+        monkeypatch.setattr(training, "train", train_failing_on_second_fold)
+        self.use_workers(monkeypatch, 2)
+        with pytest.raises(KeyError, match=f"no such thing in seed {seeds[1]}"):
+            cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        assert multiprocessing.active_children() == []
+
+    def test_without_thread_symbols_folds_train_in_process(self, monkeypatch):
+        bundle, g, _ = TestTrainTraceReuse.setup()
+        default = cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        in_process = self.in_process_folds(monkeypatch)
+        monkeypatch.setattr(training, "_blas_thread_api", lambda: None)
+        self.use_workers(monkeypatch, 2)
+        serial = cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        assert in_process == [0, 1, 2]
+        self.assert_same_results(default, serial)
+
+    def test_while_other_threads_run_folds_train_in_process(self, monkeypatch):
+        bundle, g, _ = TestTrainTraceReuse.setup()
+        in_process = self.in_process_folds(monkeypatch)
+        self.use_workers(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert in_process == [0, 1, 2]
+        assert multiprocessing.active_children() == []
+
+    @needs_blas_threads
+    def test_consecutive_calls_each_use_workers(self, monkeypatch):
+        # a pool's own threads must be gone once it returns, or every later
+        # call (sweep-depth makes four) would fall back to in-process training
+        bundle, g, _ = TestTrainTraceReuse.setup()
+        in_process = self.in_process_folds(monkeypatch)
+        self.use_workers(monkeypatch, 2)
+        for _ in range(3):
+            cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        assert in_process == []
+        assert threading.active_count() == 1
+
+    def test_importing_the_cli_loads_no_process_pool(self):
+        code = ("import sys, angcn.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        src = str(Path(training.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
