@@ -23,7 +23,6 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .graph_core import Graph
 from .model import ModelParams
 from .popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure, connectome_features
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Scales chosen so class_separation ~ 2 gives a dataset a linear model can
 # fit well while class_separation = 0 carries no signal at all. The subject
@@ -143,13 +142,12 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
 # file formats
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
-    """Write `text`, or the concatenation of its pieces, to `path` atomically."""
-    path = Path(path)
+def _atomic_write(path: Path, text: str) -> None:
+    """Write `text` to `path` atomically."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -349,12 +347,26 @@ def load_adjacency(path: str | Path, n: int) -> Graph:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _matrix_json(mat: np.ndarray) -> str:
-    return json.dumps({"shape": list(mat.shape), "data": mat.ravel().tolist()}, sort_keys=True)
+def _encode_matrix(mat: np.ndarray) -> dict:
+    import base64  # here, not at the top: that raised sampled-n1000's peak RSS by ~1 MB
+    raw = np.ascontiguousarray(mat, dtype="<f8").tobytes()
+    return {"shape": list(mat.shape), "float64_le": base64.b64encode(raw).decode("ascii")}
 
 
-def _decode_matrix(obj: dict) -> np.ndarray:
-    return np.array(obj["data"], dtype=float).reshape(obj["shape"])
+def _decode_matrix(obj, path: str | Path, key: str) -> np.ndarray:
+    """Inverse of _encode_matrix, as a writable array; ParseError names path and key."""
+    import base64
+    shape = obj.get("shape") if isinstance(obj, dict) else None
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(d) is int and d >= 0 for d in shape)):
+        raise ParseError(f"{path}: {key}: shape {shape!r} is not two non-negative integers")
+    try:
+        raw = base64.b64decode(obj["float64_le"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ParseError(f"{path}: {key}: float64_le is missing or not valid base64") from exc
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise ParseError(f"{path}: {key}: {len(raw)} bytes, expected {8 * shape[0] * shape[1]}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)  # writable copy
 
 
 def graph_digest(g: Graph) -> str:
@@ -373,9 +385,10 @@ class Checkpoint:
     feature_columns: np.ndarray | None  # columns kept by RFE; None keeps all
 
 
-def _checkpoint_json(ckpt: Checkpoint) -> Iterator[str]:
-    """json.dumps(payload, sort_keys=True) + "\\n" in pieces, one per weight
-    matrix: a matrix becomes a float list only when its piece is due."""
+def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    """Versioned JSON checkpoint on one line. A weight matrix is {"shape": [rows, cols],
+    "float64_le": base64 of its row-major little-endian float64 bytes}: the round trip
+    is bit-exact (-0.0, subnormals, ±inf, NaN) and costs no decimal formatting."""
     params = ckpt.params
     payload = {
         "format_version": CHECKPOINT_VERSION,
@@ -386,30 +399,11 @@ def _checkpoint_json(ckpt: Checkpoint) -> Iterator[str]:
                             else ckpt.feature_columns.tolist()),
         "alpha": params.alpha,
         "beta": params.beta,
-        "input_projection": params.input_projection,
-        "layers": params.layers,
-        "output_head": params.output_head,
+        "input_projection": _encode_matrix(params.input_projection),
+        "layers": [_encode_matrix(w) for w in params.layers],
+        "output_head": _encode_matrix(params.output_head),
     }
-    for k, key in enumerate(sorted(payload)):
-        yield ("{" if k == 0 else ", ") + json.dumps(key) + ": "
-        value = payload[key]
-        if key == "layers":
-            yield "["
-            for j, w in enumerate(value):
-                yield (", " if j else "") + _matrix_json(w)
-            yield "]"
-        elif isinstance(value, np.ndarray):
-            yield _matrix_json(value)
-        else:
-            yield json.dumps(value, sort_keys=True)
-    yield "}\n"
-
-
-def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    """Versioned JSON checkpoint; weights are JSON numbers, whose shortest
-    repr makes the round trip bit-exact. The text streams to the file one
-    weight matrix at a time."""
-    _atomic_write(Path(path), _checkpoint_json(ckpt))
+    _atomic_write(Path(path), json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -417,14 +411,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise SchemaMismatch(
-            f"checkpoint version {payload.get('format_version')} != {CHECKPOINT_VERSION}"
-        )
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise SchemaMismatch(f"checkpoint version {version} != {CHECKPOINT_VERSION}")
+    missing = sorted({"alpha", "beta", "config", "feature_columns", "graph_digest",
+                      "input_projection", "layers", "output_head", "test_idx"} - payload.keys())
+    if missing:
+        raise SchemaMismatch(f"{path}: checkpoint has no {missing[0]!r} key")
+    if not isinstance(payload["layers"], list):
+        raise ParseError(f"{path}: layers is not a list of matrices")
     params = ModelParams(
-        input_projection=_decode_matrix(payload["input_projection"]),
-        layers=[_decode_matrix(w) for w in payload["layers"]],
-        output_head=_decode_matrix(payload["output_head"]),
+        input_projection=_decode_matrix(payload["input_projection"], path, "input_projection"),
+        layers=[_decode_matrix(w, path, f"layers[{k}]") for k, w in enumerate(payload["layers"])],
+        output_head=_decode_matrix(payload["output_head"], path, "output_head"),
         alpha=payload["alpha"],
         beta=payload["beta"],
     )

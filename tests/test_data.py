@@ -1,4 +1,6 @@
+import base64
 import gc
+import hashlib
 import json
 
 import numpy as np
@@ -19,8 +21,11 @@ from angcn.data import (
 )
 from angcn.errors import ParseError, SchemaMismatch
 from angcn.graph_core import Graph
-from angcn.model import init_params
+from angcn.model import ModelParams, init_params
 from angcn.popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure
+from angcn.training import AdamState, GradientSet, adam_step
+
+PINNED_CHECKPOINT_SHA256 = "b9417bb5d49b1400fcafaf52f5b550b7f22ad382ace161fc716715fe24d72d4e"
 
 
 def ridge_cv_accuracy(features, labels, folds=5, lam=1.0):
@@ -283,15 +288,19 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, Checkpoint(params, {}, "x", np.arange(2), None))
         payload = json.loads(path.read_text())
-        for version in (1, 99):  # 1: the format before graph digests
+        # 1: the format before graph digests; 2: weights as decimal JSON numbers
+        for version in (1, 2, 99):
             payload["format_version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(SchemaMismatch):
                 load_checkpoint(path)
+        path.write_text("[]")  # no object, so no version
+        with pytest.raises(SchemaMismatch, match="version None"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("n_layers, columns", [(0, None), (3, np.array([0, 2, 5]))])
     def test_streamed_bytes_equal_the_one_string_encoding(self, tmp_path, n_layers, columns):
-        # the encoding written before checkpoints streamed: one json.dumps string
+        # the whole file is one json.dumps string of the v3 payload
         rng = np.random.default_rng(16)
         params = init_params(7, 5, 2, n_layers=n_layers, alpha=0.1, beta=0.3, rng=rng)
         config = {"layers": n_layers, "sigma_resolved": None, "fold": 1}
@@ -299,10 +308,11 @@ class TestCheckpoint:
         save_checkpoint(path, Checkpoint(params, config, "abc", np.array([1, 4, 6]), columns))
 
         def encode(mat):
-            return {"shape": list(mat.shape), "data": mat.ravel().tolist()}
+            raw = np.ascontiguousarray(mat, dtype="<f8").tobytes()
+            return {"shape": list(mat.shape), "float64_le": base64.b64encode(raw).decode()}
 
         payload = {
-            "format_version": 2, "config": config, "graph_digest": "abc",
+            "format_version": 3, "config": config, "graph_digest": "abc",
             "test_idx": [1, 4, 6], "feature_columns": None if columns is None else [0, 2, 5],
             "alpha": 0.1, "beta": 0.3,
             "input_projection": encode(params.input_projection),
@@ -310,6 +320,87 @@ class TestCheckpoint:
             "output_head": encode(params.output_head),
         }
         assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
+    def test_special_floats_round_trip_bit_exact(self, tmp_path):
+        special = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                            [np.inf, -np.inf, np.nan]])
+        params = ModelParams(special, [np.array([[np.nan, -0.0, 1.0]] * 3)],
+                             special.T.copy(), alpha=0.0, beta=0.0)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, Checkpoint(params, {}, "d", np.arange(2), None))
+        loaded = load_checkpoint(path).params
+        for a, b in zip(loaded.matrices(), params.matrices()):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # a fixed checkpoint: any drift in the v3 encoding changes this digest
+        params = ModelParams(np.arange(6.0).reshape(3, 2) / 7.0,
+                             [np.array([[0.5, -0.25], [1e-3, 2.0]])],
+                             np.array([[1.0, -1.0], [0.125, -0.0]]), alpha=0.1, beta=0.3)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, Checkpoint(params, {"fold": 0, "layers": 1, "sigma_resolved": 0.5},
+                                         "0" * 64, np.array([2, 0]), np.array([1, 3, 4])))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
+
+    def test_loaded_weights_are_writable(self, tmp_path):
+        rng = np.random.default_rng(18)
+        params = init_params(4, 3, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, Checkpoint(params, {}, "d", np.arange(2), None))
+        loaded = load_checkpoint(path).params
+        for m in loaded.matrices():
+            assert m.dtype == np.float64 and m.flags.writeable and m.flags.c_contiguous
+        grads = GradientSet(np.ones_like(loaded.input_projection),
+                            [np.ones_like(w) for w in loaded.layers],
+                            np.ones_like(loaded.output_head))
+        adam_step(loaded, grads, AdamState.for_params(loaded), lr=0.01)
+        assert not np.array_equal(loaded.input_projection, params.input_projection)
+
+    @staticmethod
+    def _saved_payload(tmp_path):
+        rng = np.random.default_rng(19)
+        params = init_params(4, 3, 2, n_layers=4, alpha=0.1, beta=0.3, rng=rng)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, Checkpoint(params, {}, "d", np.arange(2), None))
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("key", ["test_idx", "layers", "graph_digest"])
+    def test_missing_key_is_named(self, tmp_path, key):
+        path, payload = self._saved_payload(tmp_path)
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaMismatch, match=f"checkpoint.json: checkpoint has no '{key}'"):
+            load_checkpoint(path)
+
+    def test_bad_base64_names_file_and_key(self, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        payload["layers"][3]["float64_le"] = "not*base64"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=r"checkpoint\.json: layers\[3\]: .*base64"):
+            load_checkpoint(path)
+
+    def test_byte_count_must_fill_the_shape(self, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        payload["layers"][3]["float64_le"] = base64.b64encode(bytes(8 * 8)).decode()  # 3 x 3 is 9
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=r"checkpoint\.json: layers\[3\]: 64 bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layers", [5, None, {"shape": [3, 3]}])
+    def test_layers_must_be_a_list(self, tmp_path, layers):
+        path, payload = self._saved_payload(tmp_path)
+        payload["layers"] = layers
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=r"checkpoint\.json: layers is not a list"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[9], [3, 3, 1], [-3, -3], [3.0, 3], [True, 9], "3x3", None])
+    def test_shape_must_be_two_non_negative_ints(self, tmp_path, shape):
+        path, payload = self._saved_payload(tmp_path)
+        payload["output_head"]["shape"] = shape
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=r"checkpoint\.json: output_head: shape"):
+            load_checkpoint(path)
 
     def test_graph_digest_ignores_edge_order_only(self):
         edges = ((0, 1, 0.5), (1, 3, 2.0), (0, 2, 1.25))
