@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dataio
+from .errors import SchemaMismatch
 from .graph_core import Graph, add_self_loops, normalize_adjacency
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import forward, init_params, predict
@@ -60,6 +62,26 @@ def cli_run(argv: list[str]) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _int_list(text: str) -> list[int]:
+    """argparse type of a comma list of integers such as "2,4,8"."""
+    try:
+        return [int(item) for item in text.split(",") if item]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+
+
+def _sigma(text: str) -> float:
+    """argparse type of a kernel width: a finite number > 0. Checked here because
+    a graph read from --adjacency never uses it, yet its checkpoints record it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite number > 0: {text!r}")
+    return value
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON file with TrainConfig fields")
     p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
@@ -79,7 +101,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sampler-runs", type=int, default=None,
                    help="pre-training sampler runs used to build the aggregation matrix")
     p.add_argument("--loss-reduction", choices=["sum", "mean"], default=None)
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--sigma", type=_sigma, default=None,
                    help="kernel width for graph construction (default: median heuristic)")
     p.add_argument("--rfe-dim", type=int, default=None,
                    help="reduce features to this many columns with ridge-RFE first")
@@ -101,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-graph", help="build the population adjacency file")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--sigma", type=_sigma, default=None)
     p.add_argument("--rfe-dim", type=int, default=None)
     p.set_defaults(func=_cmd_build_graph)
 
@@ -112,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=200)
     p.add_argument("--budget", type=int, default=None, help="default: half the nodes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--sigma", type=_sigma, default=None)
     p.set_defaults(func=_cmd_sample_stats)
 
     p = sub.add_parser("train", help="cross-validated training with full reporting")
@@ -133,14 +155,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-depth", help="accuracy vs depth for both model variants")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--depths", type=str, default=",".join(map(str, DEFAULT_DEPTHS)))
+    p.add_argument("--depths", type=_int_list, default=list(DEFAULT_DEPTHS))
     _add_train_flags(p)
     p.set_defaults(func=_cmd_sweep_depth)
 
     p = sub.add_parser("sweep-batch", help="accuracy vs sampled batch budget")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--budgets", type=str, default=None,
+    p.add_argument("--budgets", type=_int_list, default=None,
                    help="comma list; default 50,100,200,500,1000 capped at n")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_sweep_batch)
@@ -335,6 +357,12 @@ def _cmd_eval(args) -> int:
     ckpt = dataio.load_checkpoint(args.checkpoint)
     bundle = dataio.load_bundle(args.data)
     features = bundle.features
+    for key, index, size, what in (("test_idx", ckpt.test_idx, len(features), "subjects"),
+                                   ("feature_columns", ckpt.feature_columns,
+                                    features.shape[1], "feature columns")):
+        if index is not None and index.size and index.max() >= size:
+            raise SchemaMismatch(f"{args.checkpoint}: {key} holds {index.max()}, "
+                                 f"but {args.data} has {size} {what}")
     if ckpt.feature_columns is not None:
         features = features[:, ckpt.feature_columns]
     g, _ = _graph_for(bundle, features, ckpt.config["sigma_resolved"], args.adjacency)
@@ -368,10 +396,9 @@ def _sweep_setup(args):
 
 def _cmd_sweep_depth(args) -> int:
     config, bundle, features, g = _sweep_setup(args)
-    depths = [int(d) for d in args.depths.split(",") if d]
     gamma_an = _gamma_for(config, g)
     lines = ["depth,angcn_accuracy,gcn_accuracy"]
-    for depth in depths:
+    for depth in args.depths:
         an_cfg = replace(config, layers=depth)
         gcn_cfg = replace(config, layers=depth, alpha=0.0, beta=0.0)
         acc_an = _cv_accuracy(an_cfg, g, gamma_an, features, bundle.labels)
@@ -384,10 +411,7 @@ def _cmd_sweep_depth(args) -> int:
 
 def _cmd_sweep_batch(args) -> int:
     config, bundle, features, g = _sweep_setup(args)
-    if args.budgets:
-        budgets = [int(b) for b in args.budgets.split(",") if b]
-    else:
-        budgets = [*DEFAULT_BUDGETS, g.n]
+    budgets = args.budgets or [*DEFAULT_BUDGETS, g.n]
     # budgets above the graph size collapse to the full node set
     budgets = sorted({min(b, g.n) for b in budgets})
     lines = [

@@ -19,9 +19,10 @@ import csv
 import gc
 import hashlib
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import ParseError, SchemaMismatch
 from .graph_core import Graph
 from .model import ModelParams
 from .popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure, connectome_features
+from .training import TrainConfig
 
 CHECKPOINT_VERSION = 3
 
@@ -41,6 +43,7 @@ CHECKPOINT_VERSION = 3
 _TEMPLATE_SCALE = 0.3
 _SEPARATION_SCALE = 0.2
 _SUBJECT_NOISE = 0.5
+_AGE_TAU = 2.0   # years within which two subjects' ages count as similar
 _SITES = ("site_a", "site_b", "site_c")
 
 
@@ -51,8 +54,6 @@ class SyntheticSpec:
     class_separation: float = 2.0
     phenotype_informativeness: float = 0.1
     seed: int = 0
-    n_classes: int = 2
-    age_tau: float = 2.0
 
     def __post_init__(self):
         if self.n_subjects < 20:
@@ -61,8 +62,6 @@ class SyntheticSpec:
             raise ValueError(f"class_separation must be >= 0, got {self.class_separation}")
         if not 0.0 <= self.phenotype_informativeness <= 1.0:
             raise ValueError("phenotype_informativeness must be in [0, 1]")
-        if self.n_classes != 2:
-            raise ValueError("only binary generation is supported")
 
 
 @dataclass
@@ -70,7 +69,6 @@ class DatasetBundle:
     features: np.ndarray                 # N x F
     phenotypes: list[PhenotypicMeasure]
     labels: np.ndarray                   # N ints in {0, 1}
-    name: str = "synthetic"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -85,7 +83,6 @@ class DatasetBundle:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DatasetBundle)
-            and self.name == other.name
             and np.array_equal(self.features, other.features)
             and np.array_equal(self.labels, other.labels)
             and self.phenotypes == other.phenotypes
@@ -132,7 +129,7 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
             name="age",
             kind=QUANTITATIVE,
             values=tuple(float(a) for a in ages),
-            tau=spec.age_tau,
+            tau=_AGE_TAU,
         ),
     ]
     return DatasetBundle(features=features, phenotypes=phenotypes, labels=labels)
@@ -266,7 +263,7 @@ def _join_order(subject_ids: list[str], position: dict[str, int], name: str) -> 
     return [position[sid] for sid in subject_ids]
 
 
-def load_bundle(directory: str | Path, name: str = "synthetic") -> DatasetBundle:
+def load_bundle(directory: str | Path) -> DatasetBundle:
     """Read the CSV trio back; inverse of save_bundle.
 
     Subjects follow the row order of features.csv; phenotypes.csv and
@@ -290,7 +287,7 @@ def load_bundle(directory: str | Path, name: str = "synthetic") -> DatasetBundle
         raise SchemaMismatch(f"phenotypes.csv must start with subject_id, got {header[:1]}")
     order = _join_order(subject_ids, _subject_rows(rows, header, "phenotypes.csv"),
                         "phenotypes.csv")
-    col_index = {name_: k for k, name_ in enumerate(header)}
+    col_index = {name: k for k, name in enumerate(header)}
     phenotypes = []
     for entry in schema:
         mname, kind = entry["name"], entry["kind"]
@@ -316,7 +313,7 @@ def load_bundle(directory: str | Path, name: str = "synthetic") -> DatasetBundle
             raise ParseError(f"labels.csv: line {r + 2}, column 'label': got {row[1]!r}")
     labels = np.array([int(rows[r][1]) for r in order], dtype=int)
 
-    return DatasetBundle(features=features, phenotypes=phenotypes, labels=labels, name=name)
+    return DatasetBundle(features=features, phenotypes=phenotypes, labels=labels)
 
 
 def save_adjacency(g: Graph, path: str | Path) -> None:
@@ -420,14 +417,45 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise SchemaMismatch(f"{path}: checkpoint has no {missing[0]!r} key")
     if not isinstance(payload["layers"], list):
         raise ParseError(f"{path}: layers is not a list of matrices")
-    params = ModelParams(
-        input_projection=_decode_matrix(payload["input_projection"], path, "input_projection"),
-        layers=[_decode_matrix(w, path, f"layers[{k}]") for k, w in enumerate(payload["layers"])],
-        output_head=_decode_matrix(payload["output_head"], path, "output_head"),
-        alpha=payload["alpha"],
-        beta=payload["beta"],
-    )
+    projection = _decode_matrix(payload["input_projection"], path, "input_projection")
+    layers = [_decode_matrix(w, path, f"layers[{k}]") for k, w in enumerate(payload["layers"])]
+    head = _decode_matrix(payload["output_head"], path, "output_head")
+    try:
+        params = ModelParams(projection, layers, head, payload["alpha"], payload["beta"])
+    except ValueError as exc:  # a bad alpha or beta, or ShapeMismatch
+        raise ParseError(f"{path}: {exc}") from exc
+    config = _checked_config(payload["config"], path)
     columns = payload["feature_columns"]
-    return Checkpoint(params, payload["config"], payload["graph_digest"],
-                      np.array(payload["test_idx"], dtype=int),
-                      None if columns is None else np.array(columns, dtype=int))
+    return Checkpoint(params, config, payload["graph_digest"],
+                      _index_array(payload["test_idx"], path, "test_idx"),
+                      None if columns is None else _index_array(columns, path, "feature_columns"))
+
+
+def _checked_config(config, path: str | Path) -> dict:
+    """The checkpoint's config: every TrainConfig field, valid as TrainConfig
+    validates it, plus `fold` (an int >= 0) and `sigma_resolved` (a finite
+    number > 0, or null for a graph read from a file)."""
+    if not isinstance(config, dict):
+        raise SchemaMismatch(f"{path}: config is not an object")
+    names = [f.name for f in fields(TrainConfig)]
+    missing = [key for key in (*names, "fold", "sigma_resolved") if key not in config]
+    if missing:
+        raise SchemaMismatch(f"{path}: config has no {missing[0]!r} key")
+    try:
+        TrainConfig(**{name: config[name] for name in names})
+    except ValueError as exc:
+        raise ParseError(f"{path}: config: {exc}") from exc
+    fold, sigma = config["fold"], config["sigma_resolved"]
+    if type(fold) is not int or fold < 0:
+        raise ParseError(f"{path}: config.fold {fold!r} is not an integer >= 0")
+    if sigma is not None and not (type(sigma) in (int, float) and 0 < sigma < math.inf):
+        raise ParseError(f"{path}: config.sigma_resolved {sigma!r} is not a finite number > 0")
+    return config
+
+
+def _index_array(value, path: str | Path, key: str) -> np.ndarray:
+    """A list of unique non-negative integers as an int array; ParseError names path and key."""
+    if not (isinstance(value, list) and all(type(i) is int and i >= 0 for i in value)
+            and len(set(value)) == len(value)):
+        raise ParseError(f"{path}: {key} is not a list of unique non-negative integers")
+    return np.array(value, dtype=int)

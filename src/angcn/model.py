@@ -26,11 +26,18 @@ result (save the sign of an exact zero, and NaN from 0 * inf).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeMismatch
+
+
+def check_coefficient(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is a real number in [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 @dataclass
@@ -42,10 +49,8 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
+        check_coefficient("alpha", self.alpha)
+        check_coefficient("beta", self.beta)
         h = self.input_projection.shape[1]
         for ell, w in enumerate(self.layers):
             if w.shape != (h, h):
@@ -110,16 +115,12 @@ def layer_forward(
     w: np.ndarray,
     alpha: float,
     beta: float,
-    activation: str = "relu",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One propagation layer; returns (diffusion op @ h, activation).
+    """One propagation layer; returns (diffusion op @ h, ReLU output).
 
-    Terms with a zero coefficient are skipped, so alpha = beta = 0 with the
-    identity activation ("identity" is the test hook for kink-free gradient
-    checks) reduces exactly to the plain diffusion op @ h.
+    Terms with a zero coefficient are skipped, so at alpha = beta = 0 the
+    output is exactly ReLU(op @ h), the plain GCN layer.
     """
-    if activation not in ("relu", "identity"):
-        raise ValueError(f"unknown activation {activation!r}")
     if h.shape != x0.shape:
         raise ShapeMismatch(f"h {h.shape} and x0 {x0.shape} must match")
     if w.shape != (h.shape[1], h.shape[1]):
@@ -133,8 +134,7 @@ def layer_forward(
         pre += alpha * x0
     if beta:
         pre += beta * (x0 @ iw)
-    if activation == "relu":
-        np.maximum(pre, 0.0, out=pre)
+    np.maximum(pre, 0.0, out=pre)
     return s, pre
 
 
@@ -142,7 +142,6 @@ def forward(
     params: ModelParams,
     op: np.ndarray,
     x_raw: np.ndarray,
-    activation: str = "relu",
 ) -> ForwardTrace:
     """Full forward pass over the N x N operator op: project, L propagation
     layers, linear head."""
@@ -159,7 +158,7 @@ def forward(
     h = x0
     for ell, w in enumerate(params.layers):
         try:
-            s, h = layer_forward(h, x0, op, w, params.alpha, params.beta, activation)
+            s, h = layer_forward(h, x0, op, w, params.alpha, params.beta)
         except ShapeMismatch as exc:
             raise ShapeMismatch(f"layer {ell}: {exc}") from exc
         trace.diffused.append(s)

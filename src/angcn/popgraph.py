@@ -28,6 +28,8 @@ from .graph_core import Graph
 
 QUALITATIVE = "qualitative"
 QUANTITATIVE = "quantitative"
+# Ridge penalty of the RFE fits.
+RIDGE_LAMBDA = 1.0
 
 
 @dataclass(frozen=True)
@@ -150,16 +152,15 @@ def rfe_ridge(
     features: np.ndarray,
     labels: Sequence[float],
     target_dim: int,
-    lam: float = 1.0,
     step: int | None = None,
 ) -> np.ndarray:
     """Recursive feature elimination with a closed-form ridge fit.
 
-    Repeatedly solves (X^T X + lam I) w = X^T y on the surviving columns and
-    drops the `step` columns with smallest |w| (ties drop the lower column
-    index first) until target_dim remain. step=None removes 10% of the
-    surviving columns per round, at least one. Returns the surviving column
-    indices in ascending order.
+    Repeatedly solves (X^T X + RIDGE_LAMBDA I) w = X^T y on the surviving
+    columns and drops the `step` columns with smallest |w| (ties drop the
+    lower column index first) until target_dim remain. step=None removes 10%
+    of the surviving columns per round, at least one. Returns the surviving
+    column indices in ascending order.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -168,16 +169,14 @@ def rfe_ridge(
         raise ShapeMismatch(f"labels shape {y.shape} does not match {n} rows")
     if not 0 < target_dim <= f:
         raise ValueError(f"target_dim must be in [1, {f}], got {target_dim}")
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
     remaining = list(range(f))
     while len(remaining) > target_dim:
         xs = x[:, remaining]
-        gram = xs.T @ xs + lam * np.eye(len(remaining))
+        gram = xs.T @ xs + RIDGE_LAMBDA * np.eye(len(remaining))
         try:
             w = np.linalg.solve(gram, xs.T @ y)
         except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"ridge system singular at lam={lam}") from exc
+            raise SingularSystem(f"ridge system singular at lambda={RIDGE_LAMBDA}") from exc
         k = step if step is not None else max(1, len(remaining) // 10)
         k = min(k, len(remaining) - target_dim)
         drop = set(elimination_order(w, remaining)[:k])

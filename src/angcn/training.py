@@ -21,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, ShapeMismatch, TraceMismatch
 from .graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
-from .model import ForwardTrace, ModelParams, forward, init_params, predict
+from .model import ForwardTrace, ModelParams, check_coefficient, forward, init_params, predict
 from .sampler import sample_node_subgraph
 
 
@@ -50,28 +51,27 @@ class TrainConfig:
     loss_reduction: str = "sum"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 < lr < math.inf:
+            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
+        check_coefficient("alpha", self.alpha)
+        check_coefficient("beta", self.beta)
         for name, low in (("max_epochs", 0), ("patience", 1), ("folds", 2), ("layers", 0),
-                          ("hidden_dim", 1), ("sampler_runs", 1), ("batch_budget", 1)):
+                          ("hidden_dim", 1), ("seed", 0), ("sampler_runs", 1),
+                          ("batch_budget", 1)):
             value = getattr(self, name)
-            if value is not None and value < low:
+            if value is None and name == "batch_budget":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.loss_reduction not in ("sum", "mean"):
             raise ValueError(f"loss_reduction must be sum or mean, got {self.loss_reduction}")
 
 
-@dataclass
-class GradientSet:
-    """Gradient of the loss w.r.t. every parameter matrix; shapes mirror ModelParams."""
-
-    input_projection: np.ndarray
-    layers: list[np.ndarray]
-    output_head: np.ndarray
-
-    def matrices(self) -> list[np.ndarray]:
-        return [self.input_projection, *self.layers, self.output_head]
-
+# Share of each fold's training pool held out for early stopping.
+VALIDATION_FRACTION = 0.1
 
 # Adam's fixed hyperparameters (Kingma & Ba); only the learning rate is configurable.
 ADAM_BETA1 = 0.9
@@ -118,10 +118,10 @@ def backward(
     op: np.ndarray,
     labels_onehot: np.ndarray,
     labeled_idx: Sequence[int],
-    activation: str = "relu",
     reduction: str = "sum",
-) -> GradientSet:
-    """Exact gradients of the cross-entropy through the full stack.
+) -> list[np.ndarray]:
+    """Exact gradients of the cross-entropy through the full stack, one per
+    parameter matrix in `ModelParams.matrices()` order.
 
     Softmax and cross-entropy fuse to (Yhat - Y) on labeled rows. Each layer
     contributes through the diffusion term, the identity-plus-weight term,
@@ -131,8 +131,6 @@ def backward(
     pre > 0), so its subgradient at 0 is 0. `op` must be the operator the
     trace was computed with.
     """
-    if activation not in ("relu", "identity"):
-        raise ValueError(f"unknown activation {activation!r}")
     n_layers = len(params.layers)
     if len(trace.activations) != n_layers:
         raise TraceMismatch(
@@ -159,7 +157,7 @@ def backward(
     d_x0 = np.zeros_like(x0)
     alpha, beta = params.alpha, params.beta
     for ell in range(n_layers - 1, -1, -1):
-        g = d_h * (trace.activations[ell] > 0) if activation == "relu" else d_h
+        g = d_h * (trace.activations[ell] > 0)
         d_s = (1.0 - alpha) * g
         if beta:
             d_layers[ell] = beta * ((trace.diffused[ell] + x0).T @ g)
@@ -170,24 +168,23 @@ def backward(
             d_x0 += alpha * g
         d_h = op.T @ d_s
     d_x0 += d_h  # H^(0) = x0
-    d_projection = trace.raw_input.T @ d_x0
-    return GradientSet(input_projection=d_projection, layers=d_layers, output_head=d_head)
+    return [trace.raw_input.T @ d_x0, *d_layers, d_head]
 
 
 def adam_step(
     params: ModelParams,
-    grads: GradientSet,
+    grads: list[np.ndarray],
     state: AdamState,
     lr: float,
 ) -> None:
-    """One bias-corrected Adam update of `params` and `state`, in place."""
+    """One bias-corrected Adam update of `params` and `state`, in place;
+    `grads` holds one gradient per matrix in `ModelParams.matrices()` order."""
     mats = params.matrices()
-    gmats = grads.matrices()
-    if len(mats) != len(gmats) or any(m.shape != g.shape for m, g in zip(mats, gmats)):
+    if len(mats) != len(grads) or any(m.shape != g.shape for m, g in zip(mats, grads)):
         raise ShapeMismatch("gradient shapes do not mirror parameter shapes")
     state.t += 1
     c1, c2 = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
-    for theta, g, m, v in zip(mats, gmats, state.first_moment, state.second_moment):
+    for theta, g, m, v in zip(mats, grads, state.first_moment, state.second_moment):
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -246,11 +243,9 @@ class EarlyStopper:
         return self.stale >= self.patience
 
 
-def one_hot(labels: Sequence[int], n_classes: int | None = None) -> np.ndarray:
+def one_hot(labels: Sequence[int]) -> np.ndarray:
     labels = np.asarray(labels, dtype=int)
-    c = n_classes if n_classes is not None else int(labels.max()) + 1
-    c = max(c, 2)
-    out = np.zeros((labels.size, c))
+    out = np.zeros((labels.size, max(int(labels.max()) + 1, 2)))
     out[np.arange(labels.size), labels] = 1.0
     return out
 
@@ -263,7 +258,6 @@ def train(
     labels: Sequence[int],
     train_idx: np.ndarray,
     val_idx: np.ndarray,
-    activation: str = "relu",
 ) -> tuple[ModelParams, list[tuple[int, float, float]]]:
     """Fit the model; returns (best-validation-epoch params, per-epoch history).
 
@@ -315,16 +309,16 @@ def train(
             if labeled_local.size:
                 yield op[np.ix_(batch, batch)], features[batch], labels_oh[batch], labeled_local
 
-    trace = forward(params, a_hat, features, activation) if full_batch else None
+    trace = forward(params, a_hat, features) if full_batch else None
     for epoch in range(1, config.max_epochs + 1):
         for step_op, x, y, labeled in steps(epoch):
             if trace is None:
-                trace = forward(params, step_op, x, activation)
-            grads = backward(trace, params, step_op, y, labeled, activation, config.loss_reduction)
+                trace = forward(params, step_op, x)
+            grads = backward(trace, params, step_op, y, labeled, config.loss_reduction)
             trace = None  # release it before the next forward: one trace live at a time
             adam_step(params, grads, state, config.learning_rate)
 
-        trace = forward(params, a_hat, features, activation)
+        trace = forward(params, a_hat, features)
         y_hat = predict(trace.logits)
         if not full_batch:
             trace = None  # subgraph steps make their own traces
@@ -350,7 +344,6 @@ def finite_difference_check(
     labels_onehot: np.ndarray,
     labeled_idx: Sequence[int],
     eps: float = 1e-5,
-    activation: str = "relu",
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -361,14 +354,14 @@ def finite_difference_check(
         raise ValueError(f"eps must be > 0, got {eps}")
 
     def loss_of(p: ModelParams) -> float:
-        trace = forward(p, op, x_raw, activation)
+        trace = forward(p, op, x_raw)
         return cross_entropy(predict(trace.logits), labels_onehot, labeled_idx)
 
-    trace = forward(params, op, x_raw, activation)
-    grads = backward(trace, params, op, labels_onehot, labeled_idx, activation)
+    trace = forward(params, op, x_raw)
+    grads = backward(trace, params, op, labels_onehot, labeled_idx)
     worst = 0.0
     work = params.copy()
-    for mat, grad in zip(work.matrices(), grads.matrices()):
+    for mat, grad in zip(work.matrices(), grads):
         it = np.nditer(mat, flags=["multi_index"])
         for _ in it:
             ix = it.multi_index
@@ -488,7 +481,6 @@ def cross_validate(
     gamma: np.ndarray | None,
     features: np.ndarray,
     labels: Sequence[int],
-    val_frac: float = 0.1,
 ) -> list[FoldResult]:
     """Stratified k-fold evaluation; each fold trains on the rest with an
     inner stratified validation split for early stopping.
@@ -513,6 +505,6 @@ def cross_validate(
     for f, test_idx in enumerate(stratified_kfold(labels, config.folds, config.seed)):
         pool = np.setdiff1d(np.arange(graph.n), test_idx)
         fold_seed = int(np.random.SeedSequence([config.seed, 17, f]).generate_state(1)[0])
-        tr_idx, val_idx = stratified_holdout(labels, pool, val_frac, fold_seed)
+        tr_idx, val_idx = stratified_holdout(labels, pool, VALIDATION_FRACTION, fold_seed)
         tasks.append((f, replace(config, seed=fold_seed), test_idx, tr_idx, val_idx))
     return _train_folds((a_hat, op, features, labels), tasks)

@@ -2,7 +2,7 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines. The depth-sweep criterion trains forty models and dominates the
-runtime (several minutes).
+runtime (about 1.5 minutes on 2 cores).
 """
 
 import math
@@ -99,13 +99,13 @@ def test_criterion_4_reduction_identity():
         h = rng.normal(size=(n, f))
         x0 = rng.normal(size=(n, f))
         w = rng.normal(size=(f, f))
-        _, pre = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0, activation="identity")
-        if not np.array_equal(pre, a_hat @ h):
+        s, out = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0)
+        if not (np.array_equal(s, a_hat @ h) and np.array_equal(out, np.maximum(a_hat @ h, 0.0))):
             failures += 1
     report(
         4,
         failures == 0,
-        f"alpha=beta=0 with unit aggregation reproduced plain diffusion bit-for-bit "
+        f"alpha=beta=0 with unit aggregation reproduced ReLU(a_hat h) bit-for-bit "
         f"on {100 - failures}/100 random fixtures",
     )
 

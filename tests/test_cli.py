@@ -104,6 +104,18 @@ class TestBuildGraph:
                         "--out", str(tmp_path / "b")] + quick) == 0
         assert calls == [(48, 15)]
 
+    @pytest.mark.parametrize("sigma", ["-1", "0", "nan", "inf"])
+    def test_bad_sigma_is_a_usage_error(self, data_dir, tmp_path, capsys, sigma):
+        # with --adjacency the sigma builds nothing, yet the checkpoint records it
+        adj = tmp_path / "adjacency.csv"
+        assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]) == 0
+        for argv in (["build-graph", "--data", str(data_dir), "--out", str(adj)],
+                     ["train", "--data", str(data_dir), "--adjacency", str(adj),
+                      "--out", str(tmp_path / "run")] + FAST_TRAIN):
+            capsys.readouterr()
+            assert cli_run(argv + [f"--sigma={sigma}"]) == 2
+            assert "argument --sigma" in capsys.readouterr().err
+
     def test_train_accepts_prebuilt_adjacency(self, data_dir, tmp_path):
         adj = tmp_path / "adjacency.csv"
         assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]) == 0
@@ -225,16 +237,44 @@ class TestEval:
         assert "graph digest" in capsys.readouterr().err
 
     def test_eval_reproduces_each_fold_of_metrics_json(self, data_dir, train_dir, tmp_path):
-        folds = json.loads((train_dir / "metrics.json").read_text())["folds"]
-        for k, fold in enumerate(folds):
-            report = tmp_path / f"eval{k}.json"
-            rc = cli_run(["eval", "--checkpoint", str(train_dir / f"checkpoint_fold{k}.json"),
-                          "--data", str(data_dir), "--out", str(report)])
-            assert rc == 0
-            body = json.loads(report.read_text())
-            assert {key: body[key] for key in fold} == fold
-            # all 48 subjects are scored separately, under their own label
-            assert set(body["all_subjects"]) == set(fold) - {"fold"}
+        runs = [train_dir]
+        for name, flags in (("sampled", ["--batch-budget", "20", "--sampler-runs", "30"]),
+                            ("rfe", ["--rfe-dim", "6"])):
+            runs.append(tmp_path / name)
+            assert cli_run(["train", "--data", str(data_dir), "--out", str(runs[-1])]
+                           + FAST_TRAIN + flags) == 0
+        for run in runs:
+            folds = json.loads((run / "metrics.json").read_text())["folds"]
+            for k, fold in enumerate(folds):
+                report = tmp_path / f"eval_{run.name}_{k}.json"
+                rc = cli_run(["eval", "--checkpoint", str(run / f"checkpoint_fold{k}.json"),
+                              "--data", str(data_dir), "--out", str(report)])
+                assert rc == 0
+                body = json.loads(report.read_text())
+                assert {key: body[key] for key in fold} == fold
+                # all 48 subjects are scored separately, under their own label
+                assert set(body["all_subjects"]) == set(fold) - {"fold"}
+
+    @pytest.mark.parametrize("key, value", [
+        ("test_idx", [-1, 0]),
+        ("test_idx", [5000]),
+        ("feature_columns", [999]),
+        ("sigma_resolved", None),   # deleted from the config
+        ("alpha", "0.1"),
+    ])
+    def test_bad_checkpoint_value_is_named(self, data_dir, train_dir, tmp_path, capsys,
+                                           key, value):
+        payload = json.loads((train_dir / "checkpoint_fold0.json").read_text())
+        if value is None:
+            del payload["config"][key]
+        else:
+            payload[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        rc = cli_run(["eval", "--checkpoint", str(bad), "--data", str(data_dir)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert str(bad) in err and key in err
 
     def test_rfe_checkpoint_evaluates(self, data_dir, tmp_path):
         run = tmp_path / "run"
@@ -340,6 +380,14 @@ class TestSweeps:
         budgets = [int(line.split(",")[0]) for line in lines[2:]]
         assert budgets == [16, 48]
 
+    @pytest.mark.parametrize("command, flag", [("sweep-depth", "--depths"),
+                                               ("sweep-batch", "--budgets")])
+    def test_bad_list_item_is_a_usage_error(self, data_dir, tmp_path, capsys, command, flag):
+        rc = cli_run([command, "--data", str(data_dir), "--out", str(tmp_path / "out.csv"),
+                      flag, "2,x"])
+        assert rc == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
 
 class TestFoldWorkerCount:
     """Every CLI path that trains writes the same bytes whether its folds
@@ -408,6 +456,27 @@ class TestConfigPrecedence:
         assert getattr(cli.resolve_config(parser.parse_args(argv)), field) == file_value
         flagged = cli.resolve_config(parser.parse_args(argv + [flag, str(flag_value)]))
         assert getattr(flagged, field) == flag_value
+
+    @pytest.mark.parametrize("flags, file_values, field", [
+        (["--lr", "nan"], None, "learning_rate"),
+        (["--lr", "inf"], None, "learning_rate"),
+        (["--alpha", "2"], None, "alpha"),
+        ([], {"learning_rate": "0.1"}, "learning_rate"),
+        ([], {"layers": 2.5}, "layers"),
+    ])
+    def test_bad_value_fails_before_loading_data(self, data_dir, tmp_path, monkeypatch, capsys,
+                                                 flags, file_values, field):
+        def no_load(directory):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(cli.dataio, "load_bundle", no_load)
+        argv = ["train", "--data", str(data_dir), "--out", str(tmp_path / "run")] + flags
+        if file_values is not None:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(file_values))
+            argv += ["--config", str(config)]
+        assert cli_run(argv) == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
 
     def test_usage_error_is_exit_two(self):
         assert cli_run(["no-such-command"]) == 2

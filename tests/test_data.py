@@ -2,6 +2,7 @@ import base64
 import gc
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from angcn.errors import ParseError, SchemaMismatch
 from angcn.graph_core import Graph
 from angcn.model import ModelParams, init_params
 from angcn.popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure
-from angcn.training import AdamState, GradientSet, adam_step
+from angcn.training import AdamState, TrainConfig, adam_step
 
 PINNED_CHECKPOINT_SHA256 = "b9417bb5d49b1400fcafaf52f5b550b7f22ad382ace161fc716715fe24d72d4e"
+# a checkpoint's config as `train` writes it: TrainConfig's fields, fold and sigma
+CONFIG = {**asdict(TrainConfig()), "fold": 0, "sigma_resolved": 0.5}
 
 
 def ridge_cv_accuracy(features, labels, folds=5, lam=1.0):
@@ -251,7 +254,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(13)
         params = init_params(7, 5, 2, n_layers=3, alpha=0.1, beta=0.3, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, {"layers": 3}, "abc", np.array([1, 4, 6]),
+        save_checkpoint(path, Checkpoint(params, CONFIG, "abc", np.array([1, 4, 6]),
                                          np.array([0, 2, 5])))
         ckpt = load_checkpoint(path)
         loaded = ckpt.params
@@ -261,7 +264,7 @@ class TestCheckpoint:
         for a, b in zip(loaded.layers, params.layers):
             assert np.array_equal(a, b)
         assert (loaded.alpha, loaded.beta) == (0.1, 0.3)
-        assert ckpt.config == {"layers": 3}
+        assert ckpt.config == CONFIG
         assert ckpt.graph_digest == "abc"
         assert ckpt.test_idx.tolist() == [1, 4, 6]
         assert ckpt.feature_columns.tolist() == [0, 2, 5]
@@ -274,7 +277,7 @@ class TestCheckpoint:
         x = rng.normal(size=(5, 6))
         op = np.eye(5)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, {}, "d", np.arange(5), None))
+        save_checkpoint(path, Checkpoint(params, CONFIG, "d", np.arange(5), None))
         ckpt = load_checkpoint(path)
         assert ckpt.feature_columns is None
         loaded = ckpt.params
@@ -286,7 +289,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(14)
         params = init_params(3, 2, 2, n_layers=0, alpha=0.0, beta=0.0, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, {}, "x", np.arange(2), None))
+        save_checkpoint(path, Checkpoint(params, CONFIG, "x", np.arange(2), None))
         payload = json.loads(path.read_text())
         # 1: the format before graph digests; 2: weights as decimal JSON numbers
         for version in (1, 2, 99):
@@ -327,7 +330,7 @@ class TestCheckpoint:
         params = ModelParams(special, [np.array([[np.nan, -0.0, 1.0]] * 3)],
                              special.T.copy(), alpha=0.0, beta=0.0)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, {}, "d", np.arange(2), None))
+        save_checkpoint(path, Checkpoint(params, CONFIG, "d", np.arange(2), None))
         loaded = load_checkpoint(path).params
         for a, b in zip(loaded.matrices(), params.matrices()):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -346,13 +349,11 @@ class TestCheckpoint:
         rng = np.random.default_rng(18)
         params = init_params(4, 3, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, {}, "d", np.arange(2), None))
+        save_checkpoint(path, Checkpoint(params, CONFIG, "d", np.arange(2), None))
         loaded = load_checkpoint(path).params
         for m in loaded.matrices():
             assert m.dtype == np.float64 and m.flags.writeable and m.flags.c_contiguous
-        grads = GradientSet(np.ones_like(loaded.input_projection),
-                            [np.ones_like(w) for w in loaded.layers],
-                            np.ones_like(loaded.output_head))
+        grads = [np.ones_like(m) for m in loaded.matrices()]
         adam_step(loaded, grads, AdamState.for_params(loaded), lr=0.01)
         assert not np.array_equal(loaded.input_projection, params.input_projection)
 
@@ -361,7 +362,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(19)
         params = init_params(4, 3, 2, n_layers=4, alpha=0.1, beta=0.3, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, {}, "d", np.arange(2), None))
+        save_checkpoint(path, Checkpoint(params, CONFIG, "d", np.arange(2), None))
         return path, json.loads(path.read_text())
 
     @pytest.mark.parametrize("key", ["test_idx", "layers", "graph_digest"])
@@ -400,6 +401,38 @@ class TestCheckpoint:
         payload["output_head"]["shape"] = shape
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError, match=r"checkpoint\.json: output_head: shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("where, key, value, error, match", [
+        ("config", "sigma_resolved", None, SchemaMismatch, "config has no 'sigma_resolved' key"),
+        ("config", "learning_rate", None, SchemaMismatch, "config has no 'learning_rate' key"),
+        ("config", "learning_rate", "0.1", ParseError, "config: learning_rate"),
+        ("config", "layers", 2.5, ParseError, "config: layers"),
+        ("config", "alpha", 2, ParseError, "config: alpha"),
+        ("config", "fold", -1, ParseError, "config.fold -1"),
+        ("config", "fold", "0", ParseError, "config.fold '0'"),
+        ("config", "sigma_resolved", 0.0, ParseError, "config.sigma_resolved 0.0"),
+        ("config", "sigma_resolved", float("nan"), ParseError, "config.sigma_resolved nan"),
+        ("config", "sigma_resolved", "0.5", ParseError, "config.sigma_resolved '0.5'"),
+        ("top", "alpha", "0.1", ParseError, "alpha must be a number in"),
+        ("top", "beta", 1.5, ParseError, "beta must be a number in"),
+        ("top", "test_idx", [-1, 0], ParseError, "test_idx is not"),
+        ("top", "test_idx", [1, 1], ParseError, "test_idx is not"),
+        ("top", "test_idx", [0.0], ParseError, "test_idx is not"),
+        ("top", "test_idx", "01", ParseError, "test_idx is not"),
+        ("top", "feature_columns", [-2], ParseError, "feature_columns is not"),
+        ("top", "feature_columns", [3, 3], ParseError, "feature_columns is not"),
+    ])
+    def test_bad_value_names_file_and_key(self, tmp_path, where, key, value, error, match):
+        # None stands for a deleted key (a missing config field)
+        path, payload = self._saved_payload(tmp_path)
+        target = payload["config"] if where == "config" else payload
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(error, match=r"checkpoint\.json: " + match):
             load_checkpoint(path)
 
     def test_graph_digest_ignores_edge_order_only(self):

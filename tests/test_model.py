@@ -37,24 +37,21 @@ def random_graph(n, p, seed):
 
 
 def diffuse(op, h):
-    """Weight-free propagation op @ h through one layer: alpha = beta = 0
-    with zero skip input and zero weights leaves only the diffusion term."""
+    """Weight-free propagation op @ h: the diffusion one layer returns."""
     f = h.shape[1]
-    _, pre = layer_forward(
-        h, np.zeros_like(h), op, np.zeros((f, f)), alpha=0.0, beta=0.0, activation="identity"
-    )
-    return pre
+    s, _ = layer_forward(h, np.zeros_like(h), op, np.zeros((f, f)), alpha=0.0, beta=0.0)
+    return s
 
 
 def aggregate(op, h):
-    """Propagation op @ h through the full forward pass: identity projection,
-    one plain layer, identity head."""
+    """Propagation op @ h through the full forward pass: the first layer's
+    diffusion under an identity projection."""
     f = h.shape[1]
     params = ModelParams(
         input_projection=np.eye(f), layers=[np.zeros((f, f))], output_head=np.eye(f),
         alpha=0.0, beta=0.0,
     )
-    return forward(params, op, h, activation="identity").logits
+    return forward(params, op, h).diffused[0]
 
 
 class TestFeatureDiffusion:
@@ -108,10 +105,8 @@ class TestLayerForward:
         x0 = rng.normal(size=(3, 2))
         op = rng.uniform(size=(3, 3))
         w = rng.normal(size=(2, 2))
-        _, pre = layer_forward(h, x0, op, w, alpha=1.0, beta=0.0, activation="identity")
         s, act = layer_forward(h, x0, op, w, alpha=1.0, beta=0.0)
-        np.testing.assert_allclose(pre, x0, atol=1e-15)
-        assert np.array_equal(act, np.maximum(pre, 0.0))
+        np.testing.assert_allclose(act, np.maximum(x0, 0.0), atol=1e-15)
         assert np.array_equal(s, op @ h)
 
     def test_alpha_beta_zero_is_plain_diffusion_bitwise(self):
@@ -122,8 +117,9 @@ class TestLayerForward:
         h = rng.normal(size=(5, 3))
         x0 = rng.normal(size=(5, 3))
         w = rng.normal(size=(3, 3))
-        _, pre = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0, activation="identity")
-        assert np.array_equal(pre, a_hat @ h)
+        s, act = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0)
+        assert np.array_equal(s, a_hat @ h)
+        assert np.array_equal(act, np.maximum(a_hat @ h, 0.0))
 
     def test_four_term_hand_expansion(self):
         # W = 0 makes I + W = I, so with alpha=0.1, beta=0.3 the layer is
@@ -134,9 +130,7 @@ class TestLayerForward:
         w = np.zeros((2, 2))
         mh = m @ h
         expected = 0.9 * mh + 0.3 * mh + 0.1 * x0 + 0.3 * x0
-        _, pre = layer_forward(h, x0, m, w, alpha=0.1, beta=0.3, activation="identity")
         s, act = layer_forward(h, x0, m, w, alpha=0.1, beta=0.3)
-        np.testing.assert_allclose(pre, expected, atol=1e-15)
         np.testing.assert_allclose(act, np.maximum(expected, 0.0), atol=1e-15)
         assert np.array_equal(s, mh)
 
@@ -150,15 +144,8 @@ class TestLayerForward:
         iw = np.eye(4) + w
         s = op @ h
         expected = (1.0 - alpha) * s + beta * (s @ iw) + alpha * x0 + beta * (x0 @ iw)
-        _, pre = layer_forward(h, x0, op, w, alpha, beta, activation="identity")
         _, act = layer_forward(h, x0, op, w, alpha, beta)
-        assert np.array_equal(pre, expected)
         assert np.array_equal(act, np.maximum(expected, 0.0))
-
-    def test_unknown_activation_is_named(self):
-        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
-            layer_forward(np.ones((2, 2)), np.ones((2, 2)), np.eye(2), np.eye(2), 0.1, 0.3,
-                          activation="tanh")
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -256,8 +243,9 @@ class TestForward:
             h = rng.normal(size=(n, 4))
             x0 = rng.normal(size=(n, 4))
             w = rng.normal(size=(4, 4))
-            _, pre = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0, activation="identity")
-            assert np.array_equal(pre, a_hat @ h)
+            s, act = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0)
+            assert np.array_equal(s, a_hat @ h)
+            assert np.array_equal(act, np.maximum(a_hat @ h, 0.0))
 
 
 class TestPredict:
