@@ -124,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--sigma", type=_sigma, default=None)
-    p.add_argument("--rfe-dim", type=int, default=None)
     p.set_defaults(func=_cmd_build_graph)
 
     p = sub.add_parser("sample-stats", help="run the sampler and export count statistics")
@@ -322,8 +321,6 @@ def _cmd_train(args) -> int:
     per_fold = []
     pooled_true, pooled_scores = [], []
     history_lines = ["fold,epoch,train_loss,val_loss"]
-    config_snapshot = asdict(config)
-    config_snapshot["sigma_resolved"] = sigma
     digest = dataio.graph_digest(g)
     for r in results:
         y_true = bundle.labels[r.test_idx]
@@ -334,11 +331,8 @@ def _cmd_train(args) -> int:
         pooled_scores.extend(float(s) for s in r.probs[:, 1])
         for epoch, tr, vl in r.history:
             history_lines.append(f"{r.fold},{epoch},{tr!r},{vl!r}")
-        dataio.save_checkpoint(
-            out / f"checkpoint_fold{r.fold}.json",
-            dataio.Checkpoint(r.params, {**config_snapshot, "fold": r.fold}, digest,
-                              r.test_idx, columns),
-        )
+        dataio.save_checkpoint(out / f"checkpoint_fold{r.fold}.json", dataio.Checkpoint(
+            r.params, config, r.fold, sigma, digest, r.test_idx, columns))
 
     report = {"aggregate": _aggregate(per_fold), "folds": per_fold}
     dataio._atomic_write(out / "metrics.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -360,12 +354,12 @@ def _cmd_eval(args) -> int:
     for key, index, size, what in (("test_idx", ckpt.test_idx, len(features), "subjects"),
                                    ("feature_columns", ckpt.feature_columns,
                                     features.shape[1], "feature columns")):
-        if index is not None and index.size and index.max() >= size:
+        if index is not None and index.max() >= size:  # the loader refuses an empty index
             raise SchemaMismatch(f"{args.checkpoint}: {key} holds {index.max()}, "
                                  f"but {args.data} has {size} {what}")
     if ckpt.feature_columns is not None:
         features = features[:, ckpt.feature_columns]
-    g, _ = _graph_for(bundle, features, ckpt.config["sigma_resolved"], args.adjacency)
+    g, _ = _graph_for(bundle, features, ckpt.sigma, args.adjacency)
     digest = dataio.graph_digest(g)
     if digest != ckpt.graph_digest:
         source = args.adjacency or f"the graph rebuilt from {args.data}"
@@ -377,7 +371,7 @@ def _cmd_eval(args) -> int:
     a_hat = normalize_adjacency(add_self_loops(g))
     probs = predict(forward(ckpt.params, a_hat, features).logits)
     test = ckpt.test_idx
-    report = {**_fold_metrics(bundle.labels[test], probs[test]), "fold": ckpt.config["fold"],
+    report = {**_fold_metrics(bundle.labels[test], probs[test]), "fold": ckpt.fold,
               "all_subjects": _fold_metrics(bundle.labels, probs)}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out is not None:

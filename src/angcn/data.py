@@ -22,7 +22,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .model import ModelParams
 from .popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure, connectome_features
 from .training import TrainConfig
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Scales chosen so class_separation ~ 2 gives a dataset a linear model can
 # fit well while class_separation = 0 carries no signal at all. The subject
@@ -58,6 +58,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_subjects < 20:
             raise ValueError(f"need at least 20 subjects, got {self.n_subjects}")
+        if self.n_roi < 3:  # 2 ROIs give one feature column, whose correlation is undefined
+            raise ValueError(f"n_roi must be >= 3, got {self.n_roi}")
         if self.class_separation < 0:
             raise ValueError(f"class_separation must be >= 0, got {self.class_separation}")
         if not 0.0 <= self.phenotype_informativeness <= 1.0:
@@ -277,10 +279,13 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
     subject_ids = list(_subject_rows(rows, header, "features.csv"))
     features = _number_array([row[1:] for row in rows], directory / "features.csv", header[1:])
 
+    schema_path = directory / "phenotypes.schema.json"
     try:
-        schema = json.loads((directory / "phenotypes.schema.json").read_text())
-    except OSError as exc:
-        raise ParseError(f"phenotypes.schema.json: {exc}") from exc
+        schema = json.loads(schema_path.read_text())
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ParseError(f"{schema_path}: {exc}") from exc
+    if not isinstance(schema, list):
+        raise SchemaMismatch(f"{schema_path}: expected a list of measures")
 
     header, rows = _read_csv(directory / "phenotypes.csv")
     if header[:1] != ["subject_id"]:
@@ -289,20 +294,23 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
                         "phenotypes.csv")
     col_index = {name: k for k, name in enumerate(header)}
     phenotypes = []
-    for entry in schema:
+    for e, entry in enumerate(schema):
+        if not (isinstance(entry, dict) and "name" in entry and "kind" in entry):
+            raise SchemaMismatch(f"{schema_path}: entry {e} is not an object with name and kind")
         mname, kind = entry["name"], entry["kind"]
         if mname not in col_index:
             raise SchemaMismatch(f"phenotypes.csv is missing declared column {mname!r}")
         k = col_index[mname]
         if kind == QUANTITATIVE:
-            column = _number_array([[row[k]] for row in rows], directory / "phenotypes.csv",
-                                  [mname])[order, 0]
-            phenotypes.append(PhenotypicMeasure(
-                name=mname, kind=kind, values=tuple(column.tolist()), tau=entry["tau"]
-            ))
+            values = _number_array([[row[k]] for row in rows], directory / "phenotypes.csv",
+                                  [mname])[order, 0].tolist()
+            tau = entry.get("tau")
         else:
-            values = tuple(rows[r][k] for r in order)
-            phenotypes.append(PhenotypicMeasure(name=mname, kind=kind, values=values))
+            values, tau = [rows[r][k] for r in order], None
+        try:
+            phenotypes.append(PhenotypicMeasure(mname, kind, values, tau))
+        except (TypeError, ValueError) as exc:  # an unknown kind, or no tau > 0
+            raise SchemaMismatch(f"{schema_path}: entry {e}: {exc}") from exc
 
     header, rows = _read_csv(directory / "labels.csv")
     if header[:2] != ["subject_id", "label"]:
@@ -376,29 +384,35 @@ class Checkpoint:
     """One trained fold and what `eval` needs to score it again."""
 
     params: ModelParams
-    config: dict                        # TrainConfig fields plus fold and sigma_resolved
+    config: TrainConfig
+    fold: int
+    sigma: float | None                 # sigma that built the graph; None for a file's graph
     graph_digest: str                   # graph_digest of the training graph
     test_idx: np.ndarray                # the fold's held-out subjects
     feature_columns: np.ndarray | None  # columns kept by RFE; None keeps all
+
+    def __post_init__(self):  # the config must name the model the weights are
+        p = self.params
+        for key, value in (("alpha", p.alpha), ("beta", p.beta), ("layers", len(p.layers)),
+                           ("hidden_dim", p.input_projection.shape[1])):
+            if (named := getattr(self.config, key)) != value:
+                raise ValueError(f"config.{key} is {named!r}, but the weights have {value!r}")
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     """Versioned JSON checkpoint on one line. A weight matrix is {"shape": [rows, cols],
     "float64_le": base64 of its row-major little-endian float64 bytes}: the round trip
     is bit-exact (-0.0, subnormals, ±inf, NaN) and costs no decimal formatting."""
-    params = ckpt.params
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "config": ckpt.config,
+        "config": {**asdict(ckpt.config), "fold": ckpt.fold, "sigma_resolved": ckpt.sigma},
         "graph_digest": ckpt.graph_digest,
         "test_idx": ckpt.test_idx.tolist(),
         "feature_columns": (None if ckpt.feature_columns is None
                             else ckpt.feature_columns.tolist()),
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "input_projection": _encode_matrix(params.input_projection),
-        "layers": [_encode_matrix(w) for w in params.layers],
-        "output_head": _encode_matrix(params.output_head),
+        "input_projection": _encode_matrix(ckpt.params.input_projection),
+        "layers": [_encode_matrix(w) for w in ckpt.params.layers],
+        "output_head": _encode_matrix(ckpt.params.output_head),
     }
     _atomic_write(Path(path), json.dumps(payload, sort_keys=True) + "\n")
 
@@ -411,8 +425,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
         raise SchemaMismatch(f"checkpoint version {version} != {CHECKPOINT_VERSION}")
-    missing = sorted({"alpha", "beta", "config", "feature_columns", "graph_digest",
-                      "input_projection", "layers", "output_head", "test_idx"} - payload.keys())
+    missing = sorted({"config", "feature_columns", "graph_digest", "input_projection",
+                      "layers", "output_head", "test_idx"} - payload.keys())
     if missing:
         raise SchemaMismatch(f"{path}: checkpoint has no {missing[0]!r} key")
     if not isinstance(payload["layers"], list):
@@ -420,21 +434,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     projection = _decode_matrix(payload["input_projection"], path, "input_projection")
     layers = [_decode_matrix(w, path, f"layers[{k}]") for k, w in enumerate(payload["layers"])]
     head = _decode_matrix(payload["output_head"], path, "output_head")
-    try:
-        params = ModelParams(projection, layers, head, payload["alpha"], payload["beta"])
-    except ValueError as exc:  # a bad alpha or beta, or ShapeMismatch
-        raise ParseError(f"{path}: {exc}") from exc
-    config = _checked_config(payload["config"], path)
+    config, fold, sigma = _checked_config(payload["config"], path)
+    test_idx = _index_array(payload["test_idx"], path, "test_idx")
     columns = payload["feature_columns"]
-    return Checkpoint(params, config, payload["graph_digest"],
-                      _index_array(payload["test_idx"], path, "test_idx"),
-                      None if columns is None else _index_array(columns, path, "feature_columns"))
+    columns = None if columns is None else _index_array(columns, path, "feature_columns")
+    try:
+        return Checkpoint(ModelParams(projection, layers, head, config.alpha, config.beta),
+                          config, fold, sigma, payload["graph_digest"], test_idx, columns)
+    except ValueError as exc:  # ShapeMismatch, or a config that is not these weights
+        raise ParseError(f"{path}: {exc}") from exc
 
 
-def _checked_config(config, path: str | Path) -> dict:
-    """The checkpoint's config: every TrainConfig field, valid as TrainConfig
-    validates it, plus `fold` (an int >= 0) and `sigma_resolved` (a finite
-    number > 0, or null for a graph read from a file)."""
+def _checked_config(config, path: str | Path) -> tuple[TrainConfig, int, float | None]:
+    """The TrainConfig, `fold` (int >= 0) and `sigma_resolved` (finite > 0, or null)."""
     if not isinstance(config, dict):
         raise SchemaMismatch(f"{path}: config is not an object")
     names = [f.name for f in fields(TrainConfig)]
@@ -442,7 +454,7 @@ def _checked_config(config, path: str | Path) -> dict:
     if missing:
         raise SchemaMismatch(f"{path}: config has no {missing[0]!r} key")
     try:
-        TrainConfig(**{name: config[name] for name in names})
+        train_config = TrainConfig(**{name: config[name] for name in names})
     except ValueError as exc:
         raise ParseError(f"{path}: config: {exc}") from exc
     fold, sigma = config["fold"], config["sigma_resolved"]
@@ -450,12 +462,12 @@ def _checked_config(config, path: str | Path) -> dict:
         raise ParseError(f"{path}: config.fold {fold!r} is not an integer >= 0")
     if sigma is not None and not (type(sigma) in (int, float) and 0 < sigma < math.inf):
         raise ParseError(f"{path}: config.sigma_resolved {sigma!r} is not a finite number > 0")
-    return config
+    return train_config, fold, sigma
 
 
 def _index_array(value, path: str | Path, key: str) -> np.ndarray:
-    """A list of unique non-negative integers as an int array; ParseError names path and key."""
-    if not (isinstance(value, list) and all(type(i) is int and i >= 0 for i in value)
+    """A non-empty list of unique non-negative ints as an int array; ParseError names path, key."""
+    if not (isinstance(value, list) and value and all(type(i) is int and i >= 0 for i in value)
             and len(set(value)) == len(value)):
-        raise ParseError(f"{path}: {key} is not a list of unique non-negative integers")
+        raise ParseError(f"{path}: {key} is not a non-empty list of unique non-negative integers")
     return np.array(value, dtype=int)

@@ -95,6 +95,8 @@ def presample(g: Graph, runs: int, budget: int, seed: int) -> tuple[AggregationS
     Run r uses default_rng([seed, r]), so runs are independent and the result
     does not depend on execution order.
     """
+    if runs < 1:
+        raise EmptyStats(f"runs must be >= 1, got {runs}")
     samples = [
         sample_node_subgraph(g.n, budget, np.random.default_rng([seed, r]))
         for r in range(runs)

@@ -116,6 +116,14 @@ class TestBuildGraph:
             assert cli_run(argv + [f"--sigma={sigma}"]) == 2
             assert "argument --sigma" in capsys.readouterr().err
 
+    def test_rfe_dim_is_not_a_build_graph_option(self, data_dir, tmp_path, capsys):
+        # a graph built from RFE columns fitted on every label would leak them
+        out = tmp_path / "adjacency.csv"
+        assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(out),
+                        "--rfe-dim", "5"]) == 2
+        assert "--rfe-dim" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_accepts_prebuilt_adjacency(self, data_dir, tmp_path):
         adj = tmp_path / "adjacency.csv"
         assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]) == 0
@@ -141,6 +149,14 @@ class TestSampleStats:
         assert len(stats["node_counts"]) == 48
         assert all(0 <= c <= 40 for c in stats["node_counts"])
         assert all(len(row) == 3 for row in stats["edge_counts"])
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_fewer_than_one_run_fails(self, data_dir, tmp_path, capsys, runs):
+        out = tmp_path / "stats.json"
+        assert cli_run(["sample-stats", "--data", str(data_dir), "--out", str(out),
+                        "--runs", runs]) == 1
+        assert f"runs must be >= 1, got {runs}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -260,21 +276,38 @@ class TestEval:
         ("test_idx", [5000]),
         ("feature_columns", [999]),
         ("sigma_resolved", None),   # deleted from the config
-        ("alpha", "0.1"),
+        ("alpha", "0.1"),           # in the config, its one home
+        ("layers", 3),              # not the depth of the stored weights
+        ("hidden_dim", 5),          # not their width
     ])
     def test_bad_checkpoint_value_is_named(self, data_dir, train_dir, tmp_path, capsys,
                                            key, value):
         payload = json.loads((train_dir / "checkpoint_fold0.json").read_text())
+        target = payload["config"] if key in payload["config"] else payload
         if value is None:
-            del payload["config"][key]
+            del target[key]
         else:
-            payload[key] = value
+            target[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         rc = cli_run(["eval", "--checkpoint", str(bad), "--data", str(data_dir)])
         err = capsys.readouterr().err
         assert rc == 1
         assert str(bad) in err and key in err
+
+    def test_config_alpha_is_the_alpha_eval_runs(self, data_dir, train_dir, tmp_path):
+        # alpha is stored once, in the config: an edit there changes the model eval scores
+        payload = json.loads((train_dir / "checkpoint_fold0.json").read_text())
+        assert "alpha" not in payload and "beta" not in payload
+        payload["config"]["alpha"] = 0.9
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        reports = []
+        for ckpt in (train_dir / "checkpoint_fold0.json", edited):
+            reports.append(tmp_path / f"report_{ckpt.stem}.json")
+            assert cli_run(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir),
+                            "--out", str(reports[-1])]) == 0
+        assert reports[0].read_bytes() != reports[1].read_bytes()
 
     def test_rfe_checkpoint_evaluates(self, data_dir, tmp_path):
         run = tmp_path / "run"

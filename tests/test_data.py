@@ -2,7 +2,7 @@ import base64
 import gc
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -26,9 +26,14 @@ from angcn.model import ModelParams, init_params
 from angcn.popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure
 from angcn.training import AdamState, TrainConfig, adam_step
 
-PINNED_CHECKPOINT_SHA256 = "b9417bb5d49b1400fcafaf52f5b550b7f22ad382ace161fc716715fe24d72d4e"
-# a checkpoint's config as `train` writes it: TrainConfig's fields, fold and sigma
-CONFIG = {**asdict(TrainConfig()), "fold": 0, "sigma_resolved": 0.5}
+PINNED_CHECKPOINT_SHA256 = "360987671f3d53a2de72127dfa6796a4ada19058d94fddf66f9e990b233c7415"
+
+
+def checkpoint(params, digest, test_idx, columns=None, fold=0, sigma=0.5):
+    """A Checkpoint whose config names the model `params` is, as `train` writes one."""
+    config = TrainConfig(alpha=params.alpha, beta=params.beta, layers=len(params.layers),
+                         hidden_dim=params.input_projection.shape[1])
+    return Checkpoint(params, config, fold, sigma, digest, np.asarray(test_idx), columns)
 
 
 def ridge_cv_accuracy(features, labels, folds=5, lam=1.0):
@@ -90,6 +95,9 @@ class TestGenerateSynthetic:
             SyntheticSpec(class_separation=-1.0)
         with pytest.raises(ValueError):
             SyntheticSpec(phenotype_informativeness=1.5)
+        for n_roi in (1, 2):  # no feature column, or one whose correlation is undefined
+            with pytest.raises(ValueError, match=f"n_roi must be >= 3, got {n_roi}"):
+                SyntheticSpec(n_roi=n_roi)
 
 
 class TestBundleRoundTrip:
@@ -120,6 +128,19 @@ class TestBundleRoundTrip:
         schema.append({"name": "handedness", "kind": "qualitative"})
         (tmp_path / "phenotypes.schema.json").write_text(json.dumps(schema))
         with pytest.raises(SchemaMismatch, match="handedness"):
+            load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("text, error, match", [
+        ('[{"kind": "qualitative"}]', SchemaMismatch, "entry 0 is not an object with name"),
+        ('[{"name": "site", "kind": "qualitative"}, {"name": "age", "kind": "quantitative"}]',
+         SchemaMismatch, "entry 1: quantitative measure 'age' needs tau"),
+        ("not json", ParseError, "Expecting value"),
+        ('{"site": {"kind": "qualitative"}}', SchemaMismatch, "expected a list of measures"),
+    ], ids=["no-name", "no-tau", "not-json", "object-for-list"])
+    def test_malformed_schema_names_file_and_entry(self, tmp_path, text, error, match):
+        save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=7)), tmp_path)
+        (tmp_path / "phenotypes.schema.json").write_text(text)
+        with pytest.raises(error, match=r"phenotypes\.schema\.json: " + match):
             load_bundle(tmp_path)
 
     def test_parse_error_carries_line_and_column(self, tmp_path):
@@ -254,8 +275,8 @@ class TestCheckpoint:
         rng = np.random.default_rng(13)
         params = init_params(7, 5, 2, n_layers=3, alpha=0.1, beta=0.3, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, CONFIG, "abc", np.array([1, 4, 6]),
-                                         np.array([0, 2, 5])))
+        saved = checkpoint(params, "abc", [1, 4, 6], np.array([0, 2, 5]), fold=2)
+        save_checkpoint(path, saved)
         ckpt = load_checkpoint(path)
         loaded = ckpt.params
         assert np.array_equal(loaded.input_projection, params.input_projection)
@@ -264,7 +285,8 @@ class TestCheckpoint:
         for a, b in zip(loaded.layers, params.layers):
             assert np.array_equal(a, b)
         assert (loaded.alpha, loaded.beta) == (0.1, 0.3)
-        assert ckpt.config == CONFIG
+        assert ckpt.config == saved.config
+        assert (ckpt.fold, ckpt.sigma) == (2, 0.5)
         assert ckpt.graph_digest == "abc"
         assert ckpt.test_idx.tolist() == [1, 4, 6]
         assert ckpt.feature_columns.tolist() == [0, 2, 5]
@@ -277,7 +299,7 @@ class TestCheckpoint:
         x = rng.normal(size=(5, 6))
         op = np.eye(5)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, CONFIG, "d", np.arange(5), None))
+        save_checkpoint(path, checkpoint(params, "d", np.arange(5)))
         ckpt = load_checkpoint(path)
         assert ckpt.feature_columns is None
         loaded = ckpt.params
@@ -289,10 +311,11 @@ class TestCheckpoint:
         rng = np.random.default_rng(14)
         params = init_params(3, 2, 2, n_layers=0, alpha=0.0, beta=0.0, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, CONFIG, "x", np.arange(2), None))
+        save_checkpoint(path, checkpoint(params, "x", np.arange(2)))
         payload = json.loads(path.read_text())
-        # 1: the format before graph digests; 2: weights as decimal JSON numbers
-        for version in (1, 2, 99):
+        # 1: the format before graph digests; 2: weights as decimal JSON numbers;
+        # 3: alpha and beta stored twice, at top level and in the config
+        for version in (1, 2, 3, 99):
             payload["format_version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(SchemaMismatch):
@@ -303,21 +326,22 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("n_layers, columns", [(0, None), (3, np.array([0, 2, 5]))])
     def test_streamed_bytes_equal_the_one_string_encoding(self, tmp_path, n_layers, columns):
-        # the whole file is one json.dumps string of the v3 payload
+        # the whole file is one json.dumps string of the v4 payload
         rng = np.random.default_rng(16)
         params = init_params(7, 5, 2, n_layers=n_layers, alpha=0.1, beta=0.3, rng=rng)
-        config = {"layers": n_layers, "sigma_resolved": None, "fold": 1}
+        config = TrainConfig(layers=n_layers, hidden_dim=5)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, config, "abc", np.array([1, 4, 6]), columns))
+        save_checkpoint(path, Checkpoint(params, config, 1, None, "abc", np.array([1, 4, 6]),
+                                         columns))
 
         def encode(mat):
             raw = np.ascontiguousarray(mat, dtype="<f8").tobytes()
             return {"shape": list(mat.shape), "float64_le": base64.b64encode(raw).decode()}
 
-        payload = {
-            "format_version": 3, "config": config, "graph_digest": "abc",
+        payload = {  # alpha and beta only inside the config
+            "format_version": 4, "config": {**asdict(config), "fold": 1, "sigma_resolved": None},
+            "graph_digest": "abc",
             "test_idx": [1, 4, 6], "feature_columns": None if columns is None else [0, 2, 5],
-            "alpha": 0.1, "beta": 0.3,
             "input_projection": encode(params.input_projection),
             "layers": [encode(w) for w in params.layers],
             "output_head": encode(params.output_head),
@@ -330,18 +354,18 @@ class TestCheckpoint:
         params = ModelParams(special, [np.array([[np.nan, -0.0, 1.0]] * 3)],
                              special.T.copy(), alpha=0.0, beta=0.0)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, CONFIG, "d", np.arange(2), None))
+        save_checkpoint(path, checkpoint(params, "d", np.arange(2)))
         loaded = load_checkpoint(path).params
         for a, b in zip(loaded.matrices(), params.matrices()):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_file_bytes_are_pinned(self, tmp_path):
-        # a fixed checkpoint: any drift in the v3 encoding changes this digest
+        # a fixed checkpoint: any drift in the v4 encoding changes this digest
         params = ModelParams(np.arange(6.0).reshape(3, 2) / 7.0,
                              [np.array([[0.5, -0.25], [1e-3, 2.0]])],
                              np.array([[1.0, -1.0], [0.125, -0.0]]), alpha=0.1, beta=0.3)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, {"fold": 0, "layers": 1, "sigma_resolved": 0.5},
+        save_checkpoint(path, Checkpoint(params, TrainConfig(layers=1, hidden_dim=2), 0, 0.5,
                                          "0" * 64, np.array([2, 0]), np.array([1, 3, 4])))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
 
@@ -349,7 +373,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(18)
         params = init_params(4, 3, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, CONFIG, "d", np.arange(2), None))
+        save_checkpoint(path, checkpoint(params, "d", np.arange(2)))
         loaded = load_checkpoint(path).params
         for m in loaded.matrices():
             assert m.dtype == np.float64 and m.flags.writeable and m.flags.c_contiguous
@@ -362,7 +386,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(19)
         params = init_params(4, 3, 2, n_layers=4, alpha=0.1, beta=0.3, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, Checkpoint(params, CONFIG, "d", np.arange(2), None))
+        save_checkpoint(path, checkpoint(params, "d", np.arange(2)))
         return path, json.loads(path.read_text())
 
     @pytest.mark.parametrize("key", ["test_idx", "layers", "graph_digest"])
@@ -414,14 +438,17 @@ class TestCheckpoint:
         ("config", "sigma_resolved", 0.0, ParseError, "config.sigma_resolved 0.0"),
         ("config", "sigma_resolved", float("nan"), ParseError, "config.sigma_resolved nan"),
         ("config", "sigma_resolved", "0.5", ParseError, "config.sigma_resolved '0.5'"),
-        ("top", "alpha", "0.1", ParseError, "alpha must be a number in"),
-        ("top", "beta", 1.5, ParseError, "beta must be a number in"),
+        ("config", "alpha", "0.1", ParseError, "config: alpha must be a number in"),
+        ("config", "beta", 1.5, ParseError, "config: beta must be a number in"),
         ("top", "test_idx", [-1, 0], ParseError, "test_idx is not"),
         ("top", "test_idx", [1, 1], ParseError, "test_idx is not"),
         ("top", "test_idx", [0.0], ParseError, "test_idx is not"),
         ("top", "test_idx", "01", ParseError, "test_idx is not"),
         ("top", "feature_columns", [-2], ParseError, "feature_columns is not"),
         ("top", "feature_columns", [3, 3], ParseError, "feature_columns is not"),
+        ("top", "test_idx", [], ParseError, "test_idx is not a non-empty list"),
+        ("config", "layers", 3, ParseError, "config.layers is 3, but the weights have 4"),
+        ("config", "hidden_dim", 5, ParseError, "config.hidden_dim is 5, but the weights have 3"),
     ])
     def test_bad_value_names_file_and_key(self, tmp_path, where, key, value, error, match):
         # None stands for a deleted key (a missing config field)
@@ -434,6 +461,15 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(error, match=r"checkpoint\.json: " + match):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("alpha", 0.5), ("beta", 0.0), ("layers", 3),
+                                            ("hidden_dim", 5)])
+    def test_record_refuses_a_config_that_is_not_its_weights(self, key, value):
+        rng = np.random.default_rng(20)
+        params = init_params(4, 3, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
+        good = checkpoint(params, "d", np.arange(2))
+        with pytest.raises(ValueError, match=f"config.{key} is {value!r}, but the weights"):
+            replace(good, config=replace(good.config, **{key: value}))
 
     def test_graph_digest_ignores_edge_order_only(self):
         edges = ((0, 1, 0.5), (1, 3, 2.0), (0, 2, 1.25))
