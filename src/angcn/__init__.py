@@ -2,7 +2,7 @@
 convolutions, skip connections, and identity mapping."""
 
 from .data import DatasetBundle, SyntheticSpec, generate_synthetic, load_bundle, save_bundle
-from .graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
+from .graph_core import Graph, normalize_adjacency
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import ModelParams, forward, init_params, layer_forward, predict
 from .popgraph import (
@@ -40,7 +40,6 @@ __all__ = [
     "SyntheticSpec",
     "TrainConfig",
     "accumulate_counts",
-    "add_self_loops",
     "adam_step",
     "aggregation_matrix",
     "backward",
@@ -52,7 +51,6 @@ __all__ = [
     "finite_difference_check",
     "forward",
     "generate_synthetic",
-    "hadamard",
     "init_params",
     "layer_forward",
     "load_bundle",

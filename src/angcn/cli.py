@@ -4,10 +4,9 @@ Subcommands cover the whole pipeline: synthetic data generation, population
 graph construction, sampler statistics, cross-validated training, checkpoint
 evaluation, the depth and batch-size sweeps, and the gradient-check harness.
 
-Configuration precedence for training options: command-line flag, then the
-ANGCN_SEED environment variable (seed only), then --config file, then
-defaults. All outputs are deterministic for a fixed seed and are written
-atomically.
+Configuration precedence for training options: command-line flag, then
+--config file, then defaults. All outputs are deterministic for a fixed seed
+and are written atomically.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -25,7 +23,7 @@ import numpy as np
 
 from . import data as dataio
 from .errors import SchemaMismatch
-from .graph_core import Graph, add_self_loops, normalize_adjacency
+from .graph_core import Graph, normalize_adjacency
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import forward, init_params, predict
 from .popgraph import PopulationGraphSpec, build_adjacency, rfe_ridge
@@ -63,16 +61,20 @@ def cli_run(argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 def _int_list(text: str) -> list[int]:
-    """argparse type of a comma list of integers such as "2,4,8"."""
+    """argparse type of a non-empty comma list of integers such as "2,4,8"."""
     try:
-        return [int(item) for item in text.split(",") if item]
+        values = [int(item) for item in text.split(",") if item]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a non-empty comma list of integers: {text!r}")
+    return values
 
 
-def _sigma(text: str) -> float:
-    """argparse type of a kernel width: a finite number > 0. Checked here because
-    a graph read from --adjacency never uses it, yet its checkpoints record it."""
+def _positive(text: str) -> float:
+    """argparse type of a finite number > 0: a gradient-check step, or a kernel
+    width, checked here because a graph read from --adjacency never uses it,
+    yet its checkpoints record it."""
     try:
         value = float(text)
     except ValueError:
@@ -101,7 +103,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sampler-runs", type=int, default=None,
                    help="pre-training sampler runs used to build the aggregation matrix")
     p.add_argument("--loss-reduction", choices=["sum", "mean"], default=None)
-    p.add_argument("--sigma", type=_sigma, default=None,
+    p.add_argument("--sigma", type=_positive, default=None,
                    help="kernel width for graph construction (default: median heuristic)")
     p.add_argument("--rfe-dim", type=int, default=None,
                    help="reduce features to this many columns with ridge-RFE first")
@@ -123,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-graph", help="build the population adjacency file")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--sigma", type=_sigma, default=None)
+    p.add_argument("--sigma", type=_positive, default=None)
     p.set_defaults(func=_cmd_build_graph)
 
     p = sub.add_parser("sample-stats", help="run the sampler and export count statistics")
@@ -133,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=200)
     p.add_argument("--budget", type=int, default=None, help="default: half the nodes")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=_sigma, default=None)
+    p.add_argument("--sigma", type=_positive, default=None)
     p.set_defaults(func=_cmd_sample_stats)
 
     p = sub.add_parser("train", help="cross-validated training with full reporting")
@@ -168,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--eps", type=float, default=1e-5)
+    p.add_argument("--eps", type=_positive, default=1e-5)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser
@@ -179,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def resolve_config(args, defaults: TrainConfig | None = None) -> TrainConfig:
-    """flag > ANGCN_SEED env (seed only) > config file > defaults."""
+    """flag > config file > defaults."""
     values = asdict(defaults if defaults is not None else TrainConfig())
     if getattr(args, "config", None):
         try:
@@ -191,12 +193,6 @@ def resolve_config(args, defaults: TrainConfig | None = None) -> TrainConfig:
         if unknown:
             raise ValueError(f"config file has unknown keys: {sorted(unknown)}")
         values.update(file_values)
-    env_seed = os.environ.get("ANGCN_SEED")
-    if env_seed is not None:
-        try:
-            values["seed"] = int(env_seed)
-        except ValueError:
-            raise ValueError(f"ANGCN_SEED must be an integer, got {env_seed!r}") from None
     for f in fields(TrainConfig):  # every train flag's dest is its field's name
         v = getattr(args, f.name, None)
         if v is not None:
@@ -233,11 +229,11 @@ def _gamma_for(config: TrainConfig, g: Graph) -> np.ndarray | None:
     normalization constants. Sampled mode derives them from pre-training
     runs at the batch budget.
     """
-    if config.batch_budget is None or config.batch_budget >= g.n:
+    if config.full_batch(g.n):
         return None
     stats, _ = presample(g, runs=config.sampler_runs, budget=config.batch_budget,
                          seed=config.seed)
-    return aggregation_matrix(stats, g)
+    return aggregation_matrix(stats)
 
 
 def _fold_metrics(y_true: np.ndarray, probs: np.ndarray) -> dict:
@@ -368,7 +364,7 @@ def _cmd_eval(args) -> int:
             f"match the checkpoint's training graph digest {ckpt.graph_digest[:12]}"
         )
     # gamma only debiases subgraph-restricted training: score with unit aggregation
-    a_hat = normalize_adjacency(add_self_loops(g))
+    a_hat = normalize_adjacency(g)
     probs = predict(forward(ckpt.params, a_hat, features).logits)
     test = ckpt.test_idx
     report = {**_fold_metrics(bundle.labels[test], probs[test]), "fold": ckpt.fold,
@@ -380,16 +376,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_setup(args):
+def _sweep_setup(args, field: str, values: list[int] | None):
+    """The sweep's config, bundle, features and graph; each swept value of the
+    TrainConfig `field` is checked before any data is read."""
     sweep_defaults = TrainConfig(max_epochs=SWEEP_EPOCHS, patience=SWEEP_EPOCHS)
     config = resolve_config(args, defaults=sweep_defaults)
+    for value in values or ():
+        replace(config, **{field: value})
     bundle, features, _ = _load_features(args)
     g, _ = _graph_for(bundle, features, args.sigma)
     return config, bundle, features, g
 
 
 def _cmd_sweep_depth(args) -> int:
-    config, bundle, features, g = _sweep_setup(args)
+    config, bundle, features, g = _sweep_setup(args, "layers", args.depths)
     gamma_an = _gamma_for(config, g)
     lines = ["depth,angcn_accuracy,gcn_accuracy"]
     for depth in args.depths:
@@ -404,8 +404,8 @@ def _cmd_sweep_depth(args) -> int:
 
 
 def _cmd_sweep_batch(args) -> int:
-    config, bundle, features, g = _sweep_setup(args)
-    budgets = args.budgets or [*DEFAULT_BUDGETS, g.n]
+    config, bundle, features, g = _sweep_setup(args, "batch_budget", args.budgets)
+    budgets = [*DEFAULT_BUDGETS, g.n] if args.budgets is None else args.budgets
     # budgets above the graph size collapse to the full node set
     budgets = sorted({min(b, g.n) for b in budgets})
     lines = [
@@ -433,9 +433,9 @@ def gradcheck_fixture(seed: int):
             if rng.uniform() < 0.45:
                 edges.append((i, j, float(rng.uniform(0.5, 1.5))))
     g = Graph(n=n, edges=tuple(edges))
-    a_hat = normalize_adjacency(add_self_loops(g))
+    a_hat = normalize_adjacency(g)
     stats, _ = presample(g, runs=50, budget=4, seed=seed)
-    gamma = aggregation_matrix(stats, g)
+    gamma = aggregation_matrix(stats)
     x_raw = rng.normal(size=(n, f_in))
     labels = rng.integers(0, n_classes, size=n)
     onehot = np.zeros((n, n_classes))

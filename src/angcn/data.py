@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -60,8 +61,9 @@ class SyntheticSpec:
             raise ValueError(f"need at least 20 subjects, got {self.n_subjects}")
         if self.n_roi < 3:  # 2 ROIs give one feature column, whose correlation is undefined
             raise ValueError(f"n_roi must be >= 3, got {self.n_roi}")
-        if self.class_separation < 0:
-            raise ValueError(f"class_separation must be >= 0, got {self.class_separation}")
+        if not 0 <= self.class_separation < math.inf:
+            raise ValueError(f"class_separation must be a finite number >= 0, "
+                             f"got {self.class_separation}")
         if not 0.0 <= self.phenotype_informativeness <= 1.0:
             raise ValueError("phenotype_informativeness must be in [0, 1]")
 
@@ -438,9 +440,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     test_idx = _index_array(payload["test_idx"], path, "test_idx")
     columns = payload["feature_columns"]
     columns = None if columns is None else _index_array(columns, path, "feature_columns")
+    digest = payload["graph_digest"]
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+        raise ParseError(f"{path}: graph_digest {digest!r} is not a 64-digit hex string")
     try:
         return Checkpoint(ModelParams(projection, layers, head, config.alpha, config.beta),
-                          config, fold, sigma, payload["graph_digest"], test_idx, columns)
+                          config, fold, sigma, digest, test_idx, columns)
     except ValueError as exc:  # ShapeMismatch, or a config that is not these weights
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -8,10 +8,6 @@ class ShapeMismatch(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class ZeroDegree(ValueError):
-    """A row of the adjacency matrix sums to zero (self-loops missing)."""
-
-
 class DegenerateVector(ValueError):
     """A feature vector has zero variance, so correlation is undefined."""
 

@@ -1,8 +1,9 @@
-"""Dense matrix primitives and graph normalization.
+"""The population graph and its normalized propagation operator.
 
 Matrices are plain float64 numpy arrays in row-major order; n stays small
 (hundreds of nodes), so everything is dense and exact reproducibility wins
-over sparsity.
+over sparsity. `normalize_adjacency` is the one way a graph becomes the
+operator A_hat that every layer propagates with.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import ShapeMismatch, ZeroDegree
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,7 +20,7 @@ class Graph:
     `edges` is one read-only (E, 3) float array of (i, j, weight) rows, built
     from any sequence of such triples: each edge once, integer 0 <= i < j < n,
     finite weight >= 0 (a ValueError names the first bad edge), and no
-    self-loops (they are added explicitly where the math needs them). The
+    self-loops (`normalize_adjacency` adds a unit one on every node). The
     columns are also kept as `src`, `dst` (ints) and `weight`. Equality is
     identity.
     """
@@ -66,37 +65,13 @@ class Graph:
         return a
 
 
-def add_self_loops(g: Graph) -> np.ndarray:
-    """A + I: the adjacency matrix with a unit self-loop on every node."""
-    return g.adjacency() + np.eye(g.n)
+def normalize_adjacency(g: Graph) -> np.ndarray:
+    """The GCN operator D^{-1/2} (A + I) D^{-1/2} of g.
 
-
-def normalize_adjacency(a_tilde: np.ndarray) -> np.ndarray:
-    """Symmetric degree normalization D^{-1/2} (A + I) D^{-1/2}.
-
-    Computed as an elementwise scaling by 1/sqrt(d_i d_j), so the output is
-    exactly symmetric whenever the input is. Spectral radius is <= 1.
+    Computed as an elementwise scaling of A + I by 1/sqrt(d_i d_j), so the
+    output is exactly symmetric. A Graph's weights are finite and >= 0, so
+    every degree is >= 1 and the spectral radius is <= 1.
     """
-    a_tilde = np.asarray(a_tilde, dtype=float)
-    _check_2d(a_tilde)
-    if a_tilde.shape[0] != a_tilde.shape[1]:
-        raise ShapeMismatch(f"adjacency must be square, got {a_tilde.shape}")
+    a_tilde = g.adjacency() + np.eye(g.n)
     degrees = a_tilde.sum(axis=1)
-    if np.any(degrees <= 0):
-        bad = int(np.argmin(degrees))
-        raise ZeroDegree(f"row {bad} has degree {degrees[bad]}; add self-loops first")
     return a_tilde / np.sqrt(np.outer(degrees, degrees))
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of two equally shaped matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"hadamard needs equal shapes, got {a.shape} and {b.shape}")
-    return a * b
-
-
-def _check_2d(m: np.ndarray) -> None:
-    if m.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")

@@ -69,23 +69,20 @@ def accumulate_counts(g: Graph, samples: list[np.ndarray]) -> AggregationStats:
     return AggregationStats(len(samples), (membership.T @ membership).astype(np.int64))
 
 
-def aggregation_matrix(stats: AggregationStats, g: Graph) -> np.ndarray:
-    """Per-edge normalization constants gamma_ij = C_i / C_ij on the support of A + I.
+def aggregation_matrix(stats: AggregationStats) -> np.ndarray:
+    """Normalization constants gamma_ij = C_i / C_ij for every node pair.
 
-    Row-wise by construction, hence generally asymmetric: gamma_ij divides by
-    C_i while gamma_ji divides by C_j. Never-sampled edges clamp the
-    denominator to 1 so the support of the diffusion operator is preserved.
-    Diagonal entries are exactly 1 for every node that was sampled at least
-    once (C_ii = C_i). Exhaustive sampling (every run takes the whole graph)
-    gives 1 on the whole support, i.e. unit aggregation.
+    Only a_hat * gamma is used, and a_hat is 0 off the support of A + I, so
+    no graph is needed. Row-wise, hence generally asymmetric: gamma_ij
+    divides by C_i, gamma_ji by C_j. A never-sampled pair clamps C_ij to 1,
+    which keeps the operator's support. The diagonal is exactly 1 for every
+    node sampled at least once (C_ii = C_i); exhaustive sampling (every run
+    takes the whole graph) gives 1 everywhere, i.e. unit aggregation.
     """
     if stats.runs < 1:
         raise EmptyStats("aggregation statistics need at least one sampler run")
-    c = stats.node_counts.astype(float)
-    c_edge = np.maximum(stats.pair_counts[g.src, g.dst], 1).astype(float)
-    gamma = np.diag(c / np.maximum(c, 1.0))
-    gamma[g.src, g.dst] = c[g.src] / c_edge
-    gamma[g.dst, g.src] = c[g.dst] / c_edge
+    gamma = np.maximum(stats.pair_counts, 1).astype(float)
+    np.divide(stats.node_counts[:, None], gamma, out=gamma)
     return gamma
 
 

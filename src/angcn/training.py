@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, ShapeMismatch, TraceMismatch
-from .graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
+from .graph_core import Graph, normalize_adjacency
 from .model import ForwardTrace, ModelParams, check_coefficient, forward, init_params, predict
 from .sampler import sample_node_subgraph
 
@@ -68,6 +68,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.loss_reduction not in ("sum", "mean"):
             raise ValueError(f"loss_reduction must be sum or mean, got {self.loss_reduction}")
+
+    def full_batch(self, n: int) -> bool:
+        """Whether training on n nodes takes whole-graph steps (unit gamma)."""
+        return self.batch_budget is None or self.batch_budget >= n
 
 
 # Share of each fold's training pool held out for early stopping.
@@ -270,8 +274,9 @@ def train(
     The end-of-epoch losses score the full graph with `a_hat` (unit
     aggregation). Minibatch steps slice the training operator `op` = a_hat *
     gamma, whose gamma debiases subgraph-restricted aggregation. Full batch
-    restricts nothing, so it needs `op` equal to `a_hat`, and each end-of-epoch
-    forward is also the next epoch's training forward.
+    (`config.full_batch(n)`) restricts nothing, so it needs `op` equal to
+    `a_hat`, and each end-of-epoch forward is also the next epoch's training
+    forward.
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
@@ -280,7 +285,7 @@ def train(
     features = np.asarray(features, dtype=float)
     labels_oh = one_hot(labels)
     n = a_hat.shape[0]
-    full_batch = config.batch_budget is None or config.batch_budget >= n
+    full_batch = config.full_batch(n)
     if full_batch and not np.array_equal(op, a_hat):
         raise ValueError("full-batch training needs unit gamma (op equal to a_hat)")
 
@@ -348,10 +353,12 @@ def finite_difference_check(
     """Max relative error between analytic and central-difference gradients.
 
     Perturbs every parameter entry by eps * max(1, |theta|) in both
-    directions; the relative error denominator is floored at 1e-8.
+    directions; the relative error denominator is floored at 1e-8. A
+    non-finite entry error (a NaN weight or loss) makes the result NaN, which
+    no tolerance accepts.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a finite number > 0, got {eps}")
 
     def loss_of(p: ModelParams) -> float:
         trace = forward(p, op, x_raw)
@@ -375,8 +382,8 @@ def finite_difference_check(
             numeric = (hi - lo) / (2.0 * step)
             analytic = grad[ix]
             denom = max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
+            worst = np.maximum(worst, abs(analytic - numeric) / denom)  # keeps a NaN
+    return float(worst)
 
 
 @dataclass
@@ -486,21 +493,24 @@ def cross_validate(
     inner stratified validation split for early stopping.
 
     `gamma` is None for unit aggregation (full batch, plain GCN) or the N x N
-    aggregation matrix for sampled training. The operators a_hat and
-    a_hat * gamma, the splits and the fold seeds are built once here; the
-    folds then train `fold_workers(folds)` at a time in forked processes
-    that share those arrays, each with one BLAS thread, and the results
-    come back in fold order. With one worker, without `fork` or OpenBLAS's
-    thread-count symbols, or while the caller runs other Python threads
-    (which `fork` would not copy), the folds train here one after another
-    (with BLAS held at one thread where the symbols exist), so the results
-    are the same bits for any worker count. Test probabilities come from a
-    full-graph forward with unit aggregation (a_hat). A non-finite loss
-    raises NonFiniteLoss naming the fold and epoch; an error in any fold
-    reaches the caller, the earliest failing fold's first."""
+    aggregation matrix for sampled training (ShapeMismatch otherwise). The
+    operators a_hat = normalize_adjacency(graph) and a_hat * gamma, the
+    splits and the fold seeds are built once here; the folds then train
+    `fold_workers(folds)` at a time in forked processes that share those
+    arrays, each with one BLAS thread, and the results come back in fold
+    order. With one worker, without `fork` or OpenBLAS's thread-count
+    symbols, or while the caller runs other Python threads (which `fork`
+    would not copy), the folds train here one after another (with BLAS held
+    at one thread where the symbols exist), so the results are the same bits
+    for any worker count. Test probabilities come from a full-graph forward
+    with unit aggregation (a_hat). A non-finite loss raises NonFiniteLoss
+    naming the fold and epoch; an error in any fold reaches the caller, the
+    earliest failing fold's first."""
     labels = np.asarray(labels, dtype=int)
-    a_hat = normalize_adjacency(add_self_loops(graph))
-    op = a_hat if gamma is None else hadamard(a_hat, gamma)
+    a_hat = normalize_adjacency(graph)
+    if gamma is not None and gamma.shape != a_hat.shape:
+        raise ShapeMismatch(f"gamma {gamma.shape} does not match the {a_hat.shape} operator")
+    op = a_hat if gamma is None else a_hat * gamma
     tasks = []
     for f, test_idx in enumerate(stratified_kfold(labels, config.folds, config.seed)):
         pool = np.setdiff1d(np.arange(graph.n), test_idx)

@@ -47,6 +47,14 @@ class TestSynth:
         schema = json.loads((data_dir / "phenotypes.schema.json").read_text())
         assert {entry["name"] for entry in schema} == {"site", "age"}
 
+    @pytest.mark.parametrize("separation", ["nan", "inf"])
+    def test_non_finite_class_separation_writes_nothing(self, tmp_path, capsys, separation):
+        out = tmp_path / "bundle"
+        rc = cli_run(["synth", "--out", str(out), "--class-separation", separation] + SMALL)
+        assert rc == 1
+        assert "class_separation must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBuildGraph:
     def test_adjacency_file_properties(self, data_dir, tmp_path):
@@ -279,6 +287,7 @@ class TestEval:
         ("alpha", "0.1"),           # in the config, its one home
         ("layers", 3),              # not the depth of the stored weights
         ("hidden_dim", 5),          # not their width
+        ("graph_digest", 5),        # not a hex digest
     ])
     def test_bad_checkpoint_value_is_named(self, data_dir, train_dir, tmp_path, capsys,
                                            key, value):
@@ -421,6 +430,27 @@ class TestSweeps:
         assert rc == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [("sweep-depth", "--depths"),
+                                               ("sweep-batch", "--budgets")])
+    @pytest.mark.parametrize("text", ["", ","])
+    def test_empty_list_is_a_usage_error(self, data_dir, tmp_path, capsys, command, flag, text):
+        out = tmp_path / "out.csv"
+        rc = cli_run([command, "--data", str(data_dir), "--out", str(out), flag, text])
+        assert rc == 2
+        assert f"argument {flag}: not a non-empty comma list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, field", [
+        ("sweep-depth", "--depths", "2,-1", "layers must be >= 0"),
+        ("sweep-batch", "--budgets", "0", "batch_budget must be >= 1"),
+    ])
+    def test_bad_list_value_is_named_before_data_loads(self, tmp_path, capsys, command, flag,
+                                                      value, field):
+        rc = cli_run([command, "--data", str(tmp_path / "missing"),
+                      "--out", str(tmp_path / "out.csv"), flag, value])
+        assert rc == 1
+        assert f"error: {field}, got" in capsys.readouterr().err
+
 
 class TestFoldWorkerCount:
     """Every CLI path that trains writes the same bytes whether its folds
@@ -459,6 +489,11 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "max relative gradient error" in out
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.5", "x"])
+    def test_eps_must_be_finite_and_positive(self, capsys, eps):
+        assert cli_run(["gradcheck", "--eps", eps]) == 2
+        assert "argument --eps: not a finite number > 0" in capsys.readouterr().err
+
 
 # TrainConfig field -> (its flag, a config-file value, a different flag value)
 TRAIN_FLAGS = {
@@ -479,9 +514,8 @@ TRAIN_FLAGS = {
 
 class TestConfigPrecedence:
     @pytest.mark.parametrize("field", [f.name for f in fields(TrainConfig)])
-    def test_flag_beats_config_file(self, field, tmp_path, monkeypatch):
+    def test_flag_beats_config_file(self, field, tmp_path):
         flag, file_value, flag_value = TRAIN_FLAGS[field]
-        monkeypatch.delenv("ANGCN_SEED", raising=False)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({field: file_value}))
         argv = ["train", "--data", "bundle", "--out", "run", "--config", str(config)]
@@ -521,48 +555,11 @@ class TestConfigPrecedence:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_env_seed_overrides_config_file(self, data_dir, tmp_path, monkeypatch):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": 1, "max_epochs": 8, "patience": 8,
-                                      "layers": 1, "hidden_dim": 8, "folds": 3}))
-        env_run = tmp_path / "env_run"
+    def test_environment_does_not_set_the_seed(self, monkeypatch):
+        # no environment variable sets a training option
         monkeypatch.setenv("ANGCN_SEED", "9")
-        rc = cli_run(["train", "--data", str(data_dir), "--out", str(env_run),
-                      "--config", str(config)])
-        assert rc == 0
-        seed_pinned = tmp_path / "seed_run"
-        monkeypatch.delenv("ANGCN_SEED")
-        rc = cli_run(["train", "--data", str(data_dir), "--out", str(seed_pinned),
-                      "--config", str(config), "--seed", "9"])
-        assert rc == 0
-        assert (env_run / "metrics.json").read_bytes() == (
-            seed_pinned / "metrics.json"
-        ).read_bytes()
-
-    def test_bad_env_seed_names_the_variable(self, data_dir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ANGCN_SEED", "abc")
-        with pytest.raises(ValueError, match="ANGCN_SEED"):
-            cli.resolve_config(cli._build_parser().parse_args(
-                ["train", "--data", str(data_dir), "--out", str(tmp_path / "run")]))
-        rc = cli_run(["train", "--data", str(data_dir), "--out", str(tmp_path / "run")]
-                     + FAST_TRAIN[:-2])
-        assert rc == 1
-        assert "ANGCN_SEED" in capsys.readouterr().err
-
-    def test_flag_beats_env(self, data_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("ANGCN_SEED", "1")
-        flag_run = tmp_path / "flag_run"
-        rc = cli_run(["train", "--data", str(data_dir), "--out", str(flag_run)]
-                     + FAST_TRAIN)
-        assert rc == 0
-        monkeypatch.delenv("ANGCN_SEED")
-        plain_run = tmp_path / "plain_run"
-        rc = cli_run(["train", "--data", str(data_dir), "--out", str(plain_run)]
-                     + FAST_TRAIN)
-        assert rc == 0
-        assert (flag_run / "metrics.json").read_bytes() == (
-            plain_run / "metrics.json"
-        ).read_bytes()
+        args = cli._build_parser().parse_args(["train", "--data", "d", "--out", "o"])
+        assert cli.resolve_config(args).seed == TrainConfig().seed
 
     def test_unknown_config_key_rejected(self, data_dir, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -93,6 +93,9 @@ class TestGenerateSynthetic:
             SyntheticSpec(n_subjects=10)
         with pytest.raises(ValueError):
             SyntheticSpec(class_separation=-1.0)
+        for separation in (float("nan"), float("inf")):  # nan features, an unreadable bundle
+            with pytest.raises(ValueError, match="class_separation must be a finite number"):
+                SyntheticSpec(class_separation=separation)
         with pytest.raises(ValueError):
             SyntheticSpec(phenotype_informativeness=1.5)
         for n_roi in (1, 2):  # no feature column, or one whose correlation is undefined
@@ -275,7 +278,8 @@ class TestCheckpoint:
         rng = np.random.default_rng(13)
         params = init_params(7, 5, 2, n_layers=3, alpha=0.1, beta=0.3, rng=rng)
         path = tmp_path / "checkpoint.json"
-        saved = checkpoint(params, "abc", [1, 4, 6], np.array([0, 2, 5]), fold=2)
+        saved = checkpoint(params, "0123456789abcdef" * 4, [1, 4, 6], np.array([0, 2, 5]),
+                           fold=2)
         save_checkpoint(path, saved)
         ckpt = load_checkpoint(path)
         loaded = ckpt.params
@@ -287,7 +291,7 @@ class TestCheckpoint:
         assert (loaded.alpha, loaded.beta) == (0.1, 0.3)
         assert ckpt.config == saved.config
         assert (ckpt.fold, ckpt.sigma) == (2, 0.5)
-        assert ckpt.graph_digest == "abc"
+        assert ckpt.graph_digest == "0123456789abcdef" * 4
         assert ckpt.test_idx.tolist() == [1, 4, 6]
         assert ckpt.feature_columns.tolist() == [0, 2, 5]
 
@@ -299,7 +303,7 @@ class TestCheckpoint:
         x = rng.normal(size=(5, 6))
         op = np.eye(5)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, checkpoint(params, "d", np.arange(5)))
+        save_checkpoint(path, checkpoint(params, "d" * 64, np.arange(5)))
         ckpt = load_checkpoint(path)
         assert ckpt.feature_columns is None
         loaded = ckpt.params
@@ -354,7 +358,7 @@ class TestCheckpoint:
         params = ModelParams(special, [np.array([[np.nan, -0.0, 1.0]] * 3)],
                              special.T.copy(), alpha=0.0, beta=0.0)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, checkpoint(params, "d", np.arange(2)))
+        save_checkpoint(path, checkpoint(params, "d" * 64, np.arange(2)))
         loaded = load_checkpoint(path).params
         for a, b in zip(loaded.matrices(), params.matrices()):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -373,7 +377,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(18)
         params = init_params(4, 3, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, checkpoint(params, "d", np.arange(2)))
+        save_checkpoint(path, checkpoint(params, "d" * 64, np.arange(2)))
         loaded = load_checkpoint(path).params
         for m in loaded.matrices():
             assert m.dtype == np.float64 and m.flags.writeable and m.flags.c_contiguous
@@ -386,7 +390,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(19)
         params = init_params(4, 3, 2, n_layers=4, alpha=0.1, beta=0.3, rng=rng)
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, checkpoint(params, "d", np.arange(2)))
+        save_checkpoint(path, checkpoint(params, "d" * 64, np.arange(2)))
         return path, json.loads(path.read_text())
 
     @pytest.mark.parametrize("key", ["test_idx", "layers", "graph_digest"])
@@ -449,6 +453,9 @@ class TestCheckpoint:
         ("top", "test_idx", [], ParseError, "test_idx is not a non-empty list"),
         ("config", "layers", 3, ParseError, "config.layers is 3, but the weights have 4"),
         ("config", "hidden_dim", 5, ParseError, "config.hidden_dim is 5, but the weights have 3"),
+        ("top", "graph_digest", 5, ParseError, "graph_digest 5 is not a 64-digit hex string"),
+        ("top", "graph_digest", "0" * 63, ParseError, "graph_digest '0+' is not a 64-digit"),
+        ("top", "graph_digest", "G" * 64, ParseError, "graph_digest 'G+' is not a 64-digit"),
     ])
     def test_bad_value_names_file_and_key(self, tmp_path, where, key, value, error, match):
         # None stands for a deleted key (a missing config field)
@@ -462,12 +469,19 @@ class TestCheckpoint:
         with pytest.raises(error, match=r"checkpoint\.json: " + match):
             load_checkpoint(path)
 
+    def test_null_graph_digest_is_named(self, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        payload["graph_digest"] = None
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match=r"checkpoint\.json: graph_digest None is not"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("key, value", [("alpha", 0.5), ("beta", 0.0), ("layers", 3),
                                             ("hidden_dim", 5)])
     def test_record_refuses_a_config_that_is_not_its_weights(self, key, value):
         rng = np.random.default_rng(20)
         params = init_params(4, 3, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
-        good = checkpoint(params, "d", np.arange(2))
+        good = checkpoint(params, "d" * 64, np.arange(2))
         with pytest.raises(ValueError, match=f"config.{key} is {value!r}, but the weights"):
             replace(good, config=replace(good.config, **{key: value}))
 

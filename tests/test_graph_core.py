@@ -4,16 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angcn.data import SyntheticSpec, generate_synthetic
-from angcn.errors import ShapeMismatch, ZeroDegree
-from angcn.graph_core import (
-    Graph,
-    add_self_loops,
-    hadamard,
-    normalize_adjacency,
-)
+from angcn.errors import ShapeMismatch
+from angcn.graph_core import Graph, normalize_adjacency
 from angcn.model import ModelParams, forward
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
-from angcn.sampler import accumulate_counts, aggregation_matrix
+from angcn.sampler import AggregationStats, accumulate_counts, aggregation_matrix
+from angcn.training import TrainConfig, cross_validate
 
 
 def naive_matmul(a, b):
@@ -91,79 +87,104 @@ class TestGraph:
         assert np.array_equal(same.adjacency(), g.adjacency())
 
 
+def a_tilde_of(a_hat):
+    """A + I recovered from a_hat = D^-1/2 (A + I) D^-1/2: a unit diagonal
+    fixes D, since a_hat_ii = 1 / d_i."""
+    d = 1.0 / np.diag(a_hat)
+    return a_hat * np.sqrt(np.outer(d, d))
+
+
 class TestAddSelfLoops:
+    """normalize_adjacency normalizes A + I: a unit self-loop on every node."""
+
     def test_single_node_no_edges(self):
-        assert np.array_equal(add_self_loops(Graph(n=1)), [[1.0]])
+        assert np.array_equal(normalize_adjacency(Graph(n=1)), [[1.0]])
 
     def test_two_nodes_unit_edge(self):
         g = Graph(n=2, edges=((0, 1, 1.0),))
-        assert np.array_equal(add_self_loops(g), [[1, 1], [1, 1]])
+        assert np.array_equal(a_tilde_of(normalize_adjacency(g)), [[1, 1], [1, 1]])
 
     def test_three_node_path(self):
         g = Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
         expected = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
-        assert np.array_equal(add_self_loops(g), expected)
+        np.testing.assert_allclose(a_tilde_of(normalize_adjacency(g)), expected,
+                                   rtol=1e-15, atol=0)
 
 
 class TestNormalizeAdjacency:
     def test_isolated_node_with_self_loop(self):
-        assert np.array_equal(normalize_adjacency(np.array([[1.0]])), [[1.0]])
+        out = normalize_adjacency(Graph(n=3, edges=((0, 1, 2.0),)))
+        assert out[2].tolist() == [0.0, 0.0, 1.0]
 
     def test_two_node_clique(self):
-        out = normalize_adjacency(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        out = normalize_adjacency(Graph(n=2, edges=((0, 1, 1.0),)))
         assert np.array_equal(out, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_three_node_path_hand_value(self):
         # degrees with self-loops are (2, 3, 2), so the 0-1 entry is 1/sqrt(6)
-        a_tilde = add_self_loops(Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))))
-        out = normalize_adjacency(a_tilde)
+        out = normalize_adjacency(Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))))
         assert out[0][1] == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-15)
         assert out[0][1] == pytest.approx(0.40825, abs=1e-5)
         assert out[0][0] == pytest.approx(0.5)
         assert out[1][1] == pytest.approx(1.0 / 3.0)
         assert out[0][2] == 0.0
 
-    def test_zero_degree_raises(self):
-        with pytest.raises(ZeroDegree):
-            normalize_adjacency(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    def test_zero_weight_edge_leaves_every_degree_one(self):
+        # weights are >= 0, so every degree of A + I is >= 1: no zero division
+        out = normalize_adjacency(Graph(n=2, edges=((0, 1, 0.0),)))
+        assert np.array_equal(out, np.eye(2))
 
     def test_output_exactly_symmetric(self):
         for seed in range(5):
             g = random_graph(7, 0.4, seed=seed)
-            out = normalize_adjacency(add_self_loops(g))
+            out = normalize_adjacency(g)
             assert np.array_equal(out, out.T)
 
     def test_eigenvalues_in_unit_interval(self):
         for seed in range(8):
             g = random_graph(5, 0.6, seed=seed)
-            out = normalize_adjacency(add_self_loops(g))
+            out = normalize_adjacency(g)
             eig = np.linalg.eigvalsh(out)
             assert eig.min() >= -1.0 - 1e-12
             assert eig.max() <= 1.0 + 1e-12
 
     def test_all_entries_finite(self):
         g = random_graph(6, 0.5, seed=3)
-        out = normalize_adjacency(add_self_loops(g))
+        out = normalize_adjacency(g)
         assert np.all(np.isfinite(out))
 
 
+def stats_of(pair_counts):
+    return AggregationStats(runs=10, pair_counts=np.array(pair_counts))
+
+
 class TestHadamard:
+    """The training operator a_hat * gamma, the Hadamard product of a_hat and
+    the aggregation matrix."""
+
     def test_ones_is_identity(self):
-        m = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(hadamard(m, np.ones((2, 3))), m)
+        # every run takes every node: gamma is 1 everywhere
+        a_hat = normalize_adjacency(random_graph(5, 0.5, seed=1))
+        assert np.array_equal(a_hat * aggregation_matrix(stats_of(np.full((5, 5), 10))), a_hat)
 
     def test_zeros_annihilate(self):
-        m = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(hadamard(m, np.zeros((2, 3))), np.zeros((2, 3)))
+        # no run takes any node: C_i = 0 makes gamma, and the operator, 0
+        a_hat = normalize_adjacency(random_graph(5, 0.5, seed=1))
+        gamma = aggregation_matrix(stats_of(np.zeros((5, 5), dtype=int)))
+        assert np.array_equal(a_hat * gamma, np.zeros((5, 5)))
 
     def test_direct_substitution(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[2.0, 0.0], [0.0, 2.0]])
-        assert np.array_equal(hadamard(a, b), [[2.0, 0.0], [0.0, 8.0]])
+        # a_hat is 0.5 everywhere; gamma = [[4/4, 4/2], [2/2, 2/2]]
+        a_hat = normalize_adjacency(Graph(n=2, edges=((0, 1, 1.0),)))
+        gamma = aggregation_matrix(stats_of([[4, 2], [2, 2]]))
+        assert np.array_equal(a_hat * gamma, [[0.5, 1.0], [0.5, 0.5]])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
+        # an (n,) gamma would broadcast silently, so cross_validate refuses it
+        g = random_graph(20, 0.3, seed=2)
+        labels = np.arange(20) % 2
+        with pytest.raises(ShapeMismatch, match=r"gamma \(20,\)"):
+            cross_validate(TrainConfig(folds=2), g, np.ones(20), np.ones((20, 3)), labels)
 
 
 class TestMatmul:
@@ -193,17 +214,24 @@ class TestMatmul:
 def test_hadamard_matmul_agree_with_oracles(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(4, 3))
-    b = rng.normal(size=(4, 3))
     c = rng.normal(size=(3, 5))
-    assert np.array_equal(hadamard(a, b), np.multiply(a, b))
     np.testing.assert_allclose(project(a, c), naive_matmul(a, c), rtol=1e-12, atol=1e-12)
+    # a_hat * gamma entry by entry: a_hat_ij * C_i / max(C_ij, 1)
+    g = random_graph(4, 0.5, seed)
+    samples = [np.flatnonzero(row) for row in rng.uniform(size=(6, 4)) < 0.5]
+    stats = accumulate_counts(g, samples)
+    a_hat = normalize_adjacency(g)
+    op = a_hat * aggregation_matrix(stats)
+    for (i, j), value in np.ndenumerate(op):
+        c_ij = max(stats.pair_counts[i, j], 1)
+        assert value == a_hat[i, j] * (float(stats.pair_counts[i, i]) / c_ij)
 
 
 # a_hat is exactly symmetric, so a_hat.T equals a_hat bit for bit
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=40))
 def test_normalized_operator_exactly_symmetric_on_random_weighted_graphs(seed, n):
-    out = normalize_adjacency(add_self_loops(random_graph(n, 0.3, seed)))
+    out = normalize_adjacency(random_graph(n, 0.3, seed))
     assert np.array_equal(out, out.T)
 
 
@@ -211,14 +239,15 @@ def test_normalized_population_graph_exactly_symmetric():
     bundle = generate_synthetic(SyntheticSpec(n_subjects=120, n_roi=8, seed=3))
     g = build_adjacency(PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes))
     assert len(g.edges) > 0
-    out = normalize_adjacency(add_self_loops(g))
+    out = normalize_adjacency(g)
     assert np.array_equal(out, out.T)
 
 
 def test_support_mask_marks_edges_and_diagonal():
-    # the 0/1 support of A + I is what exhaustive sampling makes of gamma
+    # the operator's support is that of A + I, which exhaustive sampling keeps
     g = Graph(n=3, edges=((0, 2, 0.7),))
     expected = [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
-    gamma = aggregation_matrix(accumulate_counts(g, [np.arange(3)] * 4), g)
-    assert np.array_equal(gamma, expected)
-    assert np.array_equal(gamma, add_self_loops(g) > 0)
+    a_hat = normalize_adjacency(g)
+    op = a_hat * aggregation_matrix(accumulate_counts(g, [np.arange(3)] * 4))
+    assert np.array_equal(op, a_hat)
+    assert np.array_equal(op > 0, expected)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from angcn.errors import ShapeMismatch
-from angcn.graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
+from angcn.graph_core import Graph, normalize_adjacency
 from angcn.model import (
     ModelParams,
     forward,
@@ -74,28 +74,26 @@ class TestFeatureDiffusion:
 class TestAggregatedDiffusion:
     def test_ones_gamma_reduces_to_plain_diffusion(self):
         g = random_graph(6, 0.5, seed=2)
-        a_hat = normalize_adjacency(add_self_loops(g))
+        a_hat = normalize_adjacency(g)
         h = np.random.default_rng(3).normal(size=(6, 4))
         out = aggregate(a_hat, h)
         assert np.array_equal(out, a_hat @ h)
 
     def test_constant_gamma_scales(self):
         g = random_graph(5, 0.6, seed=4)
-        a_hat = normalize_adjacency(add_self_loops(g))
-        gamma = 2.0 * (add_self_loops(g) > 0)
+        a_hat = normalize_adjacency(g)
+        gamma = np.full((5, 5), 2.0)
         h = np.random.default_rng(5).normal(size=(5, 3))
-        np.testing.assert_allclose(
-            aggregate(hadamard(a_hat, gamma), h), 2.0 * (a_hat @ h), atol=1e-13
-        )
+        np.testing.assert_allclose(aggregate(a_hat * gamma, h), 2.0 * (a_hat @ h), atol=1e-13)
 
     def test_composition_of_hadamard_then_matmul(self):
         g = random_graph(7, 0.4, seed=6)
-        a_hat = normalize_adjacency(add_self_loops(g))
+        a_hat = normalize_adjacency(g)
         stats, _ = presample(g, runs=40, budget=3, seed=7)
-        gamma = aggregation_matrix(stats, g)
+        gamma = aggregation_matrix(stats)
         h = np.random.default_rng(8).normal(size=(7, 2))
-        expected = hadamard(a_hat, gamma) @ h
-        assert np.array_equal(aggregate(hadamard(a_hat, gamma), h), expected)
+        expected = (a_hat * gamma) @ h
+        assert np.array_equal(aggregate(a_hat * gamma, h), expected)
 
 
 class TestLayerForward:
@@ -111,7 +109,7 @@ class TestLayerForward:
 
     def test_alpha_beta_zero_is_plain_diffusion_bitwise(self):
         g = random_graph(5, 0.5, seed=1)
-        a_hat = normalize_adjacency(add_self_loops(g))
+        a_hat = normalize_adjacency(g)
         op = a_hat
         rng = np.random.default_rng(2)
         h = rng.normal(size=(5, 3))
@@ -138,7 +136,7 @@ class TestLayerForward:
     def test_skipped_terms_leave_the_four_term_rule_bitwise(self, alpha, beta):
         # a zero-coefficient term is skipped, not added as zeros: same bits
         rng = np.random.default_rng(3)
-        op = normalize_adjacency(add_self_loops(random_graph(9, 0.4, seed=3)))
+        op = normalize_adjacency(random_graph(9, 0.4, seed=3))
         h, x0 = rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
         w = rng.normal(size=(4, 4))
         iw = np.eye(4) + w
@@ -167,7 +165,7 @@ class TestForward:
 
     def test_single_layer_matches_layer_forward(self):
         g = random_graph(4, 0.6, seed=3)
-        op = normalize_adjacency(add_self_loops(g))
+        op = normalize_adjacency(g)
         rng = np.random.default_rng(4)
         params = init_params(3, 2, 2, n_layers=1, alpha=0.1, beta=0.3, rng=rng)
         x = rng.normal(size=(4, 3))
@@ -180,7 +178,7 @@ class TestForward:
 
     def test_activations_nonnegative(self):
         g = random_graph(6, 0.5, seed=5)
-        a_hat = normalize_adjacency(add_self_loops(g))
+        a_hat = normalize_adjacency(g)
         rng = np.random.default_rng(6)
         params = init_params(4, 5, 2, n_layers=3, alpha=0.2, beta=0.1, rng=rng)
         trace = forward(params, a_hat, rng.normal(size=(6, 4)))
@@ -190,14 +188,14 @@ class TestForward:
 
     def test_permutation_equivariance(self):
         g = random_graph(7, 0.5, seed=7)
-        a_hat = normalize_adjacency(add_self_loops(g))
+        a_hat = normalize_adjacency(g)
         stats, _ = presample(g, runs=30, budget=4, seed=8)
-        gamma = aggregation_matrix(stats, g)
+        gamma = aggregation_matrix(stats)
         rng = np.random.default_rng(9)
         params = init_params(3, 4, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
         x = rng.normal(size=(7, 3))
         perm = rng.permutation(7)
-        op = hadamard(a_hat, gamma)
+        op = a_hat * gamma
         base = forward(params, op, x)
         permuted = forward(params, op[np.ix_(perm, perm)], x[perm])
         np.testing.assert_allclose(permuted.logits, base.logits[perm], rtol=1e-12, atol=1e-12)
@@ -220,9 +218,9 @@ class TestForward:
     def test_trace_diffusion_is_operator_times_previous_layer_bitwise(self):
         # backward reads diffused[l] instead of recomputing op @ h_(l-1)
         g = random_graph(8, 0.5, seed=14)
-        a_hat = normalize_adjacency(add_self_loops(g))
+        a_hat = normalize_adjacency(g)
         stats, _ = presample(g, runs=30, budget=4, seed=15)
-        op = hadamard(a_hat, aggregation_matrix(stats, g))
+        op = a_hat * aggregation_matrix(stats)
         rng = np.random.default_rng(16)
         params = init_params(3, 5, 2, n_layers=4, alpha=0.1, beta=0.3, rng=rng)
         trace = forward(params, op, rng.normal(size=(8, 3)))
@@ -238,7 +236,7 @@ class TestForward:
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 9))
             g = random_graph(n, 0.5, seed=seed + 1000)
-            a_hat = normalize_adjacency(add_self_loops(g))
+            a_hat = normalize_adjacency(g)
             op = a_hat
             h = rng.normal(size=(n, 4))
             x0 = rng.normal(size=(n, 4))

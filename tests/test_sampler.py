@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from angcn.errors import BudgetOutOfRange, EmptyStats, ForeignSample
-from angcn.graph_core import Graph, add_self_loops, normalize_adjacency
+from angcn.graph_core import Graph, normalize_adjacency
 from angcn.sampler import (
     AggregationStats,
     accumulate_counts,
@@ -126,13 +126,14 @@ class TestAggregationMatrix:
         samples = [
             sample_node_subgraph(g.n, budget=4, rng=np.random.default_rng(r)) for r in range(5)
         ]
-        gamma = aggregation_matrix(accumulate_counts(g, samples), g)
-        assert np.array_equal(gamma, add_self_loops(g) > 0)
+        gamma = aggregation_matrix(accumulate_counts(g, samples))
+        assert np.array_equal(gamma, np.ones((4, 4)))
+        a_hat = normalize_adjacency(g)
+        assert np.array_equal(a_hat * gamma, a_hat)
 
     def test_ratio_substitution(self):
-        g = Graph(n=2, edges=((0, 1, 1.0),))
         stats = AggregationStats(runs=10, pair_counts=np.array([[10, 5], [5, 8]]))
-        gamma = aggregation_matrix(stats, g)
+        gamma = aggregation_matrix(stats)
         assert gamma[0, 1] == 2.0          # 10 / 5
         assert gamma[1, 0] == pytest.approx(8.0 / 5.0)
         assert gamma[0, 0] == 1.0
@@ -141,15 +142,15 @@ class TestAggregationMatrix:
     def test_empty_stats(self):
         g = path_graph(3)
         with pytest.raises(EmptyStats):
-            aggregation_matrix(accumulate_counts(g, []), g)
+            aggregation_matrix(accumulate_counts(g, []))
 
     def test_unit_diagonal_and_support(self):
         g = random_graph(10, 0.4, seed=6)
         stats, _ = presample(g, runs=60, budget=5, seed=1)
-        gamma = aggregation_matrix(stats, g)
+        gamma = aggregation_matrix(stats)
         assert np.all(np.diag(gamma) == 1.0)
-        support = (add_self_loops(g) > 0)
-        assert np.all(gamma[~support] == 0.0)
+        a_hat = normalize_adjacency(g)  # the operator keeps the support of A + I
+        assert np.array_equal(a_hat * gamma > 0, a_hat > 0)
         off = edge_pairs(g)
         for i, j in off:
             if stats.pair_counts[i, j] >= 1:
@@ -157,11 +158,10 @@ class TestAggregationMatrix:
                 assert gamma[j, i] >= 1.0
 
     def test_never_sampled_edge_clamps_denominator(self):
-        g = Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
         stats = AggregationStats(
             runs=4, pair_counts=np.array([[4, 2, 0], [2, 2, 0], [0, 0, 0]])
         )
-        gamma = aggregation_matrix(stats, g)
+        gamma = aggregation_matrix(stats)
         assert gamma[1, 2] == 2.0          # C_1 / max(0, 1)
         assert gamma[2, 1] == 0.0          # C_2 = 0
         assert gamma[2, 2] == 0.0          # never-sampled node
@@ -188,6 +188,7 @@ class TestLoopReference:
         assert {key: stats.pair_counts[key] for key in edge_counts} == edge_counts
 
     def test_gamma_matches_per_edge_loop(self):
+        # the training operator a_hat * gamma against gamma scattered per edge
         g = random_graph(15, 0.4, seed=10)
         stats, _ = presample(g, runs=30, budget=4, seed=5)
         c = stats.node_counts.astype(float)
@@ -198,7 +199,8 @@ class TestLoopReference:
             want[j, i] = c[j] / cij
         for v in range(g.n):
             want[v, v] = c[v] / max(c[v], 1.0)
-        assert np.array_equal(aggregation_matrix(stats, g), want)
+        a_hat = normalize_adjacency(g)
+        assert np.array_equal(a_hat * aggregation_matrix(stats), a_hat * want)
 
 
 class TestUnbiasedness:
@@ -207,11 +209,11 @@ class TestUnbiasedness:
         # aggregation over the same seeded runs that defined the counts,
         # per-node normalized by the node's appearance count.
         g = random_graph(20, 0.3, seed=123)
-        a_hat = normalize_adjacency(add_self_loops(g))
+        a_hat = normalize_adjacency(g)
         rng = np.random.default_rng(5)
         h = rng.normal(size=(20, 6))
         stats, samples = presample(g, runs=5000, budget=10, seed=99)
-        gamma = aggregation_matrix(stats, g)
+        gamma = aggregation_matrix(stats)
         op = a_hat * gamma
         total = np.zeros_like(h)
         for nodes in samples:
@@ -227,10 +229,10 @@ class TestUnbiasedness:
         # harsher variant: gamma from one batch of runs, averaging over an
         # independent batch; only statistically unbiased, so the bound is loose
         g = random_graph(20, 0.3, seed=123)
-        a_hat = normalize_adjacency(add_self_loops(g))
+        a_hat = normalize_adjacency(g)
         h = np.random.default_rng(5).normal(size=(20, 6))
         stats_a, _ = presample(g, runs=4000, budget=10, seed=1)
-        op = a_hat * aggregation_matrix(stats_a, g)
+        op = a_hat * aggregation_matrix(stats_a)
         stats_b, samples_b = presample(g, runs=4000, budget=10, seed=2)
         total = np.zeros_like(h)
         for nodes in samples_b:

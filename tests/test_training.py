@@ -20,7 +20,7 @@ from angcn.errors import (
     ShapeMismatch,
     TraceMismatch,
 )
-from angcn.graph_core import Graph, add_self_loops, hadamard, normalize_adjacency
+from angcn.graph_core import Graph, normalize_adjacency
 from angcn.model import ModelParams, forward, init_params, predict
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
 from angcn.sampler import aggregation_matrix, presample
@@ -176,6 +176,21 @@ class TestBackward:
         params, op, x_raw, onehot, labeled = gradcheck_fixture(seed=3)
         with pytest.raises(ValueError):
             finite_difference_check(params, op, x_raw, onehot, labeled, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-5])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        params, op, x_raw, onehot, labeled = gradcheck_fixture(seed=3)
+        with pytest.raises(ValueError, match="eps must be a finite number > 0"):
+            finite_difference_check(params, op, x_raw, onehot, labeled, eps=eps)
+
+    @pytest.mark.parametrize("matrix", [0, 2, -1])  # projection, a layer, the head
+    def test_nan_weight_fails_the_check(self, matrix):
+        # a NaN entry error must not be dropped by the running maximum
+        params, op, x_raw, onehot, labeled = gradcheck_fixture(seed=7)
+        params.matrices()[matrix][0, 0] = np.nan
+        err = finite_difference_check(params, op, x_raw, onehot, labeled, eps=1e-5)
+        assert not err < 1e-4
+        assert math.isnan(err)
 
 
 def hand_adam(thetas, grads_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -346,10 +361,6 @@ class TestEarlyStopper:
         assert stopper.update(2, 0.5)
 
 
-def a_hat_of(g):
-    return normalize_adjacency(add_self_loops(g))
-
-
 def two_node_setup():
     g = Graph(n=2, edges=((0, 1, 1.0),))
     features = np.array([[1.0, 0.5], [1.0, 0.5]])
@@ -365,7 +376,7 @@ class TestTrain:
         cfg = TrainConfig(
             max_epochs=10, patience=1, layers=1, hidden_dim=4, seed=5, folds=2
         )
-        a_hat = a_hat_of(g)
+        a_hat = normalize_adjacency(g)
         params, history = train(
             cfg, a_hat, a_hat, features, labels, np.array([0]), np.array([1])
         )
@@ -384,11 +395,11 @@ class TestTrain:
         bundle, g, idx = TestTrainTraceReuse.setup()
         cfg = TrainConfig(max_epochs=6, patience=6, layers=3, hidden_dim=8, seed=9,
                           alpha=0.0, beta=0.0, batch_budget=budget, sampler_runs=30)
-        a_hat = a_hat_of(g)
+        a_hat = normalize_adjacency(g)
         op = a_hat
         if budget is not None:
             stats, _ = presample(g, runs=30, budget=budget, seed=9)
-            op = hadamard(a_hat, aggregation_matrix(stats, g))
+            op = a_hat * aggregation_matrix(stats)
         params, history = train(cfg, a_hat, op, bundle.features, bundle.labels,
                                 idx[:30], idx[30:])
         fresh = init_params(bundle.features.shape[1], 8, 2, 3, 0.0, 0.0,
@@ -401,7 +412,7 @@ class TestTrain:
     def test_zero_epochs_returns_init(self):
         g, features, labels = two_node_setup()
         cfg = TrainConfig(max_epochs=0, layers=1, hidden_dim=4, seed=5)
-        a_hat = a_hat_of(g)
+        a_hat = normalize_adjacency(g)
         params, history = train(
             cfg, a_hat, a_hat, features, labels, np.array([0]), np.array([1])
         )
@@ -415,7 +426,7 @@ class TestTrain:
         g = build_adjacency(
             PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
         )
-        a_hat = a_hat_of(g)
+        a_hat = normalize_adjacency(g)
         idx = np.arange(40)
         cfg = TrainConfig(max_epochs=40, patience=5, layers=2, hidden_dim=8, seed=9)
         params, history = train(
@@ -432,7 +443,7 @@ class TestTrain:
         g = build_adjacency(
             PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
         )
-        a_hat = a_hat_of(g)
+        a_hat = normalize_adjacency(g)
         idx = np.arange(30)
         cfg = TrainConfig(max_epochs=15, patience=15, layers=2, hidden_dim=8, seed=3)
         out_a = train(cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:24], idx[24:])
@@ -448,7 +459,7 @@ class TestTrain:
         g = build_adjacency(
             PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
         )
-        a_hat = a_hat_of(g)
+        a_hat = normalize_adjacency(g)
         idx = np.arange(40)
         cfg = TrainConfig(
             max_epochs=20, patience=20, layers=1, hidden_dim=8, seed=3, batch_budget=15
@@ -465,7 +476,7 @@ class TestTrain:
         g = build_adjacency(
             PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
         )
-        a_hat = a_hat_of(g)
+        a_hat = normalize_adjacency(g)
         idx = np.arange(80)
         cfg = TrainConfig(max_epochs=200, patience=200, layers=2, hidden_dim=16, seed=1)
         params, history = train(
@@ -514,7 +525,7 @@ class TestTrainTraceReuse:
         forwards = self.count_calls(monkeypatch, "forward", 1)
         backwards = self.count_calls(monkeypatch, "backward", 2)
         cfg = TrainConfig(max_epochs=7, patience=7, layers=2, hidden_dim=8, seed=9)
-        a_hat = a_hat_of(g)
+        a_hat = normalize_adjacency(g)
         _, history = train(cfg, a_hat, a_hat, bundle.features, bundle.labels,
                            idx[:30], idx[30:])
         assert len(history) == 7
@@ -528,19 +539,19 @@ class TestTrainTraceReuse:
         forwards = self.count_calls(monkeypatch, "forward", 1)
         cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9,
                           batch_budget=15, sampler_runs=30)
-        a_hat = a_hat_of(g)
-        op = hadamard(a_hat, aggregation_matrix(stats, g))
+        a_hat = normalize_adjacency(g)
+        op = a_hat * aggregation_matrix(stats)
         train(cfg, a_hat, op, bundle.features, bundle.labels, idx[:36], idx[36:])
         assert forwards == [15, 15, 15, 40] * 5   # ceil(40 / 15) batches, then the full graph
 
     def test_full_batch_rejects_non_unit_gamma(self):
         bundle, g, idx = self.setup()
         stats, _ = presample(g, runs=30, budget=15, seed=9)
-        gamma = aggregation_matrix(stats, g)
-        a_hat = a_hat_of(g)
+        gamma = aggregation_matrix(stats)
+        a_hat = normalize_adjacency(g)
         cfg = TrainConfig(max_epochs=3, patience=3, folds=2, layers=1, hidden_dim=4, seed=9)
         with pytest.raises(ValueError, match="gamma"):
-            train(cfg, a_hat, hadamard(a_hat, gamma), bundle.features, bundle.labels,
+            train(cfg, a_hat, a_hat * gamma, bundle.features, bundle.labels,
                   idx[:30], idx[30:])
         with pytest.raises(ValueError, match="gamma"):
             cross_validate(cfg, g, gamma, bundle.features, bundle.labels)
@@ -550,12 +561,12 @@ class TestTrainTraceReuse:
         # a separate training forward and backward recomputed op @ h
         bundle, g, idx = self.setup()
         cfg = TrainConfig(max_epochs=12, patience=12, layers=3, hidden_dim=8, seed=9)
-        a_hat = a_hat_of(g)
+        a_hat = normalize_adjacency(g)
         _, full = train(cfg, a_hat, a_hat, bundle.features, bundle.labels,
                         idx[:30], idx[30:])
         stats, _ = presample(g, runs=30, budget=15, seed=9)
         sampled_cfg = replace(cfg, batch_budget=15, sampler_runs=30)
-        op = hadamard(a_hat, aggregation_matrix(stats, g))
+        op = a_hat * aggregation_matrix(stats)
         _, sampled = train(sampled_cfg, a_hat, op, bundle.features,
                            bundle.labels, idx[:30], idx[30:])
         assert self.digest(full) == (
@@ -575,7 +586,7 @@ class TestTrainTraceReuse:
         bundle, g, idx = self.setup()
         cfg = TrainConfig(max_epochs=12, patience=12, layers=3, hidden_dim=8, seed=9,
                           alpha=alpha, beta=beta)
-        a_hat = a_hat_of(g)
+        a_hat = normalize_adjacency(g)
         _, history = train(cfg, a_hat, a_hat, bundle.features, bundle.labels,
                            idx[:30], idx[30:])
         assert self.digest(history) == want
@@ -590,7 +601,7 @@ class TestNonFiniteLoss:
         cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9,
                           **coefficients)
         with pytest.raises(NonFiniteLoss, match="epoch 1"):
-            a_hat = a_hat_of(g)
+            a_hat = normalize_adjacency(g)
             train(cfg, a_hat, a_hat, features, bundle.labels, idx[:30], idx[30:])
 
     def test_nan_feature_fails_at_epoch_one(self):
@@ -633,7 +644,7 @@ class TestSampledInference:
 
         full = cross_validate(cfg, g, None, bundle.features, bundle.labels)
         sampled = cross_validate(
-            sampled_cfg, g, aggregation_matrix(stats, g), bundle.features, bundle.labels
+            sampled_cfg, g, aggregation_matrix(stats), bundle.features, bundle.labels
         )
         assert accuracy(full) > 0.9
         assert accuracy(sampled) >= accuracy(full) - 0.1
@@ -665,6 +676,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("budget, n, full", [(None, 5, True), (5, 5, True), (6, 5, True),
+                                                 (4, 5, False), (1, 2, False)])
+    def test_full_batch_is_no_budget_or_one_covering_the_graph(self, budget, n, full):
+        assert TrainConfig(batch_budget=budget).full_batch(n) is full
+
     def test_accepts_boundary_values(self):
         cfg = TrainConfig(batch_budget=1, layers=0, hidden_dim=1, sampler_runs=1, max_epochs=0)
         assert cfg.batch_budget == 1
@@ -687,18 +703,30 @@ class TestCrossValidate:
     @pytest.mark.parametrize("sampled", [False, True])
     def test_builds_each_operator_once_per_call(self, monkeypatch, sampled):
         bundle, g, _ = TestTrainTraceReuse.setup()
-        builds = TestTrainTraceReuse.count_calls(monkeypatch, "normalize_adjacency", 0)
-        products = TestTrainTraceReuse.count_calls(monkeypatch, "hadamard", 0)
+        builds = []
+        real_build = training.normalize_adjacency
+        monkeypatch.setattr(training, "normalize_adjacency",
+                            lambda graph: builds.append(graph.n) or real_build(graph))
+        shared = []
+        real_train_folds = training._train_folds
+        monkeypatch.setattr(training, "_train_folds",
+                            lambda arrays, tasks: shared.append(arrays) or real_train_folds(
+                                arrays, tasks))
         cfg = TrainConfig(max_epochs=2, patience=2, folds=3, layers=1, hidden_dim=4, seed=9)
         gamma = None
         if sampled:
             cfg = replace(cfg, batch_budget=15, sampler_runs=30)
             stats, _ = presample(g, runs=30, budget=15, seed=9)
-            gamma = aggregation_matrix(stats, g)
+            gamma = aggregation_matrix(stats)
         results = cross_validate(cfg, g, gamma, bundle.features, bundle.labels)
         assert len(results) == 3
         assert builds == [40]
-        assert products == ([40] if sampled else [])
+        # every fold shares one a_hat and one op; full batch multiplies nothing
+        (a_hat, op, _, _), = shared
+        if sampled:
+            assert np.array_equal(op, a_hat * gamma)
+        else:
+            assert op is a_hat
 
 
 needs_blas_threads = pytest.mark.skipif(
