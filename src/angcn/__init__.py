@@ -14,7 +14,6 @@ from .popgraph import (
 )
 from .sampler import (
     AggregationStats,
-    accumulate_counts,
     aggregation_matrix,
     presample,
     sample_node_subgraph,
@@ -39,7 +38,6 @@ __all__ = [
     "PopulationGraphSpec",
     "SyntheticSpec",
     "TrainConfig",
-    "accumulate_counts",
     "adam_step",
     "aggregation_matrix",
     "backward",

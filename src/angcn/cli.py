@@ -71,17 +71,23 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _positive(text: str) -> float:
-    """argparse type of a finite number > 0: a gradient-check step, or a kernel
+def _number(kind: type, low: int):
+    """argparse type of an integer >= low (kind int: a seed or a column count)
+    or a finite number > low (kind float: a gradient-check step, or a kernel
     width, checked here because a graph read from --adjacency never uses it,
-    yet its checkpoints record it."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"not a finite number > 0: {text!r}")
-    return value
+    yet its checkpoints record it)."""
+    rule = f"an integer >= {low}" if kind is int else f"a finite number > {low}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (value >= low if kind is int else low < value < math.inf):
+            raise argparse.ArgumentTypeError(f"not {rule}: {text!r}")
+        return value
+
+    return parse
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -103,9 +109,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sampler-runs", type=int, default=None,
                    help="pre-training sampler runs used to build the aggregation matrix")
     p.add_argument("--loss-reduction", choices=["sum", "mean"], default=None)
-    p.add_argument("--sigma", type=_positive, default=None,
+    p.add_argument("--sigma", type=_number(float, 0), default=None,
                    help="kernel width for graph construction (default: median heuristic)")
-    p.add_argument("--rfe-dim", type=int, default=None,
+    p.add_argument("--rfe-dim", type=_number(int, 1), default=None,
                    help="reduce features to this many columns with ridge-RFE first")
 
 
@@ -119,13 +125,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-roi", type=int, default=16)
     p.add_argument("--class-separation", type=float, default=2.0)
     p.add_argument("--phenotype-informativeness", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("build-graph", help="build the population adjacency file")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--sigma", type=_positive, default=None)
+    p.add_argument("--sigma", type=_number(float, 0), default=None)
     p.set_defaults(func=_cmd_build_graph)
 
     p = sub.add_parser("sample-stats", help="run the sampler and export count statistics")
@@ -134,8 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adjacency", type=Path, default=None)
     p.add_argument("--runs", type=int, default=200)
     p.add_argument("--budget", type=int, default=None, help="default: half the nodes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=_positive, default=None)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
+    p.add_argument("--sigma", type=_number(float, 0), default=None)
     p.set_defaults(func=_cmd_sample_stats)
 
     p = sub.add_parser("train", help="cross-validated training with full reporting")
@@ -169,8 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_batch)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--eps", type=_positive, default=1e-5)
+    p.add_argument("--seed", type=_number(int, 0), default=7)
+    p.add_argument("--eps", type=_number(float, 0), default=1e-5)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser
@@ -188,6 +194,8 @@ def resolve_config(args, defaults: TrainConfig | None = None) -> TrainConfig:
             file_values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"config file {args.config}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file {args.config}: not a JSON object")
         known = {f.name for f in fields(TrainConfig)}
         unknown = set(file_values) - known
         if unknown:
@@ -231,9 +239,8 @@ def _gamma_for(config: TrainConfig, g: Graph) -> np.ndarray | None:
     """
     if config.full_batch(g.n):
         return None
-    stats, _ = presample(g, runs=config.sampler_runs, budget=config.batch_budget,
-                         seed=config.seed)
-    return aggregation_matrix(stats)
+    return aggregation_matrix(presample(g.n, runs=config.sampler_runs,
+                                        budget=config.batch_budget, seed=config.seed))
 
 
 def _fold_metrics(y_true: np.ndarray, probs: np.ndarray) -> dict:
@@ -298,7 +305,7 @@ def _cmd_sample_stats(args) -> int:
     bundle, features, _ = _load_features(args)
     g, _ = _graph_for(bundle, features, args.sigma, args.adjacency)
     budget = args.budget if args.budget is not None else -(-g.n // 2)
-    stats, _ = presample(g, runs=args.runs, budget=budget, seed=args.seed)
+    stats = presample(g.n, runs=args.runs, budget=budget, seed=args.seed)
     dataio._atomic_write(Path(args.out), stats.to_json(g) + "\n")
     print(f"wrote {args.out} (runs={stats.runs}, budget={budget})")
     return 0
@@ -434,8 +441,7 @@ def gradcheck_fixture(seed: int):
                 edges.append((i, j, float(rng.uniform(0.5, 1.5))))
     g = Graph(n=n, edges=tuple(edges))
     a_hat = normalize_adjacency(g)
-    stats, _ = presample(g, runs=50, budget=4, seed=seed)
-    gamma = aggregation_matrix(stats)
+    gamma = aggregation_matrix(presample(n, runs=50, budget=4, seed=seed))
     x_raw = rng.normal(size=(n, f_in))
     labels = rng.integers(0, n_classes, size=n)
     onehot = np.zeros((n, n_classes))

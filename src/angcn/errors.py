@@ -28,10 +28,6 @@ class BudgetOutOfRange(ValueError):
     """Requested sample size is not in [1, n]."""
 
 
-class ForeignSample(ValueError):
-    """A subgraph sample references nodes outside the parent graph."""
-
-
 class EmptyStats(ValueError):
     """Aggregation statistics were accumulated over zero sampler runs."""
 

@@ -152,15 +152,14 @@ def rfe_ridge(
     features: np.ndarray,
     labels: Sequence[float],
     target_dim: int,
-    step: int | None = None,
 ) -> np.ndarray:
     """Recursive feature elimination with a closed-form ridge fit.
 
     Repeatedly solves (X^T X + RIDGE_LAMBDA I) w = X^T y on the surviving
-    columns and drops the `step` columns with smallest |w| (ties drop the
-    lower column index first) until target_dim remain. step=None removes 10%
-    of the surviving columns per round, at least one. Returns the surviving
-    column indices in ascending order.
+    columns and drops the 10% of them (at least one, at most the surplus over
+    target_dim) with smallest |w|, ties dropping the lower column index first,
+    until target_dim remain. Returns the surviving column indices in
+    ascending order.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -177,8 +176,7 @@ def rfe_ridge(
             w = np.linalg.solve(gram, xs.T @ y)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"ridge system singular at lambda={RIDGE_LAMBDA}") from exc
-        k = step if step is not None else max(1, len(remaining) // 10)
-        k = min(k, len(remaining) - target_dim)
+        k = min(max(1, len(remaining) // 10), len(remaining) - target_dim)
         drop = set(elimination_order(w, remaining)[:k])
         remaining = [c for c in remaining if c not in drop]
     return np.array(remaining, dtype=int)

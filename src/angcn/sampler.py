@@ -2,9 +2,11 @@
 
 Uniform node samples drawn before training yield appearance counts C_i and
 C_ij; their ratio gives the per-edge normalization constants that debias
-subgraph-restricted aggregation. Both live in one integer matrix S^T S, with
-C_ij off the diagonal and C_i on it, so the self term (i, i) is never
-rescaled. The counts become JSON only when `sample-stats` writes them.
+subgraph-restricted aggregation. The samples ignore edges, so the counts
+depend only on n, the budget, the number of runs and the seed. Both live in
+one integer matrix S^T S, with C_ij off the diagonal and C_i on it, so the
+self term (i, i) is never rescaled. The counts become JSON only when
+`sample-stats` writes them, for the edges of a given graph.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetOutOfRange, EmptyStats, ForeignSample
+from .errors import BudgetOutOfRange, EmptyStats
 from .graph_core import Graph
 
 
@@ -56,19 +58,6 @@ def sample_node_subgraph(n: int, budget: int, rng: np.random.Generator) -> np.nd
     return np.sort(rng.choice(n, size=budget, replace=False))
 
 
-def accumulate_counts(g: Graph, samples: list[np.ndarray]) -> AggregationStats:
-    """Tally pair appearance counts S^T S over a list of node samples."""
-    membership = np.zeros((len(samples), g.n))
-    for r, nodes in enumerate(samples):
-        nodes = np.asarray(nodes, dtype=int)
-        foreign = nodes[(nodes < 0) | (nodes >= g.n)]
-        if foreign.size:
-            raise ForeignSample(f"sample references node {foreign[0]}, graph has n={g.n}")
-        membership[r, nodes] = 1.0
-    # a float product is exact for integer counts and runs on BLAS
-    return AggregationStats(len(samples), (membership.T @ membership).astype(np.int64))
-
-
 def aggregation_matrix(stats: AggregationStats) -> np.ndarray:
     """Normalization constants gamma_ij = C_i / C_ij for every node pair.
 
@@ -86,16 +75,17 @@ def aggregation_matrix(stats: AggregationStats) -> np.ndarray:
     return gamma
 
 
-def presample(g: Graph, runs: int, budget: int, seed: int) -> tuple[AggregationStats, list[np.ndarray]]:
-    """Run the sampler `runs` times with per-run derived seeds and tally counts.
+def presample(n: int, runs: int, budget: int, seed: int) -> AggregationStats:
+    """Tally appearance counts over `runs` uniform samples of `budget` of the
+    nodes 0..n-1.
 
     Run r uses default_rng([seed, r]), so runs are independent and the result
     does not depend on execution order.
     """
     if runs < 1:
         raise EmptyStats(f"runs must be >= 1, got {runs}")
-    samples = [
-        sample_node_subgraph(g.n, budget, np.random.default_rng([seed, r]))
-        for r in range(runs)
-    ]
-    return accumulate_counts(g, samples), samples
+    membership = np.zeros((runs, n))
+    for r in range(runs):
+        membership[r, sample_node_subgraph(n, budget, np.random.default_rng([seed, r]))] = 1.0
+    # a float product is exact for integer counts and runs on BLAS
+    return AggregationStats(runs, (membership.T @ membership).astype(np.int64))

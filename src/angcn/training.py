@@ -8,12 +8,12 @@ costs two N x N products per layer: op @ h forward and op.T @ d_s backward.
 Both passes skip every term whose coefficient is 0, so at alpha = beta = 0
 a layer does no H x H product either way.
 `cross_validate` builds the operators once and every fold shares them. It
-trains the folds in forked worker processes, one per usable CPU, each with a
-single OpenBLAS thread; a single worker, a platform without `fork` or
-without OpenBLAS's thread-count symbols, or a caller running other threads
-trains them in this process instead,
-with BLAS held at one thread where those symbols exist. Results are the same
-bits for any worker count.
+holds OpenBLAS at one thread, where its thread-count symbols exist, and
+trains the folds in forked worker processes, one per usable CPU, which
+inherit the arrays and that one thread. A single worker, a platform without
+`fork` or without those symbols, or a caller running other threads trains
+them in this process instead, through the same per-fold function. Results
+are the same bits for any worker count.
 """
 
 from __future__ import annotations
@@ -436,13 +436,7 @@ def _train_fold(shared: tuple, task: tuple) -> FoldResult:
     return FoldResult(fold, test_idx, probs, history, params)
 
 
-_worker_shared: tuple | None = None  # set in each forked worker by _start_worker
-
-
-def _start_worker(shared: tuple) -> None:
-    global _worker_shared
-    _worker_shared = shared
-    _blas_thread_api()[1](1)
+_worker_shared: tuple | None = None  # the arrays forked workers train on, set only while they run
 
 
 def _train_fold_in_worker(task: tuple) -> FoldResult:
@@ -452,34 +446,32 @@ def _train_fold_in_worker(task: tuple) -> FoldResult:
 def _train_folds(shared: tuple, tasks: list[tuple]) -> list[FoldResult]:
     """Every task's FoldResult, in task order, trained with one BLAS thread
     per fold: in forked workers when more than one is worth starting."""
+    global _worker_shared
     api = _blas_thread_api()
-    workers = fold_workers(len(tasks))
-    if workers > 1 and api is not None:
-        import multiprocessing
-        import threading
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork copies only this thread: a lock another thread holds would stay
-        # locked in the worker, so a caller running threads trains in-process.
-        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-            # Forked workers inherit `shared` copy-on-write: nothing N x N is pickled.
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_start_worker, initargs=(shared,)) as pool:
-                futures = [pool.submit(_train_fold_in_worker, task) for task in tasks]
-                try:
-                    return [future.result() for future in futures]
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
-    if api is None:
-        return [_train_fold(shared, task) for task in tasks]
-    get, set_ = api
-    previous = get()
-    set_(1)
+    previous = api[0]() if api else None
     try:
+        if api:
+            api[1](1)  # forked workers inherit the one thread
+            import multiprocessing
+            import threading
+
+            # fork copies only this thread: a lock another thread holds would stay
+            # locked in the worker, so a caller running threads trains in-process.
+            workers = fold_workers(len(tasks))
+            if (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+                    and threading.active_count() == 1):
+                from concurrent.futures import ProcessPoolExecutor
+
+                # Forked workers inherit `shared` copy-on-write: nothing N x N is pickled.
+                _worker_shared = shared
+                with ProcessPoolExecutor(workers,
+                                         mp_context=multiprocessing.get_context("fork")) as pool:
+                    return list(pool.map(_train_fold_in_worker, tasks))
         return [_train_fold(shared, task) for task in tasks]
     finally:
-        set_(previous)
+        _worker_shared = None
+        if api:
+            api[1](previous)
 
 
 def cross_validate(
@@ -497,15 +489,16 @@ def cross_validate(
     operators a_hat = normalize_adjacency(graph) and a_hat * gamma, the
     splits and the fold seeds are built once here; the folds then train
     `fold_workers(folds)` at a time in forked processes that share those
-    arrays, each with one BLAS thread, and the results come back in fold
-    order. With one worker, without `fork` or OpenBLAS's thread-count
-    symbols, or while the caller runs other Python threads (which `fork`
-    would not copy), the folds train here one after another (with BLAS held
-    at one thread where the symbols exist), so the results are the same bits
-    for any worker count. Test probabilities come from a full-graph forward
-    with unit aggregation (a_hat). A non-finite loss raises NonFiniteLoss
-    naming the fold and epoch; an error in any fold reaches the caller, the
-    earliest failing fold's first."""
+    arrays, and the results come back in fold order. The caller's BLAS runs
+    one thread while the folds train, which the workers inherit, and gets
+    its thread count back afterwards, on error too. With one worker, without
+    `fork` or OpenBLAS's thread-count symbols, or while the caller runs other
+    Python threads (which `fork` would not copy), the folds train here one
+    after another, so the results are the same bits for any worker count.
+    Test probabilities come from a full-graph forward with unit aggregation
+    (a_hat). A non-finite loss raises NonFiniteLoss naming the fold and
+    epoch; an error in any fold reaches the caller, the earliest failing
+    fold's first."""
     labels = np.asarray(labels, dtype=int)
     a_hat = normalize_adjacency(graph)
     if gamma is not None and gamma.shape != a_hat.shape:

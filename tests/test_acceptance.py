@@ -21,7 +21,7 @@ from angcn.popgraph import (
     PopulationGraphSpec,
     build_adjacency,
 )
-from angcn.sampler import aggregation_matrix, presample
+from angcn.sampler import aggregation_matrix, presample, sample_node_subgraph
 from angcn.training import finite_difference_check
 
 
@@ -68,11 +68,12 @@ def test_criterion_3_aggregator_unbiasedness():
     g = random_graph(20, 0.3, seed=123, w_low=0.5, w_high=2.0)
     a_hat = normalize_adjacency(g)
     h = np.random.default_rng(5).normal(size=(20, 6))
-    stats, samples = presample(g, runs=5000, budget=10, seed=99)
+    stats = presample(g.n, runs=5000, budget=10, seed=99)
     gamma = aggregation_matrix(stats)
     op = a_hat * gamma
     total = np.zeros_like(h)
-    for nodes in samples:
+    for r in range(5000):  # the runs presample counted: run r from default_rng([99, r])
+        nodes = sample_node_subgraph(g.n, 10, np.random.default_rng([99, r]))
         mask = np.zeros((20, 20))
         mask[np.ix_(nodes, nodes)] = 1.0
         total += (op * mask) @ h

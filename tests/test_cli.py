@@ -495,6 +495,27 @@ class TestGradcheck:
         assert "argument --eps: not a finite number > 0" in capsys.readouterr().err
 
 
+class TestIntegerOptions:
+    """Integer options outside TrainConfig are checked by argparse."""
+
+    @pytest.mark.parametrize("command, flag, low", [
+        ("synth", "--seed", 0),
+        ("sample-stats", "--seed", 0),
+        ("gradcheck", "--seed", 0),
+        ("train", "--rfe-dim", 1),
+    ])
+    @pytest.mark.parametrize("offset", [-1, None])
+    def test_bad_value_is_a_usage_error(self, data_dir, tmp_path, capsys, command, flag, low,
+                                        offset):
+        value = "x" if offset is None else str(low + offset)
+        out = tmp_path / "out"
+        argv = {"synth": ["--out", str(out)],
+                "gradcheck": []}.get(command, ["--data", str(data_dir), "--out", str(out)])
+        assert cli_run([command, *argv, flag, value]) == 2
+        assert f"argument {flag}: not an integer >= {low}: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # TrainConfig field -> (its flag, a config-file value, a different flag value)
 TRAIN_FLAGS = {
     "learning_rate": ("--lr", 0.5, 0.25),
@@ -560,6 +581,16 @@ class TestConfigPrecedence:
         monkeypatch.setenv("ANGCN_SEED", "9")
         args = cli._build_parser().parse_args(["train", "--data", "d", "--out", "o"])
         assert cli.resolve_config(args).seed == TrainConfig().seed
+
+    @pytest.mark.parametrize("text", ["5", "null", '"abc"', "[]", '[["seed", 1]]'])
+    def test_config_file_must_be_a_json_object(self, data_dir, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        rc = cli_run(["train", "--data", str(data_dir), "--out", str(tmp_path / "x"),
+                      "--config", str(config)])
+        assert rc == 1
+        assert f"error: config file {config}: not a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_config_key_rejected(self, data_dir, tmp_path, capsys):
         config = tmp_path / "config.json"

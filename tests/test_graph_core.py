@@ -8,7 +8,7 @@ from angcn.errors import ShapeMismatch
 from angcn.graph_core import Graph, normalize_adjacency
 from angcn.model import ModelParams, forward
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
-from angcn.sampler import AggregationStats, accumulate_counts, aggregation_matrix
+from angcn.sampler import AggregationStats, aggregation_matrix, presample, sample_node_subgraph
 from angcn.training import TrainConfig, cross_validate
 
 
@@ -216,15 +216,22 @@ def test_hadamard_matmul_agree_with_oracles(seed):
     a = rng.normal(size=(4, 3))
     c = rng.normal(size=(3, 5))
     np.testing.assert_allclose(project(a, c), naive_matmul(a, c), rtol=1e-12, atol=1e-12)
-    # a_hat * gamma entry by entry: a_hat_ij * C_i / max(C_ij, 1)
+    # a_hat * gamma entry by entry: a_hat_ij * C_i / max(C_ij, 1), with the
+    # counts tallied pair by pair over the draws presample makes
     g = random_graph(4, 0.5, seed)
-    samples = [np.flatnonzero(row) for row in rng.uniform(size=(6, 4)) < 0.5]
-    stats = accumulate_counts(g, samples)
+    budget = int(rng.integers(1, 5))
+    counts = np.zeros((4, 4), dtype=int)
+    for r in range(6):
+        nodes = sample_node_subgraph(4, budget, np.random.default_rng([seed, r])).tolist()
+        for i in nodes:
+            for j in nodes:
+                counts[i, j] += 1
+    stats = presample(4, runs=6, budget=budget, seed=seed)
+    assert np.array_equal(stats.pair_counts, counts)
     a_hat = normalize_adjacency(g)
     op = a_hat * aggregation_matrix(stats)
     for (i, j), value in np.ndenumerate(op):
-        c_ij = max(stats.pair_counts[i, j], 1)
-        assert value == a_hat[i, j] * (float(stats.pair_counts[i, i]) / c_ij)
+        assert value == a_hat[i, j] * (float(counts[i, i]) / max(counts[i, j], 1))
 
 
 # a_hat is exactly symmetric, so a_hat.T equals a_hat bit for bit
@@ -248,6 +255,6 @@ def test_support_mask_marks_edges_and_diagonal():
     g = Graph(n=3, edges=((0, 2, 0.7),))
     expected = [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
     a_hat = normalize_adjacency(g)
-    op = a_hat * aggregation_matrix(accumulate_counts(g, [np.arange(3)] * 4))
+    op = a_hat * aggregation_matrix(presample(3, runs=4, budget=3, seed=0))
     assert np.array_equal(op, a_hat)
     assert np.array_equal(op > 0, expected)

@@ -89,7 +89,7 @@ class TestAggregatedDiffusion:
     def test_composition_of_hadamard_then_matmul(self):
         g = random_graph(7, 0.4, seed=6)
         a_hat = normalize_adjacency(g)
-        stats, _ = presample(g, runs=40, budget=3, seed=7)
+        stats = presample(g.n, runs=40, budget=3, seed=7)
         gamma = aggregation_matrix(stats)
         h = np.random.default_rng(8).normal(size=(7, 2))
         expected = (a_hat * gamma) @ h
@@ -189,7 +189,7 @@ class TestForward:
     def test_permutation_equivariance(self):
         g = random_graph(7, 0.5, seed=7)
         a_hat = normalize_adjacency(g)
-        stats, _ = presample(g, runs=30, budget=4, seed=8)
+        stats = presample(g.n, runs=30, budget=4, seed=8)
         gamma = aggregation_matrix(stats)
         rng = np.random.default_rng(9)
         params = init_params(3, 4, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
@@ -219,7 +219,7 @@ class TestForward:
         # backward reads diffused[l] instead of recomputing op @ h_(l-1)
         g = random_graph(8, 0.5, seed=14)
         a_hat = normalize_adjacency(g)
-        stats, _ = presample(g, runs=30, budget=4, seed=15)
+        stats = presample(g.n, runs=30, budget=4, seed=15)
         op = a_hat * aggregation_matrix(stats)
         rng = np.random.default_rng(16)
         params = init_params(3, 5, 2, n_layers=4, alpha=0.1, beta=0.3, rng=rng)

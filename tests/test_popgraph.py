@@ -9,6 +9,7 @@ from angcn.errors import DegenerateVector, NonPositiveSigma, OutOfRange
 from angcn.popgraph import (
     QUALITATIVE,
     QUANTITATIVE,
+    RIDGE_LAMBDA,
     PhenotypicMeasure,
     PopulationGraphSpec,
     build_adjacency,
@@ -308,15 +309,19 @@ class TestRfeRidge:
         # carries by far the largest coefficient magnitude
         weights = [abs(single_column_ridge_weight(x[:, c], y)) for c in range(f)]
         assert int(np.argmax(weights)) == 3
-        keep = rfe_ridge(x, y, target_dim=1, step=1)
+        keep = rfe_ridge(x, y, target_dim=1)  # one column per round at f = 8
         assert keep.tolist() == [3]
 
     def test_step_clipped_to_surplus(self):
+        # 10% of 30 columns is 3, but only 2 may go: one round drops the two
+        # smallest |w| of the ridge fit on all 30
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(30, 10))
-        y = np.sign(rng.normal(size=30))
-        keep = rfe_ridge(x, y, target_dim=7, step=100)
-        assert keep.size == 7
+        x = rng.normal(size=(40, 30))
+        y = np.sign(rng.normal(size=40))
+        w = np.linalg.solve(x.T @ x + RIDGE_LAMBDA * np.eye(30), x.T @ y)
+        dropped = elimination_order(w, list(range(30)))[:2]
+        keep = rfe_ridge(x, y, target_dim=28)
+        assert keep.tolist() == sorted(set(range(30)) - set(dropped))
 
     def test_tie_break_drops_lower_column_index_first(self):
         assert elimination_order([0.5, 0.5, 0.7], [3, 1, 9]) == [1, 3, 9]

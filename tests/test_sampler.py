@@ -4,11 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from angcn.errors import BudgetOutOfRange, EmptyStats, ForeignSample
+from angcn.errors import BudgetOutOfRange, EmptyStats
 from angcn.graph_core import Graph, normalize_adjacency
 from angcn.sampler import (
     AggregationStats,
-    accumulate_counts,
     aggregation_matrix,
     presample,
     sample_node_subgraph,
@@ -24,10 +23,29 @@ def edge_pairs(g):
     return list(zip(g.src.tolist(), g.dst.tolist()))
 
 
-def induced_edges(g, nodes):
-    """Edges of g inside the node sample, read off the appearance counts."""
-    counts = accumulate_counts(g, [nodes]).pair_counts
-    return {(i, j) for i, j in edge_pairs(g) if counts[i, j] == 1}
+def draws(n, runs, budget, seed):
+    """The node samples `presample` draws: run r from default_rng([seed, r])."""
+    return [sample_node_subgraph(n, budget, np.random.default_rng([seed, r]))
+            for r in range(runs)]
+
+
+def pair_tally(n, samples):
+    """Independent per-pair appearance counts: entry (i, j) counts the samples
+    holding both i and j, so the diagonal counts those holding i."""
+    counts = np.zeros((n, n), dtype=np.int64)
+    for nodes in samples:
+        for i in nodes.tolist():
+            for j in nodes.tolist():
+                counts[i, j] += 1
+    return counts
+
+
+def induced_edges(g, budget, seed):
+    """The single run of `presample` at `seed`: its node sample, and the edges
+    of g inside it read off the appearance counts."""
+    (nodes,) = draws(g.n, 1, budget, seed)
+    counts = presample(g.n, runs=1, budget=budget, seed=seed).pair_counts
+    return nodes, {(i, j) for i, j in edge_pairs(g) if counts[i, j] == 1}
 
 
 def random_graph(n, p, seed):
@@ -43,15 +61,14 @@ def random_graph(n, p, seed):
 class TestSampleNodeSubgraph:
     def test_exhaustive_budget(self):
         g = path_graph(5)
-        s = sample_node_subgraph(g.n, budget=5, rng=np.random.default_rng(0))
+        s, edges = induced_edges(g, budget=5, seed=0)
         assert s.tolist() == [0, 1, 2, 3, 4]
-        assert induced_edges(g, s) == set(edge_pairs(g))
+        assert edges == set(edge_pairs(g))
 
     def test_budget_one_has_no_edges(self):
-        g = path_graph(4)
-        s = sample_node_subgraph(g.n, budget=1, rng=np.random.default_rng(1))
+        s, edges = induced_edges(path_graph(4), budget=1, seed=1)
         assert len(s) == 1
-        assert induced_edges(g, s) == set()
+        assert edges == set()
 
     def test_fixed_seed_is_deterministic(self):
         g = path_graph(5)
@@ -68,65 +85,49 @@ class TestSampleNodeSubgraph:
     def test_induced_edges_match_parent_graph(self):
         g = random_graph(8, 0.5, seed=2)
         for seed in range(10):
-            s = sample_node_subgraph(g.n, budget=4, rng=np.random.default_rng(seed))
+            s, edges = induced_edges(g, budget=4, seed=seed)
             chosen = set(s.tolist())
             expected = {(i, j) for i, j in edge_pairs(g) if i in chosen and j in chosen}
-            assert induced_edges(g, s) == expected
+            assert edges == expected
 
 
 class TestAccumulateCounts:
+    """The appearance counts `presample` tallies over its runs."""
+
     def test_exhaustive_runs_count_everything(self):
-        g = path_graph(4)
-        samples = [
-            sample_node_subgraph(g.n, budget=4, rng=np.random.default_rng(r)) for r in range(7)
-        ]
-        stats = accumulate_counts(g, samples)
+        stats = presample(4, runs=7, budget=4, seed=0)
         assert stats.runs == 7
         assert np.all(stats.node_counts == 7)
-        for i, j in edge_pairs(g):
-            assert stats.pair_counts[i, j] == 7
-
-    def test_zero_runs(self):
-        stats = accumulate_counts(path_graph(3), [])
-        assert stats.runs == 0
-        assert np.all(stats.node_counts == 0)
+        assert np.all(stats.pair_counts == 7)
 
     def test_hand_tally_fixture(self):
-        # path 0-1-2-3; three hand-listed samples
-        g = path_graph(4)
-        samples = [(0, 1), (1, 2, 3), (0, 2, 3)]
-        stats = accumulate_counts(g, samples)
-        assert stats.node_counts.tolist() == [2, 2, 2, 2]
+        # path 0-1-2-3; at seed 4 the three runs take these hand-listed samples
+        samples = draws(4, 3, 3, 4)
+        assert [nodes.tolist() for nodes in samples] == [[1, 2, 3], [0, 2, 3], [0, 1, 3]]
+        stats = presample(4, runs=3, budget=3, seed=4)
+        assert stats.node_counts.tolist() == [2, 2, 2, 3]
         assert stats.pair_counts[0, 1] == 1
         assert stats.pair_counts[1, 2] == 1
         assert stats.pair_counts[2, 3] == 2
+        assert np.array_equal(stats.pair_counts, pair_tally(4, samples))
         # the diagonal (self-loop) entries are the node counts
         for v in range(4):
-            assert stats.pair_counts[v, v] == stats.node_counts[v] == 2
-
-    def test_foreign_sample(self):
-        g = path_graph(3)
-        with pytest.raises(ForeignSample, match="node 5"):
-            accumulate_counts(g, [(0, 5)])
+            assert stats.pair_counts[v, v] == stats.node_counts[v]
 
     def test_counts_monotone_under_appending(self):
-        g = random_graph(6, 0.5, seed=4)
-        samples = [
-            sample_node_subgraph(g.n, budget=3, rng=np.random.default_rng(r)) for r in range(20)
-        ]
-        prev = accumulate_counts(g, samples[:10])
-        more = accumulate_counts(g, samples)
+        # run r does not depend on the number of runs, so 20 runs extend 10
+        prev = presample(6, runs=10, budget=3, seed=4)
+        more = presample(6, runs=20, budget=3, seed=4)
         assert np.all(more.node_counts >= prev.node_counts)
         assert np.all(more.pair_counts >= prev.pair_counts)
+        assert np.array_equal(more.pair_counts - prev.pair_counts,
+                              pair_tally(6, draws(6, 20, 3, 4)[10:]))
 
 
 class TestAggregationMatrix:
     def test_exhaustive_sampling_collapses_to_ones(self):
         g = path_graph(4)
-        samples = [
-            sample_node_subgraph(g.n, budget=4, rng=np.random.default_rng(r)) for r in range(5)
-        ]
-        gamma = aggregation_matrix(accumulate_counts(g, samples))
+        gamma = aggregation_matrix(presample(g.n, runs=5, budget=4, seed=0))
         assert np.array_equal(gamma, np.ones((4, 4)))
         a_hat = normalize_adjacency(g)
         assert np.array_equal(a_hat * gamma, a_hat)
@@ -140,13 +141,14 @@ class TestAggregationMatrix:
         assert gamma[1, 1] == 1.0
 
     def test_empty_stats(self):
-        g = path_graph(3)
+        with pytest.raises(EmptyStats, match="runs must be >= 1, got 0"):
+            presample(3, runs=0, budget=2, seed=0)
         with pytest.raises(EmptyStats):
-            aggregation_matrix(accumulate_counts(g, []))
+            aggregation_matrix(AggregationStats(runs=0, pair_counts=np.zeros((3, 3), int)))
 
     def test_unit_diagonal_and_support(self):
         g = random_graph(10, 0.4, seed=6)
-        stats, _ = presample(g, runs=60, budget=5, seed=1)
+        stats = presample(g.n, runs=60, budget=5, seed=1)
         gamma = aggregation_matrix(stats)
         assert np.all(np.diag(gamma) == 1.0)
         a_hat = normalize_adjacency(g)  # the operator keeps the support of A + I
@@ -173,10 +175,10 @@ class TestLoopReference:
 
     def test_counts_match_per_edge_tally(self):
         g = random_graph(15, 0.4, seed=9)
-        stats, samples = presample(g, runs=60, budget=6, seed=4)
+        stats = presample(g.n, runs=60, budget=6, seed=4)
         node_counts = np.zeros(g.n, dtype=int)
         edge_counts = {(i, j): 0 for i, j in edge_pairs(g)}
-        for nodes in samples:
+        for nodes in draws(g.n, 60, 6, 4):
             chosen = set(nodes.tolist())
             for v in chosen:
                 node_counts[v] += 1
@@ -190,7 +192,7 @@ class TestLoopReference:
     def test_gamma_matches_per_edge_loop(self):
         # the training operator a_hat * gamma against gamma scattered per edge
         g = random_graph(15, 0.4, seed=10)
-        stats, _ = presample(g, runs=30, budget=4, seed=5)
+        stats = presample(g.n, runs=30, budget=4, seed=5)
         c = stats.node_counts.astype(float)
         want = np.zeros((g.n, g.n))
         for i, j in edge_pairs(g):
@@ -212,11 +214,11 @@ class TestUnbiasedness:
         a_hat = normalize_adjacency(g)
         rng = np.random.default_rng(5)
         h = rng.normal(size=(20, 6))
-        stats, samples = presample(g, runs=5000, budget=10, seed=99)
+        stats = presample(g.n, runs=5000, budget=10, seed=99)
         gamma = aggregation_matrix(stats)
         op = a_hat * gamma
         total = np.zeros_like(h)
-        for nodes in samples:
+        for nodes in draws(g.n, 5000, 10, 99):
             mask = np.zeros((20, 20))
             mask[np.ix_(nodes, nodes)] = 1.0
             total += (op * mask) @ h
@@ -231,11 +233,10 @@ class TestUnbiasedness:
         g = random_graph(20, 0.3, seed=123)
         a_hat = normalize_adjacency(g)
         h = np.random.default_rng(5).normal(size=(20, 6))
-        stats_a, _ = presample(g, runs=4000, budget=10, seed=1)
-        op = a_hat * aggregation_matrix(stats_a)
-        stats_b, samples_b = presample(g, runs=4000, budget=10, seed=2)
+        op = a_hat * aggregation_matrix(presample(g.n, runs=4000, budget=10, seed=1))
+        stats_b = presample(g.n, runs=4000, budget=10, seed=2)
         total = np.zeros_like(h)
-        for nodes in samples_b:
+        for nodes in draws(g.n, 4000, 10, 2):
             mask = np.zeros((20, 20))
             mask[np.ix_(nodes, nodes)] = 1.0
             total += (op * mask) @ h
@@ -247,8 +248,8 @@ class TestUnbiasedness:
 class TestDeterminismAndExport:
     def test_same_seed_same_stats(self):
         g = random_graph(9, 0.4, seed=0)
-        a, _ = presample(g, runs=30, budget=4, seed=21)
-        b, _ = presample(g, runs=30, budget=4, seed=21)
+        a = presample(g.n, runs=30, budget=4, seed=21)
+        b = presample(g.n, runs=30, budget=4, seed=21)
         assert np.array_equal(a.pair_counts, b.pair_counts)
 
     def test_stats_json_bytes_are_pinned(self):
@@ -262,13 +263,13 @@ class TestDeterminismAndExport:
             if rng.uniform() < 0.4
         ]
         g = Graph(n=12, edges=tuple(edges))
-        stats, _ = presample(g, runs=40, budget=5, seed=2)
+        stats = presample(g.n, runs=40, budget=5, seed=2)
         digest = hashlib.sha256(stats.to_json(g).encode()).hexdigest()
         assert digest == "1170aa4302e59f471efcc6622573807201bfd426adc2b9c5bc5371a78eaa069f"
 
     def test_json_round_trip(self):
         g = random_graph(7, 0.5, seed=8)
-        stats, _ = presample(g, runs=25, budget=3, seed=3)
+        stats = presample(g.n, runs=25, budget=3, seed=3)
         back = json.loads(stats.to_json(g))
         assert back["runs"] == stats.runs
         assert back["node_counts"] == stats.node_counts.tolist()

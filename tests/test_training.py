@@ -398,7 +398,7 @@ class TestTrain:
         a_hat = normalize_adjacency(g)
         op = a_hat
         if budget is not None:
-            stats, _ = presample(g, runs=30, budget=budget, seed=9)
+            stats = presample(g.n, runs=30, budget=budget, seed=9)
             op = a_hat * aggregation_matrix(stats)
         params, history = train(cfg, a_hat, op, bundle.features, bundle.labels,
                                 idx[:30], idx[30:])
@@ -535,7 +535,7 @@ class TestTrainTraceReuse:
     def test_sampled_forwards_once_per_batch_plus_one_per_epoch(self, monkeypatch):
         # 36 of 40 nodes are labeled, so every 15-node batch trains
         bundle, g, idx = self.setup()
-        stats, _ = presample(g, runs=30, budget=15, seed=9)
+        stats = presample(g.n, runs=30, budget=15, seed=9)
         forwards = self.count_calls(monkeypatch, "forward", 1)
         cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9,
                           batch_budget=15, sampler_runs=30)
@@ -546,7 +546,7 @@ class TestTrainTraceReuse:
 
     def test_full_batch_rejects_non_unit_gamma(self):
         bundle, g, idx = self.setup()
-        stats, _ = presample(g, runs=30, budget=15, seed=9)
+        stats = presample(g.n, runs=30, budget=15, seed=9)
         gamma = aggregation_matrix(stats)
         a_hat = normalize_adjacency(g)
         cfg = TrainConfig(max_epochs=3, patience=3, folds=2, layers=1, hidden_dim=4, seed=9)
@@ -564,7 +564,7 @@ class TestTrainTraceReuse:
         a_hat = normalize_adjacency(g)
         _, full = train(cfg, a_hat, a_hat, bundle.features, bundle.labels,
                         idx[:30], idx[30:])
-        stats, _ = presample(g, runs=30, budget=15, seed=9)
+        stats = presample(g.n, runs=30, budget=15, seed=9)
         sampled_cfg = replace(cfg, batch_budget=15, sampler_runs=30)
         op = a_hat * aggregation_matrix(stats)
         _, sampled = train(sampled_cfg, a_hat, op, bundle.features,
@@ -635,7 +635,7 @@ class TestSampledInference:
         cfg = TrainConfig(max_epochs=100, patience=100, folds=3, layers=10, hidden_dim=16,
                           seed=1)
         sampled_cfg = replace(cfg, batch_budget=30, sampler_runs=50)
-        stats, _ = presample(g, runs=50, budget=30, seed=1)
+        stats = presample(g.n, runs=50, budget=30, seed=1)
 
         def accuracy(results):
             return np.mean([
@@ -716,7 +716,7 @@ class TestCrossValidate:
         gamma = None
         if sampled:
             cfg = replace(cfg, batch_budget=15, sampler_runs=30)
-            stats, _ = presample(g, runs=30, budget=15, seed=9)
+            stats = presample(g.n, runs=30, budget=15, seed=9)
             gamma = aggregation_matrix(stats)
         results = cross_validate(cfg, g, gamma, bundle.features, bundle.labels)
         assert len(results) == 3
@@ -830,9 +830,12 @@ class TestFoldWorkers:
                  for f in range(self.CFG.folds)]
         monkeypatch.setattr(training, "train", train_failing_on_second_fold)
         self.use_workers(monkeypatch, 2)
+        get_threads = training._blas_thread_api()[0]
+        threads = get_threads()
         with pytest.raises(KeyError, match=f"no such thing in seed {seeds[1]}"):
             cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
         assert multiprocessing.active_children() == []
+        assert get_threads() == threads   # the caller's BLAS held one thread only while folds ran
 
     def test_without_thread_symbols_folds_train_in_process(self, monkeypatch):
         bundle, g, _ = TestTrainTraceReuse.setup()
