@@ -27,7 +27,7 @@ from .graph_core import Graph, normalize_adjacency
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import forward, init_params, predict
 from .popgraph import PopulationGraphSpec, build_adjacency, rfe_ridge
-from .sampler import aggregation_matrix, presample
+from .sampler import AggregationStats, aggregation_matrix, presample
 from .training import TrainConfig, cross_validate, finite_difference_check
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -71,11 +71,11 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _number(kind: type, low: int):
+def _number(kind: type, low: int, why: str = ""):
     """argparse type of an integer >= low (kind int: a seed or a column count)
     or a finite number > low (kind float: a gradient-check step, or a kernel
     width, checked here because a graph read from --adjacency never uses it,
-    yet its checkpoints record it)."""
+    yet its checkpoints record it); `why` follows the refusal."""
     rule = f"an integer >= {low}" if kind is int else f"a finite number > {low}"
 
     def parse(text: str):
@@ -84,7 +84,7 @@ def _number(kind: type, low: int):
         except ValueError:
             value = math.nan
         if not (value >= low if kind is int else low < value < math.inf):
-            raise argparse.ArgumentTypeError(f"not {rule}: {text!r}")
+            raise argparse.ArgumentTypeError(f"not {rule}: {text!r}{why}")
         return value
 
     return parse
@@ -111,8 +111,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss-reduction", choices=["sum", "mean"], default=None)
     p.add_argument("--sigma", type=_number(float, 0), default=None,
                    help="kernel width for graph construction (default: median heuristic)")
-    p.add_argument("--rfe-dim", type=_number(int, 1), default=None,
-                   help="reduce features to this many columns with ridge-RFE first")
+    p.add_argument("--rfe-dim", type=_number(int, 3, " (correlation distances need >= 3 columns)"),
+                   default=None, help="reduce features to this many columns with ridge-RFE first")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -230,17 +230,12 @@ def _graph_for(bundle, features, sigma, adjacency=None) -> tuple[Graph, float | 
     return build_adjacency(spec), spec.sigma
 
 
-def _gamma_for(config: TrainConfig, g: Graph) -> np.ndarray | None:
-    """The aggregation matrix for training, or None for unit aggregation.
-
-    Full-batch aggregation is never restricted to a subgraph, so it needs no
-    normalization constants. Sampled mode derives them from pre-training
-    runs at the batch budget.
-    """
+def _stats_for(config: TrainConfig, g: Graph) -> AggregationStats | None:
+    """Sampler statistics at the batch budget, or None in full batch, whose
+    aggregation is never restricted to a subgraph (unit gamma)."""
     if config.full_batch(g.n):
         return None
-    return aggregation_matrix(presample(g.n, runs=config.sampler_runs,
-                                        budget=config.batch_budget, seed=config.seed))
+    return presample(g.n, config.sampler_runs, config.batch_budget, config.seed)
 
 
 def _fold_metrics(y_true: np.ndarray, probs: np.ndarray) -> dict:
@@ -265,13 +260,10 @@ def _write_curve(path: Path, curve) -> None:
     dataio._atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _cv_accuracy(config, g, gamma, features, labels) -> float:
-    results = cross_validate(config, g, gamma, features, labels)
-    accs = []
-    for r in results:
-        y_pred = r.probs.argmax(axis=1)
-        accs.append(float(np.mean(y_pred == labels[r.test_idx])))
-    return float(np.mean(accs))
+def _cv_accuracy(config, g, stats, features, labels) -> float:
+    results = cross_validate(config, g, stats, features, labels)
+    return float(np.mean([np.mean(r.probs.argmax(axis=1) == labels[r.test_idx])
+                          for r in results]))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +307,7 @@ def _cmd_train(args) -> int:
     config = resolve_config(args)
     bundle, features, columns = _load_features(args)
     g, sigma = _graph_for(bundle, features, args.sigma, args.adjacency)
-    gamma = _gamma_for(config, g)
-
-    results = cross_validate(config, g, gamma, features, bundle.labels)
+    results = cross_validate(config, g, _stats_for(config, g), features, bundle.labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -397,12 +387,12 @@ def _sweep_setup(args, field: str, values: list[int] | None):
 
 def _cmd_sweep_depth(args) -> int:
     config, bundle, features, g = _sweep_setup(args, "layers", args.depths)
-    gamma_an = _gamma_for(config, g)
+    stats_an = _stats_for(config, g)
     lines = ["depth,angcn_accuracy,gcn_accuracy"]
     for depth in args.depths:
         an_cfg = replace(config, layers=depth)
         gcn_cfg = replace(config, layers=depth, alpha=0.0, beta=0.0)
-        acc_an = _cv_accuracy(an_cfg, g, gamma_an, features, bundle.labels)
+        acc_an = _cv_accuracy(an_cfg, g, stats_an, features, bundle.labels)
         acc_gcn = _cv_accuracy(gcn_cfg, g, None, features, bundle.labels)
         lines.append(f"{depth},{acc_an!r},{acc_gcn!r}")
         print(f"depth {depth}: angcn {acc_an:.4f}, gcn {acc_gcn:.4f}")
@@ -421,8 +411,7 @@ def _cmd_sweep_batch(args) -> int:
     ]
     for budget in budgets:
         cfg = replace(config, batch_budget=budget)
-        gamma = _gamma_for(cfg, g)
-        acc = _cv_accuracy(cfg, g, gamma, features, bundle.labels)
+        acc = _cv_accuracy(cfg, g, _stats_for(cfg, g), features, bundle.labels)
         lines.append(f"{budget},{acc!r}")
         print(f"budget {budget}: accuracy {acc:.4f}")
     dataio._atomic_write(Path(args.out), "\n".join(lines) + "\n")

@@ -40,7 +40,9 @@ class Graph:
         i, j, w = edges.T
         out_of_range = ~((0 <= i) & (i < j) & (j < self.n))
         key = np.where(out_of_range, -1.0, i * self.n + j)
-        duplicate = ~np.isin(np.arange(len(key)), np.unique(key, return_index=True)[1])
+        order = np.argsort(key, kind="stable")   # equal keys stay in edge order
+        duplicate = np.zeros(len(key), dtype=bool)
+        duplicate[order[1:]] = np.diff(key[order]) == 0.0
         non_finite = ~np.isfinite(w)
         bad = out_of_range | duplicate | non_finite | (w < 0)
         if bad.any():
@@ -68,10 +70,12 @@ class Graph:
 def normalize_adjacency(g: Graph) -> np.ndarray:
     """The GCN operator D^{-1/2} (A + I) D^{-1/2} of g.
 
-    Computed as an elementwise scaling of A + I by 1/sqrt(d_i d_j), so the
-    output is exactly symmetric. A Graph's weights are finite and >= 0, so
-    every degree is >= 1 and the spectral radius is <= 1.
+    Computed in place as an elementwise scaling of A + I by 1/sqrt(d_i d_j),
+    so the output is exactly symmetric. A Graph's weights are finite and
+    >= 0, so every degree is >= 1 and the spectral radius is <= 1.
     """
-    a_tilde = g.adjacency() + np.eye(g.n)
+    a_tilde = g.adjacency()
+    a_tilde[np.diag_indices(g.n)] += 1.0
     degrees = a_tilde.sum(axis=1)
-    return a_tilde / np.sqrt(np.outer(degrees, degrees))
+    scale = np.outer(degrees, degrees)
+    return np.divide(a_tilde, np.sqrt(scale, out=scale), out=a_tilde)

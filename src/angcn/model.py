@@ -13,7 +13,7 @@ at alpha = beta = 0 (the plain GCN) a layer is one N x N product and no
 H x H products. M is the propagation operator the caller passes in: the
 normalized adjacency a_hat = normalize_adjacency(g) for full-graph forwards
 and full-batch training, or a_hat * gamma restricted to a sampled subgraph
-during minibatch training; `training.cross_validate` builds both once for
+during minibatch training; `training.cross_validate` builds a_hat once for
 all its folds. Widths are constant across layers (the identity map needs
 square weights), so a learned projection maps raw inputs to the hidden width
 once, and a linear head maps the last layer to class scores.

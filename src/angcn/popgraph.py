@@ -4,9 +4,9 @@ Edge weights combine a correlation-distance kernel over per-subject feature
 vectors with indicator distances over non-imaging measures (gender-like
 categories, age-like thresholded numbers). The graph stays in arrays:
 PopulationGraphSpec computes the N x N correlation distances once and
-resolves the kernel width from them, and build_adjacency reuses both and
-hands Graph one (E, 3) edge array. Also hosts the connectome-style feature
-pipeline: Fisher z-transform of correlation matrices and ridge-based
+resolves the kernel width from them, and build_adjacency reuses both, weighs
+only the pairs i < j and hands Graph one (E, 3) edge array. Also hosts the
+connectome-style feature pipeline: Fisher z-transform of correlation matrices and ridge-based
 recursive feature elimination.
 """
 
@@ -54,14 +54,15 @@ class PhenotypicMeasure:
                 raise ValueError(f"quantitative measure {self.name!r} needs tau > 0")
 
     def agreement(self) -> np.ndarray:
-        """N x N indicator similarity-distance: entry (i, j) is 1.0 when
-        subjects i and j are similar on this measure, else 0.0."""
+        """N x N boolean indicator similarity-distance: entry (i, j) is True
+        when subjects i and j are similar on this measure."""
         if self.kind == QUALITATIVE:
             codes: dict = {}
             v = np.array([codes.setdefault(x, len(codes)) for x in self.values], dtype=int)
-            return (v[:, None] == v[None, :]).astype(float)
+            return v[:, None] == v[None, :]
         v = np.asarray(self.values, dtype=float)
-        return (np.abs(v[:, None] - v[None, :]) < self.tau).astype(float)
+        gap = np.subtract.outer(v, v)
+        return np.abs(gap, out=gap) < self.tau
 
 
 @dataclass
@@ -95,7 +96,8 @@ class PopulationGraphSpec:
                 )
         self.distances = _correlation_distances(self.features)
         if self.sigma is None:
-            self.sigma = float(np.median(self.distances[np.triu_indices(n, k=1)]))
+            upper = np.arange(n)[:, None] < np.arange(n)   # the pairs i < j, row-major
+            self.sigma = float(np.median(self.distances[upper], overwrite_input=True))
         if not self.sigma > 0:
             raise NonPositiveSigma(f"sigma must be > 0, got {self.sigma}")
 
@@ -106,9 +108,10 @@ def _correlation_distances(features: np.ndarray) -> np.ndarray:
     flat = np.ptp(features, axis=1) == 0.0
     if flat.any():
         raise DegenerateVector(f"subject {int(np.argmax(flat))} has a constant feature vector")
-    centred = features - features.mean(axis=1, keepdims=True)
-    z = centred / np.linalg.norm(centred, axis=1, keepdims=True)
-    return 1.0 - z @ z.T
+    z = features - features.mean(axis=1, keepdims=True)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    r = z @ z.T
+    return np.subtract(1.0, r, out=r)
 
 
 def build_adjacency(spec: PopulationGraphSpec) -> Graph:
@@ -119,13 +122,17 @@ def build_adjacency(spec: PopulationGraphSpec) -> Graph:
     Symmetric with zero diagonal; pairs whose phenotypic sum is zero get no
     edge. Edges come in row-major (i, j) order.
     """
-    rho, sigma = spec.distances, spec.sigma
-    upper = np.triu_indices(len(rho), k=1)
-    pheno = sum(m.agreement() for m in spec.measures)
-    weights = (np.exp(-(rho * rho) / (2.0 * sigma * sigma)) * pheno)[upper]
+    rho, sigma, n = spec.distances, spec.sigma, len(spec.distances)
+    upper = np.arange(n)[:, None] < np.arange(n)   # the pairs i < j, row-major
+    weights = rho[upper]   # one entry per pair i < j, worked on in place
+    weights *= weights
+    weights /= -2.0 * sigma * sigma   # the same bits as -(rho^2) / (2 sigma^2)
+    np.exp(weights, out=weights)
+    weights *= sum(m.agreement()[upper] for m in spec.measures)
     keep = weights > 0.0   # a zero phenotypic sum gives no edge
-    edges = np.column_stack((upper[0][keep], upper[1][keep], weights[keep]))
-    return Graph(n=len(rho), edges=edges)
+    upper[upper] = keep
+    edges = np.column_stack((*np.nonzero(upper), weights[keep]))
+    return Graph(n=n, edges=edges)
 
 
 def connectome_features(corr: np.ndarray) -> np.ndarray:

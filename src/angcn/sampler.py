@@ -3,10 +3,11 @@
 Uniform node samples drawn before training yield appearance counts C_i and
 C_ij; their ratio gives the per-edge normalization constants that debias
 subgraph-restricted aggregation. The samples ignore edges, so the counts
-depend only on n, the budget, the number of runs and the seed. Both live in
-one integer matrix S^T S, with C_ij off the diagonal and C_i on it, so the
-self term (i, i) is never rescaled. The counts become JSON only when
-`sample-stats` writes them, for the edges of a given graph.
+depend only on n, the budget, the number of runs and the seed. Only the runs
+x n membership matrix S is kept: a node set's counts are S_b^T S_b for its
+columns S_b, C_ij off the diagonal and C_i on it, so the self term (i, i) is
+never rescaled. The counts become JSON only when `sample-stats` writes
+them, for the edges of a given graph.
 """
 
 from __future__ import annotations
@@ -22,19 +23,14 @@ from .graph_core import Graph
 
 @dataclass
 class AggregationStats:
-    """Appearance counts over sampler runs.
+    """Sampler runs as the runs x n float 0/1 membership matrix S: entry
+    (r, i) is 1 when run r sampled node i. Counts are exact in float64."""
 
-    pair_counts = S^T S for the runs x n 0/1 sample-membership matrix S, as
-    integers: entry (i, j) is C_ij, the number of samples containing both i
-    and j, and the diagonal entry (i, i) is C_i, the number containing i.
-    """
-
-    runs: int
-    pair_counts: np.ndarray
+    membership: np.ndarray
 
     @property
-    def node_counts(self) -> np.ndarray:
-        return np.diagonal(self.pair_counts)
+    def runs(self) -> int:
+        return self.membership.shape[0]
 
     def to_json(self, g: Graph) -> str:
         """The stats.json text: runs, C_i, and [i, j, C_ij] rows for every edge
@@ -43,10 +39,11 @@ class AggregationStats:
         j = np.concatenate([g.dst, np.arange(g.n)])
         order = np.lexsort((j, i))
         i, j = i[order], j[order]
+        pair_counts = (self.membership.T @ self.membership).astype(np.int64)
         payload = {
             "runs": self.runs,
-            "node_counts": self.node_counts.tolist(),
-            "edge_counts": np.stack([i, j, self.pair_counts[i, j]], axis=1).tolist(),
+            "node_counts": np.diagonal(pair_counts).tolist(),
+            "edge_counts": np.stack([i, j, pair_counts[i, j]], axis=1).tolist(),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -58,8 +55,9 @@ def sample_node_subgraph(n: int, budget: int, rng: np.random.Generator) -> np.nd
     return np.sort(rng.choice(n, size=budget, replace=False))
 
 
-def aggregation_matrix(stats: AggregationStats) -> np.ndarray:
-    """Normalization constants gamma_ij = C_i / C_ij for every node pair.
+def aggregation_matrix(stats: AggregationStats, nodes: np.ndarray | None = None) -> np.ndarray:
+    """Normalization constants gamma_ij = C_i / C_ij for every pair of
+    `nodes` (default: the whole graph), in that order.
 
     Only a_hat * gamma is used, and a_hat is 0 off the support of A + I, so
     no graph is needed. Row-wise, hence generally asymmetric: gamma_ij
@@ -70,14 +68,14 @@ def aggregation_matrix(stats: AggregationStats) -> np.ndarray:
     """
     if stats.runs < 1:
         raise EmptyStats("aggregation statistics need at least one sampler run")
-    gamma = np.maximum(stats.pair_counts, 1).astype(float)
-    np.divide(stats.node_counts[:, None], gamma, out=gamma)
-    return gamma
+    s = stats.membership if nodes is None else stats.membership[:, nodes]
+    counts = s.T @ s   # C_ij, and C_i on the diagonal: exact integers
+    return np.divide(np.diagonal(counts)[:, None], np.maximum(counts, 1.0), out=counts)
 
 
 def presample(n: int, runs: int, budget: int, seed: int) -> AggregationStats:
-    """Tally appearance counts over `runs` uniform samples of `budget` of the
-    nodes 0..n-1.
+    """The membership of `runs` uniform samples of `budget` of the nodes
+    0..n-1.
 
     Run r uses default_rng([seed, r]), so runs are independent and the result
     does not depend on execution order.
@@ -87,5 +85,4 @@ def presample(n: int, runs: int, budget: int, seed: int) -> AggregationStats:
     membership = np.zeros((runs, n))
     for r in range(runs):
         membership[r, sample_node_subgraph(n, budget, np.random.default_rng([seed, r]))] = 1.0
-    # a float product is exact for integer counts and runs on BLAS
-    return AggregationStats(runs, (membership.T @ membership).astype(np.int64))
+    return AggregationStats(membership)

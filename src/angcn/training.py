@@ -3,14 +3,14 @@
 The backward pass differentiates the four-term propagation rule by hand;
 a central finite-difference harness validates it entry by entry. The loss
 is a sum over labeled nodes (a mean variant is available as a config flag).
-Backward reads each layer's diffusion from the forward trace, so an epoch
-costs two N x N products per layer: op @ h forward and op.T @ d_s backward.
+Backward reads each layer's diffusion from the forward trace, so a step
+costs two products per layer: op @ h forward and op.T @ d_s backward.
 Both passes skip every term whose coefficient is 0, so at alpha = beta = 0
 a layer does no H x H product either way.
-`cross_validate` builds the operators once and every fold shares them. It
-holds OpenBLAS at one thread, where its thread-count symbols exist, and
-trains the folds in forked worker processes, one per usable CPU, which
-inherit the arrays and that one thread. A single worker, a platform without
+`cross_validate` builds a_hat once and every fold shares it. It holds
+OpenBLAS at one thread, where its thread-count symbols exist, and trains
+the folds in forked worker processes, one per usable CPU, which inherit the
+arrays and that one thread. A single worker, a platform without
 `fork` or without those symbols, or a caller running other threads trains
 them in this process instead, through the same per-fold function. Results
 are the same bits for any worker count.
@@ -23,6 +23,7 @@ import functools
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, ShapeMismatch, TraceMismatch
 from .graph_core import Graph, normalize_adjacency
 from .model import ForwardTrace, ModelParams, check_coefficient, forward, init_params, predict
-from .sampler import sample_node_subgraph
+from .sampler import AggregationStats, aggregation_matrix, sample_node_subgraph
 
 
 @dataclass
@@ -257,7 +258,7 @@ def one_hot(labels: Sequence[int]) -> np.ndarray:
 def train(
     config: TrainConfig,
     a_hat: np.ndarray,
-    op: np.ndarray,
+    stats: AggregationStats | None,
     features: np.ndarray,
     labels: Sequence[int],
     train_idx: np.ndarray,
@@ -272,11 +273,11 @@ def train(
     NonFiniteLoss naming the epoch.
 
     The end-of-epoch losses score the full graph with `a_hat` (unit
-    aggregation). Minibatch steps slice the training operator `op` = a_hat *
-    gamma, whose gamma debiases subgraph-restricted aggregation. Full batch
-    (`config.full_batch(n)`) restricts nothing, so it needs `op` equal to
-    `a_hat`, and each end-of-epoch forward is also the next epoch's training
-    forward.
+    aggregation). A minibatch b steps on a_hat[b, b] * aggregation_matrix(
+    stats, b), whose gamma debiases subgraph-restricted aggregation (unit
+    gamma for stats None). Full batch (`config.full_batch(n)`) restricts
+    nothing, so it takes no stats, and each end-of-epoch forward is also the
+    next epoch's training forward.
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
@@ -286,8 +287,8 @@ def train(
     labels_oh = one_hot(labels)
     n = a_hat.shape[0]
     full_batch = config.full_batch(n)
-    if full_batch and not np.array_equal(op, a_hat):
-        raise ValueError("full-batch training needs unit gamma (op equal to a_hat)")
+    if full_batch and stats is not None:
+        raise ValueError("full-batch training needs unit gamma (no sampler statistics)")
 
     rng = np.random.default_rng([config.seed, 0])
     params = init_params(features.shape[1], config.hidden_dim, labels_oh.shape[1],
@@ -312,7 +313,10 @@ def train(
             )
             labeled_local = np.flatnonzero(train_mask[batch])
             if labeled_local.size:
-                yield op[np.ix_(batch, batch)], features[batch], labels_oh[batch], labeled_local
+                step_op = a_hat[np.ix_(batch, batch)]
+                if stats is not None:
+                    step_op *= aggregation_matrix(stats, batch)
+                yield step_op, features[batch], labels_oh[batch], labeled_local
 
     trace = forward(params, a_hat, features) if full_batch else None
     for epoch in range(1, config.max_epochs + 1):
@@ -425,11 +429,11 @@ def _blas_thread_api():
 
 def _train_fold(shared: tuple, task: tuple) -> FoldResult:
     """Train fold `task` = (fold, config, test_idx, train_idx, val_idx) on the
-    shared (a_hat, op, features, labels); the config carries the fold's seed."""
-    a_hat, op, features, labels = shared
+    shared (a_hat, stats, features, labels); the config carries the fold's seed."""
+    a_hat, stats, features, labels = shared
     fold, config, test_idx, train_idx, val_idx = task
     try:
-        params, history = train(config, a_hat, op, features, labels, train_idx, val_idx)
+        params, history = train(config, a_hat, stats, features, labels, train_idx, val_idx)
     except NonFiniteLoss as exc:
         raise NonFiniteLoss(f"fold {fold}, {exc}") from exc
     probs = predict(forward(params, a_hat, features).logits)[test_idx]
@@ -437,6 +441,8 @@ def _train_fold(shared: tuple, task: tuple) -> FoldResult:
 
 
 _worker_shared: tuple | None = None  # the arrays forked workers train on, set only while they run
+_pin_lock = threading.Lock()
+_pin = [0, None]  # calls inside _train_folds, and the thread count the outermost one saved
 
 
 def _train_fold_in_worker(task: tuple) -> FoldResult:
@@ -448,66 +454,62 @@ def _train_folds(shared: tuple, tasks: list[tuple]) -> list[FoldResult]:
     per fold: in forked workers when more than one is worth starting."""
     global _worker_shared
     api = _blas_thread_api()
-    previous = api[0]() if api else None
+    with _pin_lock:  # the outermost call pins one thread, which forked workers inherit
+        _pin[0] += 1
+        if api and _pin[0] == 1:
+            _pin[1] = api[0]()
+            api[1](1)
     try:
-        if api:
-            api[1](1)  # forked workers inherit the one thread
-            import multiprocessing
-            import threading
+        import multiprocessing  # here: importing the CLI loads no pool machinery
+        # fork copies only this thread: a lock another thread holds would stay
+        # locked in the worker, so a caller running threads trains in-process.
+        workers = fold_workers(len(tasks)) if api else 1
+        if (workers > 1 and threading.active_count() == 1
+                and "fork" in multiprocessing.get_all_start_methods()):
+            from concurrent.futures import ProcessPoolExecutor
 
-            # fork copies only this thread: a lock another thread holds would stay
-            # locked in the worker, so a caller running threads trains in-process.
-            workers = fold_workers(len(tasks))
-            if (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
-                    and threading.active_count() == 1):
-                from concurrent.futures import ProcessPoolExecutor
-
-                # Forked workers inherit `shared` copy-on-write: nothing N x N is pickled.
-                _worker_shared = shared
-                with ProcessPoolExecutor(workers,
-                                         mp_context=multiprocessing.get_context("fork")) as pool:
-                    return list(pool.map(_train_fold_in_worker, tasks))
+            # Forked workers inherit `shared` copy-on-write: nothing N x N is pickled.
+            _worker_shared = shared
+            with ProcessPoolExecutor(workers,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(_train_fold_in_worker, tasks))
         return [_train_fold(shared, task) for task in tasks]
     finally:
         _worker_shared = None
-        if api:
-            api[1](previous)
+        with _pin_lock:  # the last call out restores the saved count
+            _pin[0] -= 1
+            if api and _pin[0] == 0:
+                api[1](_pin[1])
 
 
 def cross_validate(
     config: TrainConfig,
     graph: Graph,
-    gamma: np.ndarray | None,
+    stats: AggregationStats | None,
     features: np.ndarray,
     labels: Sequence[int],
 ) -> list[FoldResult]:
     """Stratified k-fold evaluation; each fold trains on the rest with an
     inner stratified validation split for early stopping.
 
-    `gamma` is None for unit aggregation (full batch, plain GCN) or the N x N
-    aggregation matrix for sampled training (ShapeMismatch otherwise). The
-    operators a_hat = normalize_adjacency(graph) and a_hat * gamma, the
-    splits and the fold seeds are built once here; the folds then train
-    `fold_workers(folds)` at a time in forked processes that share those
-    arrays, and the results come back in fold order. The caller's BLAS runs
-    one thread while the folds train, which the workers inherit, and gets
-    its thread count back afterwards, on error too. With one worker, without
-    `fork` or OpenBLAS's thread-count symbols, or while the caller runs other
-    Python threads (which `fork` would not copy), the folds train here one
-    after another, so the results are the same bits for any worker count.
-    Test probabilities come from a full-graph forward with unit aggregation
+    `stats` is None for unit aggregation (full batch, plain GCN) or the
+    sampler statistics of the graph's nodes (ShapeMismatch otherwise), from
+    which each minibatch of sampled training forms its gamma. The operator
+    a_hat = normalize_adjacency(graph), the splits and the fold seeds are
+    built once here; the folds then train as the module docstring says, and
+    the results come back in fold order. The caller's BLAS thread count is
+    restored when the last of any concurrent calls ends, on error too. Test
+    probabilities come from a full-graph forward with unit aggregation
     (a_hat). A non-finite loss raises NonFiniteLoss naming the fold and
     epoch; an error in any fold reaches the caller, the earliest failing
     fold's first."""
     labels = np.asarray(labels, dtype=int)
-    a_hat = normalize_adjacency(graph)
-    if gamma is not None and gamma.shape != a_hat.shape:
-        raise ShapeMismatch(f"gamma {gamma.shape} does not match the {a_hat.shape} operator")
-    op = a_hat if gamma is None else a_hat * gamma
+    if stats is not None and stats.membership.shape[1] != graph.n:
+        raise ShapeMismatch(f"stats cover {stats.membership.shape[1]} nodes, the graph {graph.n}")
     tasks = []
     for f, test_idx in enumerate(stratified_kfold(labels, config.folds, config.seed)):
         pool = np.setdiff1d(np.arange(graph.n), test_idx)
         fold_seed = int(np.random.SeedSequence([config.seed, 17, f]).generate_state(1)[0])
         tr_idx, val_idx = stratified_holdout(labels, pool, VALIDATION_FRACTION, fold_seed)
         tasks.append((f, replace(config, seed=fold_seed), test_idx, tr_idx, val_idx))
-    return _train_folds((a_hat, op, features, labels), tasks)
+    return _train_folds((normalize_adjacency(graph), stats, features, labels), tasks)

@@ -502,7 +502,7 @@ class TestIntegerOptions:
         ("synth", "--seed", 0),
         ("sample-stats", "--seed", 0),
         ("gradcheck", "--seed", 0),
-        ("train", "--rfe-dim", 1),
+        ("train", "--rfe-dim", 3),
     ])
     @pytest.mark.parametrize("offset", [-1, None])
     def test_bad_value_is_a_usage_error(self, data_dir, tmp_path, capsys, command, flag, low,
@@ -513,6 +513,18 @@ class TestIntegerOptions:
                 "gradcheck": []}.get(command, ["--data", str(data_dir), "--out", str(out)])
         assert cli_run([command, *argv, flag, value]) == 2
         assert f"argument {flag}: not an integer >= {low}: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("value", ["1", "2"])
+    def test_rfe_dim_below_three_says_why(self, data_dir, tmp_path, capsys, value):
+        # one column has no correlation between subjects, and two give only +-1
+        out = tmp_path / "out"
+        assert cli_run(["train", "--data", str(data_dir), "--out", str(out),
+                        "--rfe-dim", value]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --rfe-dim: not an integer >= 3: {value!r}" in err
+        assert "correlation distances need >= 3 columns" in err
         assert not out.exists()
 
 

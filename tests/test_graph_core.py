@@ -154,8 +154,9 @@ class TestNormalizeAdjacency:
         assert np.all(np.isfinite(out))
 
 
-def stats_of(pair_counts):
-    return AggregationStats(runs=10, pair_counts=np.array(pair_counts))
+def stats_of(membership):
+    """Sampler statistics of hand-listed runs: row r marks the nodes run r took."""
+    return AggregationStats(np.array(membership, dtype=float))
 
 
 class TestHadamard:
@@ -165,26 +166,29 @@ class TestHadamard:
     def test_ones_is_identity(self):
         # every run takes every node: gamma is 1 everywhere
         a_hat = normalize_adjacency(random_graph(5, 0.5, seed=1))
-        assert np.array_equal(a_hat * aggregation_matrix(stats_of(np.full((5, 5), 10))), a_hat)
+        assert np.array_equal(a_hat * aggregation_matrix(stats_of(np.ones((10, 5)))), a_hat)
 
     def test_zeros_annihilate(self):
         # no run takes any node: C_i = 0 makes gamma, and the operator, 0
         a_hat = normalize_adjacency(random_graph(5, 0.5, seed=1))
-        gamma = aggregation_matrix(stats_of(np.zeros((5, 5), dtype=int)))
+        gamma = aggregation_matrix(stats_of(np.zeros((10, 5))))
         assert np.array_equal(a_hat * gamma, np.zeros((5, 5)))
 
     def test_direct_substitution(self):
-        # a_hat is 0.5 everywhere; gamma = [[4/4, 4/2], [2/2, 2/2]]
+        # a_hat is 0.5 everywhere; C_0 = 4, C_1 = C_01 = 2 over 10 runs, so
+        # gamma = [[4/4, 4/2], [2/2, 2/2]]
         a_hat = normalize_adjacency(Graph(n=2, edges=((0, 1, 1.0),)))
-        gamma = aggregation_matrix(stats_of([[4, 2], [2, 2]]))
+        gamma = aggregation_matrix(stats_of([[1, 1]] * 2 + [[1, 0]] * 2 + [[0, 0]] * 6))
         assert np.array_equal(a_hat * gamma, [[0.5, 1.0], [0.5, 0.5]])
 
     def test_shape_mismatch(self):
-        # an (n,) gamma would broadcast silently, so cross_validate refuses it
+        # minibatch gammas read stats of other nodes silently, so cross_validate refuses them
         g = random_graph(20, 0.3, seed=2)
         labels = np.arange(20) % 2
-        with pytest.raises(ShapeMismatch, match=r"gamma \(20,\)"):
-            cross_validate(TrainConfig(folds=2), g, np.ones(20), np.ones((20, 3)), labels)
+        stats = presample(21, runs=5, budget=10, seed=0)
+        with pytest.raises(ShapeMismatch, match="stats cover 21 nodes, the graph 20"):
+            cross_validate(TrainConfig(folds=2, batch_budget=10), g, stats, np.ones((20, 3)),
+                           labels)
 
 
 class TestMatmul:
@@ -227,7 +231,7 @@ def test_hadamard_matmul_agree_with_oracles(seed):
             for j in nodes:
                 counts[i, j] += 1
     stats = presample(4, runs=6, budget=budget, seed=seed)
-    assert np.array_equal(stats.pair_counts, counts)
+    assert np.array_equal(stats.membership.T @ stats.membership, counts)
     a_hat = normalize_adjacency(g)
     op = a_hat * aggregation_matrix(stats)
     for (i, j), value in np.ndenumerate(op):

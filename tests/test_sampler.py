@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,11 +41,20 @@ def pair_tally(n, samples):
     return counts
 
 
+def pair_counts(stats):
+    """C_ij off the diagonal and C_i on it: S^T S for the runs x n membership S."""
+    return (stats.membership.T @ stats.membership).astype(np.int64)
+
+
+def node_counts(stats):
+    return np.diagonal(pair_counts(stats))
+
+
 def induced_edges(g, budget, seed):
     """The single run of `presample` at `seed`: its node sample, and the edges
     of g inside it read off the appearance counts."""
     (nodes,) = draws(g.n, 1, budget, seed)
-    counts = presample(g.n, runs=1, budget=budget, seed=seed).pair_counts
+    counts = pair_counts(presample(g.n, runs=1, budget=budget, seed=seed))
     return nodes, {(i, j) for i, j in edge_pairs(g) if counts[i, j] == 1}
 
 
@@ -97,30 +107,30 @@ class TestAccumulateCounts:
     def test_exhaustive_runs_count_everything(self):
         stats = presample(4, runs=7, budget=4, seed=0)
         assert stats.runs == 7
-        assert np.all(stats.node_counts == 7)
-        assert np.all(stats.pair_counts == 7)
+        assert np.all(node_counts(stats) == 7)
+        assert np.all(pair_counts(stats) == 7)
 
     def test_hand_tally_fixture(self):
         # path 0-1-2-3; at seed 4 the three runs take these hand-listed samples
         samples = draws(4, 3, 3, 4)
         assert [nodes.tolist() for nodes in samples] == [[1, 2, 3], [0, 2, 3], [0, 1, 3]]
         stats = presample(4, runs=3, budget=3, seed=4)
-        assert stats.node_counts.tolist() == [2, 2, 2, 3]
-        assert stats.pair_counts[0, 1] == 1
-        assert stats.pair_counts[1, 2] == 1
-        assert stats.pair_counts[2, 3] == 2
-        assert np.array_equal(stats.pair_counts, pair_tally(4, samples))
+        assert node_counts(stats).tolist() == [2, 2, 2, 3]
+        assert pair_counts(stats)[0, 1] == 1
+        assert pair_counts(stats)[1, 2] == 1
+        assert pair_counts(stats)[2, 3] == 2
+        assert np.array_equal(pair_counts(stats), pair_tally(4, samples))
         # the diagonal (self-loop) entries are the node counts
         for v in range(4):
-            assert stats.pair_counts[v, v] == stats.node_counts[v]
+            assert pair_counts(stats)[v, v] == node_counts(stats)[v]
 
     def test_counts_monotone_under_appending(self):
         # run r does not depend on the number of runs, so 20 runs extend 10
         prev = presample(6, runs=10, budget=3, seed=4)
         more = presample(6, runs=20, budget=3, seed=4)
-        assert np.all(more.node_counts >= prev.node_counts)
-        assert np.all(more.pair_counts >= prev.pair_counts)
-        assert np.array_equal(more.pair_counts - prev.pair_counts,
+        assert np.all(node_counts(more) >= node_counts(prev))
+        assert np.all(pair_counts(more) >= pair_counts(prev))
+        assert np.array_equal(pair_counts(more) - pair_counts(prev),
                               pair_tally(6, draws(6, 20, 3, 4)[10:]))
 
 
@@ -133,18 +143,42 @@ class TestAggregationMatrix:
         assert np.array_equal(a_hat * gamma, a_hat)
 
     def test_ratio_substitution(self):
-        stats = AggregationStats(runs=10, pair_counts=np.array([[10, 5], [5, 8]]))
+        # 5 runs take both nodes, 5 only node 0 and 3 only node 1: C_0 = 10,
+        # C_1 = 8, C_01 = 5
+        stats = AggregationStats(np.array([[1.0, 1.0]] * 5 + [[1.0, 0.0]] * 5 + [[0.0, 1.0]] * 3))
         gamma = aggregation_matrix(stats)
         assert gamma[0, 1] == 2.0          # 10 / 5
         assert gamma[1, 0] == pytest.approx(8.0 / 5.0)
         assert gamma[0, 0] == 1.0
         assert gamma[1, 1] == 1.0
 
+    def test_node_set_gamma_is_the_whole_graph_block(self):
+        # a minibatch's gamma from its own columns of S equals, bit for bit,
+        # its block of the whole-graph gamma
+        stats = presample(30, runs=40, budget=12, seed=3)
+        whole = aggregation_matrix(stats)
+        rng = np.random.default_rng(0)
+        for budget in (1, 5, 12, 30):
+            nodes = sample_node_subgraph(30, budget, rng)
+            assert np.array_equal(aggregation_matrix(stats, nodes), whole[np.ix_(nodes, nodes)])
+
+    def test_presample_keeps_no_n_by_n_array(self):
+        # the runs x n membership is all presample builds: no N x N pair counts
+        n = 2000
+        tracemalloc.start()
+        try:
+            stats = presample(n, runs=20, budget=50, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+        assert stats.membership.shape == (20, n)
+
     def test_empty_stats(self):
         with pytest.raises(EmptyStats, match="runs must be >= 1, got 0"):
             presample(3, runs=0, budget=2, seed=0)
         with pytest.raises(EmptyStats):
-            aggregation_matrix(AggregationStats(runs=0, pair_counts=np.zeros((3, 3), int)))
+            aggregation_matrix(AggregationStats(np.zeros((0, 3))))
 
     def test_unit_diagonal_and_support(self):
         g = random_graph(10, 0.4, seed=6)
@@ -155,14 +189,13 @@ class TestAggregationMatrix:
         assert np.array_equal(a_hat * gamma > 0, a_hat > 0)
         off = edge_pairs(g)
         for i, j in off:
-            if stats.pair_counts[i, j] >= 1:
+            if pair_counts(stats)[i, j] >= 1:
                 assert gamma[i, j] >= 1.0
                 assert gamma[j, i] >= 1.0
 
     def test_never_sampled_edge_clamps_denominator(self):
-        stats = AggregationStats(
-            runs=4, pair_counts=np.array([[4, 2, 0], [2, 2, 0], [0, 0, 0]])
-        )
+        # C_0 = 4, C_1 = C_01 = 2, and no run takes node 2
+        stats = AggregationStats(np.array([[1.0, 1.0, 0.0]] * 2 + [[1.0, 0.0, 0.0]] * 2))
         gamma = aggregation_matrix(stats)
         assert gamma[1, 2] == 2.0          # C_1 / max(0, 1)
         assert gamma[2, 1] == 0.0          # C_2 = 0
@@ -176,27 +209,27 @@ class TestLoopReference:
     def test_counts_match_per_edge_tally(self):
         g = random_graph(15, 0.4, seed=9)
         stats = presample(g.n, runs=60, budget=6, seed=4)
-        node_counts = np.zeros(g.n, dtype=int)
+        tally = np.zeros(g.n, dtype=int)
         edge_counts = {(i, j): 0 for i, j in edge_pairs(g)}
         for nodes in draws(g.n, 60, 6, 4):
             chosen = set(nodes.tolist())
             for v in chosen:
-                node_counts[v] += 1
+                tally[v] += 1
             for i, j in edge_pairs(g):
                 if i in chosen and j in chosen:
                     edge_counts[(i, j)] += 1
-        edge_counts.update({(v, v): int(node_counts[v]) for v in range(g.n)})
-        assert np.array_equal(stats.node_counts, node_counts)
-        assert {key: stats.pair_counts[key] for key in edge_counts} == edge_counts
+        edge_counts.update({(v, v): int(tally[v]) for v in range(g.n)})
+        assert np.array_equal(node_counts(stats), tally)
+        assert {key: pair_counts(stats)[key] for key in edge_counts} == edge_counts
 
     def test_gamma_matches_per_edge_loop(self):
         # the training operator a_hat * gamma against gamma scattered per edge
         g = random_graph(15, 0.4, seed=10)
         stats = presample(g.n, runs=30, budget=4, seed=5)
-        c = stats.node_counts.astype(float)
+        c = node_counts(stats).astype(float)
         want = np.zeros((g.n, g.n))
         for i, j in edge_pairs(g):
-            cij = max(stats.pair_counts[i, j], 1)
+            cij = max(pair_counts(stats)[i, j], 1)
             want[i, j] = c[i] / cij
             want[j, i] = c[j] / cij
         for v in range(g.n):
@@ -222,7 +255,7 @@ class TestUnbiasedness:
             mask = np.zeros((20, 20))
             mask[np.ix_(nodes, nodes)] = 1.0
             total += (op * mask) @ h
-        est = total / np.maximum(stats.node_counts[:, None], 1)
+        est = total / np.maximum(node_counts(stats)[:, None], 1)
         ref = a_hat @ h
         rel = np.linalg.norm(est - ref) / np.linalg.norm(ref)
         assert rel < 0.02
@@ -240,7 +273,7 @@ class TestUnbiasedness:
             mask = np.zeros((20, 20))
             mask[np.ix_(nodes, nodes)] = 1.0
             total += (op * mask) @ h
-        est = total / np.maximum(stats_b.node_counts[:, None], 1)
+        est = total / np.maximum(node_counts(stats_b)[:, None], 1)
         ref = a_hat @ h
         assert np.linalg.norm(est - ref) / np.linalg.norm(ref) < 0.10
 
@@ -250,7 +283,7 @@ class TestDeterminismAndExport:
         g = random_graph(9, 0.4, seed=0)
         a = presample(g.n, runs=30, budget=4, seed=21)
         b = presample(g.n, runs=30, budget=4, seed=21)
-        assert np.array_equal(a.pair_counts, b.pair_counts)
+        assert np.array_equal(a.membership, b.membership)
 
     def test_stats_json_bytes_are_pinned(self):
         # the stats.json bytes `sample-stats` writes; the digest was recorded
@@ -272,9 +305,9 @@ class TestDeterminismAndExport:
         stats = presample(g.n, runs=25, budget=3, seed=3)
         back = json.loads(stats.to_json(g))
         assert back["runs"] == stats.runs
-        assert back["node_counts"] == stats.node_counts.tolist()
+        assert back["node_counts"] == node_counts(stats).tolist()
         keys = sorted(edge_pairs(g) + [(v, v) for v in range(g.n)])
-        assert back["edge_counts"] == [[i, j, stats.pair_counts[i, j]] for i, j in keys]
+        assert back["edge_counts"] == [[i, j, pair_counts(stats)[i, j]] for i, j in keys]
 
 
 class TestMinibatches:

@@ -23,7 +23,7 @@ from angcn.errors import (
 from angcn.graph_core import Graph, normalize_adjacency
 from angcn.model import ModelParams, forward, init_params, predict
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
-from angcn.sampler import aggregation_matrix, presample
+from angcn.sampler import presample
 import angcn.training as training
 from angcn.training import (
     AdamState,
@@ -378,13 +378,13 @@ class TestTrain:
         )
         a_hat = normalize_adjacency(g)
         params, history = train(
-            cfg, a_hat, a_hat, features, labels, np.array([0]), np.array([1])
+            cfg, a_hat, None, features, labels, np.array([0]), np.array([1])
         )
         assert len(history) == 2
         assert history[1][2] > history[0][2]
         one_epoch = replace(cfg, max_epochs=1)
         params_one, _ = train(
-            one_epoch, a_hat, a_hat, features, labels, np.array([0]), np.array([1])
+            one_epoch, a_hat, None, features, labels, np.array([0]), np.array([1])
         )
         assert np.array_equal(params.input_projection, params_one.input_projection)
         assert np.array_equal(params.output_head, params_one.output_head)
@@ -396,11 +396,8 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=6, patience=6, layers=3, hidden_dim=8, seed=9,
                           alpha=0.0, beta=0.0, batch_budget=budget, sampler_runs=30)
         a_hat = normalize_adjacency(g)
-        op = a_hat
-        if budget is not None:
-            stats = presample(g.n, runs=30, budget=budget, seed=9)
-            op = a_hat * aggregation_matrix(stats)
-        params, history = train(cfg, a_hat, op, bundle.features, bundle.labels,
+        stats = None if budget is None else presample(g.n, runs=30, budget=budget, seed=9)
+        params, history = train(cfg, a_hat, stats, bundle.features, bundle.labels,
                                 idx[:30], idx[30:])
         fresh = init_params(bundle.features.shape[1], 8, 2, 3, 0.0, 0.0,
                             np.random.default_rng([9, 0]))
@@ -414,7 +411,7 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=0, layers=1, hidden_dim=4, seed=5)
         a_hat = normalize_adjacency(g)
         params, history = train(
-            cfg, a_hat, a_hat, features, labels, np.array([0]), np.array([1])
+            cfg, a_hat, None, features, labels, np.array([0]), np.array([1])
         )
         assert history == []
         rng = np.random.default_rng([5, 0])
@@ -430,7 +427,7 @@ class TestTrain:
         idx = np.arange(40)
         cfg = TrainConfig(max_epochs=40, patience=5, layers=2, hidden_dim=8, seed=9)
         params, history = train(
-            cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:30], idx[30:]
+            cfg, a_hat, None, bundle.features, bundle.labels, idx[:30], idx[30:]
         )
         y_hat = predict(forward(params, a_hat, bundle.features).logits)
         onehot = np.zeros((40, 2))
@@ -446,8 +443,8 @@ class TestTrain:
         a_hat = normalize_adjacency(g)
         idx = np.arange(30)
         cfg = TrainConfig(max_epochs=15, patience=15, layers=2, hidden_dim=8, seed=3)
-        out_a = train(cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:24], idx[24:])
-        out_b = train(cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:24], idx[24:])
+        out_a = train(cfg, a_hat, None, bundle.features, bundle.labels, idx[:24], idx[24:])
+        out_b = train(cfg, a_hat, None, bundle.features, bundle.labels, idx[:24], idx[24:])
         assert out_a[1] == out_b[1]
         assert np.array_equal(out_a[0].input_projection, out_b[0].input_projection)
         assert np.array_equal(out_a[0].output_head, out_b[0].output_head)
@@ -464,8 +461,8 @@ class TestTrain:
         cfg = TrainConfig(
             max_epochs=20, patience=20, layers=1, hidden_dim=8, seed=3, batch_budget=15
         )
-        out_a = train(cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:32], idx[32:])
-        out_b = train(cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:32], idx[32:])
+        out_a = train(cfg, a_hat, None, bundle.features, bundle.labels, idx[:32], idx[32:])
+        out_b = train(cfg, a_hat, None, bundle.features, bundle.labels, idx[:32], idx[32:])
         assert out_a[1] == out_b[1]
         assert out_a[1][-1][1] < out_a[1][0][1]
 
@@ -480,7 +477,7 @@ class TestTrain:
         idx = np.arange(80)
         cfg = TrainConfig(max_epochs=200, patience=200, layers=2, hidden_dim=16, seed=1)
         params, history = train(
-            cfg, a_hat, a_hat, bundle.features, bundle.labels, idx[:64], idx[64:72]
+            cfg, a_hat, None, bundle.features, bundle.labels, idx[:64], idx[64:72]
         )
         train_losses = [h[1] for h in history]
         assert train_losses[-1] < train_losses[0]
@@ -526,7 +523,7 @@ class TestTrainTraceReuse:
         backwards = self.count_calls(monkeypatch, "backward", 2)
         cfg = TrainConfig(max_epochs=7, patience=7, layers=2, hidden_dim=8, seed=9)
         a_hat = normalize_adjacency(g)
-        _, history = train(cfg, a_hat, a_hat, bundle.features, bundle.labels,
+        _, history = train(cfg, a_hat, None, bundle.features, bundle.labels,
                            idx[:30], idx[30:])
         assert len(history) == 7
         assert forwards == [40] * 8
@@ -540,21 +537,19 @@ class TestTrainTraceReuse:
         cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9,
                           batch_budget=15, sampler_runs=30)
         a_hat = normalize_adjacency(g)
-        op = a_hat * aggregation_matrix(stats)
-        train(cfg, a_hat, op, bundle.features, bundle.labels, idx[:36], idx[36:])
+        train(cfg, a_hat, stats, bundle.features, bundle.labels, idx[:36], idx[36:])
         assert forwards == [15, 15, 15, 40] * 5   # ceil(40 / 15) batches, then the full graph
 
     def test_full_batch_rejects_non_unit_gamma(self):
+        # full batch restricts nothing, so it refuses sampler statistics
         bundle, g, idx = self.setup()
         stats = presample(g.n, runs=30, budget=15, seed=9)
-        gamma = aggregation_matrix(stats)
         a_hat = normalize_adjacency(g)
         cfg = TrainConfig(max_epochs=3, patience=3, folds=2, layers=1, hidden_dim=4, seed=9)
         with pytest.raises(ValueError, match="gamma"):
-            train(cfg, a_hat, a_hat * gamma, bundle.features, bundle.labels,
-                  idx[:30], idx[30:])
+            train(cfg, a_hat, stats, bundle.features, bundle.labels, idx[:30], idx[30:])
         with pytest.raises(ValueError, match="gamma"):
-            cross_validate(cfg, g, gamma, bundle.features, bundle.labels)
+            cross_validate(cfg, g, stats, bundle.features, bundle.labels)
 
     def test_history_matches_digests_taken_before_trace_reuse(self):
         # sha256 of the history.csv-style rows, recorded when every epoch ran
@@ -562,12 +557,11 @@ class TestTrainTraceReuse:
         bundle, g, idx = self.setup()
         cfg = TrainConfig(max_epochs=12, patience=12, layers=3, hidden_dim=8, seed=9)
         a_hat = normalize_adjacency(g)
-        _, full = train(cfg, a_hat, a_hat, bundle.features, bundle.labels,
+        _, full = train(cfg, a_hat, None, bundle.features, bundle.labels,
                         idx[:30], idx[30:])
         stats = presample(g.n, runs=30, budget=15, seed=9)
         sampled_cfg = replace(cfg, batch_budget=15, sampler_runs=30)
-        op = a_hat * aggregation_matrix(stats)
-        _, sampled = train(sampled_cfg, a_hat, op, bundle.features,
+        _, sampled = train(sampled_cfg, a_hat, stats, bundle.features,
                            bundle.labels, idx[:30], idx[30:])
         assert self.digest(full) == (
             "535b345ae289fb10b108c26cbf87f26e56a49afae847393fe39cea4a2ebadfa3")
@@ -587,7 +581,7 @@ class TestTrainTraceReuse:
         cfg = TrainConfig(max_epochs=12, patience=12, layers=3, hidden_dim=8, seed=9,
                           alpha=alpha, beta=beta)
         a_hat = normalize_adjacency(g)
-        _, history = train(cfg, a_hat, a_hat, bundle.features, bundle.labels,
+        _, history = train(cfg, a_hat, None, bundle.features, bundle.labels,
                            idx[:30], idx[30:])
         assert self.digest(history) == want
 
@@ -602,7 +596,7 @@ class TestNonFiniteLoss:
                           **coefficients)
         with pytest.raises(NonFiniteLoss, match="epoch 1"):
             a_hat = normalize_adjacency(g)
-            train(cfg, a_hat, a_hat, features, bundle.labels, idx[:30], idx[30:])
+            train(cfg, a_hat, None, features, bundle.labels, idx[:30], idx[30:])
 
     def test_nan_feature_fails_at_epoch_one(self):
         self.train_with_nan_feature()
@@ -643,9 +637,7 @@ class TestSampledInference:
             ])
 
         full = cross_validate(cfg, g, None, bundle.features, bundle.labels)
-        sampled = cross_validate(
-            sampled_cfg, g, aggregation_matrix(stats), bundle.features, bundle.labels
-        )
+        sampled = cross_validate(sampled_cfg, g, stats, bundle.features, bundle.labels)
         assert accuracy(full) > 0.9
         assert accuracy(sampled) >= accuracy(full) - 0.1
         for r in sampled:
@@ -713,20 +705,37 @@ class TestCrossValidate:
                             lambda arrays, tasks: shared.append(arrays) or real_train_folds(
                                 arrays, tasks))
         cfg = TrainConfig(max_epochs=2, patience=2, folds=3, layers=1, hidden_dim=4, seed=9)
-        gamma = None
+        stats = None
         if sampled:
             cfg = replace(cfg, batch_budget=15, sampler_runs=30)
             stats = presample(g.n, runs=30, budget=15, seed=9)
-            gamma = aggregation_matrix(stats)
-        results = cross_validate(cfg, g, gamma, bundle.features, bundle.labels)
+        results = cross_validate(cfg, g, stats, bundle.features, bundle.labels)
         assert len(results) == 3
         assert builds == [40]
-        # every fold shares one a_hat and one op; full batch multiplies nothing
-        (a_hat, op, _, _), = shared
-        if sampled:
-            assert np.array_equal(op, a_hat * gamma)
-        else:
-            assert op is a_hat
+        # every fold shares one a_hat and the caller's stats; minibatches form gamma
+        (a_hat, shared_stats, _, _), = shared
+        assert np.array_equal(a_hat, normalize_adjacency(g))
+        assert shared_stats is stats
+
+    def test_sampled_folds_share_one_n_by_n_array(self, monkeypatch):
+        # the folds need a_hat and the runs x n membership, never an N x N gamma or op
+        bundle, g, _ = TestTrainTraceReuse.setup()
+        shared = []
+        real_train_folds = training._train_folds
+        monkeypatch.setattr(training, "_train_folds",
+                            lambda arrays, tasks: shared.append(arrays) or real_train_folds(
+                                arrays, tasks))
+        cfg = TrainConfig(max_epochs=2, patience=2, folds=3, layers=1, hidden_dim=4, seed=9,
+                          batch_budget=15, sampler_runs=30)
+        stats = presample(g.n, runs=30, budget=15, seed=9)
+        cross_validate(cfg, g, stats, bundle.features, bundle.labels)
+        (arrays,) = shared
+        held = []
+        for item in arrays:  # the arrays themselves, and those a record holds
+            held += [item, *vars(item).values()] if hasattr(item, "__dict__") else [item]
+        square = [a for a in held if isinstance(a, np.ndarray) and a.shape == (g.n, g.n)]
+        assert len(square) == 1
+        assert np.array_equal(square[0], normalize_adjacency(g))
 
 
 needs_blas_threads = pytest.mark.skipif(
@@ -804,7 +813,7 @@ class TestFoldWorkers:
         bundle, g, _ = TestTrainTraceReuse.setup()
         get_threads = training._blas_thread_api()[0]
 
-        def report_threads(config, a_hat, op, features, *_):
+        def report_threads(config, a_hat, stats, features, *_):
             params = init_params(features.shape[1], 2, 2, 0, 0.0, 0.0,
                                  np.random.default_rng(0))
             return params, [(get_threads(), 0.0, 0.0)]
@@ -836,6 +845,68 @@ class TestFoldWorkers:
             cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
         assert multiprocessing.active_children() == []
         assert get_threads() == threads   # the caller's BLAS held one thread only while folds ran
+
+    @needs_blas_threads
+    def test_concurrent_calls_restore_the_thread_count(self, monkeypatch):
+        # two threads inside _train_folds at once, the first leaving first: the
+        # second still trains on one thread, and the last one out restores the
+        # count the first one in saved
+        get_threads = training._blas_thread_api()[0]
+        threads = get_threads()
+        if threads < 2:
+            pytest.skip("OpenBLAS runs one thread here, so a lost restore would not show")
+        both_in = threading.Barrier(2, timeout=60)
+        first_done = threading.Event()
+        seen = {}
+
+        def fold(shared, task):
+            both_in.wait()
+            if task == "second":
+                first_done.wait(60)
+            seen[task] = get_threads()
+            return task
+
+        def call(task):
+            training._train_folds((), [task])
+            if task == "first":
+                first_done.set()
+
+        monkeypatch.setattr(training, "_train_fold", fold)
+        callers = [threading.Thread(target=call, args=(task,)) for task in ("first", "second")]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert seen == {"first": 1, "second": 1}
+        assert get_threads() == threads
+
+    @needs_blas_threads
+    def test_many_threads_calling_at_once_keep_the_pin(self, monkeypatch):
+        # more callers than cores and a short switch interval: every fold sees
+        # one BLAS thread, and the count the first caller saw comes back
+        get_threads = training._blas_thread_api()[0]
+        threads = get_threads()
+        seen = []
+        monkeypatch.setattr(training, "_train_fold",
+                            lambda shared, task: seen.append(get_threads()) or task)
+
+        def calls():
+            for k in range(50):
+                training._train_folds((), [k, k + 1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=calls) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert seen == [1] * 400
+        assert get_threads() == threads
 
     def test_without_thread_symbols_folds_train_in_process(self, monkeypatch):
         bundle, g, _ = TestTrainTraceReuse.setup()
