@@ -23,12 +23,13 @@ import math
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SchemaMismatch
+from .errors import BadEdge, ParseError, SchemaMismatch
 from .graph_core import Graph
 from .model import ModelParams
 from .popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure, connectome_features
@@ -193,21 +194,32 @@ def save_bundle(bundle: DatasetBundle, directory: str | Path) -> None:
     _atomic_write(directory / "labels.csv", "\n".join(lines) + "\n")
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    # Pause cyclic GC: the row lists hold no cycles but trigger costly collections.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
+@contextmanager
+def _csv_reader(path: Path):
+    """The header row of `path` and a csv reader positioned at its first data row."""
     try:
-        with open(path, "r", newline="") as fh:
-            rows = list(csv.reader(fh))
+        fh = open(path, "r", newline="")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    if not rows:
-        raise ParseError(f"{path}: line 1: empty file")
-    return rows[0], rows[1:]
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: line 1: empty file")
+        yield header, reader
+
+
+def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    with _csv_reader(path) as (header, reader):
+        # Pause cyclic GC: the row lists hold no cycles but trigger costly collections.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rows = list(reader)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+    return header, rows
 
 
 def _parse_cell(cell: str, path: Path, line: int, column: str, cast=float):
@@ -220,9 +232,10 @@ def _parse_cell(cell: str, path: Path, line: int, column: str, cast=float):
         ) from exc
 
 
-def _number_array(cells, path: Path, columns: list[str], cast=float) -> np.ndarray:
-    """Rows of numeric cell strings (data lines from line 2; a list of rows or a
-    2-D object array) as one array of `cast`.
+def _number_array(cells, path: Path, columns: list[str], cast=float,
+                  first_line: int = 2) -> np.ndarray:
+    """Rows of numeric cell strings (data lines from `first_line`; a list of rows
+    or a 2-D object array) as one array of `cast`.
 
     Every cell must parse and be finite; the first one that is not is named
     by file, line and column.
@@ -230,29 +243,57 @@ def _number_array(cells, path: Path, columns: list[str], cast=float) -> np.ndarr
     try:
         out = np.array(cells, dtype=cast).reshape(len(cells), len(columns))
     except (ValueError, OverflowError):  # re-parse cell by cell to name the bad one
-        out = np.array([[_parse_cell(cell, path, r + 2, columns[c], cast)
+        out = np.array([[_parse_cell(cell, path, first_line + r, columns[c], cast)
                          for c, cell in enumerate(row)]
                         for r, row in enumerate(cells)]).reshape(len(cells), len(columns))
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
         r, c = bad[0]
         raise ParseError(
-            f"{path}: line {r + 2}, column {columns[c]!r}: {cells[r][c]!r} is not finite"
+            f"{path}: line {first_line + r}, column {columns[c]!r}: "
+            f"{cells[r][c]!r} is not finite"
         )
     return out
 
 
+def _add_subject(position: dict[str, int], row: list[str], r: int, header: list[str],
+                 name: str) -> None:
+    """Map data row r's subject_id (first cell) to r; the row must be complete
+    and its id new."""
+    if len(row) != len(header):
+        raise ParseError(f"{name}: line {r + 2}: expected {len(header)} cells")
+    if row[0] in position:
+        raise SchemaMismatch(f"{name}: line {r + 2}: duplicate subject_id {row[0]!r}")
+    position[row[0]] = r
+
+
 def _subject_rows(rows: list[list[str]], header: list[str], name: str) -> dict[str, int]:
-    """Map each subject_id (first cell) to its row index; rows must be complete
-    and ids unique."""
+    """Map each subject_id to its row index, through `_add_subject`."""
     position: dict[str, int] = {}
     for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ParseError(f"{name}: line {r + 2}: expected {len(header)} cells")
-        if row[0] in position:
-            raise SchemaMismatch(f"{name}: line {r + 2}: duplicate subject_id {row[0]!r}")
-        position[row[0]] = r
+        _add_subject(position, row, r, header, name)
     return position
+
+
+def _read_features(path: Path) -> tuple[list[str], np.ndarray]:
+    """The subject ids and the N x F float64 features of features.csv.
+
+    Rows stream from the file into one array that grows geometrically and is
+    trimmed to N rows at the end (`ndarray.resize` reallocates in place where
+    it can), so no list of rows or grid of cell strings is ever held.
+    """
+    with _csv_reader(path) as (header, reader):
+        if not header or header[0] != "subject_id":
+            raise SchemaMismatch(f"features.csv must start with subject_id, got {header[:1]}")
+        position: dict[str, int] = {}
+        features = np.empty((0, len(header) - 1))
+        for r, row in enumerate(reader):
+            _add_subject(position, row, r, header, "features.csv")
+            if r == len(features):
+                features.resize((2 * r + 1, features.shape[1]), refcheck=False)
+            features[r] = _number_array([row[1:]], path, header[1:], first_line=r + 2)
+    features.resize((len(position), features.shape[1]), refcheck=False)
+    return list(position), features
 
 
 def _join_order(subject_ids: list[str], position: dict[str, int], name: str) -> list[int]:
@@ -272,14 +313,12 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
 
     Subjects follow the row order of features.csv; phenotypes.csv and
     labels.csv are joined to it on subject_id, so their row order is free.
+    features.csv is parsed a row at a time straight into float64, so reading it
+    holds little more than the returned array (`_read_features`).
     """
     directory = Path(directory)
 
-    header, rows = _read_csv(directory / "features.csv")
-    if not header or header[0] != "subject_id":
-        raise SchemaMismatch(f"features.csv must start with subject_id, got {header[:1]}")
-    subject_ids = list(_subject_rows(rows, header, "features.csv"))
-    features = _number_array([row[1:] for row in rows], directory / "features.csv", header[1:])
+    subject_ids, features = _read_features(directory / "features.csv")
 
     schema_path = directory / "phenotypes.schema.json"
     try:
@@ -334,7 +373,8 @@ def save_adjacency(g: Graph, path: str | Path) -> None:
 
 def load_adjacency(path: str | Path, n: int) -> Graph:
     """Inverse of save_adjacency. Each row holds exactly an integer i and j and
-    a finite weight, else ParseError names the file, line and column."""
+    a finite weight, else ParseError names the file, line and column; an edge
+    that Graph refuses raises ParseError naming the file, line and edge."""
     header, rows = _read_csv(Path(path))
     if header != ["i", "j", "weight"]:
         raise SchemaMismatch(f"adjacency header must be i,j,weight, got {header}")
@@ -347,7 +387,10 @@ def load_adjacency(path: str | Path, n: int) -> Graph:
         raise ParseError(f"{path}: line {line}{where}") from None
     ij = _number_array(cells[:, :2], path, header[:2], cast=int)
     weight = _number_array(cells[:, 2:], path, header[2:])
-    return Graph(n=n, edges=np.column_stack((ij, weight)))
+    try:
+        return Graph(n=n, edges=np.column_stack((ij, weight)))
+    except BadEdge as exc:  # out of range, repeated, or a negative weight
+        raise ParseError(f"{path}: line {exc.row + 2}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +420,9 @@ def _decode_matrix(obj, path: str | Path, key: str) -> np.ndarray:
 
 
 def graph_digest(g: Graph) -> str:
-    """SHA-256 of the dense adjacency matrix; independent of edge order."""
-    return hashlib.sha256(g.adjacency().tobytes()).hexdigest()
+    """SHA-256 of the dense adjacency matrix's row-major float64 bytes; independent
+    of edge order. The matrix's buffer is hashed as it is, with no bytes copy."""
+    return hashlib.sha256(g.adjacency()).hexdigest()
 
 
 @dataclass
@@ -426,7 +470,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ParseError(f"{path}: {exc}") from exc
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
-        raise SchemaMismatch(f"checkpoint version {version} != {CHECKPOINT_VERSION}")
+        raise SchemaMismatch(f"{path}: checkpoint version {version} != {CHECKPOINT_VERSION}")
     missing = sorted({"config", "feature_columns", "graph_digest", "input_projection",
                       "layers", "output_head", "test_idx"} - payload.keys())
     if missing:

@@ -12,6 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import BadEdge
+
+# Rows of A + I that normalize_adjacency divides at a time.
+_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -19,7 +24,7 @@ class Graph:
 
     `edges` is one read-only (E, 3) float array of (i, j, weight) rows, built
     from any sequence of such triples: each edge once, integer 0 <= i < j < n,
-    finite weight >= 0 (a ValueError names the first bad edge), and no
+    finite weight >= 0 (a BadEdge names the first bad edge and its row), and no
     self-loops (`normalize_adjacency` adds a unit one on every node). The
     columns are also kept as `src`, `dst` (ints) and `weight`. Equality is
     identity.
@@ -49,12 +54,12 @@ class Graph:
             k = int(np.argmax(bad))
             edge = f"edge ({i[k]:g}, {j[k]:g})"
             if out_of_range[k]:
-                raise ValueError(f"{edge} is not 0 <= i < j < {self.n}")
+                raise BadEdge(f"{edge} is not 0 <= i < j < {self.n}", k)
             if duplicate[k]:
-                raise ValueError(f"duplicate {edge}")
+                raise BadEdge(f"duplicate {edge}", k)
             if non_finite[k]:
-                raise ValueError(f"{edge} has non-finite weight {w[k]}")
-            raise ValueError(f"{edge} has negative weight {w[k]}")
+                raise BadEdge(f"{edge} has non-finite weight {w[k]}", k)
+            raise BadEdge(f"{edge} has negative weight {w[k]}", k)
         object.__setattr__(self, "src", i.astype(int))
         object.__setattr__(self, "dst", j.astype(int))
         object.__setattr__(self, "weight", w)
@@ -70,12 +75,16 @@ class Graph:
 def normalize_adjacency(g: Graph) -> np.ndarray:
     """The GCN operator D^{-1/2} (A + I) D^{-1/2} of g.
 
-    Computed in place as an elementwise scaling of A + I by 1/sqrt(d_i d_j),
-    so the output is exactly symmetric. A Graph's weights are finite and
-    >= 0, so every degree is >= 1 and the spectral radius is <= 1.
+    Computed in place as an elementwise division of A + I by sqrt(d_i d_j),
+    so the output is exactly symmetric. The divisors are formed for
+    `_BLOCK_ROWS` rows at a time, so the only N x N array is the result. A
+    Graph's weights are finite and >= 0, so every degree is >= 1 and the
+    spectral radius is <= 1.
     """
     a_tilde = g.adjacency()
     a_tilde[np.diag_indices(g.n)] += 1.0
     degrees = a_tilde.sum(axis=1)
-    scale = np.outer(degrees, degrees)
-    return np.divide(a_tilde, np.sqrt(scale, out=scale), out=a_tilde)
+    for start in range(0, g.n, _BLOCK_ROWS):
+        scale = np.multiply.outer(degrees[start:start + _BLOCK_ROWS], degrees)
+        a_tilde[start:start + _BLOCK_ROWS] /= np.sqrt(scale, out=scale)
+    return a_tilde

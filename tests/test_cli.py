@@ -143,6 +143,16 @@ class TestBuildGraph:
         assert rc == 0
         assert (out / "metrics.json").exists()
 
+    def test_out_of_range_edge_names_the_file_and_line(self, data_dir, tmp_path, capsys):
+        # a file built for more subjects than the bundle has
+        adj = tmp_path / "adjacency.csv"
+        adj.write_text("i,j,weight\n0,1,0.5\n0,63,0.5\n")
+        rc = cli_run(["train", "--data", str(data_dir), "--adjacency", str(adj),
+                      "--out", str(tmp_path / "run")] + FAST_TRAIN)
+        assert rc == 1
+        assert (f"{adj}: line 3: edge (0, 63) is not 0 <= i < j < 48"
+                in capsys.readouterr().err)
+
 
 class TestSampleStats:
     def test_stats_json_schema(self, data_dir, tmp_path):

@@ -2,6 +2,7 @@ import base64
 import gc
 import hashlib
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -108,6 +109,20 @@ class TestBundleRoundTrip:
         bundle = generate_synthetic(SyntheticSpec(n_subjects=25, n_roi=6, seed=5))
         save_bundle(bundle, tmp_path)
         back = load_bundle(tmp_path)
+        assert back == bundle
+
+    def test_load_holds_little_more_than_the_features(self, tmp_path):
+        # features.csv streams into float64: no grid of cell strings (an 11.5 MB
+        # peak for these 0.96 MB of features when the whole file was held)
+        bundle = generate_synthetic(SyntheticSpec(n_subjects=1000))
+        save_bundle(bundle, tmp_path)
+        tracemalloc.start()
+        try:
+            back = load_bundle(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5e6
         assert back == bundle
 
     def test_crlf_and_lf_parse_identically(self, tmp_path):
@@ -251,6 +266,19 @@ class TestAdjacencyFile:
         with pytest.raises(ParseError, match=f"adjacency.csv: {where}"):
             load_adjacency(path, n=3)
 
+    @pytest.mark.parametrize("row, edge", [
+        ("2,1,1.0", r"edge \(2, 1\) is not 0 <= i < j < 3"),
+        ("1,1,1.0", r"edge \(1, 1\) is not 0 <= i < j < 3"),
+        ("0,63,1.0", r"edge \(0, 63\) is not 0 <= i < j < 3"),
+        ("0,1,2.0", r"duplicate edge \(0, 1\)"),
+        ("1,2,-0.5", r"edge \(1, 2\) has negative weight -0.5"),
+    ], ids=["i-above-j", "self-edge", "j-out-of-range", "duplicate", "negative-weight"])
+    def test_refused_edge_names_file_and_line(self, tmp_path, row, edge):
+        path = tmp_path / "adjacency.csv"
+        path.write_text(f"i,j,weight\n0,1,1.0\n0,2,0.5\n{row}\n")
+        with pytest.raises(ParseError, match=f"adjacency.csv: line 4: {edge}$"):
+            load_adjacency(path, n=3)
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "adjacency.csv"
         path.write_text("a,b,c\n0,1,2.0\n")
@@ -322,10 +350,11 @@ class TestCheckpoint:
         for version in (1, 2, 3, 99):
             payload["format_version"] = version
             path.write_text(json.dumps(payload))
-            with pytest.raises(SchemaMismatch):
+            with pytest.raises(SchemaMismatch,
+                               match=rf"checkpoint\.json: checkpoint version {version} != 4"):
                 load_checkpoint(path)
         path.write_text("[]")  # no object, so no version
-        with pytest.raises(SchemaMismatch, match="version None"):
+        with pytest.raises(SchemaMismatch, match=r"checkpoint\.json: checkpoint version None"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("n_layers, columns", [(0, None), (3, np.array([0, 2, 5]))])
@@ -484,6 +513,21 @@ class TestCheckpoint:
         good = checkpoint(params, "d" * 64, np.arange(2))
         with pytest.raises(ValueError, match=f"config.{key} is {value!r}, but the weights"):
             replace(good, config=replace(good.config, **{key: value}))
+
+    def test_graph_digest_is_sha256_of_the_dense_bytes(self):
+        g = Graph(n=5, edges=((0, 1, 0.25), (1, 3, 1.75), (2, 4, 3.0)))
+        assert graph_digest(g) == hashlib.sha256(g.adjacency().tobytes()).hexdigest()
+
+    def test_graph_digest_keeps_no_copy_of_the_matrix(self):
+        n = 2000
+        g = Graph(n=n, edges=[(i, i + 1, 1.0) for i in range(n - 1)])
+        tracemalloc.start()
+        try:
+            graph_digest(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8
 
     def test_graph_digest_ignores_edge_order_only(self):
         edges = ((0, 1, 0.5), (1, 3, 2.0), (0, 2, 1.25))

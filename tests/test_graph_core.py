@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,27 @@ class TestNormalizeAdjacency:
         g = random_graph(6, 0.5, seed=3)
         out = normalize_adjacency(g)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("n", [1, 63, 65, 131])
+    def test_row_blocks_equal_the_whole_matrix_formula(self, n):
+        # bit for bit, at sizes that end in a partial block of rows
+        g = random_graph(n, 0.3, seed=n)
+        a_tilde = g.adjacency() + np.eye(n)
+        d = a_tilde.sum(axis=1)
+        assert np.array_equal(normalize_adjacency(g), a_tilde / np.sqrt(np.outer(d, d)))
+
+    def test_keeps_no_second_n_by_n_array(self):
+        # the divisors sqrt(d_i d_j) exist for one block of rows at a time
+        n = 2000
+        g = Graph(n=n, edges=[(i, i + 1, 1.0) for i in range(n - 1)])
+        tracemalloc.start()
+        try:
+            out = normalize_adjacency(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8
+        assert out.shape == (n, n)
 
 
 def stats_of(membership):
