@@ -1,6 +1,7 @@
 """End-to-end walkthrough of every pipeline stage on a small bundle:
-generate data, build the population graph, export sampler statistics,
-run cross-validated training, and re-evaluate a saved checkpoint.
+generate data, build the population graph, export sampler statistics over
+the graph file just written, run cross-validated training, and re-evaluate
+a saved checkpoint.
 
 Usage: python scripts/full_pipeline_demo.py [workdir]
 """
@@ -16,12 +17,13 @@ def main() -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     data = workdir / "bundle"
     run = workdir / "train"
+    adjacency = workdir / "adjacency.csv"
     steps = [
         ["synth", "--out", str(data), "--n-subjects", "120", "--n-roi", "10",
          "--seed", "1"],
-        ["build-graph", "--data", str(data), "--out", str(workdir / "adjacency.csv")],
-        ["sample-stats", "--data", str(data), "--out", str(workdir / "stats.json"),
-         "--runs", "200", "--seed", "1"],
+        ["build-graph", "--data", str(data), "--out", str(adjacency)],
+        ["sample-stats", "--data", str(data), "--adjacency", str(adjacency),
+         "--out", str(workdir / "stats.json"), "--runs", "200", "--seed", "1"],
         ["train", "--data", str(data), "--out", str(run),
          "--folds", "10", "--layers", "10", "--alpha", "0.1", "--beta", "0.3",
          "--lr", "1e-3", "--seed", "1"],

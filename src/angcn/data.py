@@ -16,14 +16,12 @@ it reads, so `eval` can rebuild exactly what training saw.
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import json
 import math
 import os
 import re
 import tempfile
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -194,9 +192,25 @@ def save_bundle(bundle: DatasetBundle, directory: str | Path) -> None:
     _atomic_write(directory / "labels.csv", "\n".join(lines) + "\n")
 
 
-@contextmanager
-def _csv_reader(path: Path):
-    """The header row of `path` and a csv reader positioned at its first data row."""
+# Rows of a numeric table that _read_csv parses per _number_array call: about this
+# many cells, so reading holds one block of cell strings besides the parsed rows.
+_BLOCK_CELLS = 2 ** 14
+
+
+def _read_csv(path: Path, head: list[str], numeric: bool = False, ints: int = 0):
+    """The header, subject positions and table of the CSV file at `path`.
+
+    The header must be `head`; a subject table (`head` starts with subject_id)
+    may add columns after it, and each of its subject_ids must be new:
+    `position` maps them to their row index, in file order. Every row must
+    have one cell per header column. A text table comes back as its rows,
+    lists of cell strings. A numeric table comes back as one float64 array of
+    the cells after subject_id, the first `ints` columns integers, parsed by
+    `_number_array` a block of about `_BLOCK_CELLS` cells at a time, so no
+    whole-file list of rows or grid of cell strings is held. ParseError or
+    SchemaMismatch names the file and line of the first fault; of faults on
+    two lines, the earlier line's.
+    """
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
@@ -206,94 +220,73 @@ def _csv_reader(path: Path):
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{path}: line 1: empty file")
-        yield header, reader
+        subjects = head[0] == "subject_id"
+        if (header[:len(head)] if subjects else header) != head:
+            raise SchemaMismatch(f"{path}: header must be {','.join(head)}"
+                                 f"{',...' if subjects else ''}, got {','.join(header)}")
 
+        def parse(rows: list[list[str]], first_line: int) -> np.ndarray:
+            cells = np.array(rows, dtype=object).reshape(len(rows), width)
+            return _number_array(cells[:, subjects:], path, header[subjects:], first_line, ints)
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    with _csv_reader(path) as (header, reader):
-        # Pause cyclic GC: the row lists hold no cycles but trigger costly collections.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            rows = list(reader)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-    return header, rows
+        position: dict[str, int] = {}
+        rows: list[list[str]] = []
+        blocks: list[np.ndarray] = []
+        first_line, width = 2, len(header)
+        for line, row in enumerate(reader, start=2):
+            if len(row) != width or subjects and row[0] in position:
+                if numeric:  # a bad number on an earlier line is the first fault
+                    parse(rows, first_line)
+                if len(row) != width:
+                    where = (f", column {header[len(row)]!r}: missing cell" if len(row) < width
+                             else f": expected {width} cells, got {len(row)}")
+                    raise ParseError(f"{path}: line {line}{where}")
+                raise SchemaMismatch(f"{path}: line {line}: duplicate subject_id {row[0]!r}")
+            if subjects:
+                position[row[0]] = len(position)
+            rows.append(row)
+            if numeric and len(rows) * width >= _BLOCK_CELLS:
+                blocks.append(parse(rows, first_line))
+                rows, first_line = [], line + 1
+        if not numeric:
+            return header, position, rows
+        blocks.append(parse(rows, first_line))
+    return header, position, np.concatenate(blocks)
 
 
 def _parse_cell(cell: str, path: Path, line: int, column: str, cast=float):
-    try:  # as numpy parses it: an integer must also fit in 64 bits
-        return np.array(cell, dtype=cast).item()
+    """`cell` as numpy parses it (an integer must also fit in 64 bits); ParseError
+    names the file, line and column of a cell that does not parse or is not finite."""
+    where = f"{path}: line {line}, column {column!r}"
+    try:
+        value = np.array(cell, dtype=cast).item()
     except (ValueError, OverflowError) as exc:
         what = "an integer" if cast is int else "a number"
-        raise ParseError(
-            f"{path}: line {line}, column {column!r}: cannot parse {cell!r} as {what}"
-        ) from exc
+        raise ParseError(f"{where}: cannot parse {cell!r} as {what}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: {cell!r} is not finite")
+    return value
 
 
-def _number_array(cells, path: Path, columns: list[str], cast=float,
-                  first_line: int = 2) -> np.ndarray:
-    """Rows of numeric cell strings (data lines from `first_line`; a list of rows
-    or a 2-D object array) as one array of `cast`.
+def _number_array(cells: np.ndarray, path: Path, columns: list[str], first_line: int = 2,
+                  ints: int = 0) -> np.ndarray:
+    """A 2-D object array of numeric cell strings (data lines from `first_line`)
+    as float64; the first `ints` columns must hold integers.
 
-    Every cell must parse and be finite; the first one that is not is named
-    by file, line and column.
+    Every cell must parse and be finite; the first one in row order that is
+    not is named by file, line and column.
     """
+    out = np.empty(cells.shape)
     try:
-        out = np.array(cells, dtype=cast).reshape(len(cells), len(columns))
-    except (ValueError, OverflowError):  # re-parse cell by cell to name the bad one
-        out = np.array([[_parse_cell(cell, path, first_line + r, columns[c], cast)
-                         for c, cell in enumerate(row)]
-                        for r, row in enumerate(cells)]).reshape(len(cells), len(columns))
-    bad = np.argwhere(~np.isfinite(out))
-    if bad.size:
-        r, c = bad[0]
-        raise ParseError(
-            f"{path}: line {first_line + r}, column {columns[c]!r}: "
-            f"{cells[r][c]!r} is not finite"
-        )
+        out[:, :ints] = np.array(cells[:, :ints], dtype=int)
+        out[:, ints:] = cells[:, ints:]
+        bad = np.argwhere(~np.isfinite(out))[:1]
+    except (ValueError, OverflowError):  # parse cell by cell up to the first bad one
+        bad = np.ndindex(cells.shape)
+    for r, c in bad:
+        out[r, c] = _parse_cell(cells[r, c], path, first_line + r, columns[c],
+                                int if c < ints else float)
     return out
-
-
-def _add_subject(position: dict[str, int], row: list[str], r: int, header: list[str],
-                 name: str) -> None:
-    """Map data row r's subject_id (first cell) to r; the row must be complete
-    and its id new."""
-    if len(row) != len(header):
-        raise ParseError(f"{name}: line {r + 2}: expected {len(header)} cells")
-    if row[0] in position:
-        raise SchemaMismatch(f"{name}: line {r + 2}: duplicate subject_id {row[0]!r}")
-    position[row[0]] = r
-
-
-def _subject_rows(rows: list[list[str]], header: list[str], name: str) -> dict[str, int]:
-    """Map each subject_id to its row index, through `_add_subject`."""
-    position: dict[str, int] = {}
-    for r, row in enumerate(rows):
-        _add_subject(position, row, r, header, name)
-    return position
-
-
-def _read_features(path: Path) -> tuple[list[str], np.ndarray]:
-    """The subject ids and the N x F float64 features of features.csv.
-
-    Rows stream from the file into one array that grows geometrically and is
-    trimmed to N rows at the end (`ndarray.resize` reallocates in place where
-    it can), so no list of rows or grid of cell strings is ever held.
-    """
-    with _csv_reader(path) as (header, reader):
-        if not header or header[0] != "subject_id":
-            raise SchemaMismatch(f"features.csv must start with subject_id, got {header[:1]}")
-        position: dict[str, int] = {}
-        features = np.empty((0, len(header) - 1))
-        for r, row in enumerate(reader):
-            _add_subject(position, row, r, header, "features.csv")
-            if r == len(features):
-                features.resize((2 * r + 1, features.shape[1]), refcheck=False)
-            features[r] = _number_array([row[1:]], path, header[1:], first_line=r + 2)
-    features.resize((len(position), features.shape[1]), refcheck=False)
-    return list(position), features
 
 
 def _join_order(subject_ids: list[str], position: dict[str, int], name: str) -> list[int]:
@@ -313,12 +306,13 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
 
     Subjects follow the row order of features.csv; phenotypes.csv and
     labels.csv are joined to it on subject_id, so their row order is free.
-    features.csv is parsed a row at a time straight into float64, so reading it
-    holds little more than the returned array (`_read_features`).
+    features.csv is parsed a block of rows at a time into float64 (`_read_csv`),
+    so reading it holds little more than the returned array.
     """
     directory = Path(directory)
 
-    subject_ids, features = _read_features(directory / "features.csv")
+    _, position, features = _read_csv(directory / "features.csv", ["subject_id"], numeric=True)
+    subject_ids = list(position)
 
     schema_path = directory / "phenotypes.schema.json"
     try:
@@ -328,11 +322,8 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
     if not isinstance(schema, list):
         raise SchemaMismatch(f"{schema_path}: expected a list of measures")
 
-    header, rows = _read_csv(directory / "phenotypes.csv")
-    if header[:1] != ["subject_id"]:
-        raise SchemaMismatch(f"phenotypes.csv must start with subject_id, got {header[:1]}")
-    order = _join_order(subject_ids, _subject_rows(rows, header, "phenotypes.csv"),
-                        "phenotypes.csv")
+    header, position, rows = _read_csv(directory / "phenotypes.csv", ["subject_id"])
+    order = _join_order(subject_ids, position, "phenotypes.csv")
     col_index = {name: k for k, name in enumerate(header)}
     phenotypes = []
     for e, entry in enumerate(schema):
@@ -343,20 +334,18 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
             raise SchemaMismatch(f"phenotypes.csv is missing declared column {mname!r}")
         k = col_index[mname]
         if kind == QUANTITATIVE:
-            values = _number_array([[row[k]] for row in rows], directory / "phenotypes.csv",
-                                  [mname])[order, 0].tolist()
+            cells = np.array([row[k] for row in rows], dtype=object).reshape(-1, 1)
+            values = _number_array(cells, directory / "phenotypes.csv", [mname])[order, 0].tolist()
             tau = entry.get("tau")
         else:
             values, tau = [rows[r][k] for r in order], None
         try:
             phenotypes.append(PhenotypicMeasure(mname, kind, values, tau))
-        except (TypeError, ValueError) as exc:  # an unknown kind, or no tau > 0
+        except (TypeError, ValueError) as exc:  # an unknown kind, or no finite tau > 0
             raise SchemaMismatch(f"{schema_path}: entry {e}: {exc}") from exc
 
-    header, rows = _read_csv(directory / "labels.csv")
-    if header[:2] != ["subject_id", "label"]:
-        raise SchemaMismatch(f"labels.csv header must be subject_id,label, got {header}")
-    order = _join_order(subject_ids, _subject_rows(rows, header, "labels.csv"), "labels.csv")
+    _, position, rows = _read_csv(directory / "labels.csv", ["subject_id", "label"])
+    order = _join_order(subject_ids, position, "labels.csv")
     for r, row in enumerate(rows):
         if row[1] not in ("0", "1"):
             raise ParseError(f"labels.csv: line {r + 2}, column 'label': got {row[1]!r}")
@@ -374,21 +363,12 @@ def save_adjacency(g: Graph, path: str | Path) -> None:
 def load_adjacency(path: str | Path, n: int) -> Graph:
     """Inverse of save_adjacency. Each row holds exactly an integer i and j and
     a finite weight, else ParseError names the file, line and column; an edge
-    that Graph refuses raises ParseError naming the file, line and edge."""
-    header, rows = _read_csv(Path(path))
-    if header != ["i", "j", "weight"]:
-        raise SchemaMismatch(f"adjacency header must be i,j,weight, got {header}")
-    try:  # an E x 3 grid of the cell strings, parsed a column block at a time
-        cells = np.array(rows, dtype=object).reshape(len(rows), 3)
-    except ValueError:  # some row does not have three cells: name the first
-        line, row = next((r + 2, row) for r, row in enumerate(rows) if len(row) != 3)
-        where = (f", column {header[len(row)]!r}: missing cell" if len(row) < 3
-                 else f": expected 3 cells, got {len(row)}")
-        raise ParseError(f"{path}: line {line}{where}") from None
-    ij = _number_array(cells[:, :2], path, header[:2], cast=int)
-    weight = _number_array(cells[:, 2:], path, header[2:])
+    that Graph refuses raises ParseError naming the file, line and edge. The
+    rows are parsed a block at a time into the (E, 3) float64 edge array
+    (`_read_csv`), so no string of the whole file is held at once."""
+    _, _, edges = _read_csv(Path(path), ["i", "j", "weight"], numeric=True, ints=2)
     try:
-        return Graph(n=n, edges=np.column_stack((ij, weight)))
+        return Graph(n=n, edges=edges)
     except BadEdge as exc:  # out of range, repeated, or a negative weight
         raise ParseError(f"{path}: line {exc.row + 2}: {exc}") from exc
 

@@ -13,6 +13,7 @@ recursive feature elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ class PhenotypicMeasure:
     """One non-imaging measure with a value per subject.
 
     Qualitative measures compare by equality; quantitative measures compare
-    by |difference| < tau.
+    by |difference| < tau, a finite number > 0 (not a bool).
     """
 
     name: str
@@ -50,8 +51,10 @@ class PhenotypicMeasure:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         object.__setattr__(self, "values", tuple(self.values))
         if self.kind == QUANTITATIVE:
-            if self.tau is None or self.tau <= 0:
-                raise ValueError(f"quantitative measure {self.name!r} needs tau > 0")
+            tau = self.tau  # a NaN tau would drop every agreement, and True would read as 1
+            if isinstance(tau, bool) or not (isinstance(tau, Real) and 0 < tau < np.inf):
+                raise ValueError(f"quantitative measure {self.name!r} needs tau > 0, "
+                                 f"a finite number, got {tau!r}")
 
     def agreement(self) -> np.ndarray:
         """N x N boolean indicator similarity-distance: entry (i, j) is True
@@ -70,11 +73,12 @@ class PopulationGraphSpec:
     """Inputs for adjacency construction: N x F features, measures, kernel width.
 
     Construction computes `distances`, the N x N correlation distances
-    1 - Pearson r between feature rows, once; DegenerateVector names a
-    subject whose feature row is constant. sigma=None resolves to the median
-    heuristic, the median of the distances over all pairs i < j, so `sigma`
-    is always the width build_adjacency uses. A width that is not > 0 (NaN
-    included) raises NonPositiveSigma.
+    1 - Pearson r between feature rows, once; ShapeMismatch refuses fewer than
+    3 feature columns, and DegenerateVector names a subject whose feature row
+    is constant. sigma=None resolves to the median heuristic, the median of
+    the distances over all pairs i < j, so `sigma` is always the width
+    build_adjacency uses. A width that is not > 0 (NaN included) raises
+    NonPositiveSigma.
     """
 
     features: np.ndarray
@@ -84,9 +88,12 @@ class PopulationGraphSpec:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        n = self.features.shape[0]
+        n, f = self.features.shape
         if n < 2:
             raise ValueError(f"need at least 2 subjects, got {n}")
+        if f < 3:  # with 2 columns every correlation distance is 0 or 2
+            raise ShapeMismatch(f"need at least 3 feature columns, got {f} "
+                                "(correlation distances need >= 3 columns)")
         if not self.measures:
             raise ValueError("need at least one phenotypic measure")
         for m in self.measures:

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import runpy
+import shutil
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +222,26 @@ class TestTrain:
         assert (
             a / "checkpoint_fold0.json"
         ).read_bytes() == (b / "checkpoint_fold0.json").read_bytes()
+
+    @pytest.mark.parametrize("columns", [0, 1, 2])
+    def test_graph_from_fewer_than_three_columns_says_why(self, data_dir, tmp_path, capsys,
+                                                          columns):
+        # no columns failed inside numpy, one blamed a constant subject, and two
+        # trained on distances that can only be 0 or 2
+        narrow = tmp_path / "bundle"
+        shutil.copytree(data_dir, narrow)
+        lines = (narrow / "features.csv").read_text().splitlines()
+        (narrow / "features.csv").write_text(
+            "".join(",".join(line.split(",")[:1 + columns]) + "\n" for line in lines))
+        assert cli_run(["train", "--data", str(narrow), "--out", str(tmp_path / "run")]
+                       + FAST_TRAIN) == 1
+        assert (f"error: need at least 3 feature columns, got {columns} "
+                "(correlation distances need >= 3 columns)") in capsys.readouterr().err
+        # a graph read from a file does not come from the features
+        adj = tmp_path / "adjacency.csv"
+        assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]) == 0
+        assert cli_run(["train", "--data", str(narrow), "--adjacency", str(adj),
+                        "--out", str(tmp_path / "adj-run")] + FAST_TRAIN) == 0
 
 
 class TestEval:
@@ -621,3 +645,22 @@ class TestConfigPrecedence:
                       "--config", str(config)])
         assert rc == 1
         assert "learning_rat" in capsys.readouterr().err
+
+
+class TestFullPipelineDemo:
+    def test_demo_runs_every_stage_on_the_graph_it_writes(self, tmp_path, monkeypatch, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "full_pipeline_demo.py"
+        monkeypatch.setattr(sys, "argv", [str(script), str(tmp_path)])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        written = ["adjacency.csv", "stats.json", "eval_report.json", "train/metrics.json",
+                   "train/history.csv", "train/roc.csv", "train/pr.csv",
+                   *(f"bundle/{name}" for name in ("features.csv", "phenotypes.csv",
+                                                   "phenotypes.schema.json", "labels.csv")),
+                   *(f"train/checkpoint_fold{k}.json" for k in range(10))]
+        for name in written:
+            assert (tmp_path / name).is_file(), name
+        # sample-stats reads back the graph file that build-graph wrote
+        assert (f"$ angcn sample-stats --data {tmp_path / 'bundle'} "
+                f"--adjacency {tmp_path / 'adjacency.csv'} ") in capsys.readouterr().out

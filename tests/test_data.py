@@ -1,7 +1,7 @@
 import base64
-import gc
 import hashlib
 import json
+import re
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from angcn.data import (
+    _BLOCK_CELLS,
     Checkpoint,
     DatasetBundle,
     SyntheticSpec,
@@ -154,7 +155,12 @@ class TestBundleRoundTrip:
          SchemaMismatch, "entry 1: quantitative measure 'age' needs tau"),
         ("not json", ParseError, "Expecting value"),
         ('{"site": {"kind": "qualitative"}}', SchemaMismatch, "expected a list of measures"),
-    ], ids=["no-name", "no-tau", "not-json", "object-for-list"])
+        # a NaN tau silently dropped every agreement; true was read as tau 1
+        *((f'[{{"name": "age", "kind": "quantitative", "tau": {tau}}}]', SchemaMismatch,
+           f"entry 0: quantitative measure 'age' needs tau > 0, a finite number, got {got}")
+          for tau, got in (("NaN", "nan"), ("Infinity", "inf"), ("true", "True"))),
+    ], ids=["no-name", "no-tau", "not-json", "object-for-list", "tau-nan", "tau-infinity",
+            "tau-true"])
     def test_malformed_schema_names_file_and_entry(self, tmp_path, text, error, match):
         save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=7)), tmp_path)
         (tmp_path / "phenotypes.schema.json").write_text(text)
@@ -231,6 +237,20 @@ class TestBundleValidation:
         with pytest.raises(SchemaMismatch, match=f"{file}.*{message}"):
             load_bundle(tmp_path)
 
+    @pytest.mark.parametrize("file, header, expected", [
+        ("features.csv", "id,f0", "subject_id,..."),
+        ("phenotypes.csv", "site,age", "subject_id,..."),
+        ("labels.csv", "subject_id,y", "subject_id,label,..."),
+    ])
+    def test_header_refusal_names_file_expected_and_found(self, tmp_path, file, header,
+                                                          expected):
+        save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=8)), tmp_path)
+        lines = (tmp_path / file).read_text().splitlines()
+        (tmp_path / file).write_text("\n".join([header, *lines[1:]]) + "\n")
+        with pytest.raises(SchemaMismatch,
+                           match=rf"{file}: header must be {re.escape(expected)}, got {header}$"):
+            load_bundle(tmp_path)
+
     def test_unknown_subject_rejected(self, tmp_path):
         save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=8)), tmp_path)
         with open(tmp_path / "labels.csv", "a") as fh:
@@ -282,23 +302,99 @@ class TestAdjacencyFile:
     def test_header_checked(self, tmp_path):
         path = tmp_path / "adjacency.csv"
         path.write_text("a,b,c\n0,1,2.0\n")
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(SchemaMismatch,
+                           match="adjacency.csv: header must be i,j,weight, got a,b,c$"):
             load_adjacency(path, n=3)
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_read_restores_gc_state(self, tmp_path, enabled):
+    @pytest.mark.parametrize("rows, where", [
+        (["0,x,1.0", "0,2,1.0", "0,3"], "line 3, column 'j': cannot parse 'x' as an integer"),
+        (["0,3", "0,2,1.0", "0,x,1.0"], "line 3, column 'weight': missing cell"),
+        (["0,2,1.0,junk", "0,3,nan"], "line 3: expected 3 cells, got 4"),
+    ], ids=["number-first", "row-first", "same-line"])
+    def test_first_faulty_line_is_named(self, tmp_path, rows, where):
+        # row faults are found as rows are read, bad numbers as their block is
+        # parsed; a row fault first parses the rows before it, so the earlier
+        # line's fault is the one named, and on one line the row fault
         path = tmp_path / "adjacency.csv"
-        save_adjacency(Graph(n=3, edges=((0, 1, 0.5),)), path)
-        was_enabled = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
+        path.write_text("i,j,weight\n0,1,1.0\n" + "".join(row + "\n" for row in rows))
+        with pytest.raises(ParseError, match=f"adjacency.csv: {where}$"):
+            load_adjacency(path, n=4)
+
+    def test_load_holds_a_few_edge_arrays(self, tmp_path):
+        # ~72k edges: holding every cell string of the file peaked at 16.6x the
+        # edge array; a block of rows at a time leaves Graph's own copies
+        n, rng = 600, np.random.default_rng(0)
+        i, j = np.triu_indices(n, k=1)
+        keep = rng.uniform(size=len(i)) < 0.4
+        edges = np.column_stack((i[keep], j[keep], rng.uniform(0.01, 2.0, int(keep.sum()))))
+        path = tmp_path / "adjacency.csv"
+        save_adjacency(Graph(n=n, edges=edges), path)
+        tracemalloc.start()
         try:
-            load_adjacency(path, n=3)
-            assert gc.isenabled() is enabled
-            with pytest.raises(ParseError):
-                load_adjacency(tmp_path / "missing.csv", n=3)
-            assert gc.isenabled() is enabled
+            g = load_adjacency(path, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            (gc.enable if was_enabled else gc.disable)()
+            tracemalloc.stop()
+        assert len(g.edges) > 70_000
+        assert peak < 6 * g.edges.nbytes
+        assert np.array_equal(g.edges, edges)
+
+
+def rows_per_block(width):
+    """Data rows of a `width`-column file that the reader parses as one block."""
+    return -(-_BLOCK_CELLS // width)
+
+
+# Every valid spelling float() and int() accept parses as they parse it.
+FLOAT_SPELLINGS = ["-0.0", "5e-324", "1.7976931348623157e308", "+.5", "1E3", " 2.5", "1_000.25"]
+INT_PREFIXES = ["+", " ", "0"]   # "+57", " 57" and "057" all read 57
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_features_match_a_per_cell_parse(self, tmp_path, extra):
+        f = 7
+        n = rows_per_block(1 + f) + extra
+        rng = np.random.default_rng(n)
+        cells = [[repr(x) for x in rng.normal(size=f).tolist()] for _ in range(n)]
+        for r, spelling in enumerate(FLOAT_SPELLINGS):
+            cells[n - 1 - 2 * r][r] = spelling
+        site = PhenotypicMeasure("site", QUALITATIVE, ["a"] * n)
+        save_bundle(DatasetBundle(np.zeros((n, f)), [site], np.arange(n) % 2), tmp_path)
+        (tmp_path / "features.csv").write_text(
+            "subject_id," + ",".join(f"f{k}" for k in range(f)) + "\n"
+            + "".join(f"{r}," + ",".join(row) + "\n" for r, row in enumerate(cells)))
+        want = np.array([[float(cell) for cell in row] for row in cells])
+        assert load_bundle(tmp_path).features.tobytes() == want.tobytes()
+        line = rows_per_block(1 + f) + 2   # the first row of the second block
+        if n >= line - 1:
+            edit_cell(tmp_path / "features.csv", line, "f4", "oops")
+            with pytest.raises(ParseError, match=f"features.csv: line {line}, column 'f4': "
+                                                 "cannot parse 'oops' as a number"):
+                load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_adjacency_matches_a_per_cell_parse(self, tmp_path, extra):
+        e = rows_per_block(3) + extra
+        n = 120
+        rng = np.random.default_rng(e)
+        i, j = np.triu_indices(n, k=1)
+        cells = [[str(a), str(b), repr(w)]
+                 for a, b, w in zip(i[:e].tolist(), j[:e].tolist(), rng.uniform(size=e).tolist())]
+        for r, spelling in enumerate(FLOAT_SPELLINGS[:3] + FLOAT_SPELLINGS[4:]):
+            cells[e - 1 - r][2] = spelling
+        for r, prefix in enumerate(INT_PREFIXES):
+            cells[e - 1 - r][0] = prefix + cells[e - 1 - r][0]
+        path = tmp_path / "adjacency.csv"
+        path.write_text("i,j,weight\n" + "".join(",".join(row) + "\n" for row in cells))
+        want = np.array([[int(a), int(b), float(w)] for a, b, w in cells])
+        assert load_adjacency(path, n=n).edges.tobytes() == want.tobytes()
+        line = rows_per_block(3) + 2   # the first row of the second block
+        if e >= line - 1:
+            edit_cell(path, line, "weight", "nan")
+            with pytest.raises(ParseError, match=f"adjacency.csv: line {line}, column 'weight': "
+                                                 "'nan' is not finite"):
+                load_adjacency(path, n=n)
 
 
 class TestCheckpoint:
