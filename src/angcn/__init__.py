@@ -2,7 +2,7 @@
 convolutions, skip connections, and identity mapping."""
 
 from .data import DatasetBundle, SyntheticSpec, generate_synthetic, load_bundle, save_bundle
-from .graph_core import Graph, normalize_adjacency
+from .graph_core import normalize_adjacency
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import ModelParams, forward, init_params, layer_forward, predict
 from .popgraph import (
@@ -32,7 +32,6 @@ from .training import (
 __all__ = [
     "AggregationStats",
     "DatasetBundle",
-    "Graph",
     "ModelParams",
     "PhenotypicMeasure",
     "PopulationGraphSpec",

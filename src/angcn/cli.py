@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data as dataio
 from .errors import SchemaMismatch
-from .graph_core import Graph, normalize_adjacency
+from .graph_core import normalize_adjacency
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import forward, init_params, predict
 from .popgraph import PopulationGraphSpec, build_adjacency, rfe_ridge
@@ -220,8 +220,8 @@ def _load_features(args) -> tuple[dataio.DatasetBundle, np.ndarray, np.ndarray |
     return bundle, bundle.features[:, keep], keep
 
 
-def _graph_for(bundle, features, sigma, adjacency=None) -> tuple[Graph, float | None]:
-    """The population graph and its sigma: for an adjacency file the sigma as
+def _graph_for(bundle, features, sigma, adjacency=None) -> tuple[np.ndarray, float | None]:
+    """The population graph's adjacency matrix and its sigma: for an adjacency file the sigma as
     given (None without it), else the graph built from the features at sigma
     or, for None, at the median heuristic, which is then returned."""
     if adjacency is not None:
@@ -230,12 +230,12 @@ def _graph_for(bundle, features, sigma, adjacency=None) -> tuple[Graph, float | 
     return build_adjacency(spec), spec.sigma
 
 
-def _stats_for(config: TrainConfig, g: Graph) -> AggregationStats | None:
-    """Sampler statistics at the batch budget, or None in full batch, whose
-    aggregation is never restricted to a subgraph (unit gamma)."""
-    if config.full_batch(g.n):
+def _stats_for(config: TrainConfig, n: int) -> AggregationStats | None:
+    """Sampler statistics of n nodes at the batch budget, or None in full batch,
+    whose aggregation is never restricted to a subgraph (unit gamma)."""
+    if config.full_batch(n):
         return None
-    return presample(g.n, config.sampler_runs, config.batch_budget, config.seed)
+    return presample(n, config.sampler_runs, config.batch_budget, config.seed)
 
 
 def _fold_metrics(y_true: np.ndarray, probs: np.ndarray) -> dict:
@@ -260,8 +260,8 @@ def _write_curve(path: Path, curve) -> None:
     dataio._atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _cv_accuracy(config, g, stats, features, labels) -> float:
-    results = cross_validate(config, g, stats, features, labels)
+def _cv_accuracy(config, a, stats, features, labels) -> float:
+    results = cross_validate(config, a, stats, features, labels)
     return float(np.mean([np.mean(r.probs.argmax(axis=1) == labels[r.test_idx])
                           for r in results]))
 
@@ -287,18 +287,18 @@ def _cmd_synth(args) -> int:
 
 def _cmd_build_graph(args) -> int:
     bundle, features, _ = _load_features(args)
-    g, sigma = _graph_for(bundle, features, args.sigma)
-    dataio.save_adjacency(g, args.out)
-    print(f"wrote {args.out} ({len(g.edges)} edges, sigma={sigma:.6g})")
+    a, sigma = _graph_for(bundle, features, args.sigma)
+    dataio.save_adjacency(a, args.out)
+    print(f"wrote {args.out} ({np.count_nonzero(a) // 2} edges, sigma={sigma:.6g})")
     return 0
 
 
 def _cmd_sample_stats(args) -> int:
     bundle, features, _ = _load_features(args)
-    g, _ = _graph_for(bundle, features, args.sigma, args.adjacency)
-    budget = args.budget if args.budget is not None else -(-g.n // 2)
-    stats = presample(g.n, runs=args.runs, budget=budget, seed=args.seed)
-    dataio._atomic_write(Path(args.out), stats.to_json(g) + "\n")
+    a, _ = _graph_for(bundle, features, args.sigma, args.adjacency)
+    budget = args.budget if args.budget is not None else -(-len(a) // 2)
+    stats = presample(len(a), runs=args.runs, budget=budget, seed=args.seed)
+    dataio._atomic_write(Path(args.out), stats.to_json(a) + "\n")
     print(f"wrote {args.out} (runs={stats.runs}, budget={budget})")
     return 0
 
@@ -306,15 +306,15 @@ def _cmd_sample_stats(args) -> int:
 def _cmd_train(args) -> int:
     config = resolve_config(args)
     bundle, features, columns = _load_features(args)
-    g, sigma = _graph_for(bundle, features, args.sigma, args.adjacency)
-    results = cross_validate(config, g, _stats_for(config, g), features, bundle.labels)
+    a, sigma = _graph_for(bundle, features, args.sigma, args.adjacency)
+    results = cross_validate(config, a, _stats_for(config, len(a)), features, bundle.labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     per_fold = []
     pooled_true, pooled_scores = [], []
     history_lines = ["fold,epoch,train_loss,val_loss"]
-    digest = dataio.graph_digest(g)
+    digest = dataio.graph_digest(a)
     for r in results:
         y_true = bundle.labels[r.test_idx]
         fm = _fold_metrics(y_true, r.probs)
@@ -352,8 +352,8 @@ def _cmd_eval(args) -> int:
                                  f"but {args.data} has {size} {what}")
     if ckpt.feature_columns is not None:
         features = features[:, ckpt.feature_columns]
-    g, _ = _graph_for(bundle, features, ckpt.sigma, args.adjacency)
-    digest = dataio.graph_digest(g)
+    a, _ = _graph_for(bundle, features, ckpt.sigma, args.adjacency)
+    digest = dataio.graph_digest(a)
     if digest != ckpt.graph_digest:
         source = args.adjacency or f"the graph rebuilt from {args.data}"
         raise ValueError(
@@ -361,7 +361,7 @@ def _cmd_eval(args) -> int:
             f"match the checkpoint's training graph digest {ckpt.graph_digest[:12]}"
         )
     # gamma only debiases subgraph-restricted training: score with unit aggregation
-    a_hat = normalize_adjacency(g)
+    a_hat = normalize_adjacency(a)
     probs = predict(forward(ckpt.params, a_hat, features).logits)
     test = ckpt.test_idx
     report = {**_fold_metrics(bundle.labels[test], probs[test]), "fold": ckpt.fold,
@@ -374,26 +374,26 @@ def _cmd_eval(args) -> int:
 
 
 def _sweep_setup(args, field: str, values: list[int] | None):
-    """The sweep's config, bundle, features and graph; each swept value of the
+    """The sweep's config, bundle, features and adjacency matrix; each swept value of the
     TrainConfig `field` is checked before any data is read."""
     sweep_defaults = TrainConfig(max_epochs=SWEEP_EPOCHS, patience=SWEEP_EPOCHS)
     config = resolve_config(args, defaults=sweep_defaults)
     for value in values or ():
         replace(config, **{field: value})
     bundle, features, _ = _load_features(args)
-    g, _ = _graph_for(bundle, features, args.sigma)
-    return config, bundle, features, g
+    a, _ = _graph_for(bundle, features, args.sigma)
+    return config, bundle, features, a
 
 
 def _cmd_sweep_depth(args) -> int:
-    config, bundle, features, g = _sweep_setup(args, "layers", args.depths)
-    stats_an = _stats_for(config, g)
+    config, bundle, features, a = _sweep_setup(args, "layers", args.depths)
+    stats_an = _stats_for(config, len(a))
     lines = ["depth,angcn_accuracy,gcn_accuracy"]
     for depth in args.depths:
         an_cfg = replace(config, layers=depth)
         gcn_cfg = replace(config, layers=depth, alpha=0.0, beta=0.0)
-        acc_an = _cv_accuracy(an_cfg, g, stats_an, features, bundle.labels)
-        acc_gcn = _cv_accuracy(gcn_cfg, g, None, features, bundle.labels)
+        acc_an = _cv_accuracy(an_cfg, a, stats_an, features, bundle.labels)
+        acc_gcn = _cv_accuracy(gcn_cfg, a, None, features, bundle.labels)
         lines.append(f"{depth},{acc_an!r},{acc_gcn!r}")
         print(f"depth {depth}: angcn {acc_an:.4f}, gcn {acc_gcn:.4f}")
     dataio._atomic_write(Path(args.out), "\n".join(lines) + "\n")
@@ -401,17 +401,17 @@ def _cmd_sweep_depth(args) -> int:
 
 
 def _cmd_sweep_batch(args) -> int:
-    config, bundle, features, g = _sweep_setup(args, "batch_budget", args.budgets)
-    budgets = [*DEFAULT_BUDGETS, g.n] if args.budgets is None else args.budgets
+    config, bundle, features, a = _sweep_setup(args, "batch_budget", args.budgets)
+    budgets = [*DEFAULT_BUDGETS, len(a)] if args.budgets is None else args.budgets
     # budgets above the graph size collapse to the full node set
-    budgets = sorted({min(b, g.n) for b in budgets})
+    budgets = sorted({min(b, len(a)) for b in budgets})
     lines = [
-        f"# budgets capped at n_subjects={g.n}; larger requested values collapse to n",
+        f"# budgets capped at n_subjects={len(a)}; larger requested values collapse to n",
         "budget,accuracy",
     ]
     for budget in budgets:
         cfg = replace(config, batch_budget=budget)
-        acc = _cv_accuracy(cfg, g, _stats_for(cfg, g), features, bundle.labels)
+        acc = _cv_accuracy(cfg, a, _stats_for(cfg, len(a)), features, bundle.labels)
         lines.append(f"{budget},{acc!r}")
         print(f"budget {budget}: accuracy {acc:.4f}")
     dataio._atomic_write(Path(args.out), "\n".join(lines) + "\n")
@@ -423,13 +423,12 @@ def gradcheck_fixture(seed: int):
     8 nodes, 5 input features, hidden width 4, 2 classes, 3 layers."""
     rng = np.random.default_rng(seed)
     n, f_in, f_hidden, n_classes, n_layers = 8, 5, 4, 2, 3
-    edges = []
+    a = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             if rng.uniform() < 0.45:
-                edges.append((i, j, float(rng.uniform(0.5, 1.5))))
-    g = Graph(n=n, edges=tuple(edges))
-    a_hat = normalize_adjacency(g)
+                a[i, j] = a[j, i] = rng.uniform(0.5, 1.5)
+    a_hat = normalize_adjacency(a)
     gamma = aggregation_matrix(presample(n, runs=50, budget=4, seed=seed))
     x_raw = rng.normal(size=(n, f_in))
     labels = rng.integers(0, n_classes, size=n)

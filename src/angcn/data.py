@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadEdge, ParseError, SchemaMismatch
-from .graph_core import Graph
+from .errors import ParseError, SchemaMismatch
 from .model import ModelParams
 from .popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure, connectome_features
 from .training import TrainConfig
@@ -83,14 +82,6 @@ class DatasetBundle:
             if len(m.values) != n:
                 raise ValueError(f"measure {m.name!r} does not cover all {n} subjects")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DatasetBundle)
-            and np.array_equal(self.features, other.features)
-            and np.array_equal(self.labels, other.labels)
-            and self.phenotypes == other.phenotypes
-        )
-
 
 def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
     """Deterministic two-community connectome-style dataset."""
@@ -143,7 +134,8 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write `text` to `path` atomically."""
+    """Write `text` to `path` atomically, creating its directory if missing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -354,23 +346,38 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
     return DatasetBundle(features=features, phenotypes=phenotypes, labels=labels)
 
 
-def save_adjacency(g: Graph, path: str | Path) -> None:
-    """Write edges as i,j,weight rows with i < j, in the graph's edge order."""
-    rows = zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())
+def save_adjacency(a: np.ndarray, path: str | Path) -> None:
+    """Write the adjacency matrix's edges, the nonzero entries of its strict
+    upper triangle, as i,j,weight rows in row-major (i, j) order."""
+    i, j = np.nonzero(np.triu(a, k=1))
+    rows = zip(i.tolist(), j.tolist(), a[i, j].tolist())
     _atomic_write(Path(path), "i,j,weight\n" + "".join(f"{i},{j},{w!r}\n" for i, j, w in rows))
 
 
-def load_adjacency(path: str | Path, n: int) -> Graph:
-    """Inverse of save_adjacency. Each row holds exactly an integer i and j and
-    a finite weight, else ParseError names the file, line and column; an edge
-    that Graph refuses raises ParseError naming the file, line and edge. The
-    rows are parsed a block at a time into the (E, 3) float64 edge array
-    (`_read_csv`), so no string of the whole file is held at once."""
+def load_adjacency(path: str | Path, n: int) -> np.ndarray:
+    """The n x n adjacency matrix of the file: inverse of save_adjacency. Each
+    row holds exactly an integer i and j and a finite weight, else ParseError
+    names the file, line and column (`_read_csv`); the first edge that is not
+    0 <= i < j < n, repeats an earlier one or has a negative weight raises
+    ParseError naming the file, line and edge."""
     _, _, edges = _read_csv(Path(path), ["i", "j", "weight"], numeric=True, ints=2)
-    try:
-        return Graph(n=n, edges=edges)
-    except BadEdge as exc:  # out of range, repeated, or a negative weight
-        raise ParseError(f"{path}: line {exc.row + 2}: {exc}") from exc
+    i, j, w = edges.T
+    out_of_range = ~((0 <= i) & (i < j) & (j < n))
+    key = np.where(out_of_range, -1.0, i * n + j)
+    duplicate = np.ones(len(key), dtype=bool)
+    duplicate[np.unique(key, return_index=True)[1]] = False   # each key's first row
+    bad = out_of_range | duplicate | (w < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        where, edge = f"{path}: line {k + 2}", f"edge ({i[k]:g}, {j[k]:g})"
+        if out_of_range[k]:
+            raise ParseError(f"{where}: {edge} is not 0 <= i < j < {n}")
+        if duplicate[k]:
+            raise ParseError(f"{where}: duplicate {edge}")
+        raise ParseError(f"{where}: {edge} has negative weight {w[k]}")
+    a, i, j = np.zeros((n, n)), i.astype(int), j.astype(int)
+    a[i, j] = a[j, i] = w
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +406,10 @@ def _decode_matrix(obj, path: str | Path, key: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)  # writable copy
 
 
-def graph_digest(g: Graph) -> str:
-    """SHA-256 of the dense adjacency matrix's row-major float64 bytes; independent
-    of edge order. The matrix's buffer is hashed as it is, with no bytes copy."""
-    return hashlib.sha256(g.adjacency()).hexdigest()
+def graph_digest(a: np.ndarray) -> str:
+    """SHA-256 of the adjacency matrix's row-major float64 bytes; independent of
+    edge order. The matrix's buffer is hashed as it is, with no bytes copy."""
+    return hashlib.sha256(a).hexdigest()
 
 
 @dataclass

@@ -24,13 +24,8 @@ class SingularSystem(ValueError):
     """The regularized normal equations are numerically singular."""
 
 
-class BadEdge(ValueError):
-    """An edge is out of range, repeated, or has a negative or non-finite weight;
-    `row` is its index in the edge list the graph was built from."""
-
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
-        self.row = row
+class BadAdjacency(ValueError):
+    """An adjacency matrix is not symmetric, finite, >= 0 and zero on the diagonal."""
 
 
 class BudgetOutOfRange(ValueError):

@@ -4,10 +4,11 @@ Edge weights combine a correlation-distance kernel over per-subject feature
 vectors with indicator distances over non-imaging measures (gender-like
 categories, age-like thresholded numbers). The graph stays in arrays:
 PopulationGraphSpec computes the N x N correlation distances once and
-resolves the kernel width from them, and build_adjacency reuses both, weighs
-only the pairs i < j and hands Graph one (E, 3) edge array. Also hosts the
-connectome-style feature pipeline: Fisher z-transform of correlation matrices and ridge-based
-recursive feature elimination.
+resolves the kernel width from them, and build_adjacency reuses both to
+weigh every pair into the dense N x N adjacency matrix, the graph's only
+in-memory form. Also hosts the connectome-style feature pipeline: Fisher
+z-transform of correlation matrices and ridge-based recursive feature
+elimination.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     ShapeMismatch,
     SingularSystem,
 )
-from .graph_core import Graph
 
 QUALITATIVE = "qualitative"
 QUANTITATIVE = "quantitative"
@@ -121,25 +121,24 @@ def _correlation_distances(features: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, r, out=r)
 
 
-def build_adjacency(spec: PopulationGraphSpec) -> Graph:
-    """Weighted population graph: A_ij = K(i,j) * sum_t d(M_t(i), M_t(j)), with
-    the Gaussian kernel K(i,j) = exp(-rho_ij^2 / (2 sigma^2)) over the spec's
-    correlation distances rho and width sigma.
+def build_adjacency(spec: PopulationGraphSpec) -> np.ndarray:
+    """Weighted population graph as its N x N adjacency matrix:
+    A_ij = K(i,j) * sum_t d(M_t(i), M_t(j)), with the Gaussian kernel
+    K(i,j) = exp(-rho_ij^2 / (2 sigma^2)) over the spec's correlation
+    distances rho and width sigma.
 
-    Symmetric with zero diagonal; pairs whose phenotypic sum is zero get no
-    edge. Edges come in row-major (i, j) order.
+    Symmetric with zero diagonal; pairs whose phenotypic sum is zero weigh 0.
     """
-    rho, sigma, n = spec.distances, spec.sigma, len(spec.distances)
-    upper = np.arange(n)[:, None] < np.arange(n)   # the pairs i < j, row-major
-    weights = rho[upper]   # one entry per pair i < j, worked on in place
-    weights *= weights
-    weights /= -2.0 * sigma * sigma   # the same bits as -(rho^2) / (2 sigma^2)
-    np.exp(weights, out=weights)
-    weights *= sum(m.agreement()[upper] for m in spec.measures)
-    keep = weights > 0.0   # a zero phenotypic sum gives no edge
-    upper[upper] = keep
-    edges = np.column_stack((*np.nonzero(upper), weights[keep]))
-    return Graph(n=n, edges=edges)
+    a = spec.distances * spec.distances
+    a /= -2.0 * spec.sigma * spec.sigma   # the same bits as -(rho^2) / (2 sigma^2)
+    np.exp(a, out=a)
+    agreements = np.zeros(a.shape, dtype=np.min_scalar_type(len(spec.measures)))
+    for m in spec.measures:
+        agreements += m.agreement()
+    a *= agreements
+    a[np.tri(len(a), dtype=bool)] = 0.0   # the pairs i >= j
+    a += a.T
+    return a
 
 
 def connectome_features(corr: np.ndarray) -> np.ndarray:

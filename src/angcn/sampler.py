@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetOutOfRange, EmptyStats
-from .graph_core import Graph
 
 
 @dataclass
@@ -32,13 +31,11 @@ class AggregationStats:
     def runs(self) -> int:
         return self.membership.shape[0]
 
-    def to_json(self, g: Graph) -> str:
+    def to_json(self, a: np.ndarray) -> str:
         """The stats.json text: runs, C_i, and [i, j, C_ij] rows for every edge
-        of g plus one (i, i) row per node, sorted by (i, j)."""
-        i = np.concatenate([g.src, np.arange(g.n)])
-        j = np.concatenate([g.dst, np.arange(g.n)])
-        order = np.lexsort((j, i))
-        i, j = i[order], j[order]
+        (nonzero entry i < j) of the adjacency matrix a plus one (i, i) row
+        per node, sorted by (i, j)."""
+        i, j = np.nonzero(np.triu(a != 0, k=1) | np.eye(len(a), dtype=bool))
         pair_counts = (self.membership.T @ self.membership).astype(np.int64)
         payload = {
             "runs": self.runs,

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, ShapeMismatch, TraceMismatch
-from .graph_core import Graph, normalize_adjacency
+from .graph_core import normalize_adjacency
 from .model import ForwardTrace, ModelParams, check_coefficient, forward, init_params, predict
 from .sampler import AggregationStats, aggregation_matrix, sample_node_subgraph
 
@@ -484,7 +484,7 @@ def _train_folds(shared: tuple, tasks: list[tuple]) -> list[FoldResult]:
 
 def cross_validate(
     config: TrainConfig,
-    graph: Graph,
+    adjacency: np.ndarray,
     stats: AggregationStats | None,
     features: np.ndarray,
     labels: Sequence[int],
@@ -495,7 +495,7 @@ def cross_validate(
     `stats` is None for unit aggregation (full batch, plain GCN) or the
     sampler statistics of the graph's nodes (ShapeMismatch otherwise), from
     which each minibatch of sampled training forms its gamma. The operator
-    a_hat = normalize_adjacency(graph), the splits and the fold seeds are
+    a_hat = normalize_adjacency(adjacency), the splits and the fold seeds are
     built once here; the folds then train as the module docstring says, and
     the results come back in fold order. The caller's BLAS thread count is
     restored when the last of any concurrent calls ends, on error too. Test
@@ -504,12 +504,13 @@ def cross_validate(
     epoch; an error in any fold reaches the caller, the earliest failing
     fold's first."""
     labels = np.asarray(labels, dtype=int)
-    if stats is not None and stats.membership.shape[1] != graph.n:
-        raise ShapeMismatch(f"stats cover {stats.membership.shape[1]} nodes, the graph {graph.n}")
+    n = len(adjacency)
+    if stats is not None and stats.membership.shape[1] != n:
+        raise ShapeMismatch(f"stats cover {stats.membership.shape[1]} nodes, the graph {n}")
     tasks = []
     for f, test_idx in enumerate(stratified_kfold(labels, config.folds, config.seed)):
-        pool = np.setdiff1d(np.arange(graph.n), test_idx)
+        pool = np.setdiff1d(np.arange(n), test_idx)
         fold_seed = int(np.random.SeedSequence([config.seed, 17, f]).generate_state(1)[0])
         tr_idx, val_idx = stratified_holdout(labels, pool, VALIDATION_FRACTION, fold_seed)
         tasks.append((f, replace(config, seed=fold_seed), test_idx, tr_idx, val_idx))
-    return _train_folds((normalize_adjacency(graph), stats, features, labels), tasks)
+    return _train_folds((normalize_adjacency(adjacency), stats, features, labels), tasks)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from angcn.cli import cli_run, gradcheck_fixture
-from angcn.graph_core import Graph, normalize_adjacency
+from angcn.graph_core import normalize_adjacency
 from angcn.metrics import ConfusionCounts, roc_curve, scalar_metrics
 from angcn.model import forward, init_params, layer_forward
 from angcn.popgraph import (
@@ -24,6 +24,8 @@ from angcn.popgraph import (
 from angcn.sampler import aggregation_matrix, presample, sample_node_subgraph
 from angcn.training import finite_difference_check
 
+from graphs import random_adjacency
+
 
 def report(number, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -32,13 +34,7 @@ def report(number, ok, detail):
 
 
 def random_graph(n, p, seed, w_low=0.3, w_high=1.5):
-    rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.uniform() < p:
-                edges.append((i, j, float(rng.uniform(w_low, w_high))))
-    return Graph(n=n, edges=tuple(edges))
+    return random_adjacency(n, p, seed, w_low, w_high)
 
 
 def test_criterion_1_restricted_cohort_benchmarks_out_of_scope():
@@ -68,12 +64,12 @@ def test_criterion_3_aggregator_unbiasedness():
     g = random_graph(20, 0.3, seed=123, w_low=0.5, w_high=2.0)
     a_hat = normalize_adjacency(g)
     h = np.random.default_rng(5).normal(size=(20, 6))
-    stats = presample(g.n, runs=5000, budget=10, seed=99)
+    stats = presample(len(g), runs=5000, budget=10, seed=99)
     gamma = aggregation_matrix(stats)
     op = a_hat * gamma
     total = np.zeros_like(h)
     for r in range(5000):  # the runs presample counted: run r from default_rng([99, r])
-        nodes = sample_node_subgraph(g.n, 10, np.random.default_rng([99, r]))
+        nodes = sample_node_subgraph(len(g), 10, np.random.default_rng([99, r]))
         mask = np.zeros((20, 20))
         mask[np.ix_(nodes, nodes)] = 1.0
         total += (op * mask) @ h
@@ -198,7 +194,7 @@ def test_criterion_7_adjacency_construction_oracle():
         sigma = float(rng.uniform(0.3, 1.5))
         got = build_adjacency(
             PopulationGraphSpec(features=features, measures=measures, sigma=sigma)
-        ).adjacency()
+        )
         want = np.zeros((6, 6))
         for i in range(6):
             for j in range(6):

@@ -11,7 +11,7 @@ import pytest
 
 from angcn import cli, popgraph, training
 from angcn.cli import cli_run
-from angcn.data import graph_digest, load_adjacency, load_bundle
+from angcn.data import graph_digest, load_adjacency, load_bundle, save_adjacency
 from angcn.training import TrainConfig
 
 SMALL = ["--n-subjects", "48", "--n-roi", "6", "--seed", "5"]
@@ -64,13 +64,26 @@ class TestBuildGraph:
     def test_adjacency_file_properties(self, data_dir, tmp_path):
         out = tmp_path / "adjacency.csv"
         assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(out)]) == 0
-        g = load_adjacency(out, n=48)
-        a = g.adjacency()
+        a = load_adjacency(out, n=48)
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0.0)
         assert a.min() >= 0.0
-        for i, j, w in g.edges:
-            assert i < j and w > 0
+        for row in out.read_text().splitlines()[1:]:
+            i, j, w = row.split(",")
+            assert int(i) < int(j) and float(w) > 0
+
+    def test_file_is_the_built_matrix_bit_for_bit(self, tmp_path):
+        # the paper-scale bundle: the file loads to build_adjacency's matrix, and
+        # save_adjacency of that matrix writes the file's bytes again
+        data, out, again = tmp_path / "bundle", tmp_path / "adjacency.csv", tmp_path / "again.csv"
+        assert cli_run(["synth", "--out", str(data), "--n-subjects", "300", "--seed", "0"]) == 0
+        assert cli_run(["build-graph", "--data", str(data), "--out", str(out)]) == 0
+        bundle = load_bundle(data)
+        a = popgraph.build_adjacency(
+            popgraph.PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes))
+        assert load_adjacency(out, n=300).tobytes() == a.tobytes()
+        save_adjacency(a, again)
+        assert again.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("flags, file_sha, digest", [
         ([], "2b54f19dccbfbef1d03215697e9d714337060e7bf7975ee2743c200914813e36",
@@ -484,6 +497,25 @@ class TestSweeps:
                       "--out", str(tmp_path / "out.csv"), flag, value])
         assert rc == 1
         assert f"error: {field}, got" in capsys.readouterr().err
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("command, flags", [
+        ("build-graph", []),
+        ("sample-stats", ["--runs", "5"]),
+        ("eval", None),
+        ("sweep-depth", ["--depths", "2"] + FAST_TRAIN),
+        ("sweep-batch", ["--budgets", "20"] + FAST_TRAIN),
+    ], ids=lambda value: value if isinstance(value, str) else "")
+    def test_out_into_a_missing_directory_creates_it(self, data_dir, train_dir, tmp_path,
+                                                     command, flags):
+        # as train and synth already do; the temporary file once named a missing directory
+        out = tmp_path / "new" / "deeper" / "out.file"
+        if flags is None:
+            flags = ["--checkpoint", str(train_dir / "checkpoint_fold0.json")]
+        assert cli_run([command, "--data", str(data_dir), "--out", str(out)] + flags) == 0
+        assert out.stat().st_size > 0
+        assert [p.name for p in out.parent.iterdir()] == ["out.file"]
 
 
 class TestFoldWorkerCount:

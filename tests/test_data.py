@@ -23,10 +23,11 @@ from angcn.data import (
     save_checkpoint,
 )
 from angcn.errors import ParseError, SchemaMismatch
-from angcn.graph_core import Graph
 from angcn.model import ModelParams, init_params
 from angcn.popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure
 from angcn.training import AdamState, TrainConfig, adam_step
+
+from graphs import adjacency, adjacency_file
 
 PINNED_CHECKPOINT_SHA256 = "360987671f3d53a2de72127dfa6796a4ada19058d94fddf66f9e990b233c7415"
 
@@ -58,7 +59,7 @@ class TestGenerateSynthetic:
     def test_same_seed_identical_bundle(self):
         a = generate_synthetic(SyntheticSpec(n_subjects=40, n_roi=8, seed=11))
         b = generate_synthetic(SyntheticSpec(n_subjects=40, n_roi=8, seed=11))
-        assert a == b
+        assert_same_bundle(a, b)
 
     def test_different_seed_differs(self):
         a = generate_synthetic(SyntheticSpec(n_subjects=40, n_roi=8, seed=11))
@@ -109,8 +110,7 @@ class TestBundleRoundTrip:
     def test_save_load_is_identity(self, tmp_path):
         bundle = generate_synthetic(SyntheticSpec(n_subjects=25, n_roi=6, seed=5))
         save_bundle(bundle, tmp_path)
-        back = load_bundle(tmp_path)
-        assert back == bundle
+        assert_same_bundle(load_bundle(tmp_path), bundle)
 
     def test_load_holds_little_more_than_the_features(self, tmp_path):
         # features.csv streams into float64: no grid of cell strings (an 11.5 MB
@@ -124,7 +124,7 @@ class TestBundleRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak < 5.5e6
-        assert back == bundle
+        assert_same_bundle(back, bundle)
 
     def test_crlf_and_lf_parse_identically(self, tmp_path):
         bundle = generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=6))
@@ -138,7 +138,7 @@ class TestBundleRoundTrip:
         (crlf_dir / "phenotypes.schema.json").write_text(
             (lf_dir / "phenotypes.schema.json").read_text()
         )
-        assert load_bundle(crlf_dir) == load_bundle(lf_dir)
+        assert_same_bundle(load_bundle(crlf_dir), load_bundle(lf_dir))
 
     def test_missing_phenotype_column_names_it(self, tmp_path):
         bundle = generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=7))
@@ -188,6 +188,13 @@ class TestBundleRoundTrip:
             load_bundle(tmp_path)
 
 
+def assert_same_bundle(got, want):
+    """The bundles' features and labels are np.array_equal and their phenotypes ==."""
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.phenotypes == want.phenotypes
+
+
 def edit_cell(path, line, column, value):
     """Overwrite one cell of a CSV file (line 1 is the header)."""
     lines = path.read_text().splitlines()
@@ -223,7 +230,7 @@ class TestBundleValidation:
         shuffle_rows(tmp_path / "labels.csv", seed=1)
         shuffle_rows(tmp_path / "phenotypes.csv", seed=2)
         assert (tmp_path / "labels.csv").read_text().splitlines()[1] != "0," + str(bundle.labels[0])
-        assert load_bundle(tmp_path) == bundle
+        assert_same_bundle(load_bundle(tmp_path), bundle)
 
     @pytest.mark.parametrize("file, line, new_id, message", [
         ("labels.csv", 4, "99", "no row for subject_id '2'"),
@@ -261,13 +268,11 @@ class TestBundleValidation:
 
 class TestAdjacencyFile:
     def test_round_trip(self, tmp_path):
-        g = Graph(n=4, edges=((0, 1, 0.25), (1, 3, 1.75)))
+        a = adjacency(4, ((0, 1, 0.25), (1, 3, 1.75)))
         path = tmp_path / "adjacency.csv"
-        save_adjacency(g, path)
-        back = load_adjacency(path, n=4)
-        assert back.n == g.n
-        for column in ("src", "dst", "weight"):
-            assert np.array_equal(getattr(back, column), getattr(g, column))
+        save_adjacency(a, path)
+        assert path.read_text() == "i,j,weight\n0,1,0.25\n1,3,1.75\n"
+        assert load_adjacency(path, n=4).tobytes() == a.tobytes()
 
     @pytest.mark.parametrize("row, where", [
         ("0,x,1.0", "line 3, column 'j'"),
@@ -322,22 +327,25 @@ class TestAdjacencyFile:
 
     def test_load_holds_a_few_edge_arrays(self, tmp_path):
         # ~72k edges: holding every cell string of the file peaked at 16.6x the
-        # edge array; a block of rows at a time leaves Graph's own copies
+        # edge array; a block of rows at a time leaves the edge checks' copies
+        # and the returned matrix
         n, rng = 600, np.random.default_rng(0)
         i, j = np.triu_indices(n, k=1)
         keep = rng.uniform(size=len(i)) < 0.4
         edges = np.column_stack((i[keep], j[keep], rng.uniform(0.01, 2.0, int(keep.sum()))))
+        want = np.zeros((n, n))
+        want[i[keep], j[keep]] = want[j[keep], i[keep]] = edges[:, 2]
         path = tmp_path / "adjacency.csv"
-        save_adjacency(Graph(n=n, edges=edges), path)
+        save_adjacency(want, path)
         tracemalloc.start()
         try:
-            g = load_adjacency(path, n=n)
+            a = load_adjacency(path, n=n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(g.edges) > 70_000
-        assert peak < 6 * g.edges.nbytes
-        assert np.array_equal(g.edges, edges)
+        assert len(edges) > 70_000
+        assert peak < 6 * edges.nbytes
+        assert a.tobytes() == want.tobytes()
 
 
 def rows_per_block(width):
@@ -387,8 +395,8 @@ class TestBlockBoundaries:
             cells[e - 1 - r][0] = prefix + cells[e - 1 - r][0]
         path = tmp_path / "adjacency.csv"
         path.write_text("i,j,weight\n" + "".join(",".join(row) + "\n" for row in cells))
-        want = np.array([[int(a), int(b), float(w)] for a, b, w in cells])
-        assert load_adjacency(path, n=n).edges.tobytes() == want.tobytes()
+        want = adjacency(n, [(int(a), int(b), float(w)) for a, b, w in cells])
+        assert load_adjacency(path, n=n).tobytes() == want.tobytes()
         line = rows_per_block(3) + 2   # the first row of the second block
         if e >= line - 1:
             edit_cell(path, line, "weight", "nan")
@@ -611,26 +619,28 @@ class TestCheckpoint:
             replace(good, config=replace(good.config, **{key: value}))
 
     def test_graph_digest_is_sha256_of_the_dense_bytes(self):
-        g = Graph(n=5, edges=((0, 1, 0.25), (1, 3, 1.75), (2, 4, 3.0)))
-        assert graph_digest(g) == hashlib.sha256(g.adjacency().tobytes()).hexdigest()
+        a = adjacency(5, ((0, 1, 0.25), (1, 3, 1.75), (2, 4, 3.0)))
+        assert graph_digest(a) == hashlib.sha256(a.tobytes()).hexdigest()
 
     def test_graph_digest_keeps_no_copy_of_the_matrix(self):
         n = 2000
-        g = Graph(n=n, edges=[(i, i + 1, 1.0) for i in range(n - 1)])
+        a = adjacency(n, [(i, i + 1, 1.0) for i in range(n - 1)])
         tracemalloc.start()
         try:
-            graph_digest(g)
+            graph_digest(a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * n * n * 8
+        assert peak < 0.25 * n * n * 8
 
-    def test_graph_digest_ignores_edge_order_only(self):
+    def test_graph_digest_ignores_edge_order_only(self, tmp_path):
+        def digest(rows, n=4):
+            return graph_digest(load_adjacency(adjacency_file(tmp_path, rows), n))
+
         edges = ((0, 1, 0.5), (1, 3, 2.0), (0, 2, 1.25))
-        digest = graph_digest(Graph(n=4, edges=edges))
-        assert graph_digest(Graph(n=4, edges=edges[::-1])) == digest
-        assert graph_digest(Graph(n=4, edges=edges[:2] + ((0, 2, 1.5),))) != digest
-        assert graph_digest(Graph(n=5, edges=edges)) != digest
+        assert digest(edges[::-1]) == digest(edges)
+        assert digest(edges[:2] + ((0, 2, 1.5),)) != digest(edges)
+        assert digest(edges, n=5) != digest(edges)
 
 
 def test_bundle_validates_coverage():

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angcn.data import SyntheticSpec, generate_synthetic
-from angcn.errors import ShapeMismatch
-from angcn.graph_core import Graph, normalize_adjacency
+from angcn.data import SyntheticSpec, generate_synthetic, load_adjacency
+from angcn.errors import BadAdjacency, ParseError, ShapeMismatch
+from angcn.graph_core import normalize_adjacency
 from angcn.model import ModelParams, forward
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
 from angcn.sampler import AggregationStats, aggregation_matrix, presample, sample_node_subgraph
 from angcn.training import TrainConfig, cross_validate
+
+from graphs import adjacency, adjacency_file, edge_list, random_adjacency
 
 
 def naive_matmul(a, b):
@@ -37,56 +39,54 @@ def project(x, w):
 
 
 def random_graph(n, p, seed):
-    rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.uniform() < p:
-                edges.append((i, j, float(rng.uniform(0.1, 2.0))))
-    return Graph(n=n, edges=tuple(edges))
+    return random_adjacency(n, p, seed, 0.1, 2.0)
 
 
 class TestGraph:
-    def test_adjacency_symmetric_zero_diagonal(self):
-        g = random_graph(6, 0.5, seed=0)
-        a = g.adjacency()
+    """A graph's invariants: the adjacency file is the one source of edges, so
+    load_adjacency checks them, and normalize_adjacency refuses a matrix that
+    breaks them."""
+
+    def test_adjacency_symmetric_zero_diagonal(self, tmp_path):
+        want = random_graph(6, 0.5, seed=0)
+        a = load_adjacency(adjacency_file(tmp_path, edge_list(want)), n=6)
+        assert np.array_equal(a, want)
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0.0)
 
-    def test_rejects_duplicate_edge(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Graph(n=3, edges=((0, 1, 1.0), (0, 1, 2.0)))
+    def test_rejects_duplicate_edge(self, tmp_path):
+        with pytest.raises(ParseError, match="duplicate"):
+            load_adjacency(adjacency_file(tmp_path, [(0, 1, 1.0), (0, 1, 2.0)]), n=3)
 
-    def test_rejects_self_edge_and_bad_order(self):
-        with pytest.raises(ValueError):
-            Graph(n=3, edges=((1, 1, 1.0),))
-        with pytest.raises(ValueError):
-            Graph(n=3, edges=((2, 1, 1.0),))
+    def test_rejects_self_edge_and_bad_order(self, tmp_path):
+        with pytest.raises(ParseError):
+            load_adjacency(adjacency_file(tmp_path, [(1, 1, 1.0)]), n=3)
+        with pytest.raises(ParseError):
+            load_adjacency(adjacency_file(tmp_path, [(2, 1, 1.0)]), n=3)
 
-    def test_first_bad_edge_is_reported(self):
-        with pytest.raises(ValueError, match=r"^edge \(1, 2\) has negative weight -0.5$"):
-            Graph(n=4, edges=((0, 1, 1.0), (1, 2, -0.5), (0, 1, 2.0)))
-        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
-            Graph(n=4, edges=((0, 1, 1.0), (0, 1, 2.0), (3, 1, 1.0)))
-        with pytest.raises(ValueError, match=r"^edge \(3, 1\) is not 0 <= i < j < 4$"):
-            Graph(n=4, edges=((0, 1, 1.0), (3, 1, 1.0), (0, 1, -1.0)))
+    def test_first_bad_edge_is_reported(self, tmp_path):
+        for rows, message in (
+            ([(0, 1, 1.0), (1, 2, -0.5), (0, 1, 2.0)], r"line 3: edge \(1, 2\) has negative "
+                                                       r"weight -0.5$"),
+            ([(0, 1, 1.0), (0, 1, 2.0), (3, 1, 1.0)], r"line 3: duplicate edge \(0, 1\)$"),
+            ([(0, 1, 1.0), (3, 1, 1.0), (0, 1, -1.0)], r"line 3: edge \(3, 1\) is not "
+                                                       r"0 <= i < j < 4$"),
+        ):
+            with pytest.raises(ParseError, match=message):
+                load_adjacency(adjacency_file(tmp_path, rows), n=4)
 
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError, match="negative"):
-            Graph(n=2, edges=((0, 1, -0.5),))
+    def test_rejects_negative_weight(self, tmp_path):
+        with pytest.raises(ParseError, match="negative"):
+            load_adjacency(adjacency_file(tmp_path, [(0, 1, -0.5)]), n=2)
+        with pytest.raises(BadAdjacency, match=">= 0, got min -0.5"):
+            normalize_adjacency(adjacency(2, [(0, 1, -0.5)]))
 
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_weight(self, weight):
-        with pytest.raises(ValueError, match=rf"^edge \(1, 2\) has non-finite weight {weight}$"):
-            Graph(n=3, edges=((0, 1, 1.0), (1, 2, weight)))
-
-    def test_edges_are_one_read_only_array(self):
-        g = Graph(n=3, edges=((0, 1, 0.5), (1, 2, 2.0)))
-        assert g.edges.shape == (2, 3) and not g.edges.flags.writeable
-        assert g.src.tolist() == [0, 1] and g.dst.tolist() == [1, 2]
-        assert g.weight.tolist() == [0.5, 2.0]
-        same = Graph(n=3, edges=g.edges)
-        assert np.array_equal(same.adjacency(), g.adjacency())
+        # the file refuses a non-finite cell as it parses it; a matrix is refused here
+        with pytest.raises(BadAdjacency, match="^adjacency weights must be finite and >= 0, "
+                                               rf"got min .*{weight}"):
+            normalize_adjacency(adjacency(3, [(0, 1, 1.0), (1, 2, weight)]))
 
 
 def a_tilde_of(a_hat):
@@ -100,14 +100,14 @@ class TestAddSelfLoops:
     """normalize_adjacency normalizes A + I: a unit self-loop on every node."""
 
     def test_single_node_no_edges(self):
-        assert np.array_equal(normalize_adjacency(Graph(n=1)), [[1.0]])
+        assert np.array_equal(normalize_adjacency(adjacency(1)), [[1.0]])
 
     def test_two_nodes_unit_edge(self):
-        g = Graph(n=2, edges=((0, 1, 1.0),))
+        g = adjacency(2, ((0, 1, 1.0),))
         assert np.array_equal(a_tilde_of(normalize_adjacency(g)), [[1, 1], [1, 1]])
 
     def test_three_node_path(self):
-        g = Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+        g = adjacency(3, ((0, 1, 1.0), (1, 2, 1.0)))
         expected = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
         np.testing.assert_allclose(a_tilde_of(normalize_adjacency(g)), expected,
                                    rtol=1e-15, atol=0)
@@ -115,16 +115,16 @@ class TestAddSelfLoops:
 
 class TestNormalizeAdjacency:
     def test_isolated_node_with_self_loop(self):
-        out = normalize_adjacency(Graph(n=3, edges=((0, 1, 2.0),)))
+        out = normalize_adjacency(adjacency(3, ((0, 1, 2.0),)))
         assert out[2].tolist() == [0.0, 0.0, 1.0]
 
     def test_two_node_clique(self):
-        out = normalize_adjacency(Graph(n=2, edges=((0, 1, 1.0),)))
+        out = normalize_adjacency(adjacency(2, ((0, 1, 1.0),)))
         assert np.array_equal(out, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_three_node_path_hand_value(self):
         # degrees with self-loops are (2, 3, 2), so the 0-1 entry is 1/sqrt(6)
-        out = normalize_adjacency(Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))))
+        out = normalize_adjacency(adjacency(3, ((0, 1, 1.0), (1, 2, 1.0))))
         assert out[0][1] == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-15)
         assert out[0][1] == pytest.approx(0.40825, abs=1e-5)
         assert out[0][0] == pytest.approx(0.5)
@@ -133,8 +133,22 @@ class TestNormalizeAdjacency:
 
     def test_zero_weight_edge_leaves_every_degree_one(self):
         # weights are >= 0, so every degree of A + I is >= 1: no zero division
-        out = normalize_adjacency(Graph(n=2, edges=((0, 1, 0.0),)))
+        out = normalize_adjacency(adjacency(2, ((0, 1, 0.0),)))
         assert np.array_equal(out, np.eye(2))
+
+    @pytest.mark.parametrize("a, error, message", [
+        (np.zeros((2, 3)), ShapeMismatch, r"must be square, got shape \(2, 3\)$"),
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), BadAdjacency, "matrix is not symmetric$"),
+        (adjacency(3, [(0, 2, np.nan)]), BadAdjacency,
+         "must be finite and >= 0, got min nan, max nan$"),
+        (adjacency(3, [(0, 2, -1.0)]), BadAdjacency,
+         "must be finite and >= 0, got min -1.0, max 0.0$"),
+        (np.eye(2), BadAdjacency, "diagonal must be 0"),
+    ], ids=["non-square", "asymmetric", "nan", "negative", "nonzero-diagonal"])
+    def test_refuses_a_matrix_that_is_no_graph(self, a, error, message):
+        # what a graph's adjacency matrix is: square, symmetric, finite, >= 0, zero diagonal
+        with pytest.raises(error, match=message):
+            normalize_adjacency(a)
 
     def test_output_exactly_symmetric(self):
         for seed in range(5):
@@ -159,14 +173,14 @@ class TestNormalizeAdjacency:
     def test_row_blocks_equal_the_whole_matrix_formula(self, n):
         # bit for bit, at sizes that end in a partial block of rows
         g = random_graph(n, 0.3, seed=n)
-        a_tilde = g.adjacency() + np.eye(n)
+        a_tilde = g + np.eye(n)
         d = a_tilde.sum(axis=1)
         assert np.array_equal(normalize_adjacency(g), a_tilde / np.sqrt(np.outer(d, d)))
 
     def test_keeps_no_second_n_by_n_array(self):
         # the divisors sqrt(d_i d_j) exist for one block of rows at a time
         n = 2000
-        g = Graph(n=n, edges=[(i, i + 1, 1.0) for i in range(n - 1)])
+        g = adjacency(n, [(i, i + 1, 1.0) for i in range(n - 1)])
         tracemalloc.start()
         try:
             out = normalize_adjacency(g)
@@ -200,7 +214,7 @@ class TestHadamard:
     def test_direct_substitution(self):
         # a_hat is 0.5 everywhere; C_0 = 4, C_1 = C_01 = 2 over 10 runs, so
         # gamma = [[4/4, 4/2], [2/2, 2/2]]
-        a_hat = normalize_adjacency(Graph(n=2, edges=((0, 1, 1.0),)))
+        a_hat = normalize_adjacency(adjacency(2, ((0, 1, 1.0),)))
         gamma = aggregation_matrix(stats_of([[1, 1]] * 2 + [[1, 0]] * 2 + [[0, 0]] * 6))
         assert np.array_equal(a_hat * gamma, [[0.5, 1.0], [0.5, 0.5]])
 
@@ -272,14 +286,14 @@ def test_normalized_operator_exactly_symmetric_on_random_weighted_graphs(seed, n
 def test_normalized_population_graph_exactly_symmetric():
     bundle = generate_synthetic(SyntheticSpec(n_subjects=120, n_roi=8, seed=3))
     g = build_adjacency(PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes))
-    assert len(g.edges) > 0
+    assert np.count_nonzero(g) > 0
     out = normalize_adjacency(g)
     assert np.array_equal(out, out.T)
 
 
 def test_support_mask_marks_edges_and_diagonal():
     # the operator's support is that of A + I, which exhaustive sampling keeps
-    g = Graph(n=3, edges=((0, 2, 0.7),))
+    g = adjacency(3, ((0, 2, 0.7),))
     expected = [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
     a_hat = normalize_adjacency(g)
     op = a_hat * aggregation_matrix(presample(3, runs=4, budget=3, seed=0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from angcn.errors import ShapeMismatch
-from angcn.graph_core import Graph, normalize_adjacency
+from angcn.graph_core import normalize_adjacency
 from angcn.model import (
     ModelParams,
     forward,
@@ -11,6 +11,8 @@ from angcn.model import (
     predict,
 )
 from angcn.sampler import aggregation_matrix, presample
+
+from graphs import random_adjacency
 
 
 def naive_matmul(a, b):
@@ -27,13 +29,7 @@ def naive_matmul(a, b):
 
 
 def random_graph(n, p, seed):
-    rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.uniform() < p:
-                edges.append((i, j, float(rng.uniform(0.3, 1.5))))
-    return Graph(n=n, edges=tuple(edges))
+    return random_adjacency(n, p, seed, 0.3, 1.5)
 
 
 def diffuse(op, h):
@@ -89,7 +85,7 @@ class TestAggregatedDiffusion:
     def test_composition_of_hadamard_then_matmul(self):
         g = random_graph(7, 0.4, seed=6)
         a_hat = normalize_adjacency(g)
-        stats = presample(g.n, runs=40, budget=3, seed=7)
+        stats = presample(len(g), runs=40, budget=3, seed=7)
         gamma = aggregation_matrix(stats)
         h = np.random.default_rng(8).normal(size=(7, 2))
         expected = (a_hat * gamma) @ h
@@ -189,7 +185,7 @@ class TestForward:
     def test_permutation_equivariance(self):
         g = random_graph(7, 0.5, seed=7)
         a_hat = normalize_adjacency(g)
-        stats = presample(g.n, runs=30, budget=4, seed=8)
+        stats = presample(len(g), runs=30, budget=4, seed=8)
         gamma = aggregation_matrix(stats)
         rng = np.random.default_rng(9)
         params = init_params(3, 4, 2, n_layers=2, alpha=0.1, beta=0.3, rng=rng)
@@ -219,7 +215,7 @@ class TestForward:
         # backward reads diffused[l] instead of recomputing op @ h_(l-1)
         g = random_graph(8, 0.5, seed=14)
         a_hat = normalize_adjacency(g)
-        stats = presample(g.n, runs=30, budget=4, seed=15)
+        stats = presample(len(g), runs=30, budget=4, seed=15)
         op = a_hat * aggregation_matrix(stats)
         rng = np.random.default_rng(16)
         params = init_params(3, 5, 2, n_layers=4, alpha=0.1, beta=0.3, rng=rng)

@@ -90,9 +90,9 @@ def correlation_distance(x, y):
 
 def kernel_weight(x, y, sigma):
     """The one edge weight of a two-subject graph: K(rho(x, y), sigma)."""
-    g = build_adjacency(two_subject_spec(x, y, sigma))
-    assert g.src.tolist() == [0] and g.dst.tolist() == [1]
-    return g.weight[0]
+    a = build_adjacency(two_subject_spec(x, y, sigma))
+    assert a[0, 0] == a[1, 1] == 0.0 and a[0, 1] == a[1, 0]
+    return a[0, 1]
 
 
 class TestCorrelationDistance:
@@ -187,7 +187,7 @@ class TestBuildAdjacency:
             PhenotypicMeasure(name="age", kind=QUANTITATIVE, values=(30.0, 31.0), tau=2.0),
         ]
         g = build_adjacency(PopulationGraphSpec(features=features, measures=measures, sigma=1.0))
-        assert g.adjacency()[0, 1] == pytest.approx(2.0, abs=1e-15)
+        assert g[0, 1] == pytest.approx(2.0, abs=1e-15)
 
     def test_zero_phenotypic_sum_kills_edge(self):
         features = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
@@ -196,24 +196,24 @@ class TestBuildAdjacency:
             PhenotypicMeasure(name="age", kind=QUANTITATIVE, values=(30.0, 40.0), tau=2.0),
         ]
         g = build_adjacency(PopulationGraphSpec(features=features, measures=measures, sigma=1.0))
-        assert len(g.edges) == 0
+        assert not g.any()
 
     def test_four_subject_fixture_matches_oracle(self):
         spec = random_spec(seed=11, n=4)
-        got = build_adjacency(spec).adjacency()
+        got = build_adjacency(spec)
         want = adjacency_oracle(spec.features, spec.measures, spec.sigma)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_twenty_random_specs_match_oracle(self):
         for seed in range(20):
             spec = random_spec(seed=seed)
-            got = build_adjacency(spec).adjacency()
+            got = build_adjacency(spec)
             want = adjacency_oracle(spec.features, spec.measures, spec.sigma)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_symmetric_zero_diagonal_bounded(self):
         spec = random_spec(seed=5, n=8)
-        a = build_adjacency(spec).adjacency()
+        a = build_adjacency(spec)
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0.0)
         assert a.min() >= 0.0

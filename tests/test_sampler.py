@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from angcn.errors import BudgetOutOfRange, EmptyStats
-from angcn.graph_core import Graph, normalize_adjacency
+from angcn.graph_core import normalize_adjacency
 from angcn.sampler import (
     AggregationStats,
     aggregation_matrix,
@@ -14,14 +14,16 @@ from angcn.sampler import (
     sample_node_subgraph,
 )
 
+from graphs import adjacency, edge_list, random_adjacency
+
 
 def path_graph(n):
-    return Graph(n=n, edges=tuple((i, i + 1, 1.0) for i in range(n - 1)))
+    return adjacency(n, [(i, i + 1, 1.0) for i in range(n - 1)])
 
 
 def edge_pairs(g):
-    """The graph's (i, j) endpoints as Python int pairs, in edge order."""
-    return list(zip(g.src.tolist(), g.dst.tolist()))
+    """The graph's (i, j) endpoints as Python int pairs, in row-major order."""
+    return [(i, j) for i, j, _ in edge_list(g)]
 
 
 def draws(n, runs, budget, seed):
@@ -53,19 +55,13 @@ def node_counts(stats):
 def induced_edges(g, budget, seed):
     """The single run of `presample` at `seed`: its node sample, and the edges
     of g inside it read off the appearance counts."""
-    (nodes,) = draws(g.n, 1, budget, seed)
-    counts = pair_counts(presample(g.n, runs=1, budget=budget, seed=seed))
+    (nodes,) = draws(len(g), 1, budget, seed)
+    counts = pair_counts(presample(len(g), runs=1, budget=budget, seed=seed))
     return nodes, {(i, j) for i, j in edge_pairs(g) if counts[i, j] == 1}
 
 
 def random_graph(n, p, seed):
-    rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.uniform() < p:
-                edges.append((i, j, float(rng.uniform(0.5, 2.0))))
-    return Graph(n=n, edges=tuple(edges))
+    return random_adjacency(n, p, seed, 0.5, 2.0)
 
 
 class TestSampleNodeSubgraph:
@@ -82,8 +78,8 @@ class TestSampleNodeSubgraph:
 
     def test_fixed_seed_is_deterministic(self):
         g = path_graph(5)
-        a = sample_node_subgraph(g.n, budget=3, rng=np.random.default_rng(77))
-        b = sample_node_subgraph(g.n, budget=3, rng=np.random.default_rng(77))
+        a = sample_node_subgraph(len(g), budget=3, rng=np.random.default_rng(77))
+        b = sample_node_subgraph(len(g), budget=3, rng=np.random.default_rng(77))
         assert np.array_equal(a, b)
 
     def test_budget_out_of_range(self):
@@ -137,7 +133,7 @@ class TestAccumulateCounts:
 class TestAggregationMatrix:
     def test_exhaustive_sampling_collapses_to_ones(self):
         g = path_graph(4)
-        gamma = aggregation_matrix(presample(g.n, runs=5, budget=4, seed=0))
+        gamma = aggregation_matrix(presample(len(g), runs=5, budget=4, seed=0))
         assert np.array_equal(gamma, np.ones((4, 4)))
         a_hat = normalize_adjacency(g)
         assert np.array_equal(a_hat * gamma, a_hat)
@@ -182,7 +178,7 @@ class TestAggregationMatrix:
 
     def test_unit_diagonal_and_support(self):
         g = random_graph(10, 0.4, seed=6)
-        stats = presample(g.n, runs=60, budget=5, seed=1)
+        stats = presample(len(g), runs=60, budget=5, seed=1)
         gamma = aggregation_matrix(stats)
         assert np.all(np.diag(gamma) == 1.0)
         a_hat = normalize_adjacency(g)  # the operator keeps the support of A + I
@@ -208,31 +204,31 @@ class TestLoopReference:
 
     def test_counts_match_per_edge_tally(self):
         g = random_graph(15, 0.4, seed=9)
-        stats = presample(g.n, runs=60, budget=6, seed=4)
-        tally = np.zeros(g.n, dtype=int)
+        stats = presample(len(g), runs=60, budget=6, seed=4)
+        tally = np.zeros(len(g), dtype=int)
         edge_counts = {(i, j): 0 for i, j in edge_pairs(g)}
-        for nodes in draws(g.n, 60, 6, 4):
+        for nodes in draws(len(g), 60, 6, 4):
             chosen = set(nodes.tolist())
             for v in chosen:
                 tally[v] += 1
             for i, j in edge_pairs(g):
                 if i in chosen and j in chosen:
                     edge_counts[(i, j)] += 1
-        edge_counts.update({(v, v): int(tally[v]) for v in range(g.n)})
+        edge_counts.update({(v, v): int(tally[v]) for v in range(len(g))})
         assert np.array_equal(node_counts(stats), tally)
         assert {key: pair_counts(stats)[key] for key in edge_counts} == edge_counts
 
     def test_gamma_matches_per_edge_loop(self):
         # the training operator a_hat * gamma against gamma scattered per edge
         g = random_graph(15, 0.4, seed=10)
-        stats = presample(g.n, runs=30, budget=4, seed=5)
+        stats = presample(len(g), runs=30, budget=4, seed=5)
         c = node_counts(stats).astype(float)
-        want = np.zeros((g.n, g.n))
+        want = np.zeros((len(g), len(g)))
         for i, j in edge_pairs(g):
             cij = max(pair_counts(stats)[i, j], 1)
             want[i, j] = c[i] / cij
             want[j, i] = c[j] / cij
-        for v in range(g.n):
+        for v in range(len(g)):
             want[v, v] = c[v] / max(c[v], 1.0)
         a_hat = normalize_adjacency(g)
         assert np.array_equal(a_hat * aggregation_matrix(stats), a_hat * want)
@@ -247,11 +243,11 @@ class TestUnbiasedness:
         a_hat = normalize_adjacency(g)
         rng = np.random.default_rng(5)
         h = rng.normal(size=(20, 6))
-        stats = presample(g.n, runs=5000, budget=10, seed=99)
+        stats = presample(len(g), runs=5000, budget=10, seed=99)
         gamma = aggregation_matrix(stats)
         op = a_hat * gamma
         total = np.zeros_like(h)
-        for nodes in draws(g.n, 5000, 10, 99):
+        for nodes in draws(len(g), 5000, 10, 99):
             mask = np.zeros((20, 20))
             mask[np.ix_(nodes, nodes)] = 1.0
             total += (op * mask) @ h
@@ -266,10 +262,10 @@ class TestUnbiasedness:
         g = random_graph(20, 0.3, seed=123)
         a_hat = normalize_adjacency(g)
         h = np.random.default_rng(5).normal(size=(20, 6))
-        op = a_hat * aggregation_matrix(presample(g.n, runs=4000, budget=10, seed=1))
-        stats_b = presample(g.n, runs=4000, budget=10, seed=2)
+        op = a_hat * aggregation_matrix(presample(len(g), runs=4000, budget=10, seed=1))
+        stats_b = presample(len(g), runs=4000, budget=10, seed=2)
         total = np.zeros_like(h)
-        for nodes in draws(g.n, 4000, 10, 2):
+        for nodes in draws(len(g), 4000, 10, 2):
             mask = np.zeros((20, 20))
             mask[np.ix_(nodes, nodes)] = 1.0
             total += (op * mask) @ h
@@ -281,8 +277,8 @@ class TestUnbiasedness:
 class TestDeterminismAndExport:
     def test_same_seed_same_stats(self):
         g = random_graph(9, 0.4, seed=0)
-        a = presample(g.n, runs=30, budget=4, seed=21)
-        b = presample(g.n, runs=30, budget=4, seed=21)
+        a = presample(len(g), runs=30, budget=4, seed=21)
+        b = presample(len(g), runs=30, budget=4, seed=21)
         assert np.array_equal(a.membership, b.membership)
 
     def test_stats_json_bytes_are_pinned(self):
@@ -295,18 +291,18 @@ class TestDeterminismAndExport:
             for j in range(i + 1, 12)
             if rng.uniform() < 0.4
         ]
-        g = Graph(n=12, edges=tuple(edges))
-        stats = presample(g.n, runs=40, budget=5, seed=2)
+        g = adjacency(12, tuple(edges))
+        stats = presample(len(g), runs=40, budget=5, seed=2)
         digest = hashlib.sha256(stats.to_json(g).encode()).hexdigest()
         assert digest == "1170aa4302e59f471efcc6622573807201bfd426adc2b9c5bc5371a78eaa069f"
 
     def test_json_round_trip(self):
         g = random_graph(7, 0.5, seed=8)
-        stats = presample(g.n, runs=25, budget=3, seed=3)
+        stats = presample(len(g), runs=25, budget=3, seed=3)
         back = json.loads(stats.to_json(g))
         assert back["runs"] == stats.runs
         assert back["node_counts"] == node_counts(stats).tolist()
-        keys = sorted(edge_pairs(g) + [(v, v) for v in range(g.n)])
+        keys = sorted(edge_pairs(g) + [(v, v) for v in range(len(g))])
         assert back["edge_counts"] == [[i, j, pair_counts(stats)[i, j]] for i, j in keys]
 
 
@@ -315,13 +311,13 @@ class TestMinibatches:
 
     def test_single_exhaustive_sample_is_full_batch(self):
         g = path_graph(6)
-        s = sample_node_subgraph(g.n, budget=6, rng=np.random.default_rng(0))
+        s = sample_node_subgraph(len(g), budget=6, rng=np.random.default_rng(0))
         assert s.tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_budget_n_every_batch_is_full(self):
         g = path_graph(4)
         for r in range(3):
-            s = sample_node_subgraph(g.n, budget=4, rng=np.random.default_rng(r))
+            s = sample_node_subgraph(len(g), budget=4, rng=np.random.default_rng(r))
             assert s.tolist() == [0, 1, 2, 3]
 
     def test_order_preserving_bijection(self):
@@ -331,7 +327,7 @@ class TestMinibatches:
         train_mask = np.zeros(8, dtype=bool)
         train_mask[[1, 2, 5, 6]] = True
         for r in range(3):
-            batch = sample_node_subgraph(g.n, budget=3, rng=np.random.default_rng(r))
+            batch = sample_node_subgraph(len(g), budget=3, rng=np.random.default_rng(r))
             assert len(batch) == 3
             assert np.all(np.diff(batch) > 0)
             local = np.flatnonzero(train_mask[batch])

@@ -20,10 +20,10 @@ from angcn.errors import (
     ShapeMismatch,
     TraceMismatch,
 )
-from angcn.graph_core import Graph, normalize_adjacency
+from angcn.graph_core import normalize_adjacency
 from angcn.model import ModelParams, forward, init_params, predict
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
-from angcn.sampler import presample
+from angcn.sampler import aggregation_matrix, presample
 import angcn.training as training
 from angcn.training import (
     AdamState,
@@ -37,6 +37,8 @@ from angcn.training import (
     stratified_kfold,
     train,
 )
+
+from graphs import adjacency
 
 
 class TestCrossEntropy:
@@ -155,6 +157,43 @@ class TestBackward:
         params, op, x_raw, onehot, labeled = gradcheck_fixture(seed=7)
         for p in (params, replace(params, alpha=0.0, beta=0.0)):
             assert finite_difference_check(p, op, x_raw, onehot, labeled, eps=1e-5) < 1e-6
+
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_directional_derivatives_at_paper_shape(self, reduction):
+        # n = 300, L = 10, H = 64 on the sampled operator a_hat * gamma: <grad L, v>
+        # from backward against a central difference of two forwards along unit
+        # directions v. With no biases and a positively homogeneous ReLU the
+        # logits scale with the inputs; they are scaled to a largest logit of 2,
+        # away from the saturated softmax whose 1e-300 floor flattens the loss.
+        # Measured: relative errors up to 2.4e-9 at step 1e-5, and ReLU kinks
+        # crossed at step 1e-4 give up to 5.6e-4, so the bound is 1e-6.
+        bundle = generate_synthetic(SyntheticSpec(n_subjects=300, seed=0))
+        a_hat = normalize_adjacency(build_adjacency(
+            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)))
+        op = a_hat * aggregation_matrix(presample(300, runs=200, budget=100, seed=0))
+        rng = np.random.default_rng(3)
+        params = init_params(bundle.features.shape[1], 64, 2, 10, alpha=0.1, beta=0.3,
+                             rng=rng)
+        onehot = np.eye(2)[bundle.labels]
+        labeled = np.sort(rng.choice(300, size=200, replace=False))
+        x = bundle.features
+        x = x * (2.0 / np.abs(forward(params, op, x).logits).max())
+
+        def loss(p):
+            return cross_entropy(predict(forward(p, op, x).logits), onehot, labeled, reduction)
+
+        grads = backward(forward(params, op, x), params, op, onehot, labeled, reduction)
+        step = 1e-5
+        for _ in range(3):
+            v = [rng.normal(size=m.shape) for m in params.matrices()]
+            norm = math.sqrt(sum(float((d * d).sum()) for d in v))
+            analytic = sum(float((g * d).sum()) for g, d in zip(grads, v)) / norm
+            hi, lo = params.copy(), params.copy()
+            for m_hi, m_lo, d in zip(hi.matrices(), lo.matrices(), v):
+                m_hi += (step / norm) * d
+                m_lo -= (step / norm) * d
+            numeric = (loss(hi) - loss(lo)) / (2.0 * step)
+            assert abs(numeric - analytic) < 1e-6 * abs(analytic)
 
     def test_mean_reduction_scales_gradients(self):
         params, op, x_raw, onehot, labeled = gradcheck_fixture(seed=3)
@@ -362,7 +401,7 @@ class TestEarlyStopper:
 
 
 def two_node_setup():
-    g = Graph(n=2, edges=((0, 1, 1.0),))
+    g = adjacency(2, ((0, 1, 1.0),))
     features = np.array([[1.0, 0.5], [1.0, 0.5]])
     labels = np.array([0, 1])
     return g, features, labels
@@ -396,7 +435,7 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=6, patience=6, layers=3, hidden_dim=8, seed=9,
                           alpha=0.0, beta=0.0, batch_budget=budget, sampler_runs=30)
         a_hat = normalize_adjacency(g)
-        stats = None if budget is None else presample(g.n, runs=30, budget=budget, seed=9)
+        stats = None if budget is None else presample(len(g), runs=30, budget=budget, seed=9)
         params, history = train(cfg, a_hat, stats, bundle.features, bundle.labels,
                                 idx[:30], idx[30:])
         fresh = init_params(bundle.features.shape[1], 8, 2, 3, 0.0, 0.0,
@@ -532,7 +571,7 @@ class TestTrainTraceReuse:
     def test_sampled_forwards_once_per_batch_plus_one_per_epoch(self, monkeypatch):
         # 36 of 40 nodes are labeled, so every 15-node batch trains
         bundle, g, idx = self.setup()
-        stats = presample(g.n, runs=30, budget=15, seed=9)
+        stats = presample(len(g), runs=30, budget=15, seed=9)
         forwards = self.count_calls(monkeypatch, "forward", 1)
         cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9,
                           batch_budget=15, sampler_runs=30)
@@ -543,7 +582,7 @@ class TestTrainTraceReuse:
     def test_full_batch_rejects_non_unit_gamma(self):
         # full batch restricts nothing, so it refuses sampler statistics
         bundle, g, idx = self.setup()
-        stats = presample(g.n, runs=30, budget=15, seed=9)
+        stats = presample(len(g), runs=30, budget=15, seed=9)
         a_hat = normalize_adjacency(g)
         cfg = TrainConfig(max_epochs=3, patience=3, folds=2, layers=1, hidden_dim=4, seed=9)
         with pytest.raises(ValueError, match="gamma"):
@@ -559,7 +598,7 @@ class TestTrainTraceReuse:
         a_hat = normalize_adjacency(g)
         _, full = train(cfg, a_hat, None, bundle.features, bundle.labels,
                         idx[:30], idx[30:])
-        stats = presample(g.n, runs=30, budget=15, seed=9)
+        stats = presample(len(g), runs=30, budget=15, seed=9)
         sampled_cfg = replace(cfg, batch_budget=15, sampler_runs=30)
         _, sampled = train(sampled_cfg, a_hat, stats, bundle.features,
                            bundle.labels, idx[:30], idx[30:])
@@ -629,7 +668,7 @@ class TestSampledInference:
         cfg = TrainConfig(max_epochs=100, patience=100, folds=3, layers=10, hidden_dim=16,
                           seed=1)
         sampled_cfg = replace(cfg, batch_budget=30, sampler_runs=50)
-        stats = presample(g.n, runs=50, budget=30, seed=1)
+        stats = presample(len(g), runs=50, budget=30, seed=1)
 
         def accuracy(results):
             return np.mean([
@@ -698,7 +737,7 @@ class TestCrossValidate:
         builds = []
         real_build = training.normalize_adjacency
         monkeypatch.setattr(training, "normalize_adjacency",
-                            lambda graph: builds.append(graph.n) or real_build(graph))
+                            lambda a: builds.append(len(a)) or real_build(a))
         shared = []
         real_train_folds = training._train_folds
         monkeypatch.setattr(training, "_train_folds",
@@ -708,7 +747,7 @@ class TestCrossValidate:
         stats = None
         if sampled:
             cfg = replace(cfg, batch_budget=15, sampler_runs=30)
-            stats = presample(g.n, runs=30, budget=15, seed=9)
+            stats = presample(len(g), runs=30, budget=15, seed=9)
         results = cross_validate(cfg, g, stats, bundle.features, bundle.labels)
         assert len(results) == 3
         assert builds == [40]
@@ -727,13 +766,13 @@ class TestCrossValidate:
                                 arrays, tasks))
         cfg = TrainConfig(max_epochs=2, patience=2, folds=3, layers=1, hidden_dim=4, seed=9,
                           batch_budget=15, sampler_runs=30)
-        stats = presample(g.n, runs=30, budget=15, seed=9)
+        stats = presample(len(g), runs=30, budget=15, seed=9)
         cross_validate(cfg, g, stats, bundle.features, bundle.labels)
         (arrays,) = shared
         held = []
         for item in arrays:  # the arrays themselves, and those a record holds
             held += [item, *vars(item).values()] if hasattr(item, "__dict__") else [item]
-        square = [a for a in held if isinstance(a, np.ndarray) and a.shape == (g.n, g.n)]
+        square = [a for a in held if isinstance(a, np.ndarray) and a.shape == (len(g), len(g))]
         assert len(square) == 1
         assert np.array_equal(square[0], normalize_adjacency(g))
 
