@@ -25,7 +25,7 @@ from . import data as dataio
 from .errors import SchemaMismatch
 from .graph_core import normalize_adjacency
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
-from .model import forward, init_params, predict
+from .model import forward_logits, init_params, predict
 from .popgraph import PopulationGraphSpec, build_adjacency, rfe_ridge
 from .sampler import AggregationStats, aggregation_matrix, presample
 from .training import TrainConfig, cross_validate, finite_difference_check
@@ -260,8 +260,8 @@ def _write_curve(path: Path, curve) -> None:
     dataio._atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _cv_accuracy(config, a, stats, features, labels) -> float:
-    results = cross_validate(config, a, stats, features, labels)
+def _cv_accuracy(config, a_hat, stats, features, labels) -> float:
+    results = cross_validate(config, a_hat, stats, features, labels)
     return float(np.mean([np.mean(r.probs.argmax(axis=1) == labels[r.test_idx])
                           for r in results]))
 
@@ -307,14 +307,15 @@ def _cmd_train(args) -> int:
     config = resolve_config(args)
     bundle, features, columns = _load_features(args)
     a, sigma = _graph_for(bundle, features, args.sigma, args.adjacency)
-    results = cross_validate(config, a, _stats_for(config, len(a)), features, bundle.labels)
+    digest = dataio.graph_digest(a)   # before normalize_adjacency turns a into A_hat
+    a_hat = normalize_adjacency(a)
+    results = cross_validate(config, a_hat, _stats_for(config, len(a)), features, bundle.labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     per_fold = []
     pooled_true, pooled_scores = [], []
     history_lines = ["fold,epoch,train_loss,val_loss"]
-    digest = dataio.graph_digest(a)
     for r in results:
         y_true = bundle.labels[r.test_idx]
         fm = _fold_metrics(y_true, r.probs)
@@ -362,7 +363,7 @@ def _cmd_eval(args) -> int:
         )
     # gamma only debiases subgraph-restricted training: score with unit aggregation
     a_hat = normalize_adjacency(a)
-    probs = predict(forward(ckpt.params, a_hat, features).logits)
+    probs = predict(forward_logits(ckpt.params, a_hat, features))
     test = ckpt.test_idx
     report = {**_fold_metrics(bundle.labels[test], probs[test]), "fold": ckpt.fold,
               "all_subjects": _fold_metrics(bundle.labels, probs)}
@@ -374,26 +375,26 @@ def _cmd_eval(args) -> int:
 
 
 def _sweep_setup(args, field: str, values: list[int] | None):
-    """The sweep's config, bundle, features and adjacency matrix; each swept value of the
-    TrainConfig `field` is checked before any data is read."""
+    """The sweep's config, bundle, features and A_hat, the one operator of all its runs;
+    each swept value of the TrainConfig `field` is checked before any data is read."""
     sweep_defaults = TrainConfig(max_epochs=SWEEP_EPOCHS, patience=SWEEP_EPOCHS)
     config = resolve_config(args, defaults=sweep_defaults)
     for value in values or ():
         replace(config, **{field: value})
     bundle, features, _ = _load_features(args)
     a, _ = _graph_for(bundle, features, args.sigma)
-    return config, bundle, features, a
+    return config, bundle, features, normalize_adjacency(a)
 
 
 def _cmd_sweep_depth(args) -> int:
-    config, bundle, features, a = _sweep_setup(args, "layers", args.depths)
-    stats_an = _stats_for(config, len(a))
+    config, bundle, features, a_hat = _sweep_setup(args, "layers", args.depths)
+    stats_an = _stats_for(config, len(a_hat))
     lines = ["depth,angcn_accuracy,gcn_accuracy"]
     for depth in args.depths:
         an_cfg = replace(config, layers=depth)
         gcn_cfg = replace(config, layers=depth, alpha=0.0, beta=0.0)
-        acc_an = _cv_accuracy(an_cfg, a, stats_an, features, bundle.labels)
-        acc_gcn = _cv_accuracy(gcn_cfg, a, None, features, bundle.labels)
+        acc_an = _cv_accuracy(an_cfg, a_hat, stats_an, features, bundle.labels)
+        acc_gcn = _cv_accuracy(gcn_cfg, a_hat, None, features, bundle.labels)
         lines.append(f"{depth},{acc_an!r},{acc_gcn!r}")
         print(f"depth {depth}: angcn {acc_an:.4f}, gcn {acc_gcn:.4f}")
     dataio._atomic_write(Path(args.out), "\n".join(lines) + "\n")
@@ -401,17 +402,17 @@ def _cmd_sweep_depth(args) -> int:
 
 
 def _cmd_sweep_batch(args) -> int:
-    config, bundle, features, a = _sweep_setup(args, "batch_budget", args.budgets)
-    budgets = [*DEFAULT_BUDGETS, len(a)] if args.budgets is None else args.budgets
+    config, bundle, features, a_hat = _sweep_setup(args, "batch_budget", args.budgets)
+    budgets = [*DEFAULT_BUDGETS, len(a_hat)] if args.budgets is None else args.budgets
     # budgets above the graph size collapse to the full node set
-    budgets = sorted({min(b, len(a)) for b in budgets})
+    budgets = sorted({min(b, len(a_hat)) for b in budgets})
     lines = [
-        f"# budgets capped at n_subjects={len(a)}; larger requested values collapse to n",
+        f"# budgets capped at n_subjects={len(a_hat)}; larger requested values collapse to n",
         "budget,accuracy",
     ]
     for budget in budgets:
         cfg = replace(config, batch_budget=budget)
-        acc = _cv_accuracy(cfg, a, _stats_for(cfg, len(a)), features, bundle.labels)
+        acc = _cv_accuracy(cfg, a_hat, _stats_for(cfg, len(a_hat)), features, bundle.labels)
         lines.append(f"{budget},{acc!r}")
         print(f"budget {budget}: accuracy {acc:.4f}")
     dataio._atomic_write(Path(args.out), "\n".join(lines) + "\n")

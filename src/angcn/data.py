@@ -186,7 +186,7 @@ def save_bundle(bundle: DatasetBundle, directory: str | Path) -> None:
 
 # Rows of a numeric table that _read_csv parses per _number_array call: about this
 # many cells, so reading holds one block of cell strings besides the parsed rows.
-_BLOCK_CELLS = 2 ** 14
+_BLOCK_CELLS = 2 ** 12
 
 
 def _read_csv(path: Path, head: list[str], numeric: bool = False, ints: int = 0):
@@ -198,16 +198,19 @@ def _read_csv(path: Path, head: list[str], numeric: bool = False, ints: int = 0)
     have one cell per header column. A text table comes back as its rows,
     lists of cell strings. A numeric table comes back as one float64 array of
     the cells after subject_id, the first `ints` columns integers, parsed by
-    `_number_array` a block of about `_BLOCK_CELLS` cells at a time, so no
-    whole-file list of rows or grid of cell strings is held. ParseError or
-    SchemaMismatch names the file and line of the first fault; of faults on
-    two lines, the earlier line's.
+    `_number_array` a block of about `_BLOCK_CELLS` cells at a time into that
+    array (sized by a first pass over the lines), so no whole-file list of rows,
+    cell strings or parsed blocks is held. ParseError or SchemaMismatch names
+    the file and line of the first fault; of faults on two lines, the earlier
+    line's.
     """
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     with fh:
+        lines = sum(1 for _ in fh) if numeric else 0   # each row takes at least one
+        fh.seek(0)
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -217,14 +220,15 @@ def _read_csv(path: Path, head: list[str], numeric: bool = False, ints: int = 0)
             raise SchemaMismatch(f"{path}: header must be {','.join(head)}"
                                  f"{',...' if subjects else ''}, got {','.join(header)}")
 
-        def parse(rows: list[list[str]], first_line: int) -> np.ndarray:
+        def parse(rows: list[list[str]], first_line: int) -> None:
             cells = np.array(rows, dtype=object).reshape(len(rows), width)
-            return _number_array(cells[:, subjects:], path, header[subjects:], first_line, ints)
+            _number_array(cells[:, subjects:], path, header[subjects:], first_line, ints,
+                          out[first_line - 2:first_line - 2 + len(rows)])
 
         position: dict[str, int] = {}
         rows: list[list[str]] = []
-        blocks: list[np.ndarray] = []
         first_line, width = 2, len(header)
+        out = np.empty((max(lines - 1, 0), width - subjects))
         for line, row in enumerate(reader, start=2):
             if len(row) != width or subjects and row[0] in position:
                 if numeric:  # a bad number on an earlier line is the first fault
@@ -238,12 +242,12 @@ def _read_csv(path: Path, head: list[str], numeric: bool = False, ints: int = 0)
                 position[row[0]] = len(position)
             rows.append(row)
             if numeric and len(rows) * width >= _BLOCK_CELLS:
-                blocks.append(parse(rows, first_line))
+                parse(rows, first_line)
                 rows, first_line = [], line + 1
         if not numeric:
             return header, position, rows
-        blocks.append(parse(rows, first_line))
-    return header, position, np.concatenate(blocks)
+        parse(rows, first_line)
+    return header, position, out[:first_line - 2 + len(rows)]
 
 
 def _parse_cell(cell: str, path: Path, line: int, column: str, cast=float):
@@ -261,14 +265,14 @@ def _parse_cell(cell: str, path: Path, line: int, column: str, cast=float):
 
 
 def _number_array(cells: np.ndarray, path: Path, columns: list[str], first_line: int = 2,
-                  ints: int = 0) -> np.ndarray:
+                  ints: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """A 2-D object array of numeric cell strings (data lines from `first_line`)
-    as float64; the first `ints` columns must hold integers.
+    as float64 (in `out`, if given); the first `ints` columns must hold integers.
 
     Every cell must parse and be finite; the first one in row order that is
     not is named by file, line and column.
     """
-    out = np.empty(cells.shape)
+    out = np.empty(cells.shape) if out is None else out
     try:
         out[:, :ints] = np.array(cells[:, :ints], dtype=int)
         out[:, ints:] = cells[:, ints:]

@@ -13,13 +13,15 @@ at alpha = beta = 0 (the plain GCN) a layer is one N x N product and no
 H x H products. M is the propagation operator the caller passes in: the
 normalized adjacency a_hat = normalize_adjacency(a) for full-graph forwards
 and full-batch training, or a_hat * gamma restricted to a sampled subgraph
-during minibatch training; `training.cross_validate` builds a_hat once for
-all its folds. Widths are constant across layers (the identity map needs
-square weights), so a learned projection maps raw inputs to the hidden width
-once, and a linear head maps the last layer to class scores.
+during minibatch training; each command forms a_hat once, in place of a,
+and every fold of every cross-validation it runs shares it. Widths are
+constant across layers (the identity map needs square weights), so a learned
+projection maps raw inputs to the hidden width once, and a linear head maps
+the last layer to class scores.
 
 The forward trace keeps each layer's diffusion s and activation, so the
-backward pass never repeats an N x N product. `pre` is accumulated in place
+backward pass never repeats an N x N product; `forward_logits` without a
+trace, which only scores, keeps none of them. `pre` is accumulated in place
 in the order written above, so skipping a zero term changes no bit of the
 result (save the sign of an exact zero, and NaN from 0 * inf).
 """
@@ -138,13 +140,19 @@ def layer_forward(
     return s, pre
 
 
-def forward(
-    params: ModelParams,
-    op: np.ndarray,
-    x_raw: np.ndarray,
-) -> ForwardTrace:
+def forward(params: ModelParams, op: np.ndarray, x_raw: np.ndarray) -> ForwardTrace:
     """Full forward pass over the N x N operator op: project, L propagation
-    layers, linear head."""
+    layers, linear head, traced for the backward pass."""
+    trace = ForwardTrace(raw_input=None, projected_input=None)   # filled in as it runs
+    trace.logits = forward_logits(params, op, x_raw, trace)
+    return trace
+
+
+def forward_logits(params: ModelParams, op: np.ndarray, x_raw: np.ndarray,
+                   trace: ForwardTrace | None = None) -> np.ndarray:
+    """The logits of the forward pass. Into `trace`, if given, goes what the
+    backward pass reads; without one, a layer's arrays are dropped once the
+    next layer has read them, and the logits are the same bits."""
     x_raw = np.asarray(x_raw, dtype=float)
     if x_raw.shape[1] != params.input_projection.shape[0]:
         raise ShapeMismatch(
@@ -153,18 +161,18 @@ def forward(
         )
     if np.shape(op) != (x_raw.shape[0], x_raw.shape[0]):
         raise ShapeMismatch(f"operator {np.shape(op)} does not match {x_raw.shape[0]} input rows")
-    x0 = x_raw @ params.input_projection
-    trace = ForwardTrace(raw_input=x_raw, projected_input=x0)
-    h = x0
+    h = x0 = x_raw @ params.input_projection
+    if trace is not None:
+        trace.raw_input, trace.projected_input = x_raw, x0
     for ell, w in enumerate(params.layers):
         try:
             s, h = layer_forward(h, x0, op, w, params.alpha, params.beta)
         except ShapeMismatch as exc:
             raise ShapeMismatch(f"layer {ell}: {exc}") from exc
-        trace.diffused.append(s)
-        trace.activations.append(h)
-    trace.logits = h @ params.output_head
-    return trace
+        if trace is not None:
+            trace.diffused.append(s)
+            trace.activations.append(h)
+    return h @ params.output_head
 
 
 def predict(logits: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ Edge weights combine a correlation-distance kernel over per-subject feature
 vectors with indicator distances over non-imaging measures (gender-like
 categories, age-like thresholded numbers). The graph stays in arrays:
 PopulationGraphSpec computes the N x N correlation distances once and
-resolves the kernel width from them, and build_adjacency reuses both to
-weigh every pair into the dense N x N adjacency matrix, the graph's only
-in-memory form. Also hosts the connectome-style feature pipeline: Fisher
+resolves the kernel width from them, and build_adjacency weighs every pair
+in that buffer, which becomes the dense N x N adjacency matrix, the graph's
+only in-memory form. Also hosts the connectome-style feature pipeline: Fisher
 z-transform of correlation matrices and ridge-based recursive feature
 elimination.
 """
@@ -14,6 +14,7 @@ elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from .errors import (
     ShapeMismatch,
     SingularSystem,
 )
+from .graph_core import _BLOCK_ROWS
 
 QUALITATIVE = "qualitative"
 QUANTITATIVE = "quantitative"
@@ -56,15 +58,22 @@ class PhenotypicMeasure:
                 raise ValueError(f"quantitative measure {self.name!r} needs tau > 0, "
                                  f"a finite number, got {tau!r}")
 
-    def agreement(self) -> np.ndarray:
-        """N x N boolean indicator similarity-distance: entry (i, j) is True
-        when subjects i and j are similar on this measure."""
+    @cached_property
+    def _numbers(self) -> np.ndarray:
+        """The values as floats, or as category codes for a qualitative measure."""
+        if self.kind == QUANTITATIVE:
+            return np.asarray(self.values, dtype=float)
+        codes: dict = {}
+        return np.array([codes.setdefault(x, len(codes)) for x in self.values], dtype=int)
+
+    def agreement(self, rows: slice = slice(None)) -> np.ndarray:
+        """Boolean indicator similarity-distance of subjects `rows` (default:
+        all) to every subject: entry (i, j) is True when subject rows[i] and
+        subject j are similar on this measure."""
+        v = self._numbers
         if self.kind == QUALITATIVE:
-            codes: dict = {}
-            v = np.array([codes.setdefault(x, len(codes)) for x in self.values], dtype=int)
-            return v[:, None] == v[None, :]
-        v = np.asarray(self.values, dtype=float)
-        gap = np.subtract.outer(v, v)
+            return v[rows, None] == v
+        gap = v[rows, None] - v
         return np.abs(gap, out=gap) < self.tau
 
 
@@ -78,7 +87,7 @@ class PopulationGraphSpec:
     is constant. sigma=None resolves to the median heuristic, the median of
     the distances over all pairs i < j, so `sigma` is always the width
     build_adjacency uses. A width that is not > 0 (NaN included) raises
-    NonPositiveSigma.
+    NonPositiveSigma. A spec builds one graph: build_adjacency takes `distances` over.
     """
 
     features: np.ndarray
@@ -102,9 +111,9 @@ class PopulationGraphSpec:
                     f"measure {m.name!r} covers {len(m.values)} subjects, expected {n}"
                 )
         self.distances = _correlation_distances(self.features)
-        if self.sigma is None:
-            upper = np.arange(n)[:, None] < np.arange(n)   # the pairs i < j, row-major
-            self.sigma = float(np.median(self.distances[upper], overwrite_input=True))
+        if self.sigma is None:   # one buffer of the pairs i < j, gathered row by row
+            upper = np.concatenate([self.distances[i, i + 1:] for i in range(n - 1)])
+            self.sigma = float(np.median(upper, overwrite_input=True))
         if not self.sigma > 0:
             raise NonPositiveSigma(f"sigma must be > 0, got {self.sigma}")
 
@@ -128,16 +137,23 @@ def build_adjacency(spec: PopulationGraphSpec) -> np.ndarray:
     distances rho and width sigma.
 
     Symmetric with zero diagonal; pairs whose phenotypic sum is zero weigh 0.
+    Formed in `spec.distances`, which becomes None, `_BLOCK_ROWS` rows at a
+    time, each pair i < j mirrored to (j, i): no second N x N array is made.
     """
-    a = spec.distances * spec.distances
+    a, spec.distances = spec.distances, None
+    a *= a
     a /= -2.0 * spec.sigma * spec.sigma   # the same bits as -(rho^2) / (2 sigma^2)
     np.exp(a, out=a)
-    agreements = np.zeros(a.shape, dtype=np.min_scalar_type(len(spec.measures)))
-    for m in spec.measures:
-        agreements += m.agreement()
-    a *= agreements
-    a[np.tri(len(a), dtype=bool)] = 0.0   # the pairs i >= j
-    a += a.T
+    count_type = np.min_scalar_type(len(spec.measures))
+    for start in range(0, len(a), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        agreements = np.zeros(a[rows].shape, dtype=count_type)
+        for m in spec.measures:
+            agreements += m.agreement(rows)
+        a[rows] *= agreements
+        tile = np.triu(a[rows, rows], k=1)   # the block's own pairs i < j
+        a[rows, rows] = tile + tile.T
+        a[rows, :start] = a[:start, rows].T
     return a
 
 

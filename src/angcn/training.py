@@ -7,7 +7,7 @@ Backward reads each layer's diffusion from the forward trace, so a step
 costs two products per layer: op @ h forward and op.T @ d_s backward.
 Both passes skip every term whose coefficient is 0, so at alpha = beta = 0
 a layer does no H x H product either way.
-`cross_validate` builds a_hat once and every fold shares it. It holds
+Every fold of a `cross_validate` call shares the caller's a_hat. It holds
 OpenBLAS at one thread, where its thread-count symbols exist, and trains
 the folds in forked worker processes, one per usable CPU, which inherit the
 arrays and that one thread. A single worker, a platform without
@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, ShapeMismatch, TraceMismatch
-from .graph_core import normalize_adjacency
-from .model import ForwardTrace, ModelParams, check_coefficient, forward, init_params, predict
+from .model import ForwardTrace, ModelParams, check_coefficient, forward, forward_logits
+from .model import init_params, predict
 from .sampler import AggregationStats, aggregation_matrix, sample_node_subgraph
 
 
@@ -275,9 +275,9 @@ def train(
     The end-of-epoch losses score the full graph with `a_hat` (unit
     aggregation). A minibatch b steps on a_hat[b, b] * aggregation_matrix(
     stats, b), whose gamma debiases subgraph-restricted aggregation (unit
-    gamma for stats None). Full batch (`config.full_batch(n)`) restricts
-    nothing, so it takes no stats, and each end-of-epoch forward is also the
-    next epoch's training forward.
+    gamma for stats None), so sampled epochs score with no trace. Full batch
+    (`config.full_batch(n)`) restricts nothing, so it takes no stats, and each
+    end-of-epoch forward is also the next epoch's training forward.
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
@@ -327,10 +327,8 @@ def train(
             trace = None  # release it before the next forward: one trace live at a time
             adam_step(params, grads, state, config.learning_rate)
 
-        trace = forward(params, a_hat, features)
-        y_hat = predict(trace.logits)
-        if not full_batch:
-            trace = None  # subgraph steps make their own traces
+        trace = forward(params, a_hat, features) if full_batch else None
+        y_hat = predict(trace.logits if full_batch else forward_logits(params, a_hat, features))
         train_loss = cross_entropy(y_hat, labels_oh, train_idx, config.loss_reduction)
         val_loss = cross_entropy(y_hat, labels_oh, val_idx, config.loss_reduction)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
@@ -365,8 +363,7 @@ def finite_difference_check(
         raise ValueError(f"eps must be a finite number > 0, got {eps}")
 
     def loss_of(p: ModelParams) -> float:
-        trace = forward(p, op, x_raw)
-        return cross_entropy(predict(trace.logits), labels_onehot, labeled_idx)
+        return cross_entropy(predict(forward_logits(p, op, x_raw)), labels_onehot, labeled_idx)
 
     trace = forward(params, op, x_raw)
     grads = backward(trace, params, op, labels_onehot, labeled_idx)
@@ -436,7 +433,7 @@ def _train_fold(shared: tuple, task: tuple) -> FoldResult:
         params, history = train(config, a_hat, stats, features, labels, train_idx, val_idx)
     except NonFiniteLoss as exc:
         raise NonFiniteLoss(f"fold {fold}, {exc}") from exc
-    probs = predict(forward(params, a_hat, features).logits)[test_idx]
+    probs = predict(forward_logits(params, a_hat, features))[test_idx]
     return FoldResult(fold, test_idx, probs, history, params)
 
 
@@ -484,7 +481,7 @@ def _train_folds(shared: tuple, tasks: list[tuple]) -> list[FoldResult]:
 
 def cross_validate(
     config: TrainConfig,
-    adjacency: np.ndarray,
+    a_hat: np.ndarray,
     stats: AggregationStats | None,
     features: np.ndarray,
     labels: Sequence[int],
@@ -494,8 +491,9 @@ def cross_validate(
 
     `stats` is None for unit aggregation (full batch, plain GCN) or the
     sampler statistics of the graph's nodes (ShapeMismatch otherwise), from
-    which each minibatch of sampled training forms its gamma. The operator
-    a_hat = normalize_adjacency(adjacency), the splits and the fold seeds are
+    which each minibatch of sampled training forms its gamma. Every fold
+    shares `a_hat`, normalize_adjacency's operator, and none changes it, so a
+    sweep forms it once for all its calls. The splits and the fold seeds are
     built once here; the folds then train as the module docstring says, and
     the results come back in fold order. The caller's BLAS thread count is
     restored when the last of any concurrent calls ends, on error too. Test
@@ -504,7 +502,7 @@ def cross_validate(
     epoch; an error in any fold reaches the caller, the earliest failing
     fold's first."""
     labels = np.asarray(labels, dtype=int)
-    n = len(adjacency)
+    n = len(a_hat)
     if stats is not None and stats.membership.shape[1] != n:
         raise ShapeMismatch(f"stats cover {stats.membership.shape[1]} nodes, the graph {n}")
     tasks = []
@@ -513,4 +511,4 @@ def cross_validate(
         fold_seed = int(np.random.SeedSequence([config.seed, 17, f]).generate_state(1)[0])
         tr_idx, val_idx = stratified_holdout(labels, pool, VALIDATION_FRACTION, fold_seed)
         tasks.append((f, replace(config, seed=fold_seed), test_idx, tr_idx, val_idx))
-    return _train_folds((normalize_adjacency(adjacency), stats, features, labels), tasks)
+    return _train_folds((a_hat, stats, features, labels), tasks)

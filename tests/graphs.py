@@ -1,4 +1,7 @@
-"""Dense adjacency matrices for the tests: a population graph is its N x N array."""
+"""Dense adjacency matrices for the tests (a population graph is its N x N
+array), and the memory peak of one call."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -32,3 +35,13 @@ def edge_list(a):
     in row-major order."""
     i, j = np.nonzero(np.triu(a, k=1))
     return list(zip(i.tolist(), j.tolist(), a[i, j].tolist()))
+
+
+def peak_bytes(fn, *args):
+    """(the peak of the memory tracemalloc traced while fn(*args) ran, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

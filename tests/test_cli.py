@@ -11,8 +11,12 @@ import pytest
 
 from angcn import cli, popgraph, training
 from angcn.cli import cli_run
-from angcn.data import graph_digest, load_adjacency, load_bundle, save_adjacency
+from angcn.data import (
+    SyntheticSpec, generate_synthetic, graph_digest, load_adjacency, load_bundle, save_adjacency,
+)
 from angcn.training import TrainConfig
+
+from graphs import peak_bytes
 
 SMALL = ["--n-subjects", "48", "--n-roi", "6", "--seed", "5"]
 FAST_TRAIN = [
@@ -109,6 +113,15 @@ class TestBuildGraph:
         assert repr(payload["config"]["sigma_resolved"]) == "0.7946659174222371"
         assert payload["graph_digest"] == (
             "22ca01fbd8825a8c7847ca520be1cd924211d70235da71818b545ee2d224f417")
+
+    def test_graph_is_built_in_the_distance_buffer(self):
+        # the N x N distances become the adjacency matrix, and sigma's median
+        # reads one N(N-1)/2 buffer of the pairs i < j: no second N x N array
+        n = 2000
+        bundle = generate_synthetic(SyntheticSpec(n_subjects=n))
+        peak, (a, sigma) = peak_bytes(cli._graph_for, bundle, bundle.features, None)
+        assert peak <= 1.6 * n * n * 8
+        assert a.shape == (n, n) and sigma > 0
 
     def test_distances_computed_at_most_once(self, data_dir, tmp_path, monkeypatch):
         adj = tmp_path / "adjacency.csv"
@@ -468,6 +481,25 @@ class TestSweeps:
         assert lines[1] == "budget,accuracy"
         budgets = [int(line.split(",")[0]) for line in lines[2:]]
         assert budgets == [16, 48]
+
+    @pytest.mark.parametrize("command, values", [("sweep-depth", ["--depths", "1,2"]),
+                                                 ("sweep-batch", ["--budgets", "16,24"])])
+    def test_builds_a_hat_once_per_command(self, data_dir, tmp_path, monkeypatch, command,
+                                           values):
+        # every cross-validation of a sweep shares the one A_hat the command formed
+        built, shared = [], []
+        real_normalize, real_train_folds = cli.normalize_adjacency, training._train_folds
+        monkeypatch.setattr(cli, "normalize_adjacency",
+                            lambda a: built.append(len(a)) or real_normalize(a))
+        monkeypatch.setattr(training, "_train_folds",
+                            lambda arrays, tasks: shared.append(arrays[0]) or real_train_folds(
+                                arrays, tasks))
+        rc = cli_run([command, "--data", str(data_dir), "--out", str(tmp_path / "out.csv")]
+                     + values + FAST_TRAIN + ["--epochs", "2", "--sampler-runs", "20"])
+        assert rc == 0
+        assert built == [48]
+        assert len(shared) == (4 if command == "sweep-depth" else 2)
+        assert all(a_hat is shared[0] for a_hat in shared)
 
     @pytest.mark.parametrize("command, flag", [("sweep-depth", "--depths"),
                                                ("sweep-batch", "--budgets")])

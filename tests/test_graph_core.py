@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,7 @@ from angcn.popgraph import PopulationGraphSpec, build_adjacency
 from angcn.sampler import AggregationStats, aggregation_matrix, presample, sample_node_subgraph
 from angcn.training import TrainConfig, cross_validate
 
-from graphs import adjacency, adjacency_file, edge_list, random_adjacency
+from graphs import adjacency, adjacency_file, edge_list, peak_bytes, random_adjacency
 
 
 def naive_matmul(a, b):
@@ -181,14 +179,35 @@ class TestNormalizeAdjacency:
         # the divisors sqrt(d_i d_j) exist for one block of rows at a time
         n = 2000
         g = adjacency(n, [(i, i + 1, 1.0) for i in range(n - 1)])
-        tracemalloc.start()
-        try:
-            out = normalize_adjacency(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, out = peak_bytes(normalize_adjacency, g)
         assert peak < 1.25 * n * n * 8
         assert out.shape == (n, n)
+
+    def test_forms_a_hat_in_its_float64_argument(self):
+        # the adjacency matrix becomes A_hat: from graph to operator, one N x N array
+        n = 2000
+
+        def chain_operator():
+            g = adjacency(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+            return g, normalize_adjacency(g)
+
+        peak, (g, out) = peak_bytes(chain_operator)
+        assert out is g
+        assert peak <= 1.2 * n * n * 8
+        d = np.r_[2.0, np.full(n - 2, 3.0), 2.0]
+        assert out[0, 0] == 1.0 / d[0] and out[0, 1] == 1.0 / np.sqrt(d[0] * d[1])
+
+    def test_other_input_is_converted_and_a_refused_matrix_left_as_it_was(self):
+        ints = np.array([[0, 2], [2, 0]])
+        out = normalize_adjacency(ints)
+        assert out.dtype == np.float64 and ints.tolist() == [[0, 2], [2, 0]]
+        assert np.array_equal(out, normalize_adjacency(ints.astype(float)))
+        lopsided = adjacency(3, [(0, 1, 1.0)])
+        lopsided[2, 0] = 0.5
+        before = lopsided.copy()
+        with pytest.raises(BadAdjacency, match="not symmetric"):
+            normalize_adjacency(lopsided)
+        assert np.array_equal(lopsided, before)
 
 
 def stats_of(membership):
@@ -220,12 +239,12 @@ class TestHadamard:
 
     def test_shape_mismatch(self):
         # minibatch gammas read stats of other nodes silently, so cross_validate refuses them
-        g = random_graph(20, 0.3, seed=2)
+        a_hat = normalize_adjacency(random_graph(20, 0.3, seed=2))
         labels = np.arange(20) % 2
         stats = presample(21, runs=5, budget=10, seed=0)
         with pytest.raises(ShapeMismatch, match="stats cover 21 nodes, the graph 20"):
-            cross_validate(TrainConfig(folds=2, batch_budget=10), g, stats, np.ones((20, 3)),
-                           labels)
+            cross_validate(TrainConfig(folds=2, batch_budget=10), a_hat, stats,
+                           np.ones((20, 3)), labels)
 
 
 class TestMatmul:

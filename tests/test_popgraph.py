@@ -211,6 +211,19 @@ class TestBuildAdjacency:
             want = adjacency_oracle(spec.features, spec.measures, spec.sigma)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 131])
+    def test_row_blocks_equal_the_whole_matrix_formula(self, n):
+        # bit for bit, at sizes that end in a partial block of rows; the graph is
+        # formed in the spec's distance buffer, which the spec then gives up
+        spec = random_spec(seed=n, n=n)
+        rho = spec.distances.copy()
+        count = sum(m.agreement().astype(int) for m in spec.measures)
+        upper = np.triu(np.exp(rho * rho / (-2.0 * spec.sigma * spec.sigma)) * count, k=1)
+        buffer = spec.distances
+        a = build_adjacency(spec)
+        assert a is buffer and spec.distances is None
+        assert a.tobytes() == (upper + upper.T).tobytes()
+
     def test_symmetric_zero_diagonal_bounded(self):
         spec = random_spec(seed=5, n=8)
         a = build_adjacency(spec)

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from angcn.sampler import (
     sample_node_subgraph,
 )
 
-from graphs import adjacency, edge_list, random_adjacency
+from graphs import adjacency, edge_list, peak_bytes, random_adjacency
 
 
 def path_graph(n):
@@ -161,12 +160,7 @@ class TestAggregationMatrix:
     def test_presample_keeps_no_n_by_n_array(self):
         # the runs x n membership is all presample builds: no N x N pair counts
         n = 2000
-        tracemalloc.start()
-        try:
-            stats = presample(n, runs=20, budget=50, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, stats = peak_bytes(presample, n, 20, 50, 0)
         assert peak < n * n * 8
         assert stats.membership.shape == (20, n)
 
@@ -181,9 +175,9 @@ class TestAggregationMatrix:
         stats = presample(len(g), runs=60, budget=5, seed=1)
         gamma = aggregation_matrix(stats)
         assert np.all(np.diag(gamma) == 1.0)
+        off = edge_pairs(g)
         a_hat = normalize_adjacency(g)  # the operator keeps the support of A + I
         assert np.array_equal(a_hat * gamma > 0, a_hat > 0)
-        off = edge_pairs(g)
         for i, j in off:
             if pair_counts(stats)[i, j] >= 1:
                 assert gamma[i, j] >= 1.0

@@ -38,7 +38,7 @@ from angcn.training import (
     train,
 )
 
-from graphs import adjacency
+from graphs import adjacency, peak_bytes
 
 
 class TestCrossEntropy:
@@ -527,8 +527,9 @@ class TestTrain:
 
 
 class TestTrainTraceReuse:
-    """One forward per gradient step plus one end-of-epoch forward; in full
-    batch the end-of-epoch forward is the next epoch's training forward."""
+    """One forward per gradient step plus one end-of-epoch pass over the full
+    graph; in full batch that pass is the next epoch's training forward, in
+    sampled training a logits-only pass that keeps no trace."""
 
     @staticmethod
     def setup(n=40):
@@ -559,6 +560,7 @@ class TestTrainTraceReuse:
     def test_full_batch_forwards_once_per_epoch_plus_one(self, monkeypatch):
         bundle, g, idx = self.setup()
         forwards = self.count_calls(monkeypatch, "forward", 1)
+        scores = self.count_calls(monkeypatch, "forward_logits", 1)
         backwards = self.count_calls(monkeypatch, "backward", 2)
         cfg = TrainConfig(max_epochs=7, patience=7, layers=2, hidden_dim=8, seed=9)
         a_hat = normalize_adjacency(g)
@@ -566,6 +568,7 @@ class TestTrainTraceReuse:
                            idx[:30], idx[30:])
         assert len(history) == 7
         assert forwards == [40] * 8
+        assert scores == []
         assert backwards == [40] * 7
 
     def test_sampled_forwards_once_per_batch_plus_one_per_epoch(self, monkeypatch):
@@ -573,11 +576,26 @@ class TestTrainTraceReuse:
         bundle, g, idx = self.setup()
         stats = presample(len(g), runs=30, budget=15, seed=9)
         forwards = self.count_calls(monkeypatch, "forward", 1)
+        scores = self.count_calls(monkeypatch, "forward_logits", 1)
         cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9,
                           batch_budget=15, sampler_runs=30)
         a_hat = normalize_adjacency(g)
         train(cfg, a_hat, stats, bundle.features, bundle.labels, idx[:36], idx[36:])
-        assert forwards == [15, 15, 15, 40] * 5   # ceil(40 / 15) batches, then the full graph
+        assert forwards == [15, 15, 15] * 5   # ceil(40 / 15) batches per epoch
+        assert scores == [40] * 5             # then the full graph, with no trace
+
+    def test_sampled_epoch_peaks_below_one_full_graph_trace(self):
+        # n = 1000, L = 10, H = 64: a trace of the full graph holds 2L N x H
+        # arrays (10.24 MB); the end-of-epoch pass that only scores keeps none
+        bundle, g, idx = self.setup(1000)
+        n, layers, hidden = 1000, 10, 64
+        cfg = TrainConfig(max_epochs=1, patience=1, layers=layers, hidden_dim=hidden, seed=9,
+                          batch_budget=100, sampler_runs=30)
+        a_hat, stats = normalize_adjacency(g), presample(n, runs=30, budget=100, seed=9)
+        peak, (_, history) = peak_bytes(train, cfg, a_hat, stats, bundle.features,
+                                        bundle.labels, idx[:900], idx[900:])
+        assert len(history) == 1
+        assert peak < 2 * layers * n * hidden * 8
 
     def test_full_batch_rejects_non_unit_gamma(self):
         # full batch restricts nothing, so it refuses sampler statistics
@@ -588,7 +606,7 @@ class TestTrainTraceReuse:
         with pytest.raises(ValueError, match="gamma"):
             train(cfg, a_hat, stats, bundle.features, bundle.labels, idx[:30], idx[30:])
         with pytest.raises(ValueError, match="gamma"):
-            cross_validate(cfg, g, stats, bundle.features, bundle.labels)
+            cross_validate(cfg, a_hat, stats, bundle.features, bundle.labels)
 
     def test_history_matches_digests_taken_before_trace_reuse(self):
         # sha256 of the history.csv-style rows, recorded when every epoch ran
@@ -648,10 +666,11 @@ class TestNonFiniteLoss:
         features = bundle.features.copy()
         features[3, 2] = np.nan
         cfg = TrainConfig(max_epochs=5, patience=5, folds=2, layers=2, hidden_dim=8, seed=9)
+        a_hat = normalize_adjacency(g)
         for workers in (1, 2):
             monkeypatch.setattr(training, "fold_workers", lambda folds, w=workers: w)
             with pytest.raises(NonFiniteLoss, match="fold 0, epoch 1"):
-                cross_validate(cfg, g, None, features, bundle.labels)
+                cross_validate(cfg, a_hat, None, features, bundle.labels)
 
 
 class TestSampledInference:
@@ -675,8 +694,9 @@ class TestSampledInference:
                 np.mean(r.probs.argmax(axis=1) == bundle.labels[r.test_idx]) for r in results
             ])
 
-        full = cross_validate(cfg, g, None, bundle.features, bundle.labels)
-        sampled = cross_validate(sampled_cfg, g, stats, bundle.features, bundle.labels)
+        a_hat = normalize_adjacency(g)   # once: both calls share it
+        full = cross_validate(cfg, a_hat, None, bundle.features, bundle.labels)
+        sampled = cross_validate(sampled_cfg, a_hat, stats, bundle.features, bundle.labels)
         assert accuracy(full) > 0.9
         assert accuracy(sampled) >= accuracy(full) - 0.1
         for r in sampled:
@@ -724,7 +744,8 @@ class TestCrossValidate:
             PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
         )
         cfg = TrainConfig(max_epochs=5, patience=5, folds=4, layers=1, hidden_dim=8, seed=2)
-        results = cross_validate(cfg, g, None, bundle.features, bundle.labels)
+        results = cross_validate(cfg, normalize_adjacency(g), None, bundle.features,
+                                 bundle.labels)
         assert len(results) == 4
         seen = np.concatenate([r.test_idx for r in results])
         assert sorted(seen.tolist()) == list(range(40))
@@ -733,11 +754,12 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("sampled", [False, True])
     def test_builds_each_operator_once_per_call(self, monkeypatch, sampled):
+        # the caller builds a_hat once; every fold of every call shares that very
+        # array and the caller's stats, and no call changes it, so a sweep
+        # passes one a_hat to all its calls; minibatches form their own gamma
         bundle, g, _ = TestTrainTraceReuse.setup()
-        builds = []
-        real_build = training.normalize_adjacency
-        monkeypatch.setattr(training, "normalize_adjacency",
-                            lambda a: builds.append(len(a)) or real_build(a))
+        a_hat = normalize_adjacency(g)
+        want = a_hat.copy()
         shared = []
         real_train_folds = training._train_folds
         monkeypatch.setattr(training, "_train_folds",
@@ -748,17 +770,17 @@ class TestCrossValidate:
         if sampled:
             cfg = replace(cfg, batch_budget=15, sampler_runs=30)
             stats = presample(len(g), runs=30, budget=15, seed=9)
-        results = cross_validate(cfg, g, stats, bundle.features, bundle.labels)
-        assert len(results) == 3
-        assert builds == [40]
-        # every fold shares one a_hat and the caller's stats; minibatches form gamma
-        (a_hat, shared_stats, _, _), = shared
-        assert np.array_equal(a_hat, normalize_adjacency(g))
-        assert shared_stats is stats
+        first = cross_validate(cfg, a_hat, stats, bundle.features, bundle.labels)
+        second = cross_validate(cfg, a_hat, stats, bundle.features, bundle.labels)
+        assert len(first) == 3
+        TestFoldWorkers.assert_same_results(first, second)
+        assert [arrays[0] is a_hat and arrays[1] is stats for arrays in shared] == [True] * 2
+        assert a_hat.tobytes() == want.tobytes()
 
     def test_sampled_folds_share_one_n_by_n_array(self, monkeypatch):
         # the folds need a_hat and the runs x n membership, never an N x N gamma or op
         bundle, g, _ = TestTrainTraceReuse.setup()
+        a_hat = normalize_adjacency(g)
         shared = []
         real_train_folds = training._train_folds
         monkeypatch.setattr(training, "_train_folds",
@@ -766,15 +788,15 @@ class TestCrossValidate:
                                 arrays, tasks))
         cfg = TrainConfig(max_epochs=2, patience=2, folds=3, layers=1, hidden_dim=4, seed=9,
                           batch_budget=15, sampler_runs=30)
-        stats = presample(len(g), runs=30, budget=15, seed=9)
-        cross_validate(cfg, g, stats, bundle.features, bundle.labels)
+        stats = presample(len(a_hat), runs=30, budget=15, seed=9)
+        cross_validate(cfg, a_hat, stats, bundle.features, bundle.labels)
         (arrays,) = shared
         held = []
         for item in arrays:  # the arrays themselves, and those a record holds
             held += [item, *vars(item).values()] if hasattr(item, "__dict__") else [item]
-        square = [a for a in held if isinstance(a, np.ndarray) and a.shape == (len(g), len(g))]
+        square = [a for a in held if isinstance(a, np.ndarray) and a.shape == a_hat.shape]
         assert len(square) == 1
-        assert np.array_equal(square[0], normalize_adjacency(g))
+        assert square[0] is a_hat
 
 
 needs_blas_threads = pytest.mark.skipif(
@@ -832,15 +854,16 @@ class TestFoldWorkers:
     @needs_blas_threads
     def test_two_workers_match_one_and_leave_no_child(self, monkeypatch):
         bundle, g, _ = TestTrainTraceReuse.setup()
+        a_hat = normalize_adjacency(g)
         in_process = self.in_process_folds(monkeypatch)
         get_threads = training._blas_thread_api()[0]
         threads = get_threads()
         self.use_workers(monkeypatch, 1)
-        serial = cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        serial = cross_validate(self.CFG, a_hat, None, bundle.features, bundle.labels)
         assert in_process == [0, 1, 2]
         assert get_threads() == threads   # restored after the single-thread folds
         self.use_workers(monkeypatch, 2)
-        parallel = cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        parallel = cross_validate(self.CFG, a_hat, None, bundle.features, bundle.labels)
         assert in_process == [0, 1, 2]    # the workers trained every fold
         assert get_threads() == threads
         assert multiprocessing.active_children() == []
@@ -850,6 +873,7 @@ class TestFoldWorkers:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_fold_trains_on_one_blas_thread(self, monkeypatch, workers):
         bundle, g, _ = TestTrainTraceReuse.setup()
+        a_hat = normalize_adjacency(g)
         get_threads = training._blas_thread_api()[0]
 
         def report_threads(config, a_hat, stats, features, *_):
@@ -860,13 +884,14 @@ class TestFoldWorkers:
         monkeypatch.setattr(training, "train", report_threads)
         self.use_workers(monkeypatch, workers)
         threads = get_threads()
-        results = cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        results = cross_validate(self.CFG, a_hat, None, bundle.features, bundle.labels)
         assert [r.history for r in results] == [[(1, 0.0, 0.0)]] * 3
         assert get_threads() == threads
 
     @needs_blas_threads
     def test_worker_error_reaches_the_caller_and_leaves_no_child(self, monkeypatch):
         bundle, g, _ = TestTrainTraceReuse.setup()
+        a_hat = normalize_adjacency(g)
         real_train = training.train
 
         def train_failing_on_second_fold(config, *args):
@@ -881,7 +906,7 @@ class TestFoldWorkers:
         get_threads = training._blas_thread_api()[0]
         threads = get_threads()
         with pytest.raises(KeyError, match=f"no such thing in seed {seeds[1]}"):
-            cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+            cross_validate(self.CFG, a_hat, None, bundle.features, bundle.labels)
         assert multiprocessing.active_children() == []
         assert get_threads() == threads   # the caller's BLAS held one thread only while folds ran
 
@@ -949,23 +974,25 @@ class TestFoldWorkers:
 
     def test_without_thread_symbols_folds_train_in_process(self, monkeypatch):
         bundle, g, _ = TestTrainTraceReuse.setup()
-        default = cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        a_hat = normalize_adjacency(g)
+        default = cross_validate(self.CFG, a_hat, None, bundle.features, bundle.labels)
         in_process = self.in_process_folds(monkeypatch)
         monkeypatch.setattr(training, "_blas_thread_api", lambda: None)
         self.use_workers(monkeypatch, 2)
-        serial = cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+        serial = cross_validate(self.CFG, a_hat, None, bundle.features, bundle.labels)
         assert in_process == [0, 1, 2]
         self.assert_same_results(default, serial)
 
     def test_while_other_threads_run_folds_train_in_process(self, monkeypatch):
         bundle, g, _ = TestTrainTraceReuse.setup()
+        a_hat = normalize_adjacency(g)
         in_process = self.in_process_folds(monkeypatch)
         self.use_workers(monkeypatch, 2)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60,))
         other.start()
         try:
-            cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+            cross_validate(self.CFG, a_hat, None, bundle.features, bundle.labels)
         finally:
             release.set()
             other.join(timeout=60)
@@ -978,10 +1005,11 @@ class TestFoldWorkers:
         # a pool's own threads must be gone once it returns, or every later
         # call (sweep-depth makes four) would fall back to in-process training
         bundle, g, _ = TestTrainTraceReuse.setup()
+        a_hat = normalize_adjacency(g)
         in_process = self.in_process_folds(monkeypatch)
         self.use_workers(monkeypatch, 2)
         for _ in range(3):
-            cross_validate(self.CFG, g, None, bundle.features, bundle.labels)
+            cross_validate(self.CFG, a_hat, None, bundle.features, bundle.labels)
         assert in_process == []
         assert threading.active_count() == 1
 
