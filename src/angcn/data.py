@@ -24,6 +24,7 @@ import re
 import tempfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -133,13 +134,14 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
 # file formats
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write `text` to `path` atomically, creating its directory if missing."""
+def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
+    """Write `text`, a string or an iterable of text chunks written as they
+    come, to `path` atomically, creating its directory if missing."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -352,10 +354,17 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
 
 def save_adjacency(a: np.ndarray, path: str | Path) -> None:
     """Write the adjacency matrix's edges, the nonzero entries of its strict
-    upper triangle, as i,j,weight rows in row-major (i, j) order."""
-    i, j = np.nonzero(np.triu(a, k=1))
-    rows = zip(i.tolist(), j.tolist(), a[i, j].tolist())
-    _atomic_write(Path(path), "i,j,weight\n" + "".join(f"{i},{j},{w!r}\n" for i, j, w in rows))
+    upper triangle, as i,j,weight rows in row-major (i, j) order. Each matrix
+    row's edges are found and written in turn, so no copy of the matrix and
+    no whole-file string is made."""
+
+    def chunks():
+        yield "i,j,weight\n"
+        for i, row in enumerate(a):
+            j = np.flatnonzero(row[i + 1:]) + (i + 1)
+            yield "".join(f"{i},{j},{w!r}\n" for j, w in zip(j.tolist(), row[j].tolist()))
+
+    _atomic_write(Path(path), chunks())
 
 
 def load_adjacency(path: str | Path, n: int) -> np.ndarray:

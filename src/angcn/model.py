@@ -19,11 +19,13 @@ constant across layers (the identity map needs square weights), so a learned
 projection maps raw inputs to the hidden width once, and a linear head maps
 the last layer to class scores.
 
-The forward trace keeps each layer's diffusion s and activation, so the
-backward pass never repeats an N x N product; `forward_logits` without a
-trace, which only scores, keeps none of them. `pre` is accumulated in place
-in the order written above, so skipping a zero term changes no bit of the
-result (save the sign of an exact zero, and NaN from 0 * inf).
+A forward forms alpha * x0 once and each layer's identity map I + W once.
+The trace keeps each layer's diffusion s, activation and I + W, so the
+backward pass never repeats an N x N product or rebuilds I + W;
+`forward_logits` without a trace, which only scores, keeps none of them.
+`pre` is accumulated in place in the order written above, so skipping a zero
+term changes no bit of the result (save the sign of an exact zero, and NaN
+from 0 * inf).
 """
 
 from __future__ import annotations
@@ -80,13 +82,16 @@ class ForwardTrace:
     diffused[l] is the layer's diffusion s = op @ h_(l-1), so the backward
     pass reads it instead of recomputing the N x N product. activations[l]
     is the layer output; its positive entries are exactly those of the
-    pre-activation, which is all the ReLU derivative needs.
+    pre-activation, which is all the ReLU derivative needs. identity_maps[l]
+    is the layer's I + W as the forward formed it; it is empty at beta = 0,
+    where no term reads it.
     """
 
     raw_input: np.ndarray
     projected_input: np.ndarray
     diffused: list[np.ndarray] = field(default_factory=list)
     activations: list[np.ndarray] = field(default_factory=list)
+    identity_maps: list[np.ndarray] = field(default_factory=list)
     logits: np.ndarray | None = None
 
 
@@ -117,11 +122,15 @@ def layer_forward(
     w: np.ndarray,
     alpha: float,
     beta: float,
+    iw: np.ndarray | None = None,
+    alpha_x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One propagation layer; returns (diffusion op @ h, ReLU output).
 
-    Terms with a zero coefficient are skipped, so at alpha = beta = 0 the
-    output is exactly ReLU(op @ h), the plain GCN layer.
+    `iw` = I + W and `alpha_x0` = alpha * x0 are formed here unless the
+    caller passes them: a forward forms each once. Terms with a zero
+    coefficient are skipped, so at alpha = beta = 0 the output is exactly
+    ReLU(op @ h), the plain GCN layer.
     """
     if h.shape != x0.shape:
         raise ShapeMismatch(f"h {h.shape} and x0 {x0.shape} must match")
@@ -130,10 +139,11 @@ def layer_forward(
     s = op @ h
     pre = (1.0 - alpha) * s
     if beta:
-        iw = np.eye(w.shape[0]) + w
+        if iw is None:
+            iw = np.eye(len(w)) + w
         pre += beta * (s @ iw)
     if alpha:
-        pre += alpha * x0
+        pre += alpha * x0 if alpha_x0 is None else alpha_x0
     if beta:
         pre += beta * (x0 @ iw)
     np.maximum(pre, 0.0, out=pre)
@@ -161,17 +171,22 @@ def forward_logits(params: ModelParams, op: np.ndarray, x_raw: np.ndarray,
         )
     if np.shape(op) != (x_raw.shape[0], x_raw.shape[0]):
         raise ShapeMismatch(f"operator {np.shape(op)} does not match {x_raw.shape[0]} input rows")
+    alpha, beta = params.alpha, params.beta
     h = x0 = x_raw @ params.input_projection
+    alpha_x0 = alpha * x0 if alpha else None
     if trace is not None:
         trace.raw_input, trace.projected_input = x_raw, x0
     for ell, w in enumerate(params.layers):
+        iw = np.eye(len(w)) + w if beta else None
         try:
-            s, h = layer_forward(h, x0, op, w, params.alpha, params.beta)
+            s, h = layer_forward(h, x0, op, w, alpha, beta, iw, alpha_x0)
         except ShapeMismatch as exc:
             raise ShapeMismatch(f"layer {ell}: {exc}") from exc
         if trace is not None:
             trace.diffused.append(s)
             trace.activations.append(h)
+            if beta:
+                trace.identity_maps.append(iw)
     return h @ params.output_head
 
 

@@ -2,11 +2,14 @@
 
 The backward pass differentiates the four-term propagation rule by hand;
 a central finite-difference harness validates it entry by entry. The loss
-is a sum over labeled nodes (a mean variant is available as a config flag).
-Backward reads each layer's diffusion from the forward trace, so a step
-costs two products per layer: op @ h forward and op.T @ d_s backward.
-Both passes skip every term whose coefficient is 0, so at alpha = beta = 0
-a layer does no H x H product either way.
+is a sum over labeled nodes (a mean variant is available as a config flag),
+read off the logits wherever the softmax underflows. Backward reads each
+layer's diffusion and I + W from the forward trace, so a step costs two
+N x N products per layer: op @ h forward and op.T @ d_s backward. Both
+passes skip every term whose coefficient is 0, so at alpha = beta = 0 a
+layer does no H x H product either way, and at beta = 0 Adam leaves the
+layer weights, which get no gradient, untouched. Each fold computes every
+product once: its test probabilities are the best epoch's scoring pass.
 Every fold of a `cross_validate` call shares the caller's a_hat. It holds
 OpenBLAS at one thread, where its thread-count symbols exist, and trains
 the folds in forked worker processes, one per usable CPU, which inherit the
@@ -99,19 +102,31 @@ class AdamState:
 
 
 def cross_entropy(
-    y_hat: np.ndarray,
+    logits: np.ndarray,
     labels_onehot: np.ndarray,
     labeled_idx: Sequence[int],
     reduction: str = "sum",
 ) -> float:
-    """Cross-entropy over the labeled rows: -sum_i sum_c Y_ic log Yhat_ic."""
+    """Cross-entropy of the softmax of `logits` over the labeled rows:
+    -sum_i sum_c Y_ic log Yhat_ic.
+
+    log Yhat_ic is the log of the softmax probability; where that probability
+    is below 1e-300 (the softmax underflows) it is the log-softmax
+    z_ic - logsumexp(z_i) read off the logits instead, so the loss stays
+    exact, finite and in step with `backward`'s gradient.
+    """
     labeled = np.asarray(labeled_idx, dtype=int)
     if labeled.size == 0:
         raise EmptyLabeledSet("loss needs at least one labeled node")
-    rows = np.asarray(y_hat, dtype=float)[labeled]
+    z = np.asarray(logits, dtype=float)[labeled]
     onehot = np.asarray(labels_onehot, dtype=float)[labeled]
-    # floor avoids -inf when a softmax row underflows to exactly 0
-    loss = -float(np.sum(onehot * np.log(np.maximum(rows, 1e-300))))
+    y_hat = predict(z)
+    log_p = np.log(np.maximum(y_hat, 1e-300))
+    low = y_hat < 1e-300
+    if low.any():
+        shifted = z - z.max(axis=1, keepdims=True)
+        log_p[low] = (shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))[low]
+    loss = -float(np.sum(onehot * log_p))
     if reduction == "mean":
         loss /= labeled.size
     return loss
@@ -133,8 +148,11 @@ def backward(
     and both skip terms, so the projected input collects gradient from every
     layer; as in the forward pass, a term whose coefficient is 0 is skipped.
     The ReLU derivative is read off the layer output (h > 0 exactly where
-    pre > 0), so its subgradient at 0 is 0. `op` must be the operator the
-    trace was computed with.
+    pre > 0), so its subgradient at 0 is 0. Each layer forms
+    beta * (g @ (I + W).T) once, from the I + W the trace holds. At beta = 0
+    no layer weight gets a gradient: each of those entries is one read-only
+    zero-stride view of 0.0, with no H x H array behind it. `op` and
+    `params` must be those the trace was computed with.
     """
     n_layers = len(params.layers)
     if len(trace.activations) != n_layers:
@@ -143,6 +161,11 @@ def backward(
         )
     if trace.projected_input.shape[1] != params.input_projection.shape[1]:
         raise TraceMismatch("trace hidden width disagrees with the projection")
+    if len(trace.identity_maps) != (n_layers if params.beta else 0):
+        raise TraceMismatch(
+            f"trace has {len(trace.identity_maps)} identity maps for {n_layers} layers "
+            f"at beta {params.beta}"
+        )
     labeled = np.asarray(labeled_idx, dtype=int)
     if labeled.size == 0:
         raise EmptyLabeledSet("gradients need at least one labeled node")
@@ -158,7 +181,8 @@ def backward(
     d_head = h_last.T @ d_logits
     d_h = d_logits @ params.output_head.T
 
-    d_layers = [np.zeros_like(w) for w in params.layers]
+    width = x0.shape[1]
+    d_layers = [np.broadcast_to(0.0, (width, width))] * n_layers
     d_x0 = np.zeros_like(x0)
     alpha, beta = params.alpha, params.beta
     for ell in range(n_layers - 1, -1, -1):
@@ -166,9 +190,9 @@ def backward(
         d_s = (1.0 - alpha) * g
         if beta:
             d_layers[ell] = beta * ((trace.diffused[ell] + x0).T @ g)
-            g_iw = g @ (np.eye(params.layers[ell].shape[0]) + params.layers[ell]).T
-            d_s += beta * g_iw
-            d_x0 += alpha * g + beta * g_iw
+            beta_g_iw = beta * (g @ trace.identity_maps[ell].T)
+            d_s += beta_g_iw
+            d_x0 += alpha * g + beta_g_iw
         elif alpha:
             d_x0 += alpha * g
         d_h = op.T @ d_s
@@ -183,13 +207,18 @@ def adam_step(
     lr: float,
 ) -> None:
     """One bias-corrected Adam update of `params` and `state`, in place;
-    `grads` holds one gradient per matrix in `ModelParams.matrices()` order."""
+    `grads` holds one gradient per matrix in `ModelParams.matrices()` order.
+
+    A matrix whose gradient and both moments are exactly 0 (a layer weight at
+    beta = 0) is skipped: its update would leave every bit as it is."""
     mats = params.matrices()
     if len(mats) != len(grads) or any(m.shape != g.shape for m, g in zip(mats, grads)):
         raise ShapeMismatch("gradient shapes do not mirror parameter shapes")
     state.t += 1
     c1, c2 = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
     for theta, g, m, v in zip(mats, grads, state.first_moment, state.second_moment):
+        if not (g.any() or m.any() or v.any()):
+            continue
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -263,8 +292,9 @@ def train(
     labels: Sequence[int],
     train_idx: np.ndarray,
     val_idx: np.ndarray,
-) -> tuple[ModelParams, list[tuple[int, float, float]]]:
-    """Fit the model; returns (best-validation-epoch params, per-epoch history).
+) -> tuple[ModelParams, list[tuple[int, float, float]], np.ndarray]:
+    """Fit the model; returns (best-validation-epoch params, per-epoch
+    history, those params' full-graph logits).
 
     History rows are (epoch, train_loss, val_loss) recorded at the end of
     each epoch. Training stops early once the validation loss has failed to
@@ -273,9 +303,11 @@ def train(
     NonFiniteLoss naming the epoch.
 
     The end-of-epoch losses score the full graph with `a_hat` (unit
-    aggregation). A minibatch b steps on a_hat[b, b] * aggregation_matrix(
-    stats, b), whose gamma debiases subgraph-restricted aggregation (unit
-    gamma for stats None), so sampled epochs score with no trace. Full batch
+    aggregation), and the logits returned are the best epoch's scoring pass,
+    kept, not run again (with no epochs, the initial params are scored once).
+    A minibatch b steps on a_hat[b, b] * aggregation_matrix(stats, b), whose
+    gamma debiases subgraph-restricted aggregation (unit gamma for stats
+    None), so sampled epochs score with no trace. Full batch
     (`config.full_batch(n)`) restricts nothing, so it takes no stats, and each
     end-of-epoch forward is also the next epoch's training forward.
     """
@@ -298,7 +330,7 @@ def train(
     best_params = params.copy()  # a copy: adam_step updates params in place
     history: list[tuple[int, float, float]] = []
     if config.max_epochs == 0:
-        return best_params, history
+        return best_params, history, forward_logits(params, a_hat, features)
 
     train_mask = np.isin(np.arange(n), train_idx)
 
@@ -328,9 +360,9 @@ def train(
             adam_step(params, grads, state, config.learning_rate)
 
         trace = forward(params, a_hat, features) if full_batch else None
-        y_hat = predict(trace.logits if full_batch else forward_logits(params, a_hat, features))
-        train_loss = cross_entropy(y_hat, labels_oh, train_idx, config.loss_reduction)
-        val_loss = cross_entropy(y_hat, labels_oh, val_idx, config.loss_reduction)
+        logits = trace.logits if full_batch else forward_logits(params, a_hat, features)
+        train_loss = cross_entropy(logits, labels_oh, train_idx, config.loss_reduction)
+        val_loss = cross_entropy(logits, labels_oh, val_idx, config.loss_reduction)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise NonFiniteLoss(
                 f"epoch {epoch}: train loss {train_loss}, validation loss {val_loss}"
@@ -338,10 +370,10 @@ def train(
         history.append((epoch, train_loss, val_loss))
         should_stop = stopper.update(epoch, val_loss)
         if stopper.best_epoch == epoch:
-            best_params = params.copy()
+            best_params, best_logits = params.copy(), logits
         if should_stop:
             break
-    return best_params, history
+    return best_params, history, best_logits
 
 
 def finite_difference_check(
@@ -363,7 +395,7 @@ def finite_difference_check(
         raise ValueError(f"eps must be a finite number > 0, got {eps}")
 
     def loss_of(p: ModelParams) -> float:
-        return cross_entropy(predict(forward_logits(p, op, x_raw)), labels_onehot, labeled_idx)
+        return cross_entropy(forward_logits(p, op, x_raw), labels_onehot, labeled_idx)
 
     trace = forward(params, op, x_raw)
     grads = backward(trace, params, op, labels_onehot, labeled_idx)
@@ -426,15 +458,17 @@ def _blas_thread_api():
 
 def _train_fold(shared: tuple, task: tuple) -> FoldResult:
     """Train fold `task` = (fold, config, test_idx, train_idx, val_idx) on the
-    shared (a_hat, stats, features, labels); the config carries the fold's seed."""
+    shared (a_hat, stats, features, labels); the config carries the fold's seed.
+    The test probabilities are the softmax of the logits `train` returns, from
+    its best epoch's scoring pass: the fold runs no full-graph pass for them."""
     a_hat, stats, features, labels = shared
     fold, config, test_idx, train_idx, val_idx = task
     try:
-        params, history = train(config, a_hat, stats, features, labels, train_idx, val_idx)
+        params, history, logits = train(config, a_hat, stats, features, labels,
+                                        train_idx, val_idx)
     except NonFiniteLoss as exc:
         raise NonFiniteLoss(f"fold {fold}, {exc}") from exc
-    probs = predict(forward_logits(params, a_hat, features))[test_idx]
-    return FoldResult(fold, test_idx, probs, history, params)
+    return FoldResult(fold, test_idx, predict(logits)[test_idx], history, params)
 
 
 _worker_shared: tuple | None = None  # the arrays forked workers train on, set only while they run
@@ -497,8 +531,8 @@ def cross_validate(
     built once here; the folds then train as the module docstring says, and
     the results come back in fold order. The caller's BLAS thread count is
     restored when the last of any concurrent calls ends, on error too. Test
-    probabilities come from a full-graph forward with unit aggregation
-    (a_hat). A non-finite loss raises NonFiniteLoss naming the fold and
+    probabilities come from the full-graph scoring pass with unit aggregation
+    (a_hat) of each fold's best epoch. A non-finite loss raises NonFiniteLoss naming the fold and
     epoch; an error in any fold reaches the caller, the earliest failing
     fold's first."""
     labels = np.asarray(labels, dtype=int)

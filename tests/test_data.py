@@ -26,7 +26,7 @@ from angcn.model import ModelParams, init_params
 from angcn.popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure
 from angcn.training import AdamState, TrainConfig, adam_step
 
-from graphs import adjacency, adjacency_file, peak_bytes
+from graphs import adjacency, adjacency_file, edge_list, peak_bytes
 
 PINNED_CHECKPOINT_SHA256 = "360987671f3d53a2de72127dfa6796a4ada19058d94fddf66f9e990b233c7415"
 
@@ -345,6 +345,20 @@ class TestAdjacencyFile:
         assert peak < 6 * edges.nbytes
         assert a.tobytes() == want.tobytes()
 
+
+    def test_save_holds_no_copy_of_the_matrix(self, tmp_path):
+        # n = 1000 at 40% density: a np.triu copy and the whole file as one
+        # string peaked at 4.9 N^2*8 bytes; one row's edges at a time hold none
+        n, rng = 1000, np.random.default_rng(1)
+        i, j = np.triu_indices(n, k=1)
+        keep = rng.uniform(size=len(i)) < 0.4
+        a = np.zeros((n, n))
+        a[i[keep], j[keep]] = a[j[keep], i[keep]] = rng.uniform(0.01, 2.0, int(keep.sum()))
+        path = tmp_path / "adjacency.csv"
+        peak, _ = peak_bytes(save_adjacency, a, path)
+        assert peak <= 0.5 * n * n * 8
+        assert path.read_text() == "i,j,weight\n" + "".join(
+            f"{i},{j},{w!r}\n" for i, j, w in edge_list(a))
 
 def rows_per_block(width):
     """Data rows of a `width`-column file that the reader parses as one block."""

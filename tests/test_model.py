@@ -172,6 +172,18 @@ class TestForward:
         assert np.array_equal(trace.activations[0], act)
         assert np.array_equal(trace.logits, act @ params.output_head)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_trace_keeps_each_identity_map_the_layers_used(self, beta):
+        # backward reads I + W from the trace; at beta = 0 no term needs it
+        rng = np.random.default_rng(6)
+        params = init_params(3, 4, 2, n_layers=3, alpha=0.1, beta=beta, rng=rng)
+        trace = forward(params, normalize_adjacency(random_graph(5, 0.6, seed=6)),
+                        rng.normal(size=(5, 3)))
+        want = [np.eye(4) + w for w in params.layers] if beta else []
+        assert len(trace.identity_maps) == len(want)
+        for got, iw in zip(trace.identity_maps, want):
+            assert got.tobytes() == iw.tobytes()
+
     def test_activations_nonnegative(self):
         g = random_graph(6, 0.5, seed=5)
         a_hat = normalize_adjacency(g)

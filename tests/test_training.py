@@ -21,7 +21,7 @@ from angcn.errors import (
     TraceMismatch,
 )
 from angcn.graph_core import normalize_adjacency
-from angcn.model import ModelParams, forward, init_params, predict
+from angcn.model import ModelParams, forward, forward_logits, init_params, predict
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
 from angcn.sampler import aggregation_matrix, presample
 import angcn.training as training
@@ -43,34 +43,57 @@ from graphs import adjacency, peak_bytes
 
 class TestCrossEntropy:
     def test_perfect_predictions(self):
-        y_hat = np.array([[1.0, 0.0], [0.0, 1.0]])
+        # exp(-800) underflows to 0: each row's softmax is exactly one-hot
+        logits = np.array([[0.0, -800.0], [-800.0, 0.0]])
         onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert cross_entropy(y_hat, onehot, [0, 1]) == 0.0
+        assert cross_entropy(logits, onehot, [0, 1]) == 0.0
 
     def test_uniform_row_is_log_two(self):
-        y_hat = np.array([[0.5, 0.5]])
+        logits = np.array([[0.3, 0.3]])
         onehot = np.array([[1.0, 0.0]])
-        assert cross_entropy(y_hat, onehot, [0]) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert cross_entropy(logits, onehot, [0]) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_two_labeled_rows(self):
-        y_hat = np.array([[0.9, 0.1], [0.2, 0.8]])
+        logits = np.log([[0.9, 0.1], [0.2, 0.8]])
         onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
         expected = -(math.log(0.9) + math.log(0.8))
-        assert cross_entropy(y_hat, onehot, [0, 1]) == pytest.approx(expected, abs=1e-12)
+        assert cross_entropy(logits, onehot, [0, 1]) == pytest.approx(expected, abs=1e-12)
 
     def test_sum_not_mean(self):
-        y_hat = np.tile([[0.5, 0.5]], (4, 1))
+        logits = np.tile([[1.5, 1.5]], (4, 1))
         onehot = np.tile([[1.0, 0.0]], (4, 1))
-        assert cross_entropy(y_hat, onehot, [0, 1, 2, 3]) == pytest.approx(
+        assert cross_entropy(logits, onehot, [0, 1, 2, 3]) == pytest.approx(
             4.0 * math.log(2.0), abs=1e-12
         )
-        assert cross_entropy(y_hat, onehot, [0, 1, 2, 3], reduction="mean") == pytest.approx(
+        assert cross_entropy(logits, onehot, [0, 1, 2, 3], reduction="mean") == pytest.approx(
             math.log(2.0), abs=1e-12
         )
 
+    def test_underflowed_rows_read_the_logits(self):
+        # the true class trails by 800 and 2000: its softmax probability is 0,
+        # and its term is logsumexp(z) - z_y, not a floor of -log(1e-300)
+        logits = np.array([[0.0, 800.0], [2000.0, 0.0], [0.0, 0.5]])
+        onehot = np.eye(2)[[0, 1, 0]]
+        kept = math.log1p(math.exp(0.5))  # the row above the floor, as before
+        assert cross_entropy(logits, onehot, [0, 1, 2]) == pytest.approx(
+            800.0 + 2000.0 + kept, rel=1e-15)
+        assert cross_entropy(logits, onehot, [2]) == -float(
+            np.log(predict(logits[2:])[0, 0]))
+
+    def test_bits_match_the_probability_form_where_nothing_underflows(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 7, 16, 33, 300):
+            logits = rng.normal(scale=20.0, size=(n, 2))
+            onehot = np.eye(2)[rng.integers(0, 2, size=n)]
+            labeled = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+            y_hat = predict(logits)[labeled]
+            assert (y_hat >= 1e-300).all()
+            want = -float(np.sum(onehot[labeled] * np.log(np.maximum(y_hat, 1e-300))))
+            assert cross_entropy(logits, onehot, labeled) == want
+
     def test_empty_labeled_set(self):
         with pytest.raises(EmptyLabeledSet):
-            cross_entropy(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]), [])
+            cross_entropy(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), [])
 
 
 def four_term_backward(trace, params, op, onehot, labeled):
@@ -158,15 +181,11 @@ class TestBackward:
         for p in (params, replace(params, alpha=0.0, beta=0.0)):
             assert finite_difference_check(p, op, x_raw, onehot, labeled, eps=1e-5) < 1e-6
 
-    @pytest.mark.parametrize("reduction", ["sum", "mean"])
-    def test_directional_derivatives_at_paper_shape(self, reduction):
-        # n = 300, L = 10, H = 64 on the sampled operator a_hat * gamma: <grad L, v>
-        # from backward against a central difference of two forwards along unit
-        # directions v. With no biases and a positively homogeneous ReLU the
-        # logits scale with the inputs; they are scaled to a largest logit of 2,
-        # away from the saturated softmax whose 1e-300 floor flattens the loss.
-        # Measured: relative errors up to 2.4e-9 at step 1e-5, and ReLU kinks
-        # crossed at step 1e-4 give up to 5.6e-4, so the bound is 1e-6.
+    @staticmethod
+    def paper_shape():
+        """n = 300 seed-0 bundle, whole-graph a_hat * gamma from presample(300,
+        runs=200, budget=100), L = 10, H = 64 init_params weights, 200 labeled
+        nodes; returns (params, op, features, onehot, labeled, rng)."""
         bundle = generate_synthetic(SyntheticSpec(n_subjects=300, seed=0))
         a_hat = normalize_adjacency(build_adjacency(
             PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)))
@@ -174,17 +193,20 @@ class TestBackward:
         rng = np.random.default_rng(3)
         params = init_params(bundle.features.shape[1], 64, 2, 10, alpha=0.1, beta=0.3,
                              rng=rng)
-        onehot = np.eye(2)[bundle.labels]
         labeled = np.sort(rng.choice(300, size=200, replace=False))
-        x = bundle.features
-        x = x * (2.0 / np.abs(forward(params, op, x).logits).max())
+        return params, op, bundle.features, np.eye(2)[bundle.labels], labeled, rng
 
+    @staticmethod
+    def directional_errors(params, op, x, onehot, labeled, reduction, rng, directions):
+        """Relative gap between <grad L, v> from backward and a central
+        difference (step 1e-5) of the loss along each of `directions` random
+        unit directions v."""
         def loss(p):
-            return cross_entropy(predict(forward(p, op, x).logits), onehot, labeled, reduction)
+            return cross_entropy(forward(p, op, x).logits, onehot, labeled, reduction)
 
         grads = backward(forward(params, op, x), params, op, onehot, labeled, reduction)
-        step = 1e-5
-        for _ in range(3):
+        step, errors = 1e-5, []
+        for _ in range(directions):
             v = [rng.normal(size=m.shape) for m in params.matrices()]
             norm = math.sqrt(sum(float((d * d).sum()) for d in v))
             analytic = sum(float((g * d).sum()) for g, d in zip(grads, v)) / norm
@@ -193,7 +215,33 @@ class TestBackward:
                 m_hi += (step / norm) * d
                 m_lo -= (step / norm) * d
             numeric = (loss(hi) - loss(lo)) / (2.0 * step)
-            assert abs(numeric - analytic) < 1e-6 * abs(analytic)
+            errors.append(abs(numeric - analytic) / abs(analytic))
+        return errors
+
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_directional_derivatives_at_paper_shape(self, reduction):
+        # n = 300, L = 10, H = 64 on the sampled operator a_hat * gamma: <grad L, v>
+        # from backward against a central difference of two forwards along unit
+        # directions v. With no biases and a positively homogeneous ReLU the
+        # logits scale with the inputs; they are scaled to a largest logit of 2,
+        # where no softmax probability is near 0.
+        # Measured: relative errors up to 2.4e-9 at step 1e-5, and ReLU kinks
+        # crossed at step 1e-4 give up to 5.6e-4, so the bound is 1e-6.
+        params, op, x, onehot, labeled, rng = self.paper_shape()
+        x = x * (2.0 / np.abs(forward(params, op, x).logits).max())
+        errors = self.directional_errors(params, op, x, onehot, labeled, reduction, rng, 3)
+        assert max(errors) < 1e-6
+
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    def test_loss_agrees_with_backward_where_the_softmax_underflows(self, reduction):
+        # the same shape at the features' own scale: the logits reach 7.95e5 and
+        # half the labeled rows' true-class probabilities are 0. A loss floored
+        # at 1e-300 is flat there (relative error 1.0 in every direction); read
+        # off the logits it matches backward (measured: at most 8e-10)
+        params, op, x, onehot, labeled, rng = self.paper_shape()
+        assert np.abs(forward(params, op, x).logits).max() > 7e5
+        errors = self.directional_errors(params, op, x, onehot, labeled, reduction, rng, 5)
+        assert max(errors) < 1e-6
 
     def test_mean_reduction_scales_gradients(self):
         params, op, x_raw, onehot, labeled = gradcheck_fixture(seed=3)
@@ -210,6 +258,14 @@ class TestBackward:
         trace = forward(params, np.eye(5), x)
         with pytest.raises(TraceMismatch):
             backward(trace, other, np.eye(5), np.zeros((5, 2)), [0])
+
+    def test_trace_without_identity_maps_is_refused(self):
+        # a beta = 0 forward keeps no I + W, so backward at beta > 0 cannot run on it
+        rng = np.random.default_rng(1)
+        params = init_params(3, 4, 2, n_layers=2, alpha=0.1, beta=0.0, rng=rng)
+        trace = forward(params, np.eye(5), rng.normal(size=(5, 3)))
+        with pytest.raises(TraceMismatch, match="identity maps"):
+            backward(trace, replace(params, beta=0.3), np.eye(5), np.zeros((5, 2)), [0])
 
     def test_eps_zero_rejected(self):
         params, op, x_raw, onehot, labeled = gradcheck_fixture(seed=3)
@@ -416,13 +472,13 @@ class TestTrain:
             max_epochs=10, patience=1, layers=1, hidden_dim=4, seed=5, folds=2
         )
         a_hat = normalize_adjacency(g)
-        params, history = train(
+        params, history, _ = train(
             cfg, a_hat, None, features, labels, np.array([0]), np.array([1])
         )
         assert len(history) == 2
         assert history[1][2] > history[0][2]
         one_epoch = replace(cfg, max_epochs=1)
-        params_one, _ = train(
+        params_one, _, _ = train(
             one_epoch, a_hat, None, features, labels, np.array([0]), np.array([1])
         )
         assert np.array_equal(params.input_projection, params_one.input_projection)
@@ -436,7 +492,7 @@ class TestTrain:
                           alpha=0.0, beta=0.0, batch_budget=budget, sampler_runs=30)
         a_hat = normalize_adjacency(g)
         stats = None if budget is None else presample(len(g), runs=30, budget=budget, seed=9)
-        params, history = train(cfg, a_hat, stats, bundle.features, bundle.labels,
+        params, history, _ = train(cfg, a_hat, stats, bundle.features, bundle.labels,
                                 idx[:30], idx[30:])
         fresh = init_params(bundle.features.shape[1], 8, 2, 3, 0.0, 0.0,
                             np.random.default_rng([9, 0]))
@@ -445,11 +501,26 @@ class TestTrain:
         for got, want in zip(params.layers, fresh.layers, strict=True):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("budget", [None, 15])
+    def test_beta_zero_leaves_layer_weights_at_their_initial_values(self, budget):
+        # at beta = 0 a layer weight gets no gradient and Adam skips it, with alpha > 0 too
+        bundle, g, idx = TestTrainTraceReuse.setup()
+        cfg = TrainConfig(max_epochs=6, patience=6, layers=3, hidden_dim=8, seed=9,
+                          alpha=0.1, beta=0.0, batch_budget=budget, sampler_runs=30)
+        stats = None if budget is None else presample(len(g), runs=30, budget=budget, seed=9)
+        params, history, _ = train(cfg, normalize_adjacency(g), stats, bundle.features,
+                                   bundle.labels, idx[:30], idx[30:])
+        fresh = init_params(bundle.features.shape[1], 8, 2, 3, 0.1, 0.0,
+                            np.random.default_rng([9, 0]))
+        assert len(history) == 6
+        for got, want in zip(params.layers, fresh.layers, strict=True):
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_epochs_returns_init(self):
         g, features, labels = two_node_setup()
         cfg = TrainConfig(max_epochs=0, layers=1, hidden_dim=4, seed=5)
         a_hat = normalize_adjacency(g)
-        params, history = train(
+        params, history, _ = train(
             cfg, a_hat, None, features, labels, np.array([0]), np.array([1])
         )
         assert history == []
@@ -465,13 +536,13 @@ class TestTrain:
         a_hat = normalize_adjacency(g)
         idx = np.arange(40)
         cfg = TrainConfig(max_epochs=40, patience=5, layers=2, hidden_dim=8, seed=9)
-        params, history = train(
+        params, history, _ = train(
             cfg, a_hat, None, bundle.features, bundle.labels, idx[:30], idx[30:]
         )
-        y_hat = predict(forward(params, a_hat, bundle.features).logits)
+        logits = forward(params, a_hat, bundle.features).logits
         onehot = np.zeros((40, 2))
         onehot[idx, bundle.labels] = 1.0
-        val_loss = cross_entropy(y_hat, onehot, idx[30:])
+        val_loss = cross_entropy(logits, onehot, idx[30:])
         assert val_loss == pytest.approx(min(h[2] for h in history), abs=1e-12)
 
     def test_deterministic_bit_for_bit(self):
@@ -515,7 +586,7 @@ class TestTrain:
         a_hat = normalize_adjacency(g)
         idx = np.arange(80)
         cfg = TrainConfig(max_epochs=200, patience=200, layers=2, hidden_dim=16, seed=1)
-        params, history = train(
+        params, history, _ = train(
             cfg, a_hat, None, bundle.features, bundle.labels, idx[:64], idx[64:72]
         )
         train_losses = [h[1] for h in history]
@@ -564,7 +635,7 @@ class TestTrainTraceReuse:
         backwards = self.count_calls(monkeypatch, "backward", 2)
         cfg = TrainConfig(max_epochs=7, patience=7, layers=2, hidden_dim=8, seed=9)
         a_hat = normalize_adjacency(g)
-        _, history = train(cfg, a_hat, None, bundle.features, bundle.labels,
+        _, history, _ = train(cfg, a_hat, None, bundle.features, bundle.labels,
                            idx[:30], idx[30:])
         assert len(history) == 7
         assert forwards == [40] * 8
@@ -584,6 +655,48 @@ class TestTrainTraceReuse:
         assert forwards == [15, 15, 15] * 5   # ceil(40 / 15) batches per epoch
         assert scores == [40] * 5             # then the full graph, with no trace
 
+    @pytest.mark.parametrize("budget", [None, 15])
+    def test_a_fold_scores_the_full_graph_once_per_epoch(self, monkeypatch, budget):
+        # test probabilities come from the best epoch's scoring pass, so no
+        # fold runs a full-graph pass after training: per fold, full batch
+        # makes epochs + 1 traced forwards and sampled training epochs passes
+        bundle, g, _ = self.setup()
+        n = len(g)
+        monkeypatch.setattr(training, "fold_workers", lambda folds: 1)
+        forwards = self.count_calls(monkeypatch, "forward", 1)
+        scores = self.count_calls(monkeypatch, "forward_logits", 1)
+        cfg = TrainConfig(max_epochs=6, patience=6, folds=3, layers=2, hidden_dim=8, seed=9,
+                          batch_budget=budget, sampler_runs=30)
+        stats = None if budget is None else presample(n, runs=30, budget=budget, seed=9)
+        results = cross_validate(cfg, normalize_adjacency(g), stats, bundle.features,
+                                 bundle.labels)
+        assert [len(r.history) for r in results] == [6, 6, 6]
+        if budget is None:
+            assert forwards == [n] * (3 * (6 + 1))
+            assert scores == []
+        else:
+            assert n not in forwards
+            assert scores == [n] * (3 * 6)
+
+    @pytest.mark.parametrize("budget", [None, 15])
+    @pytest.mark.parametrize("max_epochs", [0, 40])
+    def test_fold_probabilities_are_the_returned_params_scores(self, budget, max_epochs):
+        # the reused scores are the bits a fresh pass with the fold's params
+        # gives, also where the best epoch is not the last one
+        bundle, g, _ = self.setup()
+        cfg = TrainConfig(learning_rate=0.05, max_epochs=max_epochs, patience=3, folds=3,
+                          layers=2, hidden_dim=8, seed=9, batch_budget=budget,
+                          sampler_runs=30)
+        a_hat = normalize_adjacency(g)
+        stats = None if budget is None else presample(len(g), runs=30, budget=budget, seed=9)
+        results = cross_validate(cfg, a_hat, stats, bundle.features, bundle.labels)
+        if max_epochs:
+            best = [min(r.history, key=lambda row: row[2])[0] for r in results]
+            assert any(b < len(r.history) for b, r in zip(best, results))
+        for r in results:
+            want = predict(forward_logits(r.params, a_hat, bundle.features))[r.test_idx]
+            assert r.probs.tobytes() == want.tobytes()
+
     def test_sampled_epoch_peaks_below_one_full_graph_trace(self):
         # n = 1000, L = 10, H = 64: a trace of the full graph holds 2L N x H
         # arrays (10.24 MB); the end-of-epoch pass that only scores keeps none
@@ -592,7 +705,7 @@ class TestTrainTraceReuse:
         cfg = TrainConfig(max_epochs=1, patience=1, layers=layers, hidden_dim=hidden, seed=9,
                           batch_budget=100, sampler_runs=30)
         a_hat, stats = normalize_adjacency(g), presample(n, runs=30, budget=100, seed=9)
-        peak, (_, history) = peak_bytes(train, cfg, a_hat, stats, bundle.features,
+        peak, (_, history, _) = peak_bytes(train, cfg, a_hat, stats, bundle.features,
                                         bundle.labels, idx[:900], idx[900:])
         assert len(history) == 1
         assert peak < 2 * layers * n * hidden * 8
@@ -614,11 +727,11 @@ class TestTrainTraceReuse:
         bundle, g, idx = self.setup()
         cfg = TrainConfig(max_epochs=12, patience=12, layers=3, hidden_dim=8, seed=9)
         a_hat = normalize_adjacency(g)
-        _, full = train(cfg, a_hat, None, bundle.features, bundle.labels,
+        _, full, _ = train(cfg, a_hat, None, bundle.features, bundle.labels,
                         idx[:30], idx[30:])
         stats = presample(len(g), runs=30, budget=15, seed=9)
         sampled_cfg = replace(cfg, batch_budget=15, sampler_runs=30)
-        _, sampled = train(sampled_cfg, a_hat, stats, bundle.features,
+        _, sampled, _ = train(sampled_cfg, a_hat, stats, bundle.features,
                            bundle.labels, idx[:30], idx[30:])
         assert self.digest(full) == (
             "535b345ae289fb10b108c26cbf87f26e56a49afae847393fe39cea4a2ebadfa3")
@@ -638,10 +751,27 @@ class TestTrainTraceReuse:
         cfg = TrainConfig(max_epochs=12, patience=12, layers=3, hidden_dim=8, seed=9,
                           alpha=alpha, beta=beta)
         a_hat = normalize_adjacency(g)
-        _, history = train(cfg, a_hat, None, bundle.features, bundle.labels,
+        _, history, _ = train(cfg, a_hat, None, bundle.features, bundle.labels,
                            idx[:30], idx[30:])
         assert self.digest(history) == want
 
+
+    @pytest.mark.parametrize("alpha, want", [
+        (0.0, "d51b3829d88e7e243c602e0d043127e0f0005d267887aa9df325aa64506642a8"),
+        (0.1, "d6bf92d2741ac8c7781f5f1ca0154eda05b1a4f355bbc1775663367c484474c3"),
+    ])
+    def test_sampled_beta_zero_histories_match_digests_taken_before_adam_skipped(
+        self, alpha, want
+    ):
+        # recorded when backward returned zero layer gradients at beta = 0 and
+        # Adam updated every matrix
+        bundle, g, idx = self.setup()
+        cfg = TrainConfig(max_epochs=12, patience=12, layers=3, hidden_dim=8, seed=9,
+                          alpha=alpha, beta=0.0, batch_budget=15, sampler_runs=30)
+        stats = presample(len(g), runs=30, budget=15, seed=9)
+        _, history, _ = train(cfg, normalize_adjacency(g), stats, bundle.features,
+                              bundle.labels, idx[:30], idx[30:])
+        assert self.digest(history) == want
 
 class TestNonFiniteLoss:
     @staticmethod
@@ -879,7 +1009,7 @@ class TestFoldWorkers:
         def report_threads(config, a_hat, stats, features, *_):
             params = init_params(features.shape[1], 2, 2, 0, 0.0, 0.0,
                                  np.random.default_rng(0))
-            return params, [(get_threads(), 0.0, 0.0)]
+            return params, [(get_threads(), 0.0, 0.0)], np.zeros((len(features), 2))
 
         monkeypatch.setattr(training, "train", report_threads)
         self.use_workers(monkeypatch, workers)
