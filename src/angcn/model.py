@@ -20,12 +20,12 @@ projection maps raw inputs to the hidden width once, and a linear head maps
 the last layer to class scores.
 
 A forward forms alpha * x0 once and each layer's identity map I + W once.
-The trace keeps each layer's diffusion s, activation and I + W, so the
-backward pass never repeats an N x N product or rebuilds I + W;
-`forward_logits` without a trace, which only scores, keeps none of them.
-`pre` is accumulated in place in the order written above, so skipping a zero
-term changes no bit of the result (save the sign of an exact zero, and NaN
-from 0 * inf).
+The trace keeps each layer's activation and, at beta != 0, its diffusion s
+and I + W, so the backward pass never repeats an N x N product or rebuilds
+I + W; `forward_logits` without a trace, which only scores, keeps none of
+them. `pre` is accumulated in place in the order written above, so skipping
+a zero term changes no bit of the result (save the sign of an exact zero,
+and NaN from 0 * inf), and neither does skipping a temporary.
 """
 
 from __future__ import annotations
@@ -79,12 +79,13 @@ class ModelParams:
 class ForwardTrace:
     """Everything the backward pass needs, cached layer by layer.
 
-    diffused[l] is the layer's diffusion s = op @ h_(l-1), so the backward
-    pass reads it instead of recomputing the N x N product. activations[l]
-    is the layer output; its positive entries are exactly those of the
-    pre-activation, which is all the ReLU derivative needs. identity_maps[l]
-    is the layer's I + W as the forward formed it; it is empty at beta = 0,
-    where no term reads it.
+    activations[l] is the layer output; its positive entries are exactly
+    those of the pre-activation, which is all the ReLU derivative needs.
+    diffused[l] is the layer's diffusion s = op @ h_(l-1) and identity_maps[l]
+    the layer's I + W as the forward formed it, which the weight gradient
+    beta (s + x0).T g and the term beta g (I + W).T read instead of
+    recomputing them. Both are empty at beta = 0, where no term reads them:
+    a plain-GCN trace holds x0 and the L activations alone.
     """
 
     raw_input: np.ndarray
@@ -130,22 +131,30 @@ def layer_forward(
     `iw` = I + W and `alpha_x0` = alpha * x0 are formed here unless the
     caller passes them: a forward forms each once. Terms with a zero
     coefficient are skipped, so at alpha = beta = 0 the output is exactly
-    ReLU(op @ h), the plain GCN layer.
+    ReLU(op @ h), the plain GCN layer, and no array but those two is made.
+    Otherwise s (I + W) and x0 (I + W) share one N x H buffer, each scaled by
+    beta in place before it is added to `pre`.
     """
     if h.shape != x0.shape:
         raise ShapeMismatch(f"h {h.shape} and x0 {x0.shape} must match")
     if w.shape != (h.shape[1], h.shape[1]):
         raise ShapeMismatch(f"weight {w.shape} incompatible with width {h.shape[1]}")
     s = op @ h
+    if not (alpha or beta):
+        return s, np.maximum(s, 0.0)
     pre = (1.0 - alpha) * s
     if beta:
         if iw is None:
             iw = np.eye(len(w)) + w
-        pre += beta * (s @ iw)
+        term = np.matmul(s, iw)
+        term *= beta
+        pre += term
     if alpha:
         pre += alpha * x0 if alpha_x0 is None else alpha_x0
     if beta:
-        pre += beta * (x0 @ iw)
+        np.matmul(x0, iw, out=term)
+        term *= beta
+        pre += term
     np.maximum(pre, 0.0, out=pre)
     return s, pre
 
@@ -161,8 +170,9 @@ def forward(params: ModelParams, op: np.ndarray, x_raw: np.ndarray) -> ForwardTr
 def forward_logits(params: ModelParams, op: np.ndarray, x_raw: np.ndarray,
                    trace: ForwardTrace | None = None) -> np.ndarray:
     """The logits of the forward pass. Into `trace`, if given, goes what the
-    backward pass reads; without one, a layer's arrays are dropped once the
-    next layer has read them, and the logits are the same bits."""
+    backward pass reads (at beta = 0 the activations alone); without one, a
+    layer's arrays are dropped once the next layer has read them, and the
+    logits are the same bits."""
     x_raw = np.asarray(x_raw, dtype=float)
     if x_raw.shape[1] != params.input_projection.shape[0]:
         raise ShapeMismatch(
@@ -183,9 +193,9 @@ def forward_logits(params: ModelParams, op: np.ndarray, x_raw: np.ndarray,
         except ShapeMismatch as exc:
             raise ShapeMismatch(f"layer {ell}: {exc}") from exc
         if trace is not None:
-            trace.diffused.append(s)
             trace.activations.append(h)
             if beta:
+                trace.diffused.append(s)
                 trace.identity_maps.append(iw)
     return h @ params.output_head
 

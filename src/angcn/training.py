@@ -5,18 +5,19 @@ a central finite-difference harness validates it entry by entry. The loss
 is a sum over labeled nodes (a mean variant is available as a config flag),
 read off the logits wherever the softmax underflows. Backward reads each
 layer's diffusion and I + W from the forward trace, so a step costs two
-N x N products per layer: op @ h forward and op.T @ d_s backward. Both
-passes skip every term whose coefficient is 0, so at alpha = beta = 0 a
-layer does no H x H product either way, and at beta = 0 Adam leaves the
-layer weights, which get no gradient, untouched. Each fold computes every
-product once: its test probabilities are the best epoch's scoring pass.
-Every fold of a `cross_validate` call shares the caller's a_hat. It holds
-OpenBLAS at one thread, where its thread-count symbols exist, and trains
-the folds in forked worker processes, one per usable CPU, which inherit the
-arrays and that one thread. A single worker, a platform without
-`fork` or without those symbols, or a caller running other threads trains
-them in this process instead, through the same per-fold function. Results
-are the same bits for any worker count.
+N x N products per layer: op @ h forward and op.T @ d_s backward, which
+full-batch steps take as a_hat @ d_s, the same bits, since a_hat is
+exactly symmetric. Both passes skip every term whose coefficient is 0, so
+at alpha = beta = 0 a layer does no H x H product either way, and at
+beta = 0 Adam leaves the layer weights, which get no gradient, untouched.
+Each fold computes every product once: its test probabilities are the best
+epoch's scoring pass. Every fold of a `cross_validate` call shares the
+caller's a_hat. It holds OpenBLAS at one thread, where its thread-count
+symbols exist, and trains the folds in forked worker processes, one per
+usable CPU, which inherit the arrays and that one thread. A single worker,
+a platform without `fork` or without those symbols, or a caller running
+other threads trains them in this process instead, through the same
+per-fold function. Results are the same bits for any worker count.
 """
 
 from __future__ import annotations
@@ -113,8 +114,11 @@ def cross_entropy(
     log Yhat_ic is the log of the softmax probability; where that probability
     is below 1e-300 (the softmax underflows) it is the log-softmax
     z_ic - logsumexp(z_i) read off the logits instead, so the loss stays
-    exact, finite and in step with `backward`'s gradient.
+    exact, finite and in step with `backward`'s gradient. `reduction` is
+    "sum" or "mean" (ValueError otherwise).
     """
+    if reduction not in ("sum", "mean"):
+        raise ValueError(f"reduction must be sum or mean, got {reduction!r}")
     labeled = np.asarray(labeled_idx, dtype=int)
     if labeled.size == 0:
         raise EmptyLabeledSet("loss needs at least one labeled node")
@@ -139,6 +143,7 @@ def backward(
     labels_onehot: np.ndarray,
     labeled_idx: Sequence[int],
     reduction: str = "sum",
+    symmetric: bool = False,
 ) -> list[np.ndarray]:
     """Exact gradients of the cross-entropy through the full stack, one per
     parameter matrix in `ModelParams.matrices()` order.
@@ -151,9 +156,18 @@ def backward(
     pre > 0), so its subgradient at 0 is 0. Each layer forms
     beta * (g @ (I + W).T) once, from the I + W the trace holds. At beta = 0
     no layer weight gets a gradient: each of those entries is one read-only
-    zero-stride view of 0.0, with no H x H array behind it. `op` and
-    `params` must be those the trace was computed with.
+    zero-stride view of 0.0, with no H x H array behind it, and the trace
+    holds no diffusion, which only the weight gradient reads. A layer forms
+    g and then d_s in the buffer of its incoming gradient, and s + x0 and
+    the skip terms in buffers that every layer reuses; its only new N x H
+    array is the product op.T @ d_s. `symmetric=True` promises that op
+    equals op.T bit for bit, as normalize_adjacency's a_hat does: backward
+    then multiplies by op itself, the same sums without the transposed read.
+    `op` and `params` must be those the trace was computed with, and
+    `reduction` is "sum" or "mean" (ValueError otherwise).
     """
+    if reduction not in ("sum", "mean"):
+        raise ValueError(f"reduction must be sum or mean, got {reduction!r}")
     n_layers = len(params.layers)
     if len(trace.activations) != n_layers:
         raise TraceMismatch(
@@ -185,17 +199,26 @@ def backward(
     d_layers = [np.broadcast_to(0.0, (width, width))] * n_layers
     d_x0 = np.zeros_like(x0)
     alpha, beta = params.alpha, params.beta
+    op_t = op if symmetric else op.T
+    if beta:  # buffers that every layer reuses
+        s_x0, g_iw, skip = np.empty_like(x0), np.empty_like(x0), np.empty_like(x0)
     for ell in range(n_layers - 1, -1, -1):
-        g = d_h * (trace.activations[ell] > 0)
-        d_s = (1.0 - alpha) * g
+        g = np.multiply(d_h, trace.activations[ell] > 0, out=d_h)
         if beta:
-            d_layers[ell] = beta * ((trace.diffused[ell] + x0).T @ g)
-            beta_g_iw = beta * (g @ trace.identity_maps[ell].T)
-            d_s += beta_g_iw
-            d_x0 += alpha * g + beta_g_iw
+            d_layers[ell] = np.add(trace.diffused[ell], x0, out=s_x0).T @ g
+            d_layers[ell] *= beta
+            np.matmul(g, trace.identity_maps[ell].T, out=g_iw)
+            g_iw *= beta
+            np.multiply(alpha, g, out=skip)
+            skip += g_iw
+            d_x0 += skip
         elif alpha:
             d_x0 += alpha * g
-        d_h = op.T @ d_s
+        if alpha:  # d_s = (1 - alpha) g + beta g (I + W)^T, formed in g's buffer
+            g *= 1.0 - alpha
+        if beta:
+            g += g_iw
+        d_h = op_t @ g
     d_x0 += d_h  # H^(0) = x0
     return [trace.raw_input.T @ d_x0, *d_layers, d_head]
 
@@ -309,7 +332,10 @@ def train(
     gamma debiases subgraph-restricted aggregation (unit gamma for stats
     None), so sampled epochs score with no trace. Full batch
     (`config.full_batch(n)`) restricts nothing, so it takes no stats, and each
-    end-of-epoch forward is also the next epoch's training forward.
+    end-of-epoch forward is also the next epoch's training forward. Its
+    backward multiplies by a_hat untransposed (`symmetric=True`), so a_hat
+    must be exactly symmetric, as normalize_adjacency returns it; sampled
+    steps multiply by step_op.T, since a_hat[b, b] * gamma is not symmetric.
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
@@ -355,7 +381,8 @@ def train(
         for step_op, x, y, labeled in steps(epoch):
             if trace is None:
                 trace = forward(params, step_op, x)
-            grads = backward(trace, params, step_op, y, labeled, config.loss_reduction)
+            grads = backward(trace, params, step_op, y, labeled, config.loss_reduction,
+                             symmetric=full_batch)
             trace = None  # release it before the next forward: one trace live at a time
             adam_step(params, grads, state, config.learning_rate)
 

@@ -12,7 +12,7 @@ from angcn.model import (
 )
 from angcn.sampler import aggregation_matrix, presample
 
-from graphs import random_adjacency
+from graphs import peak_bytes, random_adjacency
 
 
 def naive_matmul(a, b):
@@ -41,13 +41,19 @@ def diffuse(op, h):
 
 def aggregate(op, h):
     """Propagation op @ h through the full forward pass: the first layer's
-    diffusion under an identity projection."""
+    diffusion under an identity projection, as layer_forward returns it from
+    the projected input the trace holds (at beta = 0 the trace keeps no
+    diffusion); its ReLU is the forward's first activation."""
     f = h.shape[1]
     params = ModelParams(
         input_projection=np.eye(f), layers=[np.zeros((f, f))], output_head=np.eye(f),
         alpha=0.0, beta=0.0,
     )
-    return forward(params, op, h).diffused[0]
+    trace = forward(params, op, h)
+    x0 = trace.projected_input
+    s, act = layer_forward(x0, x0, op, params.layers[0], alpha=0.0, beta=0.0)
+    assert np.array_equal(trace.activations[0], act)
+    return s
 
 
 class TestFeatureDiffusion:
@@ -174,15 +180,29 @@ class TestForward:
 
     @pytest.mark.parametrize("beta", [0.0, 0.3])
     def test_trace_keeps_each_identity_map_the_layers_used(self, beta):
-        # backward reads I + W from the trace; at beta = 0 no term needs it
+        # backward reads I + W and the diffusion from the trace; at beta = 0
+        # no term needs either
         rng = np.random.default_rng(6)
         params = init_params(3, 4, 2, n_layers=3, alpha=0.1, beta=beta, rng=rng)
         trace = forward(params, normalize_adjacency(random_graph(5, 0.6, seed=6)),
                         rng.normal(size=(5, 3)))
         want = [np.eye(4) + w for w in params.layers] if beta else []
-        assert len(trace.identity_maps) == len(want)
+        assert len(trace.identity_maps) == len(trace.diffused) == len(want)
         for got, iw in zip(trace.identity_maps, want):
             assert got.tobytes() == iw.tobytes()
+
+    def test_plain_gcn_trace_holds_the_activations_alone(self):
+        # n = 300, L = 20, H = 64 at alpha = beta = 0: the trace holds x0 and the
+        # L activations, which is all backward reads there; with the L
+        # diffusions as well a forward peaked at 41.1 N x H arrays
+        n, layers, hidden = 300, 20, 64
+        rng = np.random.default_rng(17)
+        params = init_params(12, hidden, 2, layers, alpha=0.0, beta=0.0, rng=rng)
+        op = normalize_adjacency(random_graph(n, 0.05, seed=17))
+        x = rng.normal(size=(n, 12))
+        peak, trace = peak_bytes(forward, params, op, x)
+        assert peak <= 1.2 * layers * n * hidden * 8
+        assert trace.diffused == [] and len(trace.activations) == layers
 
     def test_activations_nonnegative(self):
         g = random_graph(6, 0.5, seed=5)

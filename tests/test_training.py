@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -21,7 +22,7 @@ from angcn.errors import (
     TraceMismatch,
 )
 from angcn.graph_core import normalize_adjacency
-from angcn.model import ModelParams, forward, forward_logits, init_params, predict
+from angcn.model import ModelParams, forward, forward_logits, init_params, layer_forward, predict
 from angcn.popgraph import PopulationGraphSpec, build_adjacency
 from angcn.sampler import aggregation_matrix, presample
 import angcn.training as training
@@ -97,11 +98,14 @@ class TestCrossEntropy:
 
 
 def four_term_backward(trace, params, op, onehot, labeled):
-    """Reference backward that computes every term, zero coefficients included."""
+    """Reference backward that computes every term, zero coefficients included.
+    Each layer's diffusion comes from layer_forward on the layer's input, as
+    the trace keeps none at beta = 0."""
     y_hat = predict(trace.logits)
     d_logits = np.zeros_like(y_hat)
     d_logits[labeled] = y_hat[labeled] - onehot[labeled]
     x0 = trace.projected_input
+    inputs = [x0, *trace.activations[:-1]]
     d_head = trace.activations[-1].T @ d_logits
     d_h = d_logits @ params.output_head.T
     d_layers, d_x0 = [None] * len(params.layers), np.zeros_like(x0)
@@ -109,7 +113,8 @@ def four_term_backward(trace, params, op, onehot, labeled):
     for ell in range(len(params.layers) - 1, -1, -1):
         g = d_h * (trace.activations[ell] > 0).astype(float)
         iw = np.eye(params.layers[ell].shape[0]) + params.layers[ell]
-        d_layers[ell] = beta * ((trace.diffused[ell] + x0).T @ g)
+        s, _ = layer_forward(inputs[ell], x0, op, params.layers[ell], alpha, beta)
+        d_layers[ell] = beta * ((s + x0).T @ g)
         g_iw = g @ iw.T
         d_x0 += alpha * g + beta * g_iw
         d_h = op.T @ ((1.0 - alpha) * g + beta * g_iw)
@@ -131,6 +136,34 @@ class TestBackward:
         want = four_term_backward(trace, params, op, onehot, labeled)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.1, 0.3)])
+    def test_a_hat_untransposed_gives_the_transposed_bits(self, alpha, beta):
+        # full-batch training passes symmetric=True: normalize_adjacency makes
+        # a_hat exactly symmetric, so a_hat @ d_s sums what a_hat.T @ d_s does
+        bundle = generate_synthetic(SyntheticSpec(n_subjects=300, seed=23))
+        a_hat = normalize_adjacency(build_adjacency(
+            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)))
+        assert np.array_equal(a_hat, a_hat.T)
+        rng = np.random.default_rng(23)
+        params = init_params(bundle.features.shape[1], 64, 2, 10, alpha, beta, rng)
+        onehot, labeled = np.eye(2)[bundle.labels], np.arange(0, 300, 2)
+        trace = forward(params, a_hat, bundle.features)
+        got = backward(trace, params, a_hat, onehot, labeled, symmetric=True)
+        want = backward(trace, params, a_hat, onehot, labeled)
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("reduction", ["avg", "Mean", "", None])
+    def test_unknown_reduction_is_refused_by_name(self, reduction):
+        # any value but "sum" or "mean" was read as a sum
+        params, op, x_raw, onehot, labeled = gradcheck_fixture(seed=3)
+        trace = forward(params, op, x_raw)
+        named = re.escape(repr(reduction))
+        with pytest.raises(ValueError, match=named):
+            cross_entropy(trace.logits, onehot, labeled, reduction)
+        with pytest.raises(ValueError, match=named):
+            backward(trace, params, op, onehot, labeled, reduction)
 
     def test_zero_learning_signal(self):
         # logits separated by 800 underflow the softmax to an exact one-hot,
@@ -772,6 +805,48 @@ class TestTrainTraceReuse:
         _, history, _ = train(cfg, normalize_adjacency(g), stats, bundle.features,
                               bundle.labels, idx[:30], idx[30:])
         assert self.digest(history) == want
+
+    @pytest.mark.parametrize("alpha, beta, budget, want", [
+        (0.1, 0.3, None, "fe63c3eb2ddf0d7a3b093ad23cef4948853219350cbea8f5fcb26de12e5142d1"),
+        (0.0, 0.0, None, "1398d67f62e34fc0c19845f0f5d390922e7a8e98374619c6729d2c54447f973c"),
+        (0.1, 0.3, 15, "902149079d19f390c1adfbd260839b43d07296afde4414fecc31de1fea9e8f08"),
+    ])
+    def test_depth_twenty_histories_match_digests_taken_before_buffer_reuse(
+        self, alpha, beta, budget, want
+    ):
+        # L = 20, the depth that criterion 5 sweeps, for both of its variants and
+        # sampled steps; recorded when each product and elementwise term had its
+        # own array, the beta = 0 trace kept the diffusions, and every step
+        # multiplied by op.T. Sampled steps still do: a_hat[b, b] * gamma is
+        # not symmetric
+        bundle, g, idx = self.setup()
+        cfg = TrainConfig(max_epochs=12, patience=12, layers=20, hidden_dim=8, seed=9,
+                          alpha=alpha, beta=beta, batch_budget=budget, sampler_runs=30)
+        stats = None if budget is None else presample(len(g), runs=30, budget=budget, seed=9)
+        _, history, _ = train(cfg, normalize_adjacency(g), stats, bundle.features,
+                              bundle.labels, idx[:30], idx[30:])
+        assert self.digest(history) == want
+
+    @pytest.mark.parametrize("budget, symmetric", [(None, True), (15, False)])
+    def test_only_full_batch_steps_multiply_by_a_hat_untransposed(
+        self, monkeypatch, budget, symmetric
+    ):
+        bundle, g, idx = self.setup()
+        promised = []
+        real = training.backward
+
+        def recorded(*args, **kwargs):
+            promised.append(kwargs.get("symmetric", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "backward", recorded)
+        cfg = TrainConfig(max_epochs=2, patience=2, layers=2, hidden_dim=8, seed=9,
+                          batch_budget=budget, sampler_runs=30)
+        stats = None if budget is None else presample(len(g), runs=30, budget=budget, seed=9)
+        train(cfg, normalize_adjacency(g), stats, bundle.features, bundle.labels,
+              idx[:36], idx[36:])
+        assert promised and set(promised) == {symmetric}
+
 
 class TestNonFiniteLoss:
     @staticmethod
