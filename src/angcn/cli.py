@@ -12,6 +12,7 @@ and are written atomically.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -298,7 +299,7 @@ def _cmd_sample_stats(args) -> int:
     a, _ = _graph_for(bundle, features, args.sigma, args.adjacency)
     budget = args.budget if args.budget is not None else -(-len(a) // 2)
     stats = presample(len(a), runs=args.runs, budget=budget, seed=args.seed)
-    dataio._atomic_write(Path(args.out), stats.to_json(a) + "\n")
+    dataio._atomic_write(Path(args.out), itertools.chain(stats.json_chunks(a), ["\n"]))
     print(f"wrote {args.out} (runs={stats.runs}, budget={budget})")
     return 0
 

@@ -186,9 +186,13 @@ def save_bundle(bundle: DatasetBundle, directory: str | Path) -> None:
     _atomic_write(directory / "labels.csv", "\n".join(lines) + "\n")
 
 
-# Rows of a numeric table that _read_csv parses per _number_array call: about this
-# many cells, so reading holds one block of cell strings besides the parsed rows.
+# Rows of a numeric table that the block parser hands _number_array at a time:
+# about this many cells, so reading holds one block of cell strings besides the
+# parsed rows.
 _BLOCK_CELLS = 2 ** 12
+# Characters of a numeric table that _loadtxt_table checks at a time, read on
+# to the end of a line.
+_BLOCK_CHARS = 2 ** 16
 
 
 def _read_csv(path: Path, head: list[str], numeric: bool = False, ints: int = 0):
@@ -199,18 +203,24 @@ def _read_csv(path: Path, head: list[str], numeric: bool = False, ints: int = 0)
     `position` maps them to their row index, in file order. Every row must
     have one cell per header column. A text table comes back as its rows,
     lists of cell strings. A numeric table comes back as one float64 array of
-    the cells after subject_id, the first `ints` columns integers, parsed by
-    `_number_array` a block of about `_BLOCK_CELLS` cells at a time into that
-    array (sized by a first pass over the lines), so no whole-file list of rows,
-    cell strings or parsed blocks is held. ParseError or SchemaMismatch names
-    the file and line of the first fault; of faults on two lines, the earlier
-    line's.
+    the cells after subject_id, the first `ints` columns integers.
+
+    A numeric table is read by np.loadtxt (`_loadtxt_table`) wherever that
+    gives the same array; anything else, a bad cell or row included, is read
+    again by the block parser: `_number_array` parses a block of about
+    `_BLOCK_CELLS` cells at a time into the array (sized by a first pass over
+    the lines), so no whole-file list of rows, cell strings or parsed blocks
+    is held. ParseError or SchemaMismatch names the file and line of the
+    first fault; of faults on two lines, the earlier line's.
     """
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     with fh:
+        if numeric and (table := _loadtxt_table(fh, path, head, ints)) is not None:
+            return table
+        fh.seek(0)
         lines = sum(1 for _ in fh) if numeric else 0   # each row takes at least one
         fh.seek(0)
         reader = csv.reader(fh)
@@ -250,6 +260,67 @@ def _read_csv(path: Path, head: list[str], numeric: bool = False, ints: int = 0)
             return header, position, rows
         parse(rows, first_line)
     return header, position, out[:first_line - 2 + len(rows)]
+
+
+def _loadtxt_table(fh, path: Path, head: list[str], ints: int):
+    """`_read_csv`'s (header, position, table) of the numeric CSV file open as
+    `fh`, parsed by np.loadtxt, or None where the block parser must read it.
+
+    One pass over `fh`, `_BLOCK_CHARS` at a time and read on to a line end,
+    checks the header, counts the lines and collects the subject_ids. A
+    blank line, a quote, a carriage return, a missing final newline, a
+    repeated subject_id, a block whose commas are not the header's count per
+    line, or no data line at all gives None. np.loadtxt then streams the file
+    from its path, without comments or quotes, the first `ints` columns as
+    int64; it refuses a line with too few cells, so with the comma count no
+    line has too many. Where it raises, or a value is not finite, the result
+    is None too. What np.loadtxt accepts, float() and int() parse to the same
+    value, and it refuses some spellings they take (1_000, non-ASCII digits),
+    so every file read here is read to the same array by the block parser.
+    """
+    subjects = head[0] == "subject_id"
+    ids: list[str] = []
+    rows = 0
+    try:
+        line = fh.readline()
+        header = line[:-1].split(",")
+        width = len(header)
+        if (not line.endswith("\n") or '"' in line or "\r" in line or width == subjects
+                or (header[:len(head)] if subjects else header) != head):
+            return None
+        while block := fh.read(_BLOCK_CHARS):
+            block += fh.readline()
+            lines = block.count("\n")
+            if (not block.endswith("\n") or '"' in block or "\r" in block
+                    or block.count(",") != lines * (width - 1)):
+                return None
+            start = 0
+            while subjects and start < len(block):   # each line's first cell
+                end = block.index("\n", start) + 1
+                ids.append(block[start:block.find(",", start, end)])
+                start = end
+            rows += lines
+    except UnicodeDecodeError:
+        return None
+    position = {sid: r for r, sid in enumerate(ids)}
+    if rows == 0 or subjects and len(position) != rows:
+        return None
+    # a file object would be read line by line; its path is read in large chunks
+    dtype = ([(f"c{c}", np.int64 if c < ints else np.float64) for c in range(width - subjects)]
+             if ints else np.float64)
+    try:
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                           usecols=range(1, width) if subjects else None,
+                           ndmin=1 if ints else 2)
+    except Exception:   # a bad cell, or a name it opens as compressed (.gz, .xz, ...)
+        return None
+    if ints:
+        records, table = table, np.empty((len(table), width - subjects))
+        for c, name in enumerate(records.dtype.names):
+            table[:, c] = records[name]
+    if len(table) != rows or not np.isfinite(table).all():
+        return None
+    return header, position, table
 
 
 def _parse_cell(cell: str, path: Path, line: int, column: str, cast=float):
@@ -304,8 +375,10 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
 
     Subjects follow the row order of features.csv; phenotypes.csv and
     labels.csv are joined to it on subject_id, so their row order is free.
-    features.csv is parsed a block of rows at a time into float64 (`_read_csv`),
-    so reading it holds little more than the returned array.
+    features.csv is streamed into float64 by np.loadtxt, or, where that cannot
+    give the same array (a bad cell among them), by the block parser, which
+    names the fault (`_read_csv`): reading it holds little more than the
+    returned array.
     """
     directory = Path(directory)
 
@@ -370,9 +443,10 @@ def save_adjacency(a: np.ndarray, path: str | Path) -> None:
 def load_adjacency(path: str | Path, n: int) -> np.ndarray:
     """The n x n adjacency matrix of the file: inverse of save_adjacency. Each
     row holds exactly an integer i and j and a finite weight, else ParseError
-    names the file, line and column (`_read_csv`); the first edge that is not
-    0 <= i < j < n, repeats an earlier one or has a negative weight raises
-    ParseError naming the file, line and edge."""
+    names the file, line and column; a clean file is read by np.loadtxt, i and
+    j as int64, and any other by the block parser (`_read_csv`). The first
+    edge that is not 0 <= i < j < n, repeats an earlier one or has a negative
+    weight raises ParseError naming the file, line and edge."""
     _, _, edges = _read_csv(Path(path), ["i", "j", "weight"], numeric=True, ints=2)
     i, j, w = edges.T
     out_of_range = ~((0 <= i) & (i < j) & (j < n))

@@ -197,6 +197,7 @@ def forward_logits(params: ModelParams, op: np.ndarray, x_raw: np.ndarray,
             if beta:
                 trace.diffused.append(s)
                 trace.identity_maps.append(iw)
+        del s   # else it would live on through the next layer's call
     return h @ params.output_head
 
 

@@ -13,6 +13,7 @@ elimination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
@@ -85,9 +86,11 @@ class PopulationGraphSpec:
     1 - Pearson r between feature rows, once; ShapeMismatch refuses fewer than
     3 feature columns, and DegenerateVector names a subject whose feature row
     is constant. sigma=None resolves to the median heuristic, the median of
-    the distances over all pairs i < j, so `sigma` is always the width
-    build_adjacency uses. A width that is not > 0 (NaN included) raises
-    NonPositiveSigma. A spec builds one graph: build_adjacency takes `distances` over.
+    the distances over all pairs i < j (`_median`: np.median's bits from a
+    one-pivot partition), so `sigma` is always the width build_adjacency
+    uses. A width that is not > 0 (NaN included, as from a NaN distance)
+    raises NonPositiveSigma. A spec builds one graph: build_adjacency takes
+    `distances` over.
     """
 
     features: np.ndarray
@@ -113,9 +116,20 @@ class PopulationGraphSpec:
         self.distances = _correlation_distances(self.features)
         if self.sigma is None:   # one buffer of the pairs i < j, gathered row by row
             upper = np.concatenate([self.distances[i, i + 1:] for i in range(n - 1)])
-            self.sigma = float(np.median(upper, overwrite_input=True))
+            self.sigma = _median(upper)
         if not self.sigma > 0:
             raise NonPositiveSigma(f"sigma must be > 0, got {self.sigma}")
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of `values`, the same bits, from a one-pivot partition of
+    them in place: the middle value, or for an even count the mean of it and
+    the largest value below it. NaN if any value is NaN."""
+    k = len(values) // 2
+    values.partition(k)   # NaN sorts last, so any NaN lands in values[k:]
+    if np.isnan(values[k:].max()):
+        return math.nan
+    return float(values[k] if len(values) % 2 else np.mean([values[:k].max(), values[k]]))
 
 
 def _correlation_distances(features: np.ndarray) -> np.ndarray:

@@ -12,12 +12,13 @@ them, for the edges of a given graph.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import BudgetOutOfRange, EmptyStats
+from .graph_core import _BLOCK_ROWS
 
 
 @dataclass
@@ -32,17 +33,28 @@ class AggregationStats:
         return self.membership.shape[0]
 
     def to_json(self, a: np.ndarray) -> str:
-        """The stats.json text: runs, C_i, and [i, j, C_ij] rows for every edge
-        (nonzero entry i < j) of the adjacency matrix a plus one (i, i) row
-        per node, sorted by (i, j)."""
-        i, j = np.nonzero(np.triu(a != 0, k=1) | np.eye(len(a), dtype=bool))
-        pair_counts = (self.membership.T @ self.membership).astype(np.int64)
-        payload = {
-            "runs": self.runs,
-            "node_counts": np.diagonal(pair_counts).tolist(),
-            "edge_counts": np.stack([i, j, pair_counts[i, j]], axis=1).tolist(),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        """The stats.json text of `json_chunks` as one string."""
+        return "".join(self.json_chunks(a))
+
+    def json_chunks(self, a: np.ndarray) -> Iterator[str]:
+        """The stats.json text, json.dumps(payload, indent=2, sort_keys=True)
+        of the payload {runs, node_counts: C_i, edge_counts: [i, j, C_ij] for
+        every edge (nonzero entry i < j) of the adjacency matrix a and each
+        (i, i), sorted by (i, j)}, one matrix row's edges at a time. C_ij is
+        formed `_BLOCK_ROWS` rows at a time, as S[:, rows]^T S, so no N x N
+        array and no whole-payload text is made."""
+        s = self.membership
+        node_counts: list[str] = []
+        yield '{\n  "edge_counts": ['
+        for start in range(0, len(a), _BLOCK_ROWS):
+            counts = (s[:, start:start + _BLOCK_ROWS].T @ s).astype(np.int64)
+            for i, row in enumerate(counts, start):
+                cols = [i, *(np.flatnonzero(a[i, i + 1:]) + (i + 1)).tolist()]
+                node_counts.append(f"\n    {row[i]}")
+                yield ("," if i else "") + ",".join(
+                    f"\n    [\n      {i},\n      {j},\n      {c}\n    ]"
+                    for j, c in zip(cols, row[cols].tolist()))
+        yield f'\n  ],\n  "node_counts": [{",".join(node_counts)}\n  ],\n  "runs": {self.runs}\n}}'
 
 
 def sample_node_subgraph(n: int, budget: int, rng: np.random.Generator) -> np.ndarray:

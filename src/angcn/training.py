@@ -249,12 +249,22 @@ def adam_step(
         theta -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order, as np.unique returns them, from
+    a sort and a mask: plain np.unique imports numpy.ma (numpy 2.4)."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def stratified_kfold(labels: Sequence[int], k: int, seed: int) -> list[np.ndarray]:
-    """k disjoint folds covering all indices, class proportions off by <= 1."""
+    """k disjoint folds covering all indices, class proportions off by <= 1;
+    the classes are taken in ascending order (`_distinct`)."""
     labels = np.asarray(labels, dtype=int)
     folds: list[list[int]] = [[] for _ in range(k)]
     rng = np.random.default_rng([seed, 11])
-    for cls in np.unique(labels):
+    for cls in _distinct(labels):
         idx = np.flatnonzero(labels == cls)
         if idx.size < k:
             raise ClassTooSmall(f"class {cls} has {idx.size} members, needs >= {k}")
@@ -267,16 +277,18 @@ def stratified_kfold(labels: Sequence[int], k: int, seed: int) -> list[np.ndarra
 def stratified_holdout(
     labels: Sequence[int], pool: np.ndarray, frac: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split `pool` into (rest, held-out) keeping at least one of each class held out."""
+    """Split `pool` into (rest, held-out) keeping at least one of each class
+    held out; both come back sorted, and `rest` holds each index once, as
+    np.setdiff1d returns it (formed by `_distinct` and np.isin)."""
     labels = np.asarray(labels, dtype=int)
     rng = np.random.default_rng([seed, 13])
     held: list[int] = []
-    for cls in np.unique(labels[pool]):
+    for cls in _distinct(labels[pool]):
         idx = pool[labels[pool] == cls]
         take = max(1, int(round(frac * idx.size)))
         held.extend(int(v) for v in rng.permutation(idx)[:take])
     held_arr = np.sort(np.array(held, dtype=int))
-    rest = np.setdiff1d(pool, held_arr)
+    rest = _distinct(pool[~np.isin(pool, held_arr)])
     return rest, held_arr
 
 
@@ -339,7 +351,7 @@ def train(
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
-    if np.intersect1d(train_idx, val_idx).size:
+    if np.isin(train_idx, val_idx).any():
         raise ValueError("train and validation index sets must be disjoint")
     features = np.asarray(features, dtype=float)
     labels_oh = one_hot(labels)
@@ -568,7 +580,7 @@ def cross_validate(
         raise ShapeMismatch(f"stats cover {stats.membership.shape[1]} nodes, the graph {n}")
     tasks = []
     for f, test_idx in enumerate(stratified_kfold(labels, config.folds, config.seed)):
-        pool = np.setdiff1d(np.arange(n), test_idx)
+        pool = np.flatnonzero(~np.isin(np.arange(n), test_idx))
         fold_seed = int(np.random.SeedSequence([config.seed, 17, f]).generate_state(1)[0])
         tr_idx, val_idx = stratified_holdout(labels, pool, VALIDATION_FRACTION, fold_seed)
         tasks.append((f, replace(config, seed=fold_seed), test_idx, tr_idx, val_idx))

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import runpy
 import shutil
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +16,7 @@ from angcn.cli import cli_run
 from angcn.data import (
     SyntheticSpec, generate_synthetic, graph_digest, load_adjacency, load_bundle, save_adjacency,
 )
+from angcn.sampler import presample
 from angcn.training import TrainConfig
 
 from graphs import peak_bytes
@@ -197,6 +200,25 @@ class TestSampleStats:
         assert len(stats["node_counts"]) == 48
         assert all(0 <= c <= 40 for c in stats["node_counts"])
         assert all(len(row) == 3 for row in stats["edge_counts"])
+
+    def test_holds_no_n_by_n_array_but_the_graph(self, data_dir, tmp_path, monkeypatch):
+        # n = 1000 at 40% density, --runs 200 --budget 500: the whole S^T S, a
+        # bool mask, .tolist() and one json.dumps of the payload peaked at
+        # 13.1 N^2*8 bytes; a block of rows' counts at a time, written as
+        # formed, leaves S (0.2 N^2*8)
+        n, rng = 1000, np.random.default_rng(1)
+        i, j = np.triu_indices(n, k=1)
+        keep = rng.uniform(size=len(i)) < 0.4
+        a = np.zeros((n, n))
+        a[i[keep], j[keep]] = a[j[keep], i[keep]] = rng.uniform(0.01, 2.0, int(keep.sum()))
+        monkeypatch.setattr(cli, "_graph_for", lambda *args: (a, None))   # made untraced
+        out = tmp_path / "stats.json"
+        peak, rc = peak_bytes(cli_run, ["sample-stats", "--data", str(data_dir), "--out",
+                                        str(out), "--runs", "200", "--budget", "500"])
+        assert rc == 0
+        assert peak <= n * n * 8
+        stats = presample(n, runs=200, budget=500, seed=0)
+        assert out.read_text() == stats.to_json(a) + "\n"
 
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_fewer_than_one_run_fails(self, data_dir, tmp_path, capsys, runs):
@@ -709,6 +731,40 @@ class TestConfigPrecedence:
                       "--config", str(config)])
         assert rc == 1
         assert "learning_rat" in capsys.readouterr().err
+
+
+NUMPY_MA_PROBE = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    sys.exit("bare")
+from angcn import cli, training
+training.fold_workers = lambda folds: 1   # the folds train here, so their imports show
+data, out = sys.argv[1:]
+fast = ["--folds", "3", "--epochs", "3", "--patience", "3", "--layers", "2", "--hidden", "8"]
+for argv in (["train", "--data", data, "--out", out + "/full", *fast],
+             ["train", "--data", data, "--out", out + "/sampled", *fast,
+              "--batch-budget", "24", "--sampler-runs", "10"],
+             ["eval", "--checkpoint", out + "/full/checkpoint_fold0.json", "--data", data,
+              "--out", out + "/eval.json"],
+             ["sweep-depth", "--data", data, "--out", out + "/depth.csv", "--depths", "2",
+              *fast]):
+    assert cli.cli_run(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_no_command_imports_numpy_ma(data_dir, tmp_path):
+    # numpy.ma costs ~5 ms and ~1 MB at import; in numpy 2.4 plain np.unique,
+    # np.setdiff1d, np.intersect1d and a float np.median import it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, str(data_dir), str(tmp_path)],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    if result.stderr.strip() == "bare":
+        pytest.skip("importing numpy alone loads numpy.ma")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 class TestFullPipelineDemo:

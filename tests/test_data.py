@@ -7,6 +7,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from angcn import data as dataio
 from angcn.data import (
     _BLOCK_CELLS,
     Checkpoint,
@@ -415,6 +416,179 @@ class TestBlockBoundaries:
             with pytest.raises(ParseError, match=f"adjacency.csv: line {line}, column 'weight': "
                                                  "'nan' is not finite"):
                 load_adjacency(path, n=n)
+
+
+def feature_text(n=22, seed=8):
+    """features.csv of a small synthetic bundle, as save_bundle writes it."""
+    features = generate_synthetic(SyntheticSpec(n_subjects=n, n_roi=5, seed=seed)).features
+    return ("subject_id," + ",".join(f"f{k}" for k in range(features.shape[1])) + "\n"
+            + "".join(f"{i}," + ",".join(map(repr, row)) + "\n"
+                      for i, row in enumerate(features.tolist())))
+
+
+def with_cell(text, line, column, value):
+    """`text` with one cell replaced (line 1 is the header, column a 0-based index)."""
+    lines = text.split("\n")
+    cells = lines[line - 1].split(",")
+    cells[column] = value
+    lines[line - 1] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def with_line(text, line, value):
+    """`text` with `value` inserted as line `line`."""
+    lines = text.split("\n")
+    return "\n".join(lines[:line - 1] + [value] + lines[line - 1:])
+
+
+def without_last_cell(text, line):
+    """`text` with the last cell of line `line` dropped."""
+    lines = text.split("\n")
+    lines[line - 1] = lines[line - 1].rsplit(",", 1)[0]
+    return "\n".join(lines)
+
+
+def block_boundary_features(extra, bad=False, spellings=FLOAT_SPELLINGS):
+    """The file of TestBlockBoundaries.test_features_match_a_per_cell_parse."""
+    f = 7
+    n = rows_per_block(1 + f) + extra
+    rng = np.random.default_rng(n)
+    cells = [[repr(x) for x in rng.normal(size=f).tolist()] for _ in range(n)]
+    for r, spelling in enumerate(spellings):
+        cells[n - 1 - 2 * r][r] = spelling
+    text = ("subject_id," + ",".join(f"f{k}" for k in range(f)) + "\n"
+            + "".join(f"{r}," + ",".join(row) + "\n" for r, row in enumerate(cells)))
+    return with_cell(text, rows_per_block(1 + f) + 2, 5, "oops") if bad else text
+
+
+def block_boundary_edges(extra, bad=False, spellings=FLOAT_SPELLINGS[:3] + FLOAT_SPELLINGS[4:]):
+    """The file of TestBlockBoundaries.test_adjacency_matches_a_per_cell_parse."""
+    e = rows_per_block(3) + extra
+    rng = np.random.default_rng(e)
+    i, j = np.triu_indices(120, k=1)
+    cells = [[str(a), str(b), repr(w)]
+             for a, b, w in zip(i[:e].tolist(), j[:e].tolist(), rng.uniform(size=e).tolist())]
+    for r, spelling in enumerate(spellings):
+        cells[e - 1 - r][2] = spelling
+    for r, prefix in enumerate(INT_PREFIXES):
+        cells[e - 1 - r][0] = prefix + cells[e - 1 - r][0]
+    text = "i,j,weight\n" + "".join(",".join(row) + "\n" for row in cells)
+    return with_cell(text, rows_per_block(3) + 2, 2, "nan") if bad else text
+
+
+# The spellings that np.loadtxt parses too; "1_000.25" only float() takes.
+LOADTXT_SPELLINGS = [x for x in FLOAT_SPELLINGS if "_" not in x]
+FEATURES = feature_text()
+FEATURES_60 = feature_text(60, seed=3)
+
+
+def narrow(text, columns):
+    """`text` with the first `columns` feature columns kept, as
+    test_graph_from_fewer_than_three_columns_says_why cuts features.csv."""
+    return "".join(",".join(line.split(",")[:1 + columns]) + "\n" for line in text.splitlines())
+
+
+EDGES = "i,j,weight\n0,1,1.0\n0,2,0.5\n1,2,2.0\n"
+# Files that np.loadtxt reads to the block parser's array.
+FAST_FILES = {
+    "features": FEATURES,
+    "features-60": FEATURES_60,
+    **{f"features-60-{columns}-columns": narrow(FEATURES_60, columns) for columns in (1, 2)},
+    **{f"features-block-{extra}": block_boundary_features(extra, spellings=LOADTXT_SPELLINGS)
+       for extra in (-1, 0, 1)},
+    "features-spellings": with_cell(with_cell(FEATURES, 3, 1, "+57"), 4, 2, " 057"),
+    "features-three-columns": narrow(FEATURES, 3),
+    "features-hash-in-an-id": with_cell(FEATURES, 3, 0, "#7"),
+    "edges": EDGES,
+    **{f"edges-block-{extra}": block_boundary_edges(extra, spellings=LOADTXT_SPELLINGS)
+       for extra in (-1, 0, 1)},
+    "edges-spellings": "i,j,weight\n+0,057,+.5\n 1,2,1E3\n0,2 ,5e-324\n",
+}
+# Files that the block parser reads: refused by it, or read past np.loadtxt.
+SLOW_FILES = {
+    **{f"features-{value}": with_cell(FEATURES, 6, 4, value)
+       for value in ("nan", "inf", "-inf", "1e400", "not-a-number", "1_000.25", "\u0661",
+                     "", '"1.5"', "1.5#")},
+    "features-duplicate-id": with_cell(FEATURES, 5, 0, "1"),
+    "features-header": "id,f0" + FEATURES[FEATURES.index("\n"):],
+    "features-blank-line": with_line(FEATURES, 5, ""),
+    "features-blank-last-line": FEATURES + "\n",
+    "features-quoted-id": with_cell(FEATURES, 3, 0, '"7"'),
+    "features-missing-cell": without_last_cell(FEATURES, 4),
+    "features-extra-cell": with_cell(FEATURES, 4, 3, "1.0,2.0"),
+    # the commas add up to the header's count: np.loadtxt refuses the short line
+    "features-extra-and-missing-cell": without_last_cell(with_cell(FEATURES, 4, 3, "1.0,2.0"), 7),
+    "features-cr": FEATURES.replace("\n", "\r"),
+    "features-crlf": FEATURES.replace("\n", "\r\n"),
+    "features-no-final-newline": FEATURES[:-1],
+    "features-60-subject-only": narrow(FEATURES_60, 0),
+    "features-empty": "",
+    "features-header-only": FEATURES[:FEATURES.index("\n") + 1],
+    **{f"features-block-underscore-{extra}": block_boundary_features(extra)
+       for extra in (-1, 0, 1)},
+    "features-block-bad": block_boundary_features(1, bad=True),
+    **{f"edges-row-{k}": f"i,j,weight\n0,1,1.0\n{row}\n" for k, row in enumerate(
+        ["0,x,1.0", "1.5,2,1.0", "0,2", "0,2,heavy", "0,1,1.0,junk", "0,99999999999999999999,1.0",
+         "1,2,nan", "1,2,inf", "1,2,-inf", "1e0,2,1.0", "1_0,2,1.0", "\u0661,2,1.0", "0,2,#1",
+         '0,2,"1"', "", " "])},
+    **{f"edges-first-fault-{k}": "i,j,weight\n0,1,1.0\n" + "".join(row + "\n" for row in rows)
+       for k, rows in enumerate([["0,x,1.0", "0,2,1.0", "0,3"], ["0,3", "0,2,1.0", "0,x,1.0"],
+                                 ["0,2,1.0,junk", "0,3,nan"]])},
+    "edges-header": "a,b,c\n0,1,2.0\n",
+    "edges-comment-line": EDGES + "# a comment\n",
+    "edges-blank-line": with_line(EDGES, 3, ""),
+    "edges-cr": EDGES.replace("\n", "\r"),
+    "edges-crlf": EDGES.replace("\n", "\r\n"),
+    "edges-no-final-newline": EDGES[:-1],
+    "edges-header-only": "i,j,weight\n",
+    "edges-header-without-newline": "i,j,weight",
+    **{f"edges-block-underscore-{extra}": block_boundary_edges(extra) for extra in (-1, 0, 1)},
+    "edges-block-bad": block_boundary_edges(1, bad=True),
+}
+
+
+class TestLoadtxtPath:
+    """np.loadtxt reads a clean numeric file; everything else is read again by
+    the block parser, which names the fault. Both must agree on every file."""
+
+    @staticmethod
+    def read(path, head, ints):
+        """_read_csv's header, positions and table (shape and bytes), or its error."""
+        try:
+            header, position, table = dataio._read_csv(path, head, numeric=True, ints=ints)
+            return header, position, table.shape, table.tobytes()
+        except (ParseError, SchemaMismatch) as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("name", [*FAST_FILES, *SLOW_FILES])
+    def test_loadtxt_and_the_block_parser_agree(self, tmp_path, monkeypatch, name):
+        text = FAST_FILES.get(name, SLOW_FILES.get(name))
+        path = tmp_path / "table.csv"
+        path.write_bytes(text.encode())
+        head, ints = (["subject_id"], 0) if name.startswith("features") else (["i", "j", "weight"], 2)
+        with open(path, newline="") as fh:
+            fast = dataio._loadtxt_table(fh, path, head, ints)
+        assert (fast is not None) == (name in FAST_FILES)
+        got = self.read(path, head, ints)
+        monkeypatch.setattr(dataio, "_loadtxt_table", lambda *args: None)
+        assert got == self.read(path, head, ints)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_a_text_file_with_a_compressed_suffix_reads_as_text(self, tmp_path, suffix):
+        # np.loadtxt opens a path ending in .gz, .bz2 or .xz as compressed
+        path = tmp_path / f"adjacency.csv{suffix}"
+        path.write_text(EDGES)
+        want = adjacency(3, ((0, 1, 1.0), (0, 2, 0.5), (1, 2, 2.0)))
+        assert load_adjacency(path, n=3).tobytes() == want.tobytes()
+
+    def test_a_written_graph_is_read_by_loadtxt(self, tmp_path):
+        a = adjacency(5, ((0, 1, 0.25), (1, 3, 1.75), (2, 4, 5e-324), (0, 4, -0.0 + 3.0)))
+        path = tmp_path / "adjacency.csv"
+        save_adjacency(a, path)
+        with open(path, newline="") as fh:
+            _, position, table = dataio._loadtxt_table(fh, path, ["i", "j", "weight"], 2)
+        assert position == {}
+        assert table.tolist() == [[0, 1, 0.25], [0, 4, 3.0], [1, 3, 1.75], [2, 4, 5e-324]]
 
 
 class TestCheckpoint:

@@ -154,6 +154,47 @@ class TestKernelSimilarity:
             two_subject_spec(*self.UNCORRELATED, sigma=float("nan"))
 
 
+class TestMedianSigma:
+    # the median heuristic comes from a one-pivot partition of the pairs i < j,
+    # not np.median (whose float path imports numpy.ma and partitions at two
+    # or three pivots); it must give np.median's bits
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])   # 1, 3, 6, 10, 15 and 21 pairs
+    def test_bits_match_np_median(self, n):
+        measures = [PhenotypicMeasure("g", QUALITATIVE, ("a",) * n)]
+        for seed in range(20):
+            features = np.random.default_rng([n, seed]).normal(size=(n, 5))
+            spec = PopulationGraphSpec(features=features, measures=measures)
+            upper = np.concatenate([spec.distances[i, i + 1:] for i in range(n - 1)])
+            assert np.float64(spec.sigma).tobytes() == np.median(upper).tobytes()
+
+    def test_bits_match_np_median_on_a_paper_scale_bundle(self):
+        from angcn.data import SyntheticSpec, generate_synthetic
+        bundle = generate_synthetic(SyntheticSpec(n_subjects=300, seed=0))
+        spec = PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
+        upper = spec.distances[np.triu_indices(300, k=1)]   # 44,850 pairs: an even count
+        assert np.float64(spec.sigma).tobytes() == np.median(upper).tobytes()
+        spec = PopulationGraphSpec(features=bundle.features[1:], measures=[
+            PhenotypicMeasure(m.name, m.kind, m.values[1:], m.tau) for m in bundle.phenotypes])
+        upper = spec.distances[np.triu_indices(299, k=1)]   # 44,551 pairs: an odd count
+        assert np.float64(spec.sigma).tobytes() == np.median(upper).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 6])
+    def test_one_nan_gives_nan(self, size):
+        from angcn.popgraph import _median
+        for at in range(size):
+            values = np.arange(size, dtype=float)
+            values[at] = np.nan
+            assert math.isnan(_median(values))
+
+    def test_nan_distances_raise(self):
+        features = np.random.default_rng(3).normal(size=(6, 5))
+        features[2, 1] = np.nan
+        measures = [PhenotypicMeasure("g", QUALITATIVE, ("a",) * 6)]
+        with pytest.raises(NonPositiveSigma, match="got nan"):
+            PopulationGraphSpec(features=features, measures=measures)
+
+
 class TestPhenotypicDistance:
     def test_qualitative_equal(self):
         m = PhenotypicMeasure(name="gender", kind=QUALITATIVE, values=("F", "F", "M"))

@@ -299,6 +299,22 @@ class TestDeterminismAndExport:
         keys = sorted(edge_pairs(g) + [(v, v) for v in range(len(g))])
         assert back["edge_counts"] == [[i, j, pair_counts(stats)[i, j]] for i, j in keys]
 
+    @pytest.mark.parametrize("n, p, budget", [(60, 0.3, 20), (60, 0.0, 20), (70, 0.5, 70),
+                                              (1, 0.0, 1)],
+                             ids=["n60", "edgeless", "two-blocks-exhaustive", "one-node"])
+    def test_chunks_are_the_whole_payload_dump(self, n, p, budget):
+        # stats.json was json.dumps of a payload read off the whole S^T S; the
+        # chunks, formed a block of rows at a time, must be the same bytes
+        g = random_adjacency(n, p, seed=n, low=0.5, high=2.0)
+        stats = presample(n, runs=30, budget=budget, seed=6)
+        i, j = np.nonzero(np.triu(g != 0, k=1) | np.eye(n, dtype=bool))
+        counts = pair_counts(stats)
+        payload = {"runs": stats.runs, "node_counts": np.diagonal(counts).tolist(),
+                   "edge_counts": np.stack([i, j, counts[i, j]], axis=1).tolist()}
+        chunks = list(stats.json_chunks(g))
+        assert len(chunks) == n + 2   # one per matrix row between the opening and closing
+        assert "".join(chunks) == json.dumps(payload, indent=2, sort_keys=True)
+
 
 class TestMinibatches:
     # training uses each sample as one minibatch, in sampler order
