@@ -272,7 +272,8 @@ def _loadtxt_table(fh, path: Path, head: list[str], ints: int):
     repeated subject_id, a block whose commas are not the header's count per
     line, or no data line at all gives None. np.loadtxt then streams the file
     from its path, without comments or quotes, the first `ints` columns as
-    int64; it refuses a line with too few cells, so with the comma count no
+    int64 fields, which become float64 in place: the record buffer is the
+    table. It refuses a line with too few cells, so with the comma count no
     line has too many. Where it raises, or a value is not finite, the result
     is None too. What np.loadtxt accepts, float() and int() parse to the same
     value, and it refuses some spellings they take (1_000, non-ASCII digits),
@@ -314,10 +315,10 @@ def _loadtxt_table(fh, path: Path, head: list[str], ints: int):
                            ndmin=1 if ints else 2)
     except Exception:   # a bad cell, or a name it opens as compressed (.gz, .xz, ...)
         return None
-    if ints:
-        records, table = table, np.empty((len(table), width - subjects))
-        for c, name in enumerate(records.dtype.names):
-            table[:, c] = records[name]
+    if ints:   # each int64 field becomes float64 in place: the records are the table
+        records, table = table, table.view(np.float64).reshape(len(table), width - subjects)
+        for c in range(ints):
+            table[:, c] = records[f"c{c}"]
     if len(table) != rows or not np.isfinite(table).all():
         return None
     return header, position, table
@@ -451,8 +452,10 @@ def load_adjacency(path: str | Path, n: int) -> np.ndarray:
     i, j, w = edges.T
     out_of_range = ~((0 <= i) & (i < j) & (j < n))
     key = np.where(out_of_range, -1.0, i * n + j)
-    duplicate = np.ones(len(key), dtype=bool)
-    duplicate[np.unique(key, return_index=True)[1]] = False   # each key's first row
+    duplicate = np.zeros(len(key), dtype=bool)
+    if not (key[1:] > key[:-1]).all():   # keys that increase, as written, repeat none
+        duplicate[:] = True
+        duplicate[np.unique(key, return_index=True)[1]] = False   # each key's first row
     bad = out_of_range | duplicate | (w < 0)
     if bad.any():
         k = int(np.argmax(bad))

@@ -123,15 +123,15 @@ def layer_forward(
     w: np.ndarray,
     alpha: float,
     beta: float,
-    iw: np.ndarray | None = None,
-    alpha_x0: np.ndarray | None = None,
+    iw: np.ndarray | None,
+    alpha_x0: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One propagation layer; returns (diffusion op @ h, ReLU output).
 
-    `iw` = I + W and `alpha_x0` = alpha * x0 are formed here unless the
-    caller passes them: a forward forms each once. Terms with a zero
-    coefficient are skipped, so at alpha = beta = 0 the output is exactly
-    ReLU(op @ h), the plain GCN layer, and no array but those two is made.
+    The caller forms `iw` = I + W (read only at beta != 0) and `alpha_x0` =
+    alpha * x0 (read only at alpha != 0): a forward forms each once. Terms
+    with a zero coefficient are skipped, so at alpha = beta = 0 the output is
+    exactly ReLU(op @ h), the plain GCN layer, and no array but those two is made.
     Otherwise s (I + W) and x0 (I + W) share one N x H buffer, each scaled by
     beta in place before it is added to `pre`.
     """
@@ -144,13 +144,11 @@ def layer_forward(
         return s, np.maximum(s, 0.0)
     pre = (1.0 - alpha) * s
     if beta:
-        if iw is None:
-            iw = np.eye(len(w)) + w
         term = np.matmul(s, iw)
         term *= beta
         pre += term
     if alpha:
-        pre += alpha * x0 if alpha_x0 is None else alpha_x0
+        pre += alpha_x0
     if beta:
         np.matmul(x0, iw, out=term)
         term *= beta

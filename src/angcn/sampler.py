@@ -32,10 +32,6 @@ class AggregationStats:
     def runs(self) -> int:
         return self.membership.shape[0]
 
-    def to_json(self, a: np.ndarray) -> str:
-        """The stats.json text of `json_chunks` as one string."""
-        return "".join(self.json_chunks(a))
-
     def json_chunks(self, a: np.ndarray) -> Iterator[str]:
         """The stats.json text, json.dumps(payload, indent=2, sort_keys=True)
         of the payload {runs, node_counts: C_i, edge_counts: [i, j, C_ij] for

@@ -96,7 +96,7 @@ def test_criterion_4_reduction_identity():
         h = rng.normal(size=(n, f))
         x0 = rng.normal(size=(n, f))
         w = rng.normal(size=(f, f))
-        s, out = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0)
+        s, out = layer_forward(h, x0, op, w, 0.0, 0.0, None, None)
         if not (np.array_equal(s, a_hat @ h) and np.array_equal(out, np.maximum(a_hat @ h, 0.0))):
             failures += 1
     report(

@@ -218,7 +218,7 @@ class TestSampleStats:
         assert rc == 0
         assert peak <= n * n * 8
         stats = presample(n, runs=200, budget=500, seed=0)
-        assert out.read_text() == stats.to_json(a) + "\n"
+        assert out.read_text() == "".join(stats.json_chunks(a)) + "\n"
 
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_fewer_than_one_run_fails(self, data_dir, tmp_path, capsys, runs):

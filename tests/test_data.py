@@ -27,7 +27,7 @@ from angcn.model import ModelParams, init_params
 from angcn.popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure
 from angcn.training import AdamState, TrainConfig, adam_step
 
-from graphs import adjacency, adjacency_file, edge_list, peak_bytes
+from graphs import adjacency, adjacency_file, edge_list, peak_bytes, random_adjacency
 
 PINNED_CHECKPOINT_SHA256 = "360987671f3d53a2de72127dfa6796a4ada19058d94fddf66f9e990b233c7415"
 
@@ -346,6 +346,18 @@ class TestAdjacencyFile:
         assert peak < 6 * edges.nbytes
         assert a.tobytes() == want.tobytes()
 
+    def test_a_written_file_is_checked_without_a_sort(self, tmp_path, monkeypatch):
+        # save_adjacency lists the edges in increasing (i, j) order, so no key
+        # can repeat and np.unique need not sort the keys to find one
+        a = random_adjacency(60, 0.4, seed=3, low=0.01, high=2.0)
+        path = tmp_path / "adjacency.csv"
+        save_adjacency(a, path)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique sorted the edge keys")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        assert load_adjacency(path, n=60).tobytes() == a.tobytes()
 
     def test_save_holds_no_copy_of_the_matrix(self, tmp_path):
         # n = 1000 at 40% density: a np.triu copy and the whole file as one
@@ -589,6 +601,23 @@ class TestLoadtxtPath:
             _, position, table = dataio._loadtxt_table(fh, path, ["i", "j", "weight"], 2)
         assert position == {}
         assert table.tolist() == [[0, 1, 0.25], [0, 4, 3.0], [1, 3, 1.75], [2, 4, 5e-324]]
+
+    def test_reading_a_written_graph_holds_one_edge_table(self, tmp_path):
+        # n = 600 at 40% density (~72k edges): the int64 records and their
+        # float64 copy peaked at 2.13 E*3*8 bytes; i and j made float64 inside
+        # the records leave the one E x 3 table
+        n, rng = 600, np.random.default_rng(2)
+        i, j = np.triu_indices(n, k=1)
+        keep = rng.uniform(size=len(i)) < 0.4
+        edges = np.column_stack((i[keep], j[keep], rng.uniform(0.01, 2.0, int(keep.sum()))))
+        a = np.zeros((n, n))
+        a[i[keep], j[keep]] = a[j[keep], i[keep]] = edges[:, 2]
+        path = tmp_path / "adjacency.csv"
+        save_adjacency(a, path)
+        peak, (_, _, table) = peak_bytes(dataio._read_csv, path, ["i", "j", "weight"], True, 2)
+        assert peak <= 1.5 * edges.nbytes
+        assert table.shape == edges.shape
+        assert table.tobytes() == edges.tobytes()
 
 
 class TestCheckpoint:

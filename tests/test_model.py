@@ -36,7 +36,7 @@ def random_graph(n, p, seed):
 def diffuse(op, h):
     """Weight-free propagation op @ h: the diffusion one layer returns."""
     f = h.shape[1]
-    s, _ = layer_forward(h, np.zeros_like(h), op, np.zeros((f, f)), alpha=0.0, beta=0.0)
+    s, _ = layer_forward(h, np.zeros_like(h), op, np.zeros((f, f)), 0.0, 0.0, None, None)
     return s
 
 
@@ -52,7 +52,7 @@ def aggregate(op, h):
     )
     trace = forward(params, op, h)
     x0 = trace.projected_input
-    s, act = layer_forward(x0, x0, op, params.layers[0], alpha=0.0, beta=0.0)
+    s, act = layer_forward(x0, x0, op, params.layers[0], 0.0, 0.0, None, None)
     assert np.array_equal(trace.activations[0], act)
     return s
 
@@ -106,7 +106,7 @@ class TestLayerForward:
         x0 = rng.normal(size=(3, 2))
         op = rng.uniform(size=(3, 3))
         w = rng.normal(size=(2, 2))
-        s, act = layer_forward(h, x0, op, w, alpha=1.0, beta=0.0)
+        s, act = layer_forward(h, x0, op, w, 1.0, 0.0, None, 1.0 * x0)
         np.testing.assert_allclose(act, np.maximum(x0, 0.0), atol=1e-15)
         assert np.array_equal(s, op @ h)
 
@@ -118,7 +118,7 @@ class TestLayerForward:
         h = rng.normal(size=(5, 3))
         x0 = rng.normal(size=(5, 3))
         w = rng.normal(size=(3, 3))
-        s, act = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0)
+        s, act = layer_forward(h, x0, op, w, 0.0, 0.0, None, None)
         assert np.array_equal(s, a_hat @ h)
         assert np.array_equal(act, np.maximum(a_hat @ h, 0.0))
 
@@ -131,7 +131,7 @@ class TestLayerForward:
         w = np.zeros((2, 2))
         mh = m @ h
         expected = 0.9 * mh + 0.3 * mh + 0.1 * x0 + 0.3 * x0
-        s, act = layer_forward(h, x0, m, w, alpha=0.1, beta=0.3)
+        s, act = layer_forward(h, x0, m, w, 0.1, 0.3, np.eye(2) + w, 0.1 * x0)
         np.testing.assert_allclose(act, np.maximum(expected, 0.0), atol=1e-15)
         assert np.array_equal(s, mh)
 
@@ -145,14 +145,14 @@ class TestLayerForward:
         iw = np.eye(4) + w
         s = op @ h
         expected = (1.0 - alpha) * s + beta * (s @ iw) + alpha * x0 + beta * (x0 @ iw)
-        _, act = layer_forward(h, x0, op, w, alpha, beta)
+        _, act = layer_forward(h, x0, op, w, alpha, beta, iw if beta else None,
+                               alpha * x0 if alpha else None)
         assert np.array_equal(act, np.maximum(expected, 0.0))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            layer_forward(
-                np.ones((3, 2)), np.ones((3, 3)), np.eye(3), np.eye(2), 0.1, 0.3
-            )
+            layer_forward(np.ones((3, 2)), np.ones((3, 3)), np.eye(3), np.eye(2), 0.1, 0.3,
+                          2.0 * np.eye(2), np.full((3, 3), 0.1))
 
 
 class TestForward:
@@ -174,7 +174,8 @@ class TestForward:
         x = rng.normal(size=(4, 3))
         trace = forward(params, op, x)
         x0 = x @ params.input_projection
-        s, act = layer_forward(x0, x0, op, params.layers[0], 0.1, 0.3)
+        s, act = layer_forward(x0, x0, op, params.layers[0], 0.1, 0.3,
+                               np.eye(2) + params.layers[0], 0.1 * x0)
         assert np.array_equal(trace.diffused[0], s)
         assert np.array_equal(trace.activations[0], act)
         assert np.array_equal(trace.logits, act @ params.output_head)
@@ -285,7 +286,7 @@ class TestForward:
             h = rng.normal(size=(n, 4))
             x0 = rng.normal(size=(n, 4))
             w = rng.normal(size=(4, 4))
-            s, act = layer_forward(h, x0, op, w, alpha=0.0, beta=0.0)
+            s, act = layer_forward(h, x0, op, w, 0.0, 0.0, None, None)
             assert np.array_equal(s, a_hat @ h)
             assert np.array_equal(act, np.maximum(a_hat @ h, 0.0))
 

@@ -1,0 +1,44 @@
+"""Every function, class and method in the package is used by the package."""
+
+import ast
+from pathlib import Path
+
+import angcn
+
+
+def definitions(tree):
+    """(name, first line, last line) of each module-level function or class
+    and each non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
+
+
+def references(tree):
+    """(name, line) of each name read or attribute taken in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_definition_is_referenced_outside_itself():
+    # a helper that only tests call is code no command runs: the tests should
+    # check the property through what the package uses instead
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(angcn.__file__).parent.glob("*.py"))}
+    refs = [(module, name, line) for module, tree in trees.items()
+            for name, line in references(tree)]
+    unused = [f"{module}:{first}: {qualified}"
+              for module, tree in trees.items()
+              for qualified, first, last in definitions(tree)
+              if not any(name == qualified.rpartition(".")[2]
+                         and not (where == module and first <= line <= last)
+                         for where, name, line in refs)]
+    assert unused == []

@@ -113,7 +113,8 @@ def four_term_backward(trace, params, op, onehot, labeled):
     for ell in range(len(params.layers) - 1, -1, -1):
         g = d_h * (trace.activations[ell] > 0).astype(float)
         iw = np.eye(params.layers[ell].shape[0]) + params.layers[ell]
-        s, _ = layer_forward(inputs[ell], x0, op, params.layers[ell], alpha, beta)
+        s, _ = layer_forward(inputs[ell], x0, op, params.layers[ell], alpha, beta, iw,
+                             alpha * x0)
         d_layers[ell] = beta * ((s + x0).T @ g)
         g_iw = g @ iw.T
         d_x0 += alpha * g + beta * g_iw
