@@ -24,10 +24,9 @@ import numpy as np
 
 from . import data as dataio
 from .errors import SchemaMismatch
-from .graph_core import normalize_adjacency
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import forward_logits, init_params, predict
-from .popgraph import PopulationGraphSpec, build_adjacency, rfe_ridge
+from .popgraph import build_adjacency, normalize_adjacency, rfe_ridge
 from .sampler import AggregationStats, aggregation_matrix, presample
 from .training import TrainConfig, cross_validate, finite_difference_check
 
@@ -227,8 +226,7 @@ def _graph_for(bundle, features, sigma, adjacency=None) -> tuple[np.ndarray, flo
     or, for None, at the median heuristic, which is then returned."""
     if adjacency is not None:
         return dataio.load_adjacency(adjacency, n=features.shape[0]), sigma
-    spec = PopulationGraphSpec(features=features, measures=bundle.phenotypes, sigma=sigma)
-    return build_adjacency(spec), spec.sigma
+    return build_adjacency(features, bundle.phenotypes, sigma)
 
 
 def _stats_for(config: TrainConfig, n: int) -> AggregationStats | None:

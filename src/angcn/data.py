@@ -359,15 +359,15 @@ def _number_array(cells: np.ndarray, path: Path, columns: list[str], first_line:
     return out
 
 
-def _join_order(subject_ids: list[str], position: dict[str, int], name: str) -> list[int]:
-    """Row index in `name` of each subject, in features.csv order."""
+def _join_order(subject_ids: list[str], position: dict[str, int], path: Path) -> list[int]:
+    """Row index in the file at `path` of each subject, in features.csv order."""
     missing = [sid for sid in subject_ids if sid not in position]
     if missing:
-        raise SchemaMismatch(f"{name} has no row for subject_id {missing[0]!r}")
+        raise SchemaMismatch(f"{path} has no row for subject_id {missing[0]!r}")
     if len(position) > len(subject_ids):
         known = set(subject_ids)
         unknown = next(sid for sid in position if sid not in known)
-        raise SchemaMismatch(f"{name}: subject_id {unknown!r} is not in features.csv")
+        raise SchemaMismatch(f"{path}: subject_id {unknown!r} is not in features.csv")
     return [position[sid] for sid in subject_ids]
 
 
@@ -394,8 +394,9 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
     if not isinstance(schema, list):
         raise SchemaMismatch(f"{schema_path}: expected a list of measures")
 
-    header, position, rows = _read_csv(directory / "phenotypes.csv", ["subject_id"])
-    order = _join_order(subject_ids, position, "phenotypes.csv")
+    phenotypes_path = directory / "phenotypes.csv"
+    header, position, rows = _read_csv(phenotypes_path, ["subject_id"])
+    order = _join_order(subject_ids, position, phenotypes_path)
     col_index = {name: k for k, name in enumerate(header)}
     phenotypes = []
     for e, entry in enumerate(schema):
@@ -403,11 +404,11 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
             raise SchemaMismatch(f"{schema_path}: entry {e} is not an object with name and kind")
         mname, kind = entry["name"], entry["kind"]
         if mname not in col_index:
-            raise SchemaMismatch(f"phenotypes.csv is missing declared column {mname!r}")
+            raise SchemaMismatch(f"{phenotypes_path} is missing declared column {mname!r}")
         k = col_index[mname]
         if kind == QUANTITATIVE:
             cells = np.array([row[k] for row in rows], dtype=object).reshape(-1, 1)
-            values = _number_array(cells, directory / "phenotypes.csv", [mname])[order, 0].tolist()
+            values = _number_array(cells, phenotypes_path, [mname])[order, 0].tolist()
             tau = entry.get("tau")
         else:
             values, tau = [rows[r][k] for r in order], None
@@ -416,11 +417,12 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
         except (TypeError, ValueError) as exc:  # an unknown kind, or no finite tau > 0
             raise SchemaMismatch(f"{schema_path}: entry {e}: {exc}") from exc
 
-    _, position, rows = _read_csv(directory / "labels.csv", ["subject_id", "label"])
-    order = _join_order(subject_ids, position, "labels.csv")
+    labels_path = directory / "labels.csv"
+    _, position, rows = _read_csv(labels_path, ["subject_id", "label"])
+    order = _join_order(subject_ids, position, labels_path)
     for r, row in enumerate(rows):
         if row[1] not in ("0", "1"):
-            raise ParseError(f"labels.csv: line {r + 2}, column 'label': got {row[1]!r}")
+            raise ParseError(f"{labels_path}: line {r + 2}, column 'label': got {row[1]!r}")
     labels = np.array([int(rows[r][1]) for r in order], dtype=int)
 
     return DatasetBundle(features=features, phenotypes=phenotypes, labels=labels)
@@ -459,12 +461,13 @@ def load_adjacency(path: str | Path, n: int) -> np.ndarray:
     bad = out_of_range | duplicate | (w < 0)
     if bad.any():
         k = int(np.argmax(bad))
-        where, edge = f"{path}: line {k + 2}", f"edge ({i[k]:g}, {j[k]:g})"
+        where, edge = f"{path}: line {k + 2}", f"edge ({int(i[k])}, {int(j[k])})"
         if out_of_range[k]:
             raise ParseError(f"{where}: {edge} is not 0 <= i < j < {n}")
         if duplicate[k]:
             raise ParseError(f"{where}: duplicate {edge}")
         raise ParseError(f"{where}: {edge} has negative weight {w[k]}")
+    del out_of_range, key, duplicate, bad   # kept beside the N x N matrix, they raise the peak
     a, i, j = np.zeros((n, n)), i.astype(int), j.astype(int)
     a[i, j] = a[j, i] = w
     return a

@@ -1,14 +1,18 @@
-"""Population graph construction from features and phenotypic measures.
+"""The population graph: construction from features and phenotypic measures,
+and its normalized propagation operator.
 
+A population graph is its adjacency matrix: a dense symmetric N x N float64
+array with zero diagonal and finite weights >= 0. n stays small (hundreds of
+nodes), so everything is dense and exact reproducibility wins over sparsity.
 Edge weights combine a correlation-distance kernel over per-subject feature
 vectors with indicator distances over non-imaging measures (gender-like
-categories, age-like thresholded numbers). The graph stays in arrays:
-PopulationGraphSpec computes the N x N correlation distances once and
-resolves the kernel width from them, and build_adjacency weighs every pair
-in that buffer, which becomes the dense N x N adjacency matrix, the graph's
-only in-memory form. Also hosts the connectome-style feature pipeline: Fisher
-z-transform of correlation matrices and ridge-based recursive feature
-elimination.
+categories, age-like thresholded numbers). `build_adjacency` computes the
+N x N correlation distances once, resolves the kernel width from them, and
+weighs every pair in that buffer, which becomes the adjacency matrix.
+`normalize_adjacency` is the one way a graph becomes the operator A_hat that
+every layer propagates with, in place: one N x N array from graph to training.
+Also hosts the connectome-style feature pipeline: Fisher z-transform of
+correlation matrices and ridge-based recursive feature elimination.
 """
 
 from __future__ import annotations
@@ -22,18 +26,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BadAdjacency,
     DegenerateVector,
     NonPositiveSigma,
     OutOfRange,
     ShapeMismatch,
     SingularSystem,
 )
-from .graph_core import _BLOCK_ROWS
 
 QUALITATIVE = "qualitative"
 QUANTITATIVE = "quantitative"
 # Ridge penalty of the RFE fits.
 RIDGE_LAMBDA = 1.0
+# Rows of a matrix that build_adjacency weighs and normalize_adjacency divides at a time.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -78,49 +84,6 @@ class PhenotypicMeasure:
         return np.abs(gap, out=gap) < self.tau
 
 
-@dataclass
-class PopulationGraphSpec:
-    """Inputs for adjacency construction: N x F features, measures, kernel width.
-
-    Construction computes `distances`, the N x N correlation distances
-    1 - Pearson r between feature rows, once; ShapeMismatch refuses fewer than
-    3 feature columns, and DegenerateVector names a subject whose feature row
-    is constant. sigma=None resolves to the median heuristic, the median of
-    the distances over all pairs i < j (`_median`: np.median's bits from a
-    one-pivot partition), so `sigma` is always the width build_adjacency
-    uses. A width that is not > 0 (NaN included, as from a NaN distance)
-    raises NonPositiveSigma. A spec builds one graph: build_adjacency takes
-    `distances` over.
-    """
-
-    features: np.ndarray
-    measures: list[PhenotypicMeasure]
-    sigma: float | None = None
-    distances: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        n, f = self.features.shape
-        if n < 2:
-            raise ValueError(f"need at least 2 subjects, got {n}")
-        if f < 3:  # with 2 columns every correlation distance is 0 or 2
-            raise ShapeMismatch(f"need at least 3 feature columns, got {f} "
-                                "(correlation distances need >= 3 columns)")
-        if not self.measures:
-            raise ValueError("need at least one phenotypic measure")
-        for m in self.measures:
-            if len(m.values) != n:
-                raise ValueError(
-                    f"measure {m.name!r} covers {len(m.values)} subjects, expected {n}"
-                )
-        self.distances = _correlation_distances(self.features)
-        if self.sigma is None:   # one buffer of the pairs i < j, gathered row by row
-            upper = np.concatenate([self.distances[i, i + 1:] for i in range(n - 1)])
-            self.sigma = _median(upper)
-        if not self.sigma > 0:
-            raise NonPositiveSigma(f"sigma must be > 0, got {self.sigma}")
-
-
 def _median(values: np.ndarray) -> float:
     """np.median of `values`, the same bits, from a one-pivot partition of
     them in place: the middle value, or for an even count the mean of it and
@@ -144,31 +107,84 @@ def _correlation_distances(features: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, r, out=r)
 
 
-def build_adjacency(spec: PopulationGraphSpec) -> np.ndarray:
-    """Weighted population graph as its N x N adjacency matrix:
+def build_adjacency(features: np.ndarray, measures: Sequence[PhenotypicMeasure],
+                    sigma: float | None = None) -> tuple[np.ndarray, float]:
+    """Weighted population graph as its N x N adjacency matrix, and its sigma:
     A_ij = K(i,j) * sum_t d(M_t(i), M_t(j)), with the Gaussian kernel
-    K(i,j) = exp(-rho_ij^2 / (2 sigma^2)) over the spec's correlation
-    distances rho and width sigma.
+    K(i,j) = exp(-rho_ij^2 / (2 sigma^2)) over the correlation distances rho,
+    1 - Pearson r between the N x F feature rows.
+
+    ShapeMismatch refuses fewer than 3 feature columns, and DegenerateVector
+    names a subject whose feature row is constant. sigma=None resolves to the
+    median heuristic, the median of the distances over all pairs i < j
+    (`_median`: np.median's bits from a one-pivot partition), and the width
+    used is returned. A width that is not > 0 (NaN included, as from a NaN
+    distance) raises NonPositiveSigma.
 
     Symmetric with zero diagonal; pairs whose phenotypic sum is zero weigh 0.
-    Formed in `spec.distances`, which becomes None, `_BLOCK_ROWS` rows at a
-    time, each pair i < j mirrored to (j, i): no second N x N array is made.
+    Formed in the distance buffer `_BLOCK_ROWS` rows at a time, each pair
+    i < j mirrored to (j, i): no second N x N array is made.
     """
-    a, spec.distances = spec.distances, None
+    features = np.asarray(features, dtype=float)
+    n, f = features.shape
+    if n < 2:
+        raise ValueError(f"need at least 2 subjects, got {n}")
+    if f < 3:  # with 2 columns every correlation distance is 0 or 2
+        raise ShapeMismatch(f"need at least 3 feature columns, got {f} "
+                            "(correlation distances need >= 3 columns)")
+    if not measures:
+        raise ValueError("need at least one phenotypic measure")
+    for m in measures:
+        if len(m.values) != n:
+            raise ValueError(f"measure {m.name!r} covers {len(m.values)} subjects, expected {n}")
+    a = _correlation_distances(features)
+    if sigma is None:   # one buffer of the pairs i < j, gathered row by row
+        sigma = _median(np.concatenate([a[i, i + 1:] for i in range(n - 1)]))
+    if not sigma > 0:
+        raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
     a *= a
-    a /= -2.0 * spec.sigma * spec.sigma   # the same bits as -(rho^2) / (2 sigma^2)
+    a /= -2.0 * sigma * sigma   # the same bits as -(rho^2) / (2 sigma^2)
     np.exp(a, out=a)
-    count_type = np.min_scalar_type(len(spec.measures))
-    for start in range(0, len(a), _BLOCK_ROWS):
+    count_type = np.min_scalar_type(len(measures))
+    for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         agreements = np.zeros(a[rows].shape, dtype=count_type)
-        for m in spec.measures:
+        for m in measures:
             agreements += m.agreement(rows)
         a[rows] *= agreements
         tile = np.triu(a[rows, rows], k=1)   # the block's own pairs i < j
         a[rows, rows] = tile + tile.T
         a[rows, :start] = a[:start, rows].T
-    return a
+    return a, sigma
+
+
+def normalize_adjacency(a: np.ndarray) -> np.ndarray:
+    """The GCN operator D^{-1/2} (A + I) D^{-1/2} of the adjacency matrix a.
+
+    ShapeMismatch refuses a matrix that is not square, and BadAdjacency one
+    that is not symmetric, finite, >= 0 and zero on the diagonal (leaving it
+    as it was), so every degree is >= 1 and the spectral radius is <= 1. A
+    float64 a itself (any other input: a float64 copy) becomes A + I, divided
+    in place by sqrt(d_i d_j) and returned, so the output is exactly
+    symmetric and a is spent: take its graph_digest first. The divisors are
+    formed for `_BLOCK_ROWS` rows at a time: no second N x N array is made.
+    """
+    a_tilde = np.asarray(a, dtype=float)
+    if a_tilde.ndim != 2 or a_tilde.shape[0] != a_tilde.shape[1]:
+        raise ShapeMismatch(f"adjacency matrix must be square, got shape {a_tilde.shape}")
+    n, low, high = len(a_tilde), a_tilde.min(initial=0.0), a_tilde.max(initial=0.0)
+    if not 0.0 <= low <= high < np.inf:  # NaN fails every comparison
+        raise BadAdjacency(f"adjacency weights must be finite and >= 0, got min {low}, max {high}")
+    if np.diagonal(a_tilde).any():
+        raise BadAdjacency("adjacency diagonal must be 0 (the unit self-loops are added here)")
+    if not np.array_equal(a_tilde, a_tilde.T):
+        raise BadAdjacency("adjacency matrix is not symmetric")
+    a_tilde[np.diag_indices(n)] += 1.0
+    degrees = a_tilde.sum(axis=1)
+    for start in range(0, n, _BLOCK_ROWS):
+        scale = np.multiply.outer(degrees[start:start + _BLOCK_ROWS], degrees)
+        a_tilde[start:start + _BLOCK_ROWS] /= np.sqrt(scale, out=scale)
+    return a_tilde
 
 
 def connectome_features(corr: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetOutOfRange, EmptyStats
-from .graph_core import _BLOCK_ROWS
+from .popgraph import _BLOCK_ROWS
 
 
 @dataclass

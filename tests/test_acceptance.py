@@ -11,15 +11,14 @@ import time
 import numpy as np
 
 from angcn.cli import cli_run, gradcheck_fixture
-from angcn.graph_core import normalize_adjacency
 from angcn.metrics import ConfusionCounts, roc_curve, scalar_metrics
 from angcn.model import forward, init_params, layer_forward
 from angcn.popgraph import (
     QUALITATIVE,
     QUANTITATIVE,
     PhenotypicMeasure,
-    PopulationGraphSpec,
     build_adjacency,
+    normalize_adjacency,
 )
 from angcn.sampler import aggregation_matrix, presample, sample_node_subgraph
 from angcn.training import finite_difference_check
@@ -192,9 +191,7 @@ def test_criterion_7_adjacency_construction_oracle():
             ),
         ]
         sigma = float(rng.uniform(0.3, 1.5))
-        got = build_adjacency(
-            PopulationGraphSpec(features=features, measures=measures, sigma=sigma)
-        )
+        got = build_adjacency(features, measures, sigma)[0]
         want = np.zeros((6, 6))
         for i in range(6):
             for j in range(6):

@@ -86,8 +86,7 @@ class TestBuildGraph:
         assert cli_run(["synth", "--out", str(data), "--n-subjects", "300", "--seed", "0"]) == 0
         assert cli_run(["build-graph", "--data", str(data), "--out", str(out)]) == 0
         bundle = load_bundle(data)
-        a = popgraph.build_adjacency(
-            popgraph.PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes))
+        a = popgraph.build_adjacency(bundle.features, bundle.phenotypes)[0]
         assert load_adjacency(out, n=300).tobytes() == a.tobytes()
         save_adjacency(a, again)
         assert again.read_bytes() == out.read_bytes()
@@ -110,8 +109,8 @@ class TestBuildGraph:
 
     def test_median_sigma_is_pinned(self, data_dir, train_dir):
         bundle = load_bundle(data_dir)
-        spec = popgraph.PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
-        assert repr(spec.sigma) == "0.7946659174222371"
+        _, sigma = popgraph.build_adjacency(bundle.features, bundle.phenotypes)
+        assert repr(sigma) == "0.7946659174222371"
         payload = json.loads((train_dir / "checkpoint_fold0.json").read_text())
         assert repr(payload["config"]["sigma_resolved"]) == "0.7946659174222371"
         assert payload["graph_digest"] == (

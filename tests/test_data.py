@@ -24,7 +24,7 @@ from angcn.data import (
 )
 from angcn.errors import ParseError, SchemaMismatch
 from angcn.model import ModelParams, init_params
-from angcn.popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure
+from angcn.popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure, build_adjacency
 from angcn.training import AdamState, TrainConfig, adam_step
 
 from graphs import adjacency, adjacency_file, edge_list, peak_bytes, random_adjacency
@@ -266,8 +266,26 @@ class TestBundleValidation:
         save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=8)), tmp_path)
         with open(tmp_path / "labels.csv", "a") as fh:
             fh.write("extra,1\n")
-        with pytest.raises(SchemaMismatch, match="subject_id 'extra' is not in features.csv"):
+        with pytest.raises(SchemaMismatch, match=re.escape(str(tmp_path / "labels.csv"))
+                           + ": subject_id 'extra' is not in features.csv"):
             load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("file, line, column, value, error", [
+        ("labels.csv", 3, "label", "2", ParseError),
+        ("labels.csv", 4, "subject_id", "99", SchemaMismatch),
+        ("phenotypes.csv", 3, "subject_id", "x7", SchemaMismatch),
+        ("phenotypes.csv", 1, "age", "years", SchemaMismatch),
+    ], ids=["bad-label", "labels-row-missing", "phenotypes-row-missing",
+            "declared-column-missing"])
+    def test_refusal_starts_with_the_files_path(self, tmp_path, file, line, column, value,
+                                                error):
+        # as features.csv and adjacency.csv refusals do, so the reader knows
+        # which bundle's file it was
+        save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=8)), tmp_path)
+        edit_cell(tmp_path / file, line, column, value)
+        with pytest.raises(error) as refused:
+            load_bundle(tmp_path)
+        assert str(refused.value).startswith(str(tmp_path / file))
 
 
 class TestAdjacencyFile:
@@ -299,9 +317,11 @@ class TestAdjacencyFile:
         ("2,1,1.0", r"edge \(2, 1\) is not 0 <= i < j < 3"),
         ("1,1,1.0", r"edge \(1, 1\) is not 0 <= i < j < 3"),
         ("0,63,1.0", r"edge \(0, 63\) is not 0 <= i < j < 3"),
+        ("0,1234567,1.0", r"edge \(0, 1234567\) is not 0 <= i < j < 3"),
         ("0,1,2.0", r"duplicate edge \(0, 1\)"),
         ("1,2,-0.5", r"edge \(1, 2\) has negative weight -0.5"),
-    ], ids=["i-above-j", "self-edge", "j-out-of-range", "duplicate", "negative-weight"])
+    ], ids=["i-above-j", "self-edge", "j-out-of-range", "j-seven-digits", "duplicate",
+         "negative-weight"])
     def test_refused_edge_names_file_and_line(self, tmp_path, row, edge):
         path = tmp_path / "adjacency.csv"
         path.write_text(f"i,j,weight\n0,1,1.0\n0,2,0.5\n{row}\n")
@@ -344,6 +364,21 @@ class TestAdjacencyFile:
         peak, a = peak_bytes(load_adjacency, path, n)
         assert len(edges) > 70_000
         assert peak < 6 * edges.nbytes
+        assert a.tobytes() == want.tobytes()
+
+    def test_checks_are_dropped_before_the_matrix_is_made(self, tmp_path):
+        # the n = 1000 seed-23 graph file: the matrix, the E x 3 edge table and
+        # int copies of i and j are 5 E-length float64 arrays beside the
+        # N x N matrix (15.97 MB); with the checks' keys and masks still alive
+        # the peak was 18.16 MB
+        bundle = generate_synthetic(SyntheticSpec(n_subjects=1000, seed=23))
+        want, _ = build_adjacency(bundle.features, bundle.phenotypes)
+        path = tmp_path / "adjacency.csv"
+        save_adjacency(want, path)
+        edges = np.count_nonzero(want) // 2
+        peak, a = peak_bytes(load_adjacency, path, 1000)
+        assert edges == 199_151
+        assert peak < want.nbytes + 5.5 * 8 * edges
         assert a.tobytes() == want.tobytes()
 
     def test_a_written_file_is_checked_without_a_sort(self, tmp_path, monkeypatch):

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from angcn.data import SyntheticSpec, generate_synthetic, load_adjacency
 from angcn.errors import BadAdjacency, ParseError, ShapeMismatch
-from angcn.graph_core import normalize_adjacency
 from angcn.model import ModelParams, forward
-from angcn.popgraph import PopulationGraphSpec, build_adjacency
+from angcn.popgraph import build_adjacency, normalize_adjacency
 from angcn.sampler import AggregationStats, aggregation_matrix, presample, sample_node_subgraph
 from angcn.training import TrainConfig, cross_validate
 
@@ -304,7 +303,7 @@ def test_normalized_operator_exactly_symmetric_on_random_weighted_graphs(seed, n
 
 def test_normalized_population_graph_exactly_symmetric():
     bundle = generate_synthetic(SyntheticSpec(n_subjects=120, n_roi=8, seed=3))
-    g = build_adjacency(PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes))
+    g = build_adjacency(bundle.features, bundle.phenotypes)[0]
     assert np.count_nonzero(g) > 0
     out = normalize_adjacency(g)
     assert np.array_equal(out, out.T)

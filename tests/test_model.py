@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from angcn.errors import ShapeMismatch
-from angcn.graph_core import normalize_adjacency
 from angcn.model import (
     ModelParams,
     forward,
@@ -11,6 +10,7 @@ from angcn.model import (
     layer_forward,
     predict,
 )
+from angcn.popgraph import normalize_adjacency
 from angcn.sampler import aggregation_matrix, presample
 
 from graphs import peak_bytes, random_adjacency

@@ -11,7 +11,8 @@ from angcn.popgraph import (
     QUANTITATIVE,
     RIDGE_LAMBDA,
     PhenotypicMeasure,
-    PopulationGraphSpec,
+    _correlation_distances,
+    _median,
     build_adjacency,
     connectome_features,
     elimination_order,
@@ -52,7 +53,8 @@ def adjacency_oracle(features, measures, sigma):
     return a
 
 
-def random_spec(seed, n=6, f=5):
+def random_inputs(seed, n=6, f=5):
+    """Features, measures and sigma of a random n-subject graph."""
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, f))
     measures = [
@@ -69,7 +71,7 @@ def random_spec(seed, n=6, f=5):
         ),
     ]
     sigma = float(rng.uniform(0.3, 1.5))
-    return PopulationGraphSpec(features=features, measures=measures, sigma=sigma)
+    return features, measures, sigma
 
 
 # -- correlation distance -----------------------------------------------------
@@ -77,20 +79,19 @@ def random_spec(seed, n=6, f=5):
 AGREE = [PhenotypicMeasure(name="g", kind=QUALITATIVE, values=("a", "a"))]
 
 
-def two_subject_spec(x, y, sigma=1.0):
-    """A spec over two subjects that agree on their one phenotypic measure, so
+def two_subject_graph(x, y, sigma=1.0):
+    """The graph of two subjects that agree on their one phenotypic measure, so
     the edge weight between them is the kernel value alone."""
-    return PopulationGraphSpec(features=np.array([x, y], dtype=float), measures=AGREE,
-                               sigma=sigma)
+    return build_adjacency(np.array([x, y], dtype=float), AGREE, sigma)[0]
 
 
 def correlation_distance(x, y):
-    return two_subject_spec(x, y).distances[0, 1]
+    return _correlation_distances(np.array([x, y], dtype=float))[0, 1]
 
 
 def kernel_weight(x, y, sigma):
     """The one edge weight of a two-subject graph: K(rho(x, y), sigma)."""
-    a = build_adjacency(two_subject_spec(x, y, sigma))
+    a = two_subject_graph(x, y, sigma)
     assert a[0, 0] == a[1, 1] == 0.0 and a[0, 1] == a[1, 0]
     return a[0, 1]
 
@@ -146,12 +147,12 @@ class TestKernelSimilarity:
 
     def test_nonpositive_sigma(self):
         with pytest.raises(NonPositiveSigma):
-            two_subject_spec(*self.UNCORRELATED, sigma=0.0)
+            two_subject_graph(*self.UNCORRELATED, sigma=0.0)
 
     def test_nan_sigma_rejected(self):
         # a NaN width would make every weight NaN and so drop every edge
         with pytest.raises(NonPositiveSigma, match="got nan"):
-            two_subject_spec(*self.UNCORRELATED, sigma=float("nan"))
+            two_subject_graph(*self.UNCORRELATED, sigma=float("nan"))
 
 
 class TestMedianSigma:
@@ -164,24 +165,24 @@ class TestMedianSigma:
         measures = [PhenotypicMeasure("g", QUALITATIVE, ("a",) * n)]
         for seed in range(20):
             features = np.random.default_rng([n, seed]).normal(size=(n, 5))
-            spec = PopulationGraphSpec(features=features, measures=measures)
-            upper = np.concatenate([spec.distances[i, i + 1:] for i in range(n - 1)])
-            assert np.float64(spec.sigma).tobytes() == np.median(upper).tobytes()
+            rho = _correlation_distances(features)
+            upper = np.concatenate([rho[i, i + 1:] for i in range(n - 1)])
+            _, sigma = build_adjacency(features, measures)
+            assert np.float64(sigma).tobytes() == np.median(upper).tobytes()
 
     def test_bits_match_np_median_on_a_paper_scale_bundle(self):
         from angcn.data import SyntheticSpec, generate_synthetic
         bundle = generate_synthetic(SyntheticSpec(n_subjects=300, seed=0))
-        spec = PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
-        upper = spec.distances[np.triu_indices(300, k=1)]   # 44,850 pairs: an even count
-        assert np.float64(spec.sigma).tobytes() == np.median(upper).tobytes()
-        spec = PopulationGraphSpec(features=bundle.features[1:], measures=[
+        _, sigma = build_adjacency(bundle.features, bundle.phenotypes)
+        upper = _correlation_distances(bundle.features)[np.triu_indices(300, k=1)]
+        assert np.float64(sigma).tobytes() == np.median(upper).tobytes()   # 44,850 pairs: even
+        _, sigma = build_adjacency(bundle.features[1:], [
             PhenotypicMeasure(m.name, m.kind, m.values[1:], m.tau) for m in bundle.phenotypes])
-        upper = spec.distances[np.triu_indices(299, k=1)]   # 44,551 pairs: an odd count
-        assert np.float64(spec.sigma).tobytes() == np.median(upper).tobytes()
+        upper = _correlation_distances(bundle.features[1:])[np.triu_indices(299, k=1)]
+        assert np.float64(sigma).tobytes() == np.median(upper).tobytes()   # 44,551 pairs: odd
 
     @pytest.mark.parametrize("size", [1, 2, 5, 6])
     def test_one_nan_gives_nan(self, size):
-        from angcn.popgraph import _median
         for at in range(size):
             values = np.arange(size, dtype=float)
             values[at] = np.nan
@@ -192,7 +193,7 @@ class TestMedianSigma:
         features[2, 1] = np.nan
         measures = [PhenotypicMeasure("g", QUALITATIVE, ("a",) * 6)]
         with pytest.raises(NonPositiveSigma, match="got nan"):
-            PopulationGraphSpec(features=features, measures=measures)
+            build_adjacency(features, measures)
 
 
 class TestPhenotypicDistance:
@@ -227,7 +228,7 @@ class TestBuildAdjacency:
             PhenotypicMeasure(name="gender", kind=QUALITATIVE, values=("F", "F")),
             PhenotypicMeasure(name="age", kind=QUANTITATIVE, values=(30.0, 31.0), tau=2.0),
         ]
-        g = build_adjacency(PopulationGraphSpec(features=features, measures=measures, sigma=1.0))
+        g, _ = build_adjacency(features, measures, sigma=1.0)
         assert g[0, 1] == pytest.approx(2.0, abs=1e-15)
 
     def test_zero_phenotypic_sum_kills_edge(self):
@@ -236,48 +237,45 @@ class TestBuildAdjacency:
             PhenotypicMeasure(name="gender", kind=QUALITATIVE, values=("F", "M")),
             PhenotypicMeasure(name="age", kind=QUANTITATIVE, values=(30.0, 40.0), tau=2.0),
         ]
-        g = build_adjacency(PopulationGraphSpec(features=features, measures=measures, sigma=1.0))
+        g, _ = build_adjacency(features, measures, sigma=1.0)
         assert not g.any()
 
     def test_four_subject_fixture_matches_oracle(self):
-        spec = random_spec(seed=11, n=4)
-        got = build_adjacency(spec)
-        want = adjacency_oracle(spec.features, spec.measures, spec.sigma)
+        features, measures, sigma = random_inputs(seed=11, n=4)
+        got, _ = build_adjacency(features, measures, sigma)
+        want = adjacency_oracle(features, measures, sigma)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_twenty_random_specs_match_oracle(self):
         for seed in range(20):
-            spec = random_spec(seed=seed)
-            got = build_adjacency(spec)
-            want = adjacency_oracle(spec.features, spec.measures, spec.sigma)
+            features, measures, sigma = random_inputs(seed=seed)
+            got, _ = build_adjacency(features, measures, sigma)
+            want = adjacency_oracle(features, measures, sigma)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [63, 64, 65, 131])
     def test_row_blocks_equal_the_whole_matrix_formula(self, n):
-        # bit for bit, at sizes that end in a partial block of rows; the graph is
-        # formed in the spec's distance buffer, which the spec then gives up
-        spec = random_spec(seed=n, n=n)
-        rho = spec.distances.copy()
-        count = sum(m.agreement().astype(int) for m in spec.measures)
-        upper = np.triu(np.exp(rho * rho / (-2.0 * spec.sigma * spec.sigma)) * count, k=1)
-        buffer = spec.distances
-        a = build_adjacency(spec)
-        assert a is buffer and spec.distances is None
+        # bit for bit, at sizes that end in a partial block of rows
+        features, measures, sigma = random_inputs(seed=n, n=n)
+        rho = _correlation_distances(features)
+        count = sum(m.agreement().astype(int) for m in measures)
+        upper = np.triu(np.exp(rho * rho / (-2.0 * sigma * sigma)) * count, k=1)
+        a, _ = build_adjacency(features, measures, sigma)
         assert a.tobytes() == (upper + upper.T).tobytes()
 
     def test_symmetric_zero_diagonal_bounded(self):
-        spec = random_spec(seed=5, n=8)
-        a = build_adjacency(spec)
+        features, measures, sigma = random_inputs(seed=5, n=8)
+        a, _ = build_adjacency(features, measures, sigma)
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0.0)
         assert a.min() >= 0.0
-        assert a.max() <= len(spec.measures)
+        assert a.max() <= len(measures)
 
     def test_degenerate_subject_named(self):
         features = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
         measures = [PhenotypicMeasure(name="g", kind=QUALITATIVE, values=("a", "a"))]
         with pytest.raises(DegenerateVector, match="subject 0"):
-            build_adjacency(PopulationGraphSpec(features=features, measures=measures, sigma=1.0))
+            build_adjacency(features, measures, sigma=1.0)
 
     def test_auto_sigma_is_median_of_distances(self):
         # sigma=None resolves to the median heuristic over all pairs i < j
@@ -289,8 +287,20 @@ class TestBuildAdjacency:
             for j in range(i + 1, 5)
         ]
         measures = [PhenotypicMeasure(name="g", kind=QUALITATIVE, values=("a",) * 5)]
-        spec = PopulationGraphSpec(features=features, measures=measures)
-        assert spec.sigma == pytest.approx(float(np.median(rhos)), abs=1e-15)
+        _, sigma = build_adjacency(features, measures)
+        assert sigma == pytest.approx(float(np.median(rhos)), abs=1e-15)
+
+    @pytest.mark.parametrize("sigma", [None, 0.5])
+    def test_same_inputs_give_the_same_graph_and_stay_as_they_were(self, sigma):
+        # the call keeps no state: a second build from the same inputs is the
+        # same graph at the same sigma, and the features are only read
+        features, measures, _ = random_inputs(seed=7, n=70)
+        before = features.copy()
+        a, s = build_adjacency(features, measures, sigma)
+        b, t = build_adjacency(features, measures, sigma)
+        assert a is not b and a.tobytes() == b.tobytes()
+        assert np.float64(s).tobytes() == np.float64(t).tobytes()
+        assert features.tobytes() == before.tobytes()
 
 
 # -- connectome features ------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from angcn.errors import BudgetOutOfRange, EmptyStats
-from angcn.graph_core import normalize_adjacency
+from angcn.popgraph import normalize_adjacency
 from angcn.sampler import (
     AggregationStats,
     aggregation_matrix,

@@ -21,9 +21,8 @@ from angcn.errors import (
     ShapeMismatch,
     TraceMismatch,
 )
-from angcn.graph_core import normalize_adjacency
 from angcn.model import ModelParams, forward, forward_logits, init_params, layer_forward, predict
-from angcn.popgraph import PopulationGraphSpec, build_adjacency
+from angcn.popgraph import build_adjacency, normalize_adjacency
 from angcn.sampler import aggregation_matrix, presample
 import angcn.training as training
 from angcn.training import (
@@ -143,8 +142,7 @@ class TestBackward:
         # full-batch training passes symmetric=True: normalize_adjacency makes
         # a_hat exactly symmetric, so a_hat @ d_s sums what a_hat.T @ d_s does
         bundle = generate_synthetic(SyntheticSpec(n_subjects=300, seed=23))
-        a_hat = normalize_adjacency(build_adjacency(
-            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)))
+        a_hat = normalize_adjacency(build_adjacency(bundle.features, bundle.phenotypes)[0])
         assert np.array_equal(a_hat, a_hat.T)
         rng = np.random.default_rng(23)
         params = init_params(bundle.features.shape[1], 64, 2, 10, alpha, beta, rng)
@@ -221,8 +219,7 @@ class TestBackward:
         runs=200, budget=100), L = 10, H = 64 init_params weights, 200 labeled
         nodes; returns (params, op, features, onehot, labeled, rng)."""
         bundle = generate_synthetic(SyntheticSpec(n_subjects=300, seed=0))
-        a_hat = normalize_adjacency(build_adjacency(
-            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)))
+        a_hat = normalize_adjacency(build_adjacency(bundle.features, bundle.phenotypes)[0])
         op = a_hat * aggregation_matrix(presample(300, runs=200, budget=100, seed=0))
         rng = np.random.default_rng(3)
         params = init_params(bundle.features.shape[1], 64, 2, 10, alpha=0.1, beta=0.3,
@@ -564,9 +561,7 @@ class TestTrain:
 
     def test_returned_params_achieve_best_recorded_val_loss(self):
         bundle = generate_synthetic(SyntheticSpec(n_subjects=40, n_roi=6, seed=4))
-        g = build_adjacency(
-            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
-        )
+        g = build_adjacency(bundle.features, bundle.phenotypes)[0]
         a_hat = normalize_adjacency(g)
         idx = np.arange(40)
         cfg = TrainConfig(max_epochs=40, patience=5, layers=2, hidden_dim=8, seed=9)
@@ -581,9 +576,7 @@ class TestTrain:
 
     def test_deterministic_bit_for_bit(self):
         bundle = generate_synthetic(SyntheticSpec(n_subjects=30, n_roi=6, seed=8))
-        g = build_adjacency(
-            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
-        )
+        g = build_adjacency(bundle.features, bundle.phenotypes)[0]
         a_hat = normalize_adjacency(g)
         idx = np.arange(30)
         cfg = TrainConfig(max_epochs=15, patience=15, layers=2, hidden_dim=8, seed=3)
@@ -597,9 +590,7 @@ class TestTrain:
 
     def test_sampled_batches_still_learn_and_are_deterministic(self):
         bundle = generate_synthetic(SyntheticSpec(n_subjects=40, n_roi=6, seed=12))
-        g = build_adjacency(
-            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
-        )
+        g = build_adjacency(bundle.features, bundle.phenotypes)[0]
         a_hat = normalize_adjacency(g)
         idx = np.arange(40)
         cfg = TrainConfig(
@@ -614,9 +605,7 @@ class TestTrain:
         bundle = generate_synthetic(
             SyntheticSpec(n_subjects=80, n_roi=8, class_separation=3.0, seed=2)
         )
-        g = build_adjacency(
-            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
-        )
+        g = build_adjacency(bundle.features, bundle.phenotypes)[0]
         a_hat = normalize_adjacency(g)
         idx = np.arange(80)
         cfg = TrainConfig(max_epochs=200, patience=200, layers=2, hidden_dim=16, seed=1)
@@ -639,9 +628,7 @@ class TestTrainTraceReuse:
     @staticmethod
     def setup(n=40):
         bundle = generate_synthetic(SyntheticSpec(n_subjects=n, n_roi=6, seed=4))
-        g = build_adjacency(
-            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
-        )
+        g = build_adjacency(bundle.features, bundle.phenotypes)[0]
         return bundle, g, np.arange(n)
 
     @staticmethod
@@ -887,9 +874,7 @@ class TestSampledInference:
         bundle = generate_synthetic(
             SyntheticSpec(n_subjects=60, n_roi=10, class_separation=3.0, seed=0)
         )
-        g = build_adjacency(
-            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
-        )
+        g = build_adjacency(bundle.features, bundle.phenotypes)[0]
         cfg = TrainConfig(max_epochs=100, patience=100, folds=3, layers=10, hidden_dim=16,
                           seed=1)
         sampled_cfg = replace(cfg, batch_budget=30, sampler_runs=50)
@@ -946,9 +931,7 @@ class TestTrainConfig:
 class TestCrossValidate:
     def test_folds_cover_everything_once(self):
         bundle = generate_synthetic(SyntheticSpec(n_subjects=40, n_roi=6, seed=6))
-        g = build_adjacency(
-            PopulationGraphSpec(features=bundle.features, measures=bundle.phenotypes)
-        )
+        g = build_adjacency(bundle.features, bundle.phenotypes)[0]
         cfg = TrainConfig(max_epochs=5, patience=5, folds=4, layers=1, hidden_dim=8, seed=2)
         results = cross_validate(cfg, normalize_adjacency(g), None, bundle.features,
                                  bundle.labels)
