@@ -50,10 +50,25 @@ def cli_run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out, directory=args.command in ("synth", "train"))
         return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _check_out(path: Path, directory: bool) -> None:
+    """Refuse an --out the command could not write, before it reads any data:
+    a directory that is a file, a file that is a directory, or a path under
+    a file."""
+    if path.exists() and path.is_dir() != directory:
+        raise ValueError(f"--out {path} is a {'file' if directory else 'directory'}")
+    parent = path.parent
+    while not parent.exists():
+        parent = parent.parent
+    if not parent.is_dir():
+        raise ValueError(f"--out {path}: {parent} is a file")
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +377,7 @@ def _cmd_eval(args) -> int:
         )
     # gamma only debiases subgraph-restricted training: score with unit aggregation
     a_hat = normalize_adjacency(a)
-    probs = predict(forward_logits(ckpt.params, a_hat, features))
+    probs = predict(forward_logits([ckpt.params], a_hat, features)[0])
     test = ckpt.test_idx
     report = {**_fold_metrics(bundle.labels[test], probs[test]), "fold": ckpt.fold,
               "all_subjects": _fold_metrics(bundle.labels, probs)}

@@ -23,15 +23,17 @@ A forward forms alpha * x0 once and each layer's identity map I + W once.
 The trace keeps each layer's activation and, at beta != 0, its diffusion s
 and I + W, so the backward pass never repeats an N x N product or rebuilds
 I + W; `forward_logits` without a trace, which only scores, keeps none of
-them. `pre` is accumulated in place in the order written above, so skipping
-a zero term changes no bit of the result (save the sign of an exact zero,
-and NaN from 0 * inf), and neither does skipping a temporary.
+them, and scores several weight sets with one N x N product per layer.
+`pre` is accumulated in place in the order written above, so skipping a
+zero term changes no bit of the result (save the sign of an exact zero, and
+NaN from 0 * inf), and neither does skipping a temporary.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -117,31 +119,28 @@ def init_params(
 
 
 def layer_forward(
-    h: np.ndarray,
+    s: np.ndarray,
     x0: np.ndarray,
-    op: np.ndarray,
-    w: np.ndarray,
     alpha: float,
     beta: float,
     iw: np.ndarray | None,
     alpha_x0: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One propagation layer; returns (diffusion op @ h, ReLU output).
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """One propagation layer's ReLU output from its diffusion s = op @ h.
 
     The caller forms `iw` = I + W (read only at beta != 0) and `alpha_x0` =
     alpha * x0 (read only at alpha != 0): a forward forms each once. Terms
     with a zero coefficient are skipped, so at alpha = beta = 0 the output is
-    exactly ReLU(op @ h), the plain GCN layer, and no array but those two is made.
+    exactly ReLU(s), the plain GCN layer, and no other array is made.
     Otherwise s (I + W) and x0 (I + W) share one N x H buffer, each scaled by
-    beta in place before it is added to `pre`.
+    beta in place before it is added to `pre`. The output goes to `out` if
+    given, which may be s itself: s is read in full before it is written.
     """
-    if h.shape != x0.shape:
-        raise ShapeMismatch(f"h {h.shape} and x0 {x0.shape} must match")
-    if w.shape != (h.shape[1], h.shape[1]):
-        raise ShapeMismatch(f"weight {w.shape} incompatible with width {h.shape[1]}")
-    s = op @ h
+    if s.shape != x0.shape:
+        raise ShapeMismatch(f"s {s.shape} and x0 {x0.shape} must match")
     if not (alpha or beta):
-        return s, np.maximum(s, 0.0)
+        return np.maximum(s, 0.0, out=out)
     pre = (1.0 - alpha) * s
     if beta:
         term = np.matmul(s, iw)
@@ -153,50 +152,76 @@ def layer_forward(
         np.matmul(x0, iw, out=term)
         term *= beta
         pre += term
-    np.maximum(pre, 0.0, out=pre)
-    return s, pre
+    return np.maximum(pre, 0.0, out=pre if out is None else out)
 
 
 def forward(params: ModelParams, op: np.ndarray, x_raw: np.ndarray) -> ForwardTrace:
     """Full forward pass over the N x N operator op: project, L propagation
     layers, linear head, traced for the backward pass."""
     trace = ForwardTrace(raw_input=None, projected_input=None)   # filled in as it runs
-    trace.logits = forward_logits(params, op, x_raw, trace)
+    [trace.logits] = forward_logits([params], op, x_raw, trace)
     return trace
 
 
-def forward_logits(params: ModelParams, op: np.ndarray, x_raw: np.ndarray,
-                   trace: ForwardTrace | None = None) -> np.ndarray:
-    """The logits of the forward pass. Into `trace`, if given, goes what the
-    backward pass reads (at beta = 0 the activations alone); without one, a
-    layer's arrays are dropped once the next layer has read them, and the
-    logits are the same bits."""
+def forward_logits(param_sets: Sequence[ModelParams], op: np.ndarray, x_raw: np.ndarray,
+                   trace: ForwardTrace | None = None) -> list[np.ndarray]:
+    """The logits of the forward pass of each weight set in `param_sets`, in
+    order; the sets must share alpha, beta and every shape (ShapeMismatch).
+
+    Each layer multiplies op once by the N x kH matrix [h_1 ... h_k] of the k
+    sets' inputs and applies layer_forward to each set's H-column block of
+    the product, in the same order as a pass of its own. Where such a block
+    of the wide product is the bits of op @ h_i (for OpenBLAS, H a multiple
+    of 16), each set's logits are the bits of its own pass. Into `trace`, if
+    given (one set only), goes what the backward pass reads (at beta = 0 the
+    activations alone). For k > 1, which keeps no trace, each layer's ReLU
+    output overwrites its block of the product, so the pass holds four
+    N x kH arrays at most (x0, alpha * x0, the layer input and its product),
+    and no layer's arrays outlive the next.
+    """
+    first, k = param_sets[0], len(param_sets)
     x_raw = np.asarray(x_raw, dtype=float)
-    if x_raw.shape[1] != params.input_projection.shape[0]:
+    if x_raw.shape[1] != first.input_projection.shape[0]:
         raise ShapeMismatch(
             f"input width {x_raw.shape[1]} != projection rows "
-            f"{params.input_projection.shape[0]}"
+            f"{first.input_projection.shape[0]}"
         )
     if np.shape(op) != (x_raw.shape[0], x_raw.shape[0]):
         raise ShapeMismatch(f"operator {np.shape(op)} does not match {x_raw.shape[0]} input rows")
-    alpha, beta = params.alpha, params.beta
-    h = x0 = x_raw @ params.input_projection
-    alpha_x0 = alpha * x0 if alpha else None
-    if trace is not None:
-        trace.raw_input, trace.projected_input = x_raw, x0
-    for ell, w in enumerate(params.layers):
-        iw = np.eye(len(w)) + w if beta else None
-        try:
-            s, h = layer_forward(h, x0, op, w, alpha, beta, iw, alpha_x0)
-        except ShapeMismatch as exc:
-            raise ShapeMismatch(f"layer {ell}: {exc}") from exc
+    if k > 1:
         if trace is not None:
-            trace.activations.append(h)
-            if beta:
-                trace.diffused.append(s)
-                trace.identity_maps.append(iw)
-        del s   # else it would live on through the next layer's call
-    return h @ params.output_head
+            raise ValueError(f"a trace records one weight set, got {k}")
+        shapes = [m.shape for m in first.matrices()]
+        if any((p.alpha, p.beta) != (first.alpha, first.beta)
+               or [m.shape for m in p.matrices()] != shapes for p in param_sets):
+            raise ShapeMismatch("weight sets scored together must share alpha, beta and shapes")
+    alpha, beta = first.alpha, first.beta
+    width = first.input_projection.shape[1]
+    blocks = [slice(i * width, (i + 1) * width) for i in range(k)]
+    x0s = [x_raw @ p.input_projection for p in param_sets]
+    alpha_x0s = [alpha * x0 for x0 in x0s] if alpha else [None] * k
+    h = x0s[0] if k == 1 else np.hstack(x0s)
+    if trace is not None:
+        trace.raw_input, trace.projected_input = x_raw, x0s[0]
+    for ell, w in enumerate(first.layers):
+        if w.shape != (width, width):
+            raise ShapeMismatch(f"layer {ell}: weight {w.shape} incompatible with width {width}")
+        s = op @ h
+        if k == 1:  # the ReLU output is a new array, apart from the s a trace keeps
+            iw = np.eye(width) + w if beta else None
+            h = layer_forward(s, x0s[0], alpha, beta, iw, alpha_x0s[0])
+            if trace is not None:
+                trace.activations.append(h)
+                if beta:
+                    trace.diffused.append(s)
+                    trace.identity_maps.append(iw)
+        else:  # each ReLU output overwrites its block of s, the next layer's input
+            for p, b, x0, alpha_x0 in zip(param_sets, blocks, x0s, alpha_x0s):
+                iw = np.eye(width) + p.layers[ell] if beta else None
+                layer_forward(s[:, b], x0, alpha, beta, iw, alpha_x0, out=s[:, b])
+            h = s
+        del s   # else it would live on through the next layer's product
+    return [h[:, b] @ p.output_head for p, b in zip(param_sets, blocks)]
 
 
 def predict(logits: np.ndarray) -> np.ndarray:

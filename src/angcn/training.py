@@ -11,8 +11,10 @@ exactly symmetric. Both passes skip every term whose coefficient is 0, so
 at alpha = beta = 0 a layer does no H x H product either way, and at
 beta = 0 Adam leaves the layer weights, which get no gradient, untouched.
 Each fold computes every product once: its test probabilities are the best
-epoch's scoring pass. Every fold of a `cross_validate` call shares the
-caller's a_hat. It holds OpenBLAS at one thread, where its thread-count
+epoch's scoring pass. Sampled training scores several epochs' weights in
+one full-graph pass, with the same bits and the same epochs trained as a
+pass per epoch. Every fold of a `cross_validate` call shares the caller's
+a_hat. It holds OpenBLAS at one thread, where its thread-count
 symbols exist, and trains the folds in forked worker processes, one per
 usable CPU, which inherit the arrays and that one thread. A single worker,
 a platform without `fork` or without those symbols, or a caller running
@@ -342,12 +344,19 @@ def train(
     kept, not run again (with no epochs, the initial params are scored once).
     A minibatch b steps on a_hat[b, b] * aggregation_matrix(stats, b), whose
     gamma debiases subgraph-restricted aggregation (unit gamma for stats
-    None), so sampled epochs score with no trace. Full batch
-    (`config.full_batch(n)`) restricts nothing, so it takes no stats, and each
-    end-of-epoch forward is also the next epoch's training forward. Its
-    backward multiplies by a_hat untransposed (`symmetric=True`), so a_hat
-    must be exactly symmetric, as normalize_adjacency returns it; sampled
-    steps multiply by step_op.T, since a_hat[b, b] * gamma is not symmetric.
+    None), so sampled epochs score with no trace. They score in blocks: each
+    epoch's weights are kept, and one forward_logits call scores k epochs,
+    k = min(n // 3H, patience - stale epochs, epochs left) for a hidden width
+    H that is a multiple of 16, else 1. So the block's four N x kH arrays stay
+    within 4/3 of a_hat's bytes, early stopping can fire only on a block's
+    last epoch, and every epoch trained is one that scoring epoch by epoch
+    would train; a NonFiniteLoss surfaces once its block is scored, naming
+    the same epoch. Full batch (`config.full_batch(n)`) restricts nothing, so
+    it takes no stats, and each end-of-epoch forward is also the next epoch's
+    training forward. Its backward multiplies by a_hat untransposed
+    (`symmetric=True`), so a_hat must be exactly symmetric, as
+    normalize_adjacency returns it; sampled steps multiply by step_op.T,
+    since a_hat[b, b] * gamma is not symmetric.
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
@@ -368,7 +377,7 @@ def train(
     best_params = params.copy()  # a copy: adam_step updates params in place
     history: list[tuple[int, float, float]] = []
     if config.max_epochs == 0:
-        return best_params, history, forward_logits(params, a_hat, features)
+        return best_params, history, forward_logits([params], a_hat, features)[0]
 
     train_mask = np.isin(np.arange(n), train_idx)
 
@@ -389,29 +398,43 @@ def train(
                 yield step_op, features[batch], labels_oh[batch], labeled_local
 
     trace = forward(params, a_hat, features) if full_batch else None
-    for epoch in range(1, config.max_epochs + 1):
-        for step_op, x, y, labeled in steps(epoch):
-            if trace is None:
-                trace = forward(params, step_op, x)
-            grads = backward(trace, params, step_op, y, labeled, config.loss_reduction,
-                             symmetric=full_batch)
-            trace = None  # release it before the next forward: one trace live at a time
-            adam_step(params, grads, state, config.learning_rate)
-
-        trace = forward(params, a_hat, features) if full_batch else None
-        logits = trace.logits if full_batch else forward_logits(params, a_hat, features)
-        train_loss = cross_entropy(logits, labels_oh, train_idx, config.loss_reduction)
-        val_loss = cross_entropy(logits, labels_oh, val_idx, config.loss_reduction)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise NonFiniteLoss(
-                f"epoch {epoch}: train loss {train_loss}, validation loss {val_loss}"
-            )
-        history.append((epoch, train_loss, val_loss))
-        should_stop = stopper.update(epoch, val_loss)
-        if stopper.best_epoch == epoch:
-            best_params, best_logits = params.copy(), logits
-        if should_stop:
-            break
+    # a column block of a_hat @ [h_1 ... h_k] is the bits of a_hat @ h_i for
+    # widths of whole 16-column panels (OpenBLAS), not for H = 5 or 33
+    block_cap = max(1, n // (3 * config.hidden_dim)) if config.hidden_dim % 16 == 0 else 1
+    done = 0
+    while done < config.max_epochs:
+        k = 1 if full_batch else min(block_cap, config.patience - stopper.stale,
+                                     config.max_epochs - done)
+        epochs = range(done + 1, done + k + 1)
+        weights = []  # each epoch's params, scored together once the block is trained
+        for epoch in epochs:
+            for step_op, x, y, labeled in steps(epoch):
+                if trace is None:
+                    trace = forward(params, step_op, x)
+                grads = backward(trace, params, step_op, y, labeled, config.loss_reduction,
+                                 symmetric=full_batch)
+                trace = None  # release it before the next forward: one trace live at a time
+                adam_step(params, grads, state, config.learning_rate)
+            weights.append(params.copy() if epoch < epochs[-1] else params)
+        if full_batch:
+            trace = forward(params, a_hat, features)
+            scores = [trace.logits]
+        else:
+            scores = forward_logits(weights, a_hat, features)
+        for epoch, scored, logits in zip(epochs, weights, scores):
+            train_loss = cross_entropy(logits, labels_oh, train_idx, config.loss_reduction)
+            val_loss = cross_entropy(logits, labels_oh, val_idx, config.loss_reduction)
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                raise NonFiniteLoss(
+                    f"epoch {epoch}: train loss {train_loss}, validation loss {val_loss}"
+                )
+            history.append((epoch, train_loss, val_loss))
+            should_stop = stopper.update(epoch, val_loss)
+            if stopper.best_epoch == epoch:
+                best_params, best_logits = scored.copy(), logits
+            if should_stop:
+                return best_params, history, best_logits
+        done += k
     return best_params, history, best_logits
 
 
@@ -434,7 +457,7 @@ def finite_difference_check(
         raise ValueError(f"eps must be a finite number > 0, got {eps}")
 
     def loss_of(p: ModelParams) -> float:
-        return cross_entropy(forward_logits(p, op, x_raw), labels_onehot, labeled_idx)
+        return cross_entropy(forward_logits([p], op, x_raw)[0], labels_onehot, labeled_idx)
 
     trace = forward(params, op, x_raw)
     grads = backward(trace, params, op, labels_onehot, labeled_idx)

@@ -1,6 +1,7 @@
 """Dense adjacency matrices for the tests (a population graph is its N x N
-array), and the memory peak of one call."""
+array), the memory peak of one call, and a set BLAS thread count."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -45,3 +46,20 @@ def peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def blas_threads(threads):
+    """OpenBLAS held at `threads` threads inside the block, where numpy's BLAS
+    exports the thread-count functions (else left as it is)."""
+    from angcn.training import _blas_thread_api
+
+    api = _blas_thread_api()
+    before = api[0]() if api else None
+    if api:
+        api[1](threads)
+    try:
+        yield
+    finally:
+        if api:
+            api[1](before)

@@ -571,6 +571,33 @@ class TestOutDirectory:
         assert [p.name for p in out.parent.iterdir()] == ["out.file"]
 
 
+    @pytest.mark.parametrize("command, flags, out, why", [
+        ("train", FAST_TRAIN, "file", "{out} is a file"),
+        ("train", FAST_TRAIN, "file/run", "{out}: {file} is a file"),
+        ("sweep-depth", ["--depths", "2"] + FAST_TRAIN, "file/depth.csv",
+         "{out}: {file} is a file"),
+        ("sweep-batch", ["--budgets", "20"] + FAST_TRAIN, "file/batch.csv",
+         "{out}: {file} is a file"),
+        ("sweep-batch", ["--budgets", "20"] + FAST_TRAIN, "folder", "{out} is a directory"),
+    ], ids=["train-file", "train-under-file", "sweep-depth-under-file",
+            "sweep-batch-under-file", "sweep-batch-directory"])
+    def test_unwritable_out_is_refused_before_any_data_is_read(
+        self, data_dir, tmp_path, monkeypatch, capsys, command, flags, out, why
+    ):
+        # these once trained every fold and only then failed to write
+        def never(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(cli, "cross_validate", never)
+        monkeypatch.setattr(cli.dataio, "load_bundle", never)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "folder").mkdir()
+        out = tmp_path / out
+        assert cli_run([command, "--data", str(data_dir), "--out", str(out)] + flags) == 1
+        want = "error: --out " + why.format(out=out, file=tmp_path / "file") + "\n"
+        assert capsys.readouterr().err == want
+
+
 class TestFoldWorkerCount:
     """Every CLI path that trains writes the same bytes whether its folds
     train in this process or in two forked workers."""

@@ -3,6 +3,7 @@ import pytest
 
 from angcn.errors import ShapeMismatch
 from angcn.model import (
+    ForwardTrace,
     ModelParams,
     forward,
     forward_logits,
@@ -13,7 +14,7 @@ from angcn.model import (
 from angcn.popgraph import normalize_adjacency
 from angcn.sampler import aggregation_matrix, presample
 
-from graphs import peak_bytes, random_adjacency
+from graphs import blas_threads, peak_bytes, random_adjacency
 
 
 def naive_matmul(a, b):
@@ -34,17 +35,21 @@ def random_graph(n, p, seed):
 
 
 def diffuse(op, h):
-    """Weight-free propagation op @ h: the diffusion one layer returns."""
+    """Weight-free propagation op @ h: the diffusion the forward pass traces
+    for its one layer, under an identity projection."""
     f = h.shape[1]
-    s, _ = layer_forward(h, np.zeros_like(h), op, np.zeros((f, f)), 0.0, 0.0, None, None)
-    return s
+    params = ModelParams(
+        input_projection=np.eye(f), layers=[np.zeros((f, f))], output_head=np.eye(f),
+        alpha=0.0, beta=0.5,
+    )
+    return forward(params, op, h).diffused[0]
 
 
 def aggregate(op, h):
     """Propagation op @ h through the full forward pass: the first layer's
-    diffusion under an identity projection, as layer_forward returns it from
-    the projected input the trace holds (at beta = 0 the trace keeps no
-    diffusion); its ReLU is the forward's first activation."""
+    diffusion under an identity projection, formed from the projected input
+    the trace holds (at beta = 0 the trace keeps no diffusion); its ReLU by
+    layer_forward is the forward's first activation."""
     f = h.shape[1]
     params = ModelParams(
         input_projection=np.eye(f), layers=[np.zeros((f, f))], output_head=np.eye(f),
@@ -52,7 +57,8 @@ def aggregate(op, h):
     )
     trace = forward(params, op, h)
     x0 = trace.projected_input
-    s, act = layer_forward(x0, x0, op, params.layers[0], 0.0, 0.0, None, None)
+    s = op @ x0
+    act = layer_forward(s, x0, 0.0, 0.0, None, None)
     assert np.array_equal(trace.activations[0], act)
     return s
 
@@ -105,8 +111,8 @@ class TestLayerForward:
         h = rng.normal(size=(3, 2))
         x0 = rng.normal(size=(3, 2))
         op = rng.uniform(size=(3, 3))
-        w = rng.normal(size=(2, 2))
-        s, act = layer_forward(h, x0, op, w, 1.0, 0.0, None, 1.0 * x0)
+        s = op @ h
+        act = layer_forward(s, x0, 1.0, 0.0, None, 1.0 * x0)
         np.testing.assert_allclose(act, np.maximum(x0, 0.0), atol=1e-15)
         assert np.array_equal(s, op @ h)
 
@@ -117,8 +123,8 @@ class TestLayerForward:
         rng = np.random.default_rng(2)
         h = rng.normal(size=(5, 3))
         x0 = rng.normal(size=(5, 3))
-        w = rng.normal(size=(3, 3))
-        s, act = layer_forward(h, x0, op, w, 0.0, 0.0, None, None)
+        s = op @ h
+        act = layer_forward(s, x0, 0.0, 0.0, None, None)
         assert np.array_equal(s, a_hat @ h)
         assert np.array_equal(act, np.maximum(a_hat @ h, 0.0))
 
@@ -131,7 +137,8 @@ class TestLayerForward:
         w = np.zeros((2, 2))
         mh = m @ h
         expected = 0.9 * mh + 0.3 * mh + 0.1 * x0 + 0.3 * x0
-        s, act = layer_forward(h, x0, m, w, 0.1, 0.3, np.eye(2) + w, 0.1 * x0)
+        s = m @ h
+        act = layer_forward(s, x0, 0.1, 0.3, np.eye(2) + w, 0.1 * x0)
         np.testing.assert_allclose(act, np.maximum(expected, 0.0), atol=1e-15)
         assert np.array_equal(s, mh)
 
@@ -145,14 +152,14 @@ class TestLayerForward:
         iw = np.eye(4) + w
         s = op @ h
         expected = (1.0 - alpha) * s + beta * (s @ iw) + alpha * x0 + beta * (x0 @ iw)
-        _, act = layer_forward(h, x0, op, w, alpha, beta, iw if beta else None,
-                               alpha * x0 if alpha else None)
+        act = layer_forward(s, x0, alpha, beta, iw if beta else None,
+                            alpha * x0 if alpha else None)
         assert np.array_equal(act, np.maximum(expected, 0.0))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            layer_forward(np.ones((3, 2)), np.ones((3, 3)), np.eye(3), np.eye(2), 0.1, 0.3,
-                          2.0 * np.eye(2), np.full((3, 3), 0.1))
+            layer_forward(np.ones((3, 2)), np.ones((3, 3)), 0.1, 0.3, 2.0 * np.eye(2),
+                          np.full((3, 3), 0.1))
 
 
 class TestForward:
@@ -174,8 +181,8 @@ class TestForward:
         x = rng.normal(size=(4, 3))
         trace = forward(params, op, x)
         x0 = x @ params.input_projection
-        s, act = layer_forward(x0, x0, op, params.layers[0], 0.1, 0.3,
-                               np.eye(2) + params.layers[0], 0.1 * x0)
+        s = op @ x0
+        act = layer_forward(s, x0, 0.1, 0.3, np.eye(2) + params.layers[0], 0.1 * x0)
         assert np.array_equal(trace.diffused[0], s)
         assert np.array_equal(trace.activations[0], act)
         assert np.array_equal(trace.logits, act @ params.output_head)
@@ -217,7 +224,7 @@ class TestForward:
         x = rng.normal(size=(n, 12))
         peak, trace = peak_bytes(forward, params, op, x)
         assert peak <= 22.2 * n * hidden * 8
-        peak, logits = peak_bytes(forward_logits, params, op, x)
+        peak, [logits] = peak_bytes(forward_logits, [params], op, x)
         assert peak <= 4.2 * n * hidden * 8
         assert logits.tobytes() == trace.logits.tobytes()
 
@@ -285,10 +292,65 @@ class TestForward:
             op = a_hat
             h = rng.normal(size=(n, 4))
             x0 = rng.normal(size=(n, 4))
-            w = rng.normal(size=(4, 4))
-            s, act = layer_forward(h, x0, op, w, 0.0, 0.0, None, None)
+            s = op @ h
+            act = layer_forward(s, x0, 0.0, 0.0, None, None)
             assert np.array_equal(s, a_hat @ h)
             assert np.array_equal(act, np.maximum(a_hat @ h, 0.0))
+
+
+class TestBlockScoring:
+    """forward_logits scores several weight sets in one pass: each layer
+    multiplies op once by the N x kH matrix [h_1 ... h_k]."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_column_block_of_the_wide_product_is_its_own_product_bitwise(self, threads):
+        """The premise of block scoring, at the widths it is used at: H a
+        multiple of 16. The rule excludes widths such as H = 5, where at
+        n = 40, k = 2 the blocks differ in the last bits (OpenBLAS 0.3.31),
+        so sampled training scores those widths one epoch at a time."""
+        with blas_threads(threads):
+            for n in (8, 40, 300, 1000):
+                rng = np.random.default_rng(n)
+                a = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.3)
+                a_hat = normalize_adjacency(np.triu(a, 1) + np.triu(a, 1).T)
+                for width in (16, 64):
+                    for k in (2, 5):
+                        hs = [rng.normal(size=(n, width)) for _ in range(k)]
+                        wide = a_hat @ np.hstack(hs)
+                        for i, h in enumerate(hs):
+                            block = wide[:, i * width:(i + 1) * width]
+                            assert block.tobytes() == (a_hat @ h).tobytes(), (n, width, k, i)
+
+    @pytest.mark.parametrize("width", [16, 64])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.1, 0.0), (0.1, 0.3)])
+    def test_each_set_scores_the_bits_of_its_own_pass(self, width, alpha, beta):
+        n = 200
+        rng = np.random.default_rng(width)
+        op = normalize_adjacency(random_graph(n, 0.2, seed=width))
+        x = rng.normal(size=(n, 7))
+        sets = [init_params(7, width, 2, 3, alpha, beta, np.random.default_rng([width, i]))
+                for i in range(3)]
+        together = forward_logits(sets, op, x)
+        assert len(together) == 3
+        for got, p in zip(together, sets):
+            assert got.tobytes() == forward_logits([p], op, x)[0].tobytes()
+            assert got.tobytes() == forward(p, op, x).logits.tobytes()
+
+    def test_sets_that_differ_in_shape_or_coefficients_are_refused(self):
+        rng = np.random.default_rng(3)
+        x, op = rng.normal(size=(6, 3)), np.eye(6)
+        one = init_params(3, 4, 2, 2, 0.1, 0.3, rng)
+        for other in (init_params(3, 4, 2, 3, 0.1, 0.3, rng),
+                      init_params(3, 5, 2, 2, 0.1, 0.3, rng),
+                      init_params(3, 4, 2, 2, 0.2, 0.3, rng)):
+            with pytest.raises(ShapeMismatch, match="share alpha, beta and shapes"):
+                forward_logits([one, other], op, x)
+
+    def test_a_trace_records_one_set(self):
+        rng = np.random.default_rng(4)
+        sets = [init_params(3, 4, 2, 1, 0.1, 0.3, rng) for _ in range(2)]
+        with pytest.raises(ValueError, match="one weight set, got 2"):
+            forward_logits(sets, np.eye(5), rng.normal(size=(5, 3)), ForwardTrace(None, None))
 
 
 class TestPredict:

@@ -21,7 +21,7 @@ from angcn.errors import (
     ShapeMismatch,
     TraceMismatch,
 )
-from angcn.model import ModelParams, forward, forward_logits, init_params, layer_forward, predict
+from angcn.model import ModelParams, forward, forward_logits, init_params, predict
 from angcn.popgraph import build_adjacency, normalize_adjacency
 from angcn.sampler import aggregation_matrix, presample
 import angcn.training as training
@@ -38,7 +38,7 @@ from angcn.training import (
     train,
 )
 
-from graphs import adjacency, peak_bytes
+from graphs import adjacency, blas_threads, peak_bytes
 
 
 class TestCrossEntropy:
@@ -98,7 +98,7 @@ class TestCrossEntropy:
 
 def four_term_backward(trace, params, op, onehot, labeled):
     """Reference backward that computes every term, zero coefficients included.
-    Each layer's diffusion comes from layer_forward on the layer's input, as
+    Each layer's diffusion is recomputed as op @ h from the layer's input, as
     the trace keeps none at beta = 0."""
     y_hat = predict(trace.logits)
     d_logits = np.zeros_like(y_hat)
@@ -112,8 +112,7 @@ def four_term_backward(trace, params, op, onehot, labeled):
     for ell in range(len(params.layers) - 1, -1, -1):
         g = d_h * (trace.activations[ell] > 0).astype(float)
         iw = np.eye(params.layers[ell].shape[0]) + params.layers[ell]
-        s, _ = layer_forward(inputs[ell], x0, op, params.layers[ell], alpha, beta, iw,
-                             alpha * x0)
+        s = op @ inputs[ell]
         d_layers[ell] = beta * ((s + x0).T @ g)
         g_iw = g @ iw.T
         d_x0 += alpha * g + beta * g_iw
@@ -620,10 +619,18 @@ class TestTrain:
         assert acc > 0.9
 
 
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS held at one thread, as cross_validate's folds train."""
+    with blas_threads(1):
+        yield
+
+
 class TestTrainTraceReuse:
-    """One forward per gradient step plus one end-of-epoch pass over the full
-    graph; in full batch that pass is the next epoch's training forward, in
-    sampled training a logits-only pass that keeps no trace."""
+    """One forward per gradient step plus a pass over the full graph that
+    scores each epoch once; in full batch that pass is the next epoch's
+    training forward, in sampled training a logits-only pass that keeps no
+    trace and scores a block of epochs."""
 
     @staticmethod
     def setup(n=40):
@@ -663,30 +670,48 @@ class TestTrainTraceReuse:
         assert scores == []
         assert backwards == [40] * 7
 
+    @staticmethod
+    def record_scores(monkeypatch):
+        """Record (operator rows, weight sets, trace) of every training.forward_logits call."""
+        calls = []
+        real = training.forward_logits
+
+        def recorded(param_sets, op, x_raw, trace=None):
+            calls.append((op.shape[0], len(param_sets), trace))
+            return real(param_sets, op, x_raw, trace)
+
+        monkeypatch.setattr(training, "forward_logits", recorded)
+        return calls
+
     def test_sampled_forwards_once_per_batch_plus_one_per_epoch(self, monkeypatch):
-        # 36 of 40 nodes are labeled, so every 15-node batch trains
-        bundle, g, idx = self.setup()
-        stats = presample(len(g), runs=30, budget=15, seed=9)
+        # 108 of 120 nodes are labeled, so every 40-node batch trains. At
+        # H = 16 a block scores up to 120 // 48 = 2 epochs in one pass: every
+        # epoch is scored once, on all 120 rows, with no trace
+        bundle, g, idx = self.setup(120)
+        stats = presample(len(g), runs=30, budget=40, seed=9)
         forwards = self.count_calls(monkeypatch, "forward", 1)
-        scores = self.count_calls(monkeypatch, "forward_logits", 1)
-        cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=8, seed=9,
-                          batch_budget=15, sampler_runs=30)
+        scores = self.record_scores(monkeypatch)
+        cfg = TrainConfig(max_epochs=5, patience=5, layers=2, hidden_dim=16, seed=9,
+                          batch_budget=40, sampler_runs=30)
         a_hat = normalize_adjacency(g)
-        train(cfg, a_hat, stats, bundle.features, bundle.labels, idx[:36], idx[36:])
-        assert forwards == [15, 15, 15] * 5   # ceil(40 / 15) batches per epoch
-        assert scores == [40] * 5             # then the full graph, with no trace
+        _, history, _ = train(cfg, a_hat, stats, bundle.features, bundle.labels,
+                              idx[:108], idx[108:])
+        assert len(history) == 5
+        assert forwards == [40, 40, 40] * 5   # ceil(120 / 40) batches per epoch
+        assert scores == [(120, 2, None), (120, 2, None), (120, 1, None)]
 
     @pytest.mark.parametrize("budget", [None, 15])
     def test_a_fold_scores_the_full_graph_once_per_epoch(self, monkeypatch, budget):
         # test probabilities come from the best epoch's scoring pass, so no
         # fold runs a full-graph pass after training: per fold, full batch
-        # makes epochs + 1 traced forwards and sampled training epochs passes
-        bundle, g, _ = self.setup()
+        # makes epochs + 1 traced forwards, and sampled training scores its
+        # 6 epochs in blocks of 120 // 48 = 2, each on all n rows, untraced
+        bundle, g, _ = self.setup(120)
         n = len(g)
         monkeypatch.setattr(training, "fold_workers", lambda folds: 1)
         forwards = self.count_calls(monkeypatch, "forward", 1)
-        scores = self.count_calls(monkeypatch, "forward_logits", 1)
-        cfg = TrainConfig(max_epochs=6, patience=6, folds=3, layers=2, hidden_dim=8, seed=9,
+        scores = self.record_scores(monkeypatch)
+        cfg = TrainConfig(max_epochs=6, patience=6, folds=3, layers=2, hidden_dim=16, seed=9,
                           batch_budget=budget, sampler_runs=30)
         stats = None if budget is None else presample(n, runs=30, budget=budget, seed=9)
         results = cross_validate(cfg, normalize_adjacency(g), stats, bundle.features,
@@ -697,7 +722,7 @@ class TestTrainTraceReuse:
             assert scores == []
         else:
             assert n not in forwards
-            assert scores == [n] * (3 * 6)
+            assert scores == [(n, 2, None)] * (3 * 3)
 
     @pytest.mark.parametrize("budget", [None, 15])
     @pytest.mark.parametrize("max_epochs", [0, 40])
@@ -715,7 +740,7 @@ class TestTrainTraceReuse:
             best = [min(r.history, key=lambda row: row[2])[0] for r in results]
             assert any(b < len(r.history) for b, r in zip(best, results))
         for r in results:
-            want = predict(forward_logits(r.params, a_hat, bundle.features))[r.test_idx]
+            want = predict(forward_logits([r.params], a_hat, bundle.features)[0])[r.test_idx]
             assert r.probs.tobytes() == want.tobytes()
 
     def test_sampled_epoch_peaks_below_one_full_graph_trace(self):
@@ -815,6 +840,76 @@ class TestTrainTraceReuse:
                               bundle.labels, idx[:30], idx[30:])
         assert self.digest(history) == want
 
+    @pytest.mark.parametrize("hidden, alpha, beta, patience, epochs, want, best", [
+        (16, 0.0, 0.0, 2, 6,
+         "aa3767ff47cfce4c5a974bf858b39162e80f357746e1058bdf977a64e0b6acd6",
+         "72dc3a6c281899a2247bcd9302538b55db93e8004416f880c72a4dbc75d45b82"),
+        (16, 0.0, 0.0, 9, 9,
+         "4dcd1ce6894720de3096b5bde59ddd55a535730bd42c27b9a7e39945657a9bd9",
+         "72dc3a6c281899a2247bcd9302538b55db93e8004416f880c72a4dbc75d45b82"),
+        (16, 0.1, 0.3, 2, 6,
+         "26789adf8fa09cf529d34bc7f7ad31e7ffe11cf2b9b2269956bf67bffe6b9dcb",
+         "ce6b50bd2d5de2ad4611621903c6ea0a390a6f3f556e1ec40924c0c4c0766737"),
+        (16, 0.1, 0.3, 9, 9,
+         "c0d5e3a5c24ff471bb56dcd881f1f29f8f57de7b4e371e3affb642b2fbb49c61",
+         "467baba80b5becd2c41f89ea10908b1ed1160db92cb4fbf6d5315869cc423ab9"),
+        (64, 0.0, 0.0, 2, 4,
+         "0f0cc87ff7f0a7898aec210993ecf46b237df9005759ee8c1d432a29094e003c",
+         "bcdb17e2b4e7d953743aeebd727d65cafa79c39e25a0205c9610ef889072354d"),
+        (64, 0.0, 0.0, 9, 9,
+         "5a47e227aba945d5b93f74c55e9dda2c0d38abf6653c3a25e7ad8b9a4d8f36ab",
+         "bcdb17e2b4e7d953743aeebd727d65cafa79c39e25a0205c9610ef889072354d"),
+        (64, 0.1, 0.3, 2, 4,
+         "0b4aa74d33cb2124e7f908d5f2b8518e9ccca8fe5b59cf9bc9662765fb770ce7",
+         "154ca58015f462af757042315855fbbd10fda2e64b34ddcb6dbfdec3d66240f1"),
+        (64, 0.1, 0.3, 9, 9,
+         "b8144af8a2aa79d3b53890896953e82775ec47e76837f343f9755c2896143157",
+         "5870269cd5f5db38303764e0b850151f5c50bd102575ce064fead8d3787e7364"),
+    ])
+    def test_blocked_histories_match_digests_taken_before_block_scoring(
+        self, monkeypatch, one_blas_thread, hidden, alpha, beta, patience, epochs, want, best
+    ):
+        # n = 400 scores up to 8 (H = 16) or 2 (H = 64) epochs per pass;
+        # recorded when every epoch had a scoring pass of its own, at one BLAS
+        # thread as folds train. `best` digests the returned logits and params
+        bundle, g, idx = self.setup(400)
+        scores = self.record_scores(monkeypatch)
+        cfg = TrainConfig(learning_rate=0.1, max_epochs=9, patience=patience, layers=3,
+                          hidden_dim=hidden, seed=9, alpha=alpha, beta=beta,
+                          batch_budget=100, sampler_runs=30)
+        stats = presample(len(g), runs=30, budget=100, seed=9)
+        params, history, logits = train(cfg, normalize_adjacency(g), stats, bundle.features,
+                                        bundle.labels, idx[:340], idx[340:])
+        assert len(history) == epochs
+        assert max(k for _, k, _ in scores) > 1
+        assert sum(k for _, k, _ in scores) == epochs
+        assert self.digest(history) == want
+        got = hashlib.sha256(logits.tobytes())
+        for w in params.matrices():
+            got.update(w.tobytes())
+        assert got.hexdigest() == best
+
+    def test_a_scoring_block_holds_four_n_by_kh_arrays_and_its_weights(self):
+        # n = 1000, L = 10, H = 64 scores epochs 1-5 and 6-8 in two passes
+        # (k = 1000 // 192 = 5). Against one epoch, a block adds at most its
+        # four N x kH arrays (x0, alpha * x0, the layer input and its product),
+        # no more than 4/3 of a_hat's bytes, and, for each epoch but the
+        # last, a copy of the weights and the N x C logits
+        bundle, g, idx = self.setup(1000)
+        n, layers, hidden = 1000, 10, 64
+        a_hat, stats = normalize_adjacency(g), presample(n, runs=30, budget=100, seed=9)
+        peaks = {}
+        for epochs in (1, 8):
+            cfg = TrainConfig(max_epochs=epochs, patience=epochs, layers=layers,
+                              hidden_dim=hidden, seed=9, batch_budget=100, sampler_runs=30)
+            peaks[epochs], (params, history, _) = peak_bytes(
+                train, cfg, a_hat, stats, bundle.features, bundle.labels, idx[:900], idx[900:])
+            assert len(history) == epochs
+        k = n // (3 * hidden)
+        weights = sum(m.nbytes for m in params.matrices())
+        assert 4 * n * k * hidden * 8 <= 4 / 3 * a_hat.nbytes
+        assert peaks[8] - peaks[1] <= 4 * n * k * hidden * 8 + (k - 1) * (weights + n * 2 * 8)
+
     @pytest.mark.parametrize("budget, symmetric", [(None, True), (15, False)])
     def test_only_full_batch_steps_multiply_by_a_hat_untransposed(
         self, monkeypatch, budget, symmetric
@@ -864,6 +959,30 @@ class TestNonFiniteLoss:
             monkeypatch.setattr(training, "fold_workers", lambda folds, w=workers: w)
             with pytest.raises(NonFiniteLoss, match="fold 0, epoch 1"):
                 cross_validate(cfg, a_hat, None, features, bundle.labels)
+
+
+    def test_a_block_names_the_epoch_the_loss_broke_in(self, monkeypatch):
+        # n = 120, H = 16 scores epochs 3 and 4 in one pass: the NaN that
+        # epoch 3's first step writes surfaces once that block is scored,
+        # naming epoch 3, as when each epoch was scored alone
+        bundle, g, idx = TestTrainTraceReuse.setup(120)
+        steps = []
+        real = training.adam_step
+
+        def poisoned(params, grads, state, lr):
+            real(params, grads, state, lr)
+            steps.append(lr)
+            if len(steps) == 7:   # 3 batches per epoch
+                params.output_head[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "adam_step", poisoned)
+        cfg = TrainConfig(max_epochs=6, patience=6, layers=2, hidden_dim=16, seed=9,
+                          batch_budget=40, sampler_runs=30)
+        stats = presample(120, runs=30, budget=40, seed=9)
+        with pytest.raises(NonFiniteLoss, match="^epoch 3: train loss nan"):
+            train(cfg, normalize_adjacency(g), stats, bundle.features, bundle.labels,
+                  idx[:108], idx[108:])
+        assert len(steps) == 12   # epoch 4 trained before its block was scored
 
 
 class TestSampledInference:
