@@ -27,7 +27,7 @@ from .errors import SchemaMismatch
 from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import forward_logits, init_params, predict
 from .popgraph import build_adjacency, normalize_adjacency, rfe_ridge
-from .sampler import AggregationStats, aggregation_matrix, presample
+from .sampler import aggregation_matrix, json_chunks, presample
 from .training import TrainConfig, cross_validate, finite_difference_check
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -223,29 +223,45 @@ def resolve_config(args, defaults: TrainConfig | None = None) -> TrainConfig:
     return TrainConfig(**values)
 
 
-def _load_features(args) -> tuple[dataio.DatasetBundle, np.ndarray, np.ndarray | None]:
-    """Load the bundle and apply optional ridge-RFE column selection; returns
-    the bundle, the selected features and the kept columns (None for all)."""
+def _graph(args, ckpt: dataio.Checkpoint | None = None):
+    """Every command's one path from --data to its population graph: returns
+    the bundle, its features at the kept columns, those columns (None for
+    all), the adjacency matrix and its sigma. The columns are the checkpoint's,
+    else ridge-RFE's at --rfe-dim, else all. The graph is read from
+    --adjacency, with the sigma as given (None without one), else built at the
+    checkpoint's sigma or --sigma, the median heuristic for None, which is
+    then returned. A checkpoint index past the bundle is refused before any
+    graph work, and a graph whose digest is not the checkpoint's after it."""
     bundle = dataio.load_bundle(args.data)
-    rfe_dim = getattr(args, "rfe_dim", None)
-    if rfe_dim is None:
-        return bundle, bundle.features, None
-    pm1 = 2.0 * bundle.labels.astype(float) - 1.0
-    keep = rfe_ridge(bundle.features, pm1, target_dim=rfe_dim)
-    return bundle, bundle.features[:, keep], keep
+    features, sigma, columns = bundle.features, getattr(args, "sigma", None), None
+    if ckpt is not None:
+        for key, index, size, what in (("test_idx", ckpt.test_idx, len(features), "subjects"),
+                                       ("feature_columns", ckpt.feature_columns,
+                                        features.shape[1], "feature columns")):
+            if index is not None and index.max() >= size:  # the loader refuses an empty index
+                raise SchemaMismatch(f"{args.checkpoint}: {key} holds {index.max()}, "
+                                     f"but {args.data} has {size} {what}")
+        sigma, columns = ckpt.sigma, ckpt.feature_columns
+    elif getattr(args, "rfe_dim", None) is not None:
+        pm1 = 2.0 * bundle.labels.astype(float) - 1.0
+        columns = rfe_ridge(features, pm1, target_dim=args.rfe_dim)
+    if columns is not None:
+        features = features[:, columns]
+    if getattr(args, "adjacency", None) is not None:
+        a = dataio.load_adjacency(args.adjacency, n=features.shape[0])
+    else:
+        a, sigma = build_adjacency(features, bundle.phenotypes, sigma)
+    if ckpt is not None and (digest := dataio.graph_digest(a)) != ckpt.graph_digest:
+        source = args.adjacency or f"the graph rebuilt from {args.data}"
+        raise ValueError(
+            f"graph digest {digest[:12]} of {source} does not "
+            f"match the checkpoint's training graph digest {ckpt.graph_digest[:12]}"
+        )
+    return bundle, features, columns, a, sigma
 
 
-def _graph_for(bundle, features, sigma, adjacency=None) -> tuple[np.ndarray, float | None]:
-    """The population graph's adjacency matrix and its sigma: for an adjacency file the sigma as
-    given (None without it), else the graph built from the features at sigma
-    or, for None, at the median heuristic, which is then returned."""
-    if adjacency is not None:
-        return dataio.load_adjacency(adjacency, n=features.shape[0]), sigma
-    return build_adjacency(features, bundle.phenotypes, sigma)
-
-
-def _stats_for(config: TrainConfig, n: int) -> AggregationStats | None:
-    """Sampler statistics of n nodes at the batch budget, or None in full batch,
+def _stats_for(config: TrainConfig, n: int) -> np.ndarray | None:
+    """The sampler's membership S of n nodes at the batch budget, or None in full batch,
     whose aggregation is never restricted to a subgraph (unit gamma)."""
     if config.full_batch(n):
         return None
@@ -274,8 +290,8 @@ def _write_curve(path: Path, curve) -> None:
     dataio._atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _cv_accuracy(config, a_hat, stats, features, labels) -> float:
-    results = cross_validate(config, a_hat, stats, features, labels)
+def _cv_accuracy(config, a_hat, s, features, labels) -> float:
+    results = cross_validate(config, a_hat, s, features, labels)
     return float(np.mean([np.mean(r.probs.argmax(axis=1) == labels[r.test_idx])
                           for r in results]))
 
@@ -300,27 +316,24 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_build_graph(args) -> int:
-    bundle, features, _ = _load_features(args)
-    a, sigma = _graph_for(bundle, features, args.sigma)
+    _, _, _, a, sigma = _graph(args)
     dataio.save_adjacency(a, args.out)
     print(f"wrote {args.out} ({np.count_nonzero(a) // 2} edges, sigma={sigma:.6g})")
     return 0
 
 
 def _cmd_sample_stats(args) -> int:
-    bundle, features, _ = _load_features(args)
-    a, _ = _graph_for(bundle, features, args.sigma, args.adjacency)
+    _, _, _, a, _ = _graph(args)
     budget = args.budget if args.budget is not None else -(-len(a) // 2)
-    stats = presample(len(a), runs=args.runs, budget=budget, seed=args.seed)
-    dataio._atomic_write(Path(args.out), itertools.chain(stats.json_chunks(a), ["\n"]))
-    print(f"wrote {args.out} (runs={stats.runs}, budget={budget})")
+    s = presample(len(a), runs=args.runs, budget=budget, seed=args.seed)
+    dataio._atomic_write(Path(args.out), itertools.chain(json_chunks(s, a), ["\n"]))
+    print(f"wrote {args.out} (runs={len(s)}, budget={budget})")
     return 0
 
 
 def _cmd_train(args) -> int:
     config = resolve_config(args)
-    bundle, features, columns = _load_features(args)
-    a, sigma = _graph_for(bundle, features, args.sigma, args.adjacency)
+    bundle, features, columns, a, sigma = _graph(args)
     digest = dataio.graph_digest(a)   # before normalize_adjacency turns a into A_hat
     a_hat = normalize_adjacency(a)
     results = cross_validate(config, a_hat, _stats_for(config, len(a)), features, bundle.labels)
@@ -357,24 +370,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt = dataio.load_checkpoint(args.checkpoint)
-    bundle = dataio.load_bundle(args.data)
-    features = bundle.features
-    for key, index, size, what in (("test_idx", ckpt.test_idx, len(features), "subjects"),
-                                   ("feature_columns", ckpt.feature_columns,
-                                    features.shape[1], "feature columns")):
-        if index is not None and index.max() >= size:  # the loader refuses an empty index
-            raise SchemaMismatch(f"{args.checkpoint}: {key} holds {index.max()}, "
-                                 f"but {args.data} has {size} {what}")
-    if ckpt.feature_columns is not None:
-        features = features[:, ckpt.feature_columns]
-    a, _ = _graph_for(bundle, features, ckpt.sigma, args.adjacency)
-    digest = dataio.graph_digest(a)
-    if digest != ckpt.graph_digest:
-        source = args.adjacency or f"the graph rebuilt from {args.data}"
-        raise ValueError(
-            f"graph digest {digest[:12]} of {source} does not "
-            f"match the checkpoint's training graph digest {ckpt.graph_digest[:12]}"
-        )
+    bundle, features, _, a, _ = _graph(args, ckpt)
     # gamma only debiases subgraph-restricted training: score with unit aggregation
     a_hat = normalize_adjacency(a)
     probs = predict(forward_logits([ckpt.params], a_hat, features)[0])
@@ -395,8 +391,7 @@ def _sweep_setup(args, field: str, values: list[int] | None):
     config = resolve_config(args, defaults=sweep_defaults)
     for value in values or ():
         replace(config, **{field: value})
-    bundle, features, _ = _load_features(args)
-    a, _ = _graph_for(bundle, features, args.sigma)
+    bundle, features, _, a, _ = _graph(args)
     return config, bundle, features, normalize_adjacency(a)
 
 

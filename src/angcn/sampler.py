@@ -12,7 +12,6 @@ them, for the edges of a given graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -21,36 +20,24 @@ from .errors import BudgetOutOfRange, EmptyStats
 from .popgraph import _BLOCK_ROWS
 
 
-@dataclass
-class AggregationStats:
-    """Sampler runs as the runs x n float 0/1 membership matrix S: entry
-    (r, i) is 1 when run r sampled node i. Counts are exact in float64."""
-
-    membership: np.ndarray
-
-    @property
-    def runs(self) -> int:
-        return self.membership.shape[0]
-
-    def json_chunks(self, a: np.ndarray) -> Iterator[str]:
-        """The stats.json text, json.dumps(payload, indent=2, sort_keys=True)
-        of the payload {runs, node_counts: C_i, edge_counts: [i, j, C_ij] for
-        every edge (nonzero entry i < j) of the adjacency matrix a and each
-        (i, i), sorted by (i, j)}, one matrix row's edges at a time. C_ij is
-        formed `_BLOCK_ROWS` rows at a time, as S[:, rows]^T S, so no N x N
-        array and no whole-payload text is made."""
-        s = self.membership
-        node_counts: list[str] = []
-        yield '{\n  "edge_counts": ['
-        for start in range(0, len(a), _BLOCK_ROWS):
-            counts = (s[:, start:start + _BLOCK_ROWS].T @ s).astype(np.int64)
-            for i, row in enumerate(counts, start):
-                cols = [i, *(np.flatnonzero(a[i, i + 1:]) + (i + 1)).tolist()]
-                node_counts.append(f"\n    {row[i]}")
-                yield ("," if i else "") + ",".join(
-                    f"\n    [\n      {i},\n      {j},\n      {c}\n    ]"
-                    for j, c in zip(cols, row[cols].tolist()))
-        yield f'\n  ],\n  "node_counts": [{",".join(node_counts)}\n  ],\n  "runs": {self.runs}\n}}'
+def json_chunks(s: np.ndarray, a: np.ndarray) -> Iterator[str]:
+    """The stats.json text of the membership S, json.dumps(payload, indent=2,
+    sort_keys=True) of the payload {runs, node_counts: C_i, edge_counts:
+    [i, j, C_ij] for every edge (nonzero entry i < j) of the adjacency matrix
+    a and each (i, i), sorted by (i, j)}, one matrix row's edges at a time.
+    C_ij is formed `_BLOCK_ROWS` rows at a time, as S[:, rows]^T S, so no
+    N x N array and no whole-payload text is made."""
+    node_counts: list[str] = []
+    yield '{\n  "edge_counts": ['
+    for start in range(0, len(a), _BLOCK_ROWS):
+        counts = (s[:, start:start + _BLOCK_ROWS].T @ s).astype(np.int64)
+        for i, row in enumerate(counts, start):
+            cols = [i, *(np.flatnonzero(a[i, i + 1:]) + (i + 1)).tolist()]
+            node_counts.append(f"\n    {row[i]}")
+            yield ("," if i else "") + ",".join(
+                f"\n    [\n      {i},\n      {j},\n      {c}\n    ]"
+                for j, c in zip(cols, row[cols].tolist()))
+    yield f'\n  ],\n  "node_counts": [{",".join(node_counts)}\n  ],\n  "runs": {len(s)}\n}}'
 
 
 def sample_node_subgraph(n: int, budget: int, rng: np.random.Generator) -> np.ndarray:
@@ -60,9 +47,9 @@ def sample_node_subgraph(n: int, budget: int, rng: np.random.Generator) -> np.nd
     return np.sort(rng.choice(n, size=budget, replace=False))
 
 
-def aggregation_matrix(stats: AggregationStats, nodes: np.ndarray | None = None) -> np.ndarray:
-    """Normalization constants gamma_ij = C_i / C_ij for every pair of
-    `nodes` (default: the whole graph), in that order.
+def aggregation_matrix(s: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
+    """Normalization constants gamma_ij = C_i / C_ij of the membership S for
+    every pair of `nodes` (default: the whole graph), in that order.
 
     Only a_hat * gamma is used, and a_hat is 0 off the support of A + I, so
     no graph is needed. Row-wise, hence generally asymmetric: gamma_ij
@@ -71,23 +58,24 @@ def aggregation_matrix(stats: AggregationStats, nodes: np.ndarray | None = None)
     node sampled at least once (C_ii = C_i); exhaustive sampling (every run
     takes the whole graph) gives 1 everywhere, i.e. unit aggregation.
     """
-    if stats.runs < 1:
+    if len(s) < 1:
         raise EmptyStats("aggregation statistics need at least one sampler run")
-    s = stats.membership if nodes is None else stats.membership[:, nodes]
+    s = s if nodes is None else s[:, nodes]
     counts = s.T @ s   # C_ij, and C_i on the diagonal: exact integers
     return np.divide(np.diagonal(counts)[:, None], np.maximum(counts, 1.0), out=counts)
 
 
-def presample(n: int, runs: int, budget: int, seed: int) -> AggregationStats:
-    """The membership of `runs` uniform samples of `budget` of the nodes
-    0..n-1.
+def presample(n: int, runs: int, budget: int, seed: int) -> np.ndarray:
+    """The membership S of `runs` uniform samples of `budget` of the nodes
+    0..n-1: the runs x n float 0/1 matrix whose entry (r, i) is 1 when run r
+    sampled node i. Counts formed from it are exact in float64.
 
     Run r uses default_rng([seed, r]), so runs are independent and the result
     does not depend on execution order.
     """
     if runs < 1:
         raise EmptyStats(f"runs must be >= 1, got {runs}")
-    membership = np.zeros((runs, n))
+    s = np.zeros((runs, n))
     for r in range(runs):
-        membership[r, sample_node_subgraph(n, budget, np.random.default_rng([seed, r]))] = 1.0
-    return AggregationStats(membership)
+        s[r, sample_node_subgraph(n, budget, np.random.default_rng([seed, r]))] = 1.0
+    return s

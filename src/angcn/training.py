@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, ShapeMismatch, TraceMismatch
 from .model import ForwardTrace, ModelParams, check_coefficient, forward, forward_logits
 from .model import init_params, predict
-from .sampler import AggregationStats, aggregation_matrix, sample_node_subgraph
+from .sampler import aggregation_matrix, sample_node_subgraph
 
 
 @dataclass
@@ -324,7 +324,7 @@ def one_hot(labels: Sequence[int]) -> np.ndarray:
 def train(
     config: TrainConfig,
     a_hat: np.ndarray,
-    stats: AggregationStats | None,
+    s: np.ndarray | None,
     features: np.ndarray,
     labels: Sequence[int],
     train_idx: np.ndarray,
@@ -342,21 +342,28 @@ def train(
     The end-of-epoch losses score the full graph with `a_hat` (unit
     aggregation), and the logits returned are the best epoch's scoring pass,
     kept, not run again (with no epochs, the initial params are scored once).
-    A minibatch b steps on a_hat[b, b] * aggregation_matrix(stats, b), whose
-    gamma debiases subgraph-restricted aggregation (unit gamma for stats
-    None), so sampled epochs score with no trace. They score in blocks: each
-    epoch's weights are kept, and one forward_logits call scores k epochs,
+    A minibatch b steps on a_hat[b, b] * aggregation_matrix(s, b), whose
+    gamma, from the sampler's runs x n membership S, debiases
+    subgraph-restricted aggregation (unit gamma for s None), so sampled
+    epochs score with no trace. They score in blocks: each epoch's weights
+    are kept, and one forward_logits call scores k epochs,
     k = min(n // 3H, patience - stale epochs, epochs left) for a hidden width
     H that is a multiple of 16, else 1. So the block's four N x kH arrays stay
     within 4/3 of a_hat's bytes, early stopping can fire only on a block's
     last epoch, and every epoch trained is one that scoring epoch by epoch
     would train; a NonFiniteLoss surfaces once its block is scored, naming
     the same epoch. Full batch (`config.full_batch(n)`) restricts nothing, so
-    it takes no stats, and each end-of-epoch forward is also the next epoch's
+    it takes no S, and each end-of-epoch forward is also the next epoch's
     training forward. Its backward multiplies by a_hat untransposed
     (`symmetric=True`), so a_hat must be exactly symmetric, as
     normalize_adjacency returns it; sampled steps multiply by step_op.T,
     since a_hat[b, b] * gamma is not symmetric.
+
+    `train` runs at the caller's BLAS thread count, and its bits depend on
+    that count: at n = 400, L = 3 and H = 16 or 64, each of the 8 sampled
+    runs of the blocked-history digest test returns another history or other
+    logits at two OpenBLAS threads than at one. `cross_validate` holds
+    OpenBLAS at one thread for its folds.
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
@@ -366,7 +373,7 @@ def train(
     labels_oh = one_hot(labels)
     n = a_hat.shape[0]
     full_batch = config.full_batch(n)
-    if full_batch and stats is not None:
+    if full_batch and s is not None:
         raise ValueError("full-batch training needs unit gamma (no sampler statistics)")
 
     rng = np.random.default_rng([config.seed, 0])
@@ -393,8 +400,8 @@ def train(
             labeled_local = np.flatnonzero(train_mask[batch])
             if labeled_local.size:
                 step_op = a_hat[np.ix_(batch, batch)]
-                if stats is not None:
-                    step_op *= aggregation_matrix(stats, batch)
+                if s is not None:
+                    step_op *= aggregation_matrix(s, batch)
                 yield step_op, features[batch], labels_oh[batch], labeled_local
 
     trace = forward(params, a_hat, features) if full_batch else None
@@ -520,13 +527,13 @@ def _blas_thread_api():
 
 def _train_fold(shared: tuple, task: tuple) -> FoldResult:
     """Train fold `task` = (fold, config, test_idx, train_idx, val_idx) on the
-    shared (a_hat, stats, features, labels); the config carries the fold's seed.
+    shared (a_hat, s, features, labels); the config carries the fold's seed.
     The test probabilities are the softmax of the logits `train` returns, from
     its best epoch's scoring pass: the fold runs no full-graph pass for them."""
-    a_hat, stats, features, labels = shared
+    a_hat, s, features, labels = shared
     fold, config, test_idx, train_idx, val_idx = task
     try:
-        params, history, logits = train(config, a_hat, stats, features, labels,
+        params, history, logits = train(config, a_hat, s, features, labels,
                                         train_idx, val_idx)
     except NonFiniteLoss as exc:
         raise NonFiniteLoss(f"fold {fold}, {exc}") from exc
@@ -578,33 +585,35 @@ def _train_folds(shared: tuple, tasks: list[tuple]) -> list[FoldResult]:
 def cross_validate(
     config: TrainConfig,
     a_hat: np.ndarray,
-    stats: AggregationStats | None,
+    s: np.ndarray | None,
     features: np.ndarray,
     labels: Sequence[int],
 ) -> list[FoldResult]:
     """Stratified k-fold evaluation; each fold trains on the rest with an
     inner stratified validation split for early stopping.
 
-    `stats` is None for unit aggregation (full batch, plain GCN) or the
-    sampler statistics of the graph's nodes (ShapeMismatch otherwise), from
+    `s` is None for unit aggregation (full batch, plain GCN) or presample's
+    membership S of the graph's nodes (ShapeMismatch otherwise), from
     which each minibatch of sampled training forms its gamma. Every fold
     shares `a_hat`, normalize_adjacency's operator, and none changes it, so a
     sweep forms it once for all its calls. The splits and the fold seeds are
     built once here; the folds then train as the module docstring says, and
-    the results come back in fold order. The caller's BLAS thread count is
-    restored when the last of any concurrent calls ends, on error too. Test
+    the results come back in fold order. The folds train at one OpenBLAS
+    thread, where its thread-count symbols exist, whatever the caller's
+    count, which is restored when the last of any concurrent calls ends, on
+    error too. Test
     probabilities come from the full-graph scoring pass with unit aggregation
     (a_hat) of each fold's best epoch. A non-finite loss raises NonFiniteLoss naming the fold and
     epoch; an error in any fold reaches the caller, the earliest failing
     fold's first."""
     labels = np.asarray(labels, dtype=int)
     n = len(a_hat)
-    if stats is not None and stats.membership.shape[1] != n:
-        raise ShapeMismatch(f"stats cover {stats.membership.shape[1]} nodes, the graph {n}")
+    if s is not None and s.shape[1] != n:
+        raise ShapeMismatch(f"stats cover {s.shape[1]} nodes, the graph {n}")
     tasks = []
     for f, test_idx in enumerate(stratified_kfold(labels, config.folds, config.seed)):
         pool = np.flatnonzero(~np.isin(np.arange(n), test_idx))
         fold_seed = int(np.random.SeedSequence([config.seed, 17, f]).generate_state(1)[0])
         tr_idx, val_idx = stratified_holdout(labels, pool, VALIDATION_FRACTION, fold_seed)
         tasks.append((f, replace(config, seed=fold_seed), test_idx, tr_idx, val_idx))
-    return _train_folds((a_hat, stats, features, labels), tasks)
+    return _train_folds((a_hat, s, features, labels), tasks)

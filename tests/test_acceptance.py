@@ -72,7 +72,7 @@ def test_criterion_3_aggregator_unbiasedness():
         mask = np.zeros((20, 20))
         mask[np.ix_(nodes, nodes)] = 1.0
         total += (op * mask) @ h
-    est = total / np.maximum(stats.membership.sum(axis=0)[:, None], 1)
+    est = total / np.maximum(stats.sum(axis=0)[:, None], 1)
     ref = a_hat @ h
     rel = float(np.linalg.norm(est - ref) / np.linalg.norm(ref))
     elapsed = time.perf_counter() - start

@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from angcn import cli, popgraph, training
+from angcn import cli, data, popgraph, training
 from angcn.cli import cli_run
 from angcn.data import (
     SyntheticSpec, generate_synthetic, graph_digest, load_adjacency, load_bundle, save_adjacency,
 )
-from angcn.sampler import presample
+from angcn.sampler import json_chunks, presample
 from angcn.training import TrainConfig
 
 from graphs import peak_bytes
@@ -26,6 +26,7 @@ FAST_TRAIN = [
     "--folds", "3", "--epochs", "25", "--patience", "25",
     "--layers", "2", "--hidden", "12", "--seed", "2",
 ]
+QUICK_TRAIN = FAST_TRAIN + ["--folds", "2", "--epochs", "2"]
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,17 @@ def train_dir(tmp_path_factory, data_dir):
     rc = cli_run(["train", "--data", str(data_dir), "--out", str(out)] + FAST_TRAIN)
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def adjacency_run(tmp_path_factory, data_dir):
+    """The bundle's build-graph file and a quick run trained on it."""
+    adj = tmp_path_factory.mktemp("graph") / "adjacency.csv"
+    assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]) == 0
+    run = tmp_path_factory.mktemp("adjacency-run")
+    assert cli_run(["train", "--data", str(data_dir), "--adjacency", str(adj), "--out", str(run)]
+                   + QUICK_TRAIN) == 0
+    return adj, run
 
 
 class TestSynth:
@@ -121,28 +133,43 @@ class TestBuildGraph:
         # reads one N(N-1)/2 buffer of the pairs i < j: no second N x N array
         n = 2000
         bundle = generate_synthetic(SyntheticSpec(n_subjects=n))
-        peak, (a, sigma) = peak_bytes(cli._graph_for, bundle, bundle.features, None)
+        peak, (a, sigma) = peak_bytes(popgraph.build_adjacency, bundle.features,
+                                      bundle.phenotypes, None)
         assert peak <= 1.6 * n * n * 8
         assert a.shape == (n, n) and sigma > 0
 
-    def test_distances_computed_at_most_once(self, data_dir, tmp_path, monkeypatch):
-        adj = tmp_path / "adjacency.csv"
-        assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]) == 0
-        calls = []
-        distances = popgraph._correlation_distances
-
-        def counted(features):
-            calls.append(features.shape)
-            return distances(features)
-
-        monkeypatch.setattr(popgraph, "_correlation_distances", counted)
-        quick = FAST_TRAIN + ["--folds", "2", "--epochs", "2"]
-        assert cli_run(["train", "--data", str(data_dir), "--out", str(tmp_path / "a")]
-                       + quick) == 0
-        assert calls == [(48, 15)]
-        assert cli_run(["train", "--data", str(data_dir), "--adjacency", str(adj),
-                        "--out", str(tmp_path / "b")] + quick) == 0
-        assert calls == [(48, 15)]
+    @pytest.mark.parametrize("command, flags, distances", [
+        ("build-graph", [], [(48, 15)]),
+        ("sample-stats", ["--runs", "5"], [(48, 15)]),
+        ("sample-stats", ["--runs", "5", "--adjacency", "{adj}"], []),
+        ("train", QUICK_TRAIN, [(48, 15)]),
+        ("train", QUICK_TRAIN + ["--adjacency", "{adj}"], []),
+        ("train", QUICK_TRAIN + ["--rfe-dim", "6"], [(48, 6)]),
+        ("eval", ["--checkpoint", "{checkpoint}"], [(48, 15)]),
+        ("eval", ["--checkpoint", "{adjacency_checkpoint}", "--adjacency", "{adj}"], []),
+        ("sweep-depth", ["--depths", "2"] + QUICK_TRAIN, [(48, 15)]),
+        ("sweep-batch", ["--budgets", "24", "--rfe-dim", "6", "--sampler-runs", "20"]
+         + QUICK_TRAIN, [(48, 6)]),
+    ], ids=["build-graph", "sample-stats", "sample-stats-adjacency", "train", "train-adjacency",
+            "train-rfe", "eval", "eval-adjacency", "sweep-depth", "sweep-batch-rfe"])
+    def test_distances_computed_at_most_once(self, data_dir, train_dir, adjacency_run, tmp_path,
+                                             monkeypatch, command, flags, distances):
+        # every command reaches its graph through one path: the bundle is read
+        # once, and the distances are computed once, never for a file's graph
+        adj, run = adjacency_run
+        paths = {"adj": adj, "checkpoint": train_dir / "checkpoint_fold0.json",
+                 "adjacency_checkpoint": run / "checkpoint_fold0.json"}
+        loads, calls = [], []
+        load_bundle, correlation_distances = data.load_bundle, popgraph._correlation_distances
+        monkeypatch.setattr(data, "load_bundle",
+                            lambda path: loads.append(path) or load_bundle(path))
+        monkeypatch.setattr(popgraph, "_correlation_distances",
+                            lambda features: calls.append(features.shape)
+                            or correlation_distances(features))
+        argv = [command, "--data", str(data_dir), "--out", str(tmp_path / "out")]
+        assert cli_run(argv + [flag.format(**paths) for flag in flags]) == 0
+        assert loads == [data_dir]
+        assert calls == distances
 
     @pytest.mark.parametrize("sigma", ["-1", "0", "nan", "inf"])
     def test_bad_sigma_is_a_usage_error(self, data_dir, tmp_path, capsys, sigma):
@@ -210,14 +237,14 @@ class TestSampleStats:
         keep = rng.uniform(size=len(i)) < 0.4
         a = np.zeros((n, n))
         a[i[keep], j[keep]] = a[j[keep], i[keep]] = rng.uniform(0.01, 2.0, int(keep.sum()))
-        monkeypatch.setattr(cli, "_graph_for", lambda *args: (a, None))   # made untraced
+        monkeypatch.setattr(cli, "_graph", lambda args: (None, None, None, a, None))  # untraced
         out = tmp_path / "stats.json"
         peak, rc = peak_bytes(cli_run, ["sample-stats", "--data", str(data_dir), "--out",
                                         str(out), "--runs", "200", "--budget", "500"])
         assert rc == 0
         assert peak <= n * n * 8
         stats = presample(n, runs=200, budget=500, seed=0)
-        assert out.read_text() == "".join(stats.json_chunks(a)) + "\n"
+        assert out.read_text() == "".join(json_chunks(stats, a)) + "\n"
 
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_fewer_than_one_run_fails(self, data_dir, tmp_path, capsys, runs):
@@ -384,6 +411,31 @@ class TestEval:
         err = capsys.readouterr().err
         assert rc == 1
         assert str(bad) in err and key in err
+
+    @pytest.mark.parametrize("key, value, size", [("test_idx", 5000, "48 subjects"),
+                                                  ("feature_columns", 999, "15 feature columns")])
+    def test_bad_index_is_refused_before_any_graph_work(self, data_dir, train_dir, tmp_path,
+                                                        capsys, monkeypatch, key, value, size):
+        # the index is checked against the bundle before a graph is read or
+        # built: not the digest of another graph, not a distance pass
+        other = tmp_path / "other.csv"
+        assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(other),
+                        "--sigma", "0.05"]) == 0
+        payload = json.loads((train_dir / "checkpoint_fold0.json").read_text())
+        payload[key] = [0, value]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+
+        def no_distances(features):
+            raise AssertionError("correlation distances computed before the index check")
+
+        monkeypatch.setattr(popgraph, "_correlation_distances", no_distances)
+        for flags in (["--adjacency", str(other)], []):
+            capsys.readouterr()
+            assert cli_run(["eval", "--checkpoint", str(bad), "--data", str(data_dir)]
+                           + flags) == 1
+            assert capsys.readouterr().err == (
+                f"error: {bad}: {key} holds {value}, but {data_dir} has {size}\n")
 
     def test_config_alpha_is_the_alpha_eval_runs(self, data_dir, train_dir, tmp_path):
         # alpha is stored once, in the config: an edit there changes the model eval scores

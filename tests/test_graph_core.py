@@ -7,7 +7,7 @@ from angcn.data import SyntheticSpec, generate_synthetic, load_adjacency
 from angcn.errors import BadAdjacency, ParseError, ShapeMismatch
 from angcn.model import ModelParams, forward
 from angcn.popgraph import build_adjacency, normalize_adjacency
-from angcn.sampler import AggregationStats, aggregation_matrix, presample, sample_node_subgraph
+from angcn.sampler import aggregation_matrix, presample, sample_node_subgraph
 from angcn.training import TrainConfig, cross_validate
 
 from graphs import adjacency, adjacency_file, edge_list, peak_bytes, random_adjacency
@@ -210,8 +210,8 @@ class TestNormalizeAdjacency:
 
 
 def stats_of(membership):
-    """Sampler statistics of hand-listed runs: row r marks the nodes run r took."""
-    return AggregationStats(np.array(membership, dtype=float))
+    """The membership S of hand-listed runs: row r marks the nodes run r took."""
+    return np.array(membership, dtype=float)
 
 
 class TestHadamard:
@@ -286,7 +286,7 @@ def test_hadamard_matmul_agree_with_oracles(seed):
             for j in nodes:
                 counts[i, j] += 1
     stats = presample(4, runs=6, budget=budget, seed=seed)
-    assert np.array_equal(stats.membership.T @ stats.membership, counts)
+    assert np.array_equal(stats.T @ stats, counts)
     a_hat = normalize_adjacency(g)
     op = a_hat * aggregation_matrix(stats)
     for (i, j), value in np.ndenumerate(op):

@@ -1,4 +1,5 @@
-"""Every function, class and method in the package is used by the package."""
+"""Every function, class and method in the package is used by the package,
+and the CLI reaches its data and its graph through one call site each."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,14 @@ def test_every_definition_is_referenced_outside_itself():
                          and not (where == module and first <= line <= last)
                          for where, name, line in refs)]
     assert unused == []
+
+
+def test_cli_reads_data_and_makes_graphs_at_one_site_each():
+    # every command, eval included, goes from --data to its graph through one
+    # function: a second call site would be a second recipe for the graph
+    tree = ast.parse((Path(angcn.__file__).parent / "cli.py").read_text())
+    called = [node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Attribute, ast.Name))]
+    names = ("load_bundle", "load_adjacency", "build_adjacency", "rfe_ridge")
+    assert {name: called.count(name) for name in names} == dict.fromkeys(names, 1)

@@ -6,12 +6,7 @@ import pytest
 
 from angcn.errors import BudgetOutOfRange, EmptyStats
 from angcn.popgraph import normalize_adjacency
-from angcn.sampler import (
-    AggregationStats,
-    aggregation_matrix,
-    presample,
-    sample_node_subgraph,
-)
+from angcn.sampler import aggregation_matrix, json_chunks, presample, sample_node_subgraph
 
 from graphs import adjacency, edge_list, peak_bytes, random_adjacency
 
@@ -42,9 +37,9 @@ def pair_tally(n, samples):
     return counts
 
 
-def pair_counts(stats):
+def pair_counts(s):
     """C_ij off the diagonal and C_i on it: S^T S for the runs x n membership S."""
-    return (stats.membership.T @ stats.membership).astype(np.int64)
+    return (s.T @ s).astype(np.int64)
 
 
 def node_counts(stats):
@@ -101,7 +96,7 @@ class TestAccumulateCounts:
 
     def test_exhaustive_runs_count_everything(self):
         stats = presample(4, runs=7, budget=4, seed=0)
-        assert stats.runs == 7
+        assert len(stats) == 7
         assert np.all(node_counts(stats) == 7)
         assert np.all(pair_counts(stats) == 7)
 
@@ -140,7 +135,7 @@ class TestAggregationMatrix:
     def test_ratio_substitution(self):
         # 5 runs take both nodes, 5 only node 0 and 3 only node 1: C_0 = 10,
         # C_1 = 8, C_01 = 5
-        stats = AggregationStats(np.array([[1.0, 1.0]] * 5 + [[1.0, 0.0]] * 5 + [[0.0, 1.0]] * 3))
+        stats = np.array([[1.0, 1.0]] * 5 + [[1.0, 0.0]] * 5 + [[0.0, 1.0]] * 3)
         gamma = aggregation_matrix(stats)
         assert gamma[0, 1] == 2.0          # 10 / 5
         assert gamma[1, 0] == pytest.approx(8.0 / 5.0)
@@ -162,13 +157,13 @@ class TestAggregationMatrix:
         n = 2000
         peak, stats = peak_bytes(presample, n, 20, 50, 0)
         assert peak < n * n * 8
-        assert stats.membership.shape == (20, n)
+        assert stats.shape == (20, n)
 
     def test_empty_stats(self):
         with pytest.raises(EmptyStats, match="runs must be >= 1, got 0"):
             presample(3, runs=0, budget=2, seed=0)
         with pytest.raises(EmptyStats):
-            aggregation_matrix(AggregationStats(np.zeros((0, 3))))
+            aggregation_matrix(np.zeros((0, 3)))
 
     def test_unit_diagonal_and_support(self):
         g = random_graph(10, 0.4, seed=6)
@@ -185,7 +180,7 @@ class TestAggregationMatrix:
 
     def test_never_sampled_edge_clamps_denominator(self):
         # C_0 = 4, C_1 = C_01 = 2, and no run takes node 2
-        stats = AggregationStats(np.array([[1.0, 1.0, 0.0]] * 2 + [[1.0, 0.0, 0.0]] * 2))
+        stats = np.array([[1.0, 1.0, 0.0]] * 2 + [[1.0, 0.0, 0.0]] * 2)
         gamma = aggregation_matrix(stats)
         assert gamma[1, 2] == 2.0          # C_1 / max(0, 1)
         assert gamma[2, 1] == 0.0          # C_2 = 0
@@ -273,7 +268,7 @@ class TestDeterminismAndExport:
         g = random_graph(9, 0.4, seed=0)
         a = presample(len(g), runs=30, budget=4, seed=21)
         b = presample(len(g), runs=30, budget=4, seed=21)
-        assert np.array_equal(a.membership, b.membership)
+        assert np.array_equal(a, b)
 
     def test_stats_json_bytes_are_pinned(self):
         # the stats.json bytes `sample-stats` writes; the digest was recorded
@@ -287,14 +282,14 @@ class TestDeterminismAndExport:
         ]
         g = adjacency(12, tuple(edges))
         stats = presample(len(g), runs=40, budget=5, seed=2)
-        digest = hashlib.sha256("".join(stats.json_chunks(g)).encode()).hexdigest()
+        digest = hashlib.sha256("".join(json_chunks(stats, g)).encode()).hexdigest()
         assert digest == "1170aa4302e59f471efcc6622573807201bfd426adc2b9c5bc5371a78eaa069f"
 
     def test_json_round_trip(self):
         g = random_graph(7, 0.5, seed=8)
         stats = presample(len(g), runs=25, budget=3, seed=3)
-        back = json.loads("".join(stats.json_chunks(g)))
-        assert back["runs"] == stats.runs
+        back = json.loads("".join(json_chunks(stats, g)))
+        assert back["runs"] == len(stats)
         assert back["node_counts"] == node_counts(stats).tolist()
         keys = sorted(edge_pairs(g) + [(v, v) for v in range(len(g))])
         assert back["edge_counts"] == [[i, j, pair_counts(stats)[i, j]] for i, j in keys]
@@ -309,9 +304,9 @@ class TestDeterminismAndExport:
         stats = presample(n, runs=30, budget=budget, seed=6)
         i, j = np.nonzero(np.triu(g != 0, k=1) | np.eye(n, dtype=bool))
         counts = pair_counts(stats)
-        payload = {"runs": stats.runs, "node_counts": np.diagonal(counts).tolist(),
+        payload = {"runs": len(stats), "node_counts": np.diagonal(counts).tolist(),
                    "edge_counts": np.stack([i, j, counts[i, j]], axis=1).tolist()}
-        chunks = list(stats.json_chunks(g))
+        chunks = list(json_chunks(stats, g))
         assert len(chunks) == n + 2   # one per matrix row between the opening and closing
         assert "".join(chunks) == json.dumps(payload, indent=2, sort_keys=True)
 
