@@ -139,12 +139,9 @@ def pr_curve(scores, y_true) -> CurvePoints:
     cum_tp, cum_fp = _threshold_sweep(scores, y_true)
     recall = cum_tp / pos
     precision = cum_tp / (cum_tp + cum_fp)
-    prev_r = 0.0
-    area = 0.0
-    for r, p in zip(recall, precision):
-        area += p * (r - prev_r)
-        prev_r = r
+    # cumsum adds left to right, so the sum has the bits of a sequential loop
+    area = float(np.cumsum(precision * np.diff(recall, prepend=0.0))[-1])
     points = ((0.0, 1.0),) + tuple(
         (float(r), float(p)) for r, p in zip(recall, precision)
     )
-    return CurvePoints(kind="pr", points=points, area=float(area))
+    return CurvePoints(kind="pr", points=points, area=area)

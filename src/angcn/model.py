@@ -22,8 +22,9 @@ the last layer to class scores.
 A forward forms alpha * x0 once and each layer's identity map I + W once.
 The trace keeps each layer's activation and, at beta != 0, its diffusion s
 and I + W, so the backward pass never repeats an N x N product or rebuilds
-I + W; `forward_logits` without a trace, which only scores, keeps none of
-them, and scores several weight sets with one N x N product per layer.
+I + W. `forward_logits` runs one layer loop for one weight set or several,
+with one N x N product per layer; without a trace, which only scores, it
+keeps none of them, and each layer's ReLU overwrites its product.
 `pre` is accumulated in place in the order written above, so skipping a
 zero term changes no bit of the result (save the sign of an exact zero, and
 NaN from 0 * inf), and neither does skipping a temporary.
@@ -174,10 +175,11 @@ def forward_logits(param_sets: Sequence[ModelParams], op: np.ndarray, x_raw: np.
     of the wide product is the bits of op @ h_i (for OpenBLAS, H a multiple
     of 16), each set's logits are the bits of its own pass. Into `trace`, if
     given (one set only), goes what the backward pass reads (at beta = 0 the
-    activations alone). For k > 1, which keeps no trace, each layer's ReLU
-    output overwrites its block of the product, so the pass holds four
-    N x kH arrays at most (x0, alpha * x0, the layer input and its product),
-    and no layer's arrays outlive the next.
+    activations alone), and each ReLU output is a new array. Without a trace,
+    for one set as for many, each layer's ReLU output overwrites its block of
+    the product, so the pass holds four N x kH arrays at most (x0, alpha * x0,
+    the layer input and its product; three at alpha = beta = 0), and no
+    layer's arrays outlive the next.
     """
     first, k = param_sets[0], len(param_sets)
     x_raw = np.asarray(x_raw, dtype=float)
@@ -188,13 +190,12 @@ def forward_logits(param_sets: Sequence[ModelParams], op: np.ndarray, x_raw: np.
         )
     if np.shape(op) != (x_raw.shape[0], x_raw.shape[0]):
         raise ShapeMismatch(f"operator {np.shape(op)} does not match {x_raw.shape[0]} input rows")
-    if k > 1:
-        if trace is not None:
-            raise ValueError(f"a trace records one weight set, got {k}")
-        shapes = [m.shape for m in first.matrices()]
-        if any((p.alpha, p.beta) != (first.alpha, first.beta)
-               or [m.shape for m in p.matrices()] != shapes for p in param_sets):
-            raise ShapeMismatch("weight sets scored together must share alpha, beta and shapes")
+    if trace is not None and k > 1:
+        raise ValueError(f"a trace records one weight set, got {k}")
+    shapes = [m.shape for m in first.matrices()]
+    if any((p.alpha, p.beta) != (first.alpha, first.beta)
+           or [m.shape for m in p.matrices()] != shapes for p in param_sets[1:]):
+        raise ShapeMismatch("weight sets scored together must share alpha, beta and shapes")
     alpha, beta = first.alpha, first.beta
     width = first.input_projection.shape[1]
     blocks = [slice(i * width, (i + 1) * width) for i in range(k)]
@@ -207,19 +208,19 @@ def forward_logits(param_sets: Sequence[ModelParams], op: np.ndarray, x_raw: np.
         if w.shape != (width, width):
             raise ShapeMismatch(f"layer {ell}: weight {w.shape} incompatible with width {width}")
         s = op @ h
-        if k == 1:  # the ReLU output is a new array, apart from the s a trace keeps
-            iw = np.eye(width) + w if beta else None
-            h = layer_forward(s, x0s[0], alpha, beta, iw, alpha_x0s[0])
-            if trace is not None:
-                trace.activations.append(h)
-                if beta:
-                    trace.diffused.append(s)
-                    trace.identity_maps.append(iw)
-        else:  # each ReLU output overwrites its block of s, the next layer's input
-            for p, b, x0, alpha_x0 in zip(param_sets, blocks, x0s, alpha_x0s):
-                iw = np.eye(width) + p.layers[ell] if beta else None
-                layer_forward(s[:, b], x0, alpha, beta, iw, alpha_x0, out=s[:, b])
+        # untraced, each ReLU output overwrites its block of s, the next layer's
+        # input; traced, it is a new array, apart from the s the trace keeps
+        for p, b, x0, alpha_x0 in zip(param_sets, blocks, x0s, alpha_x0s):
+            iw = np.eye(width) + p.layers[ell] if beta else None
+            h = layer_forward(s[:, b], x0, alpha, beta, iw, alpha_x0,
+                              out=s[:, b] if trace is None else None)
+        if trace is None:
             h = s
+        else:
+            trace.activations.append(h)
+            if beta:
+                trace.diffused.append(s)
+                trace.identity_maps.append(iw)
         del s   # else it would live on through the next layer's product
     return [h[:, b] @ p.output_head for p, b in zip(param_sets, blocks)]
 

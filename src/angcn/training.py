@@ -347,15 +347,16 @@ def train(
     subgraph-restricted aggregation (unit gamma for s None), so sampled
     epochs score with no trace. They score in blocks: each epoch's weights
     are kept, and one forward_logits call scores k epochs,
-    k = min(n // 3H, patience - stale epochs, epochs left) for a hidden width
-    H that is a multiple of 16, else 1. So the block's four N x kH arrays stay
-    within 4/3 of a_hat's bytes, early stopping can fire only on a block's
-    last epoch, and every epoch trained is one that scoring epoch by epoch
-    would train; a NonFiniteLoss surfaces once its block is scored, naming
-    the same epoch. Full batch (`config.full_batch(n)`) restricts nothing, so
-    it takes no S, and each end-of-epoch forward is also the next epoch's
-    training forward. Its backward multiplies by a_hat untransposed
-    (`symmetric=True`), so a_hat must be exactly symmetric, as
+    k = min(block cap, patience - stale epochs, epochs left), where the block
+    cap is n // 3H for a hidden width H that is a multiple of 16, else 1. So
+    the block's four N x kH arrays stay within 4/3 of a_hat's bytes, early
+    stopping can fire only on a block's last epoch, and every epoch trained
+    is one that scoring epoch by epoch would train; a NonFiniteLoss surfaces
+    once its block is scored, naming the same epoch. Full batch
+    (`config.full_batch(n)`) restricts nothing, so it takes no S; its block
+    cap is 1, and each epoch is scored by a traced `forward` that is also the
+    next epoch's training forward. Its backward multiplies by a_hat
+    untransposed (`symmetric=True`), so a_hat must be exactly symmetric, as
     normalize_adjacency returns it; sampled steps multiply by step_op.T,
     since a_hat[b, b] * gamma is not symmetric.
 
@@ -407,11 +408,10 @@ def train(
     trace = forward(params, a_hat, features) if full_batch else None
     # a column block of a_hat @ [h_1 ... h_k] is the bits of a_hat @ h_i for
     # widths of whole 16-column panels (OpenBLAS), not for H = 5 or 33
-    block_cap = max(1, n // (3 * config.hidden_dim)) if config.hidden_dim % 16 == 0 else 1
+    block_cap = 1 if full_batch or config.hidden_dim % 16 else max(1, n // (3 * config.hidden_dim))
     done = 0
     while done < config.max_epochs:
-        k = 1 if full_batch else min(block_cap, config.patience - stopper.stale,
-                                     config.max_epochs - done)
+        k = min(block_cap, config.patience - stopper.stale, config.max_epochs - done)
         epochs = range(done + 1, done + k + 1)
         weights = []  # each epoch's params, scored together once the block is trained
         for epoch in epochs:

@@ -237,3 +237,16 @@ class TestPrCurve:
         assert curve.area == pytest.approx(
             enumerate_average_precision(scores.tolist(), y.tolist()), abs=1e-12
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000), st.sampled_from([1, 2, 3]))
+    def test_ap_has_the_bits_of_a_sequential_sum(self, seed, decimals):
+        # the area is summed left to right like the oracle's loop, so the two
+        # agree to the bit, tied scores (at one decimal most are ties) included
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 200))
+        scores = np.round(rng.uniform(size=n), decimals).tolist()
+        y = rng.integers(0, 2, size=n)
+        y[0] = 1
+        curve = pr_curve(scores, y.tolist())
+        assert curve.area.hex() == enumerate_average_precision(scores, y.tolist()).hex()

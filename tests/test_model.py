@@ -228,6 +228,19 @@ class TestForward:
         assert peak <= 4.2 * n * hidden * 8
         assert logits.tobytes() == trace.logits.tobytes()
 
+    def test_an_untraced_pass_writes_each_relu_over_its_product(self):
+        # one weight set runs the loop that scores many: the ReLU output
+        # overwrites the layer's product, so x0, the layer input and its
+        # product are 3 N x H arrays; a new ReLU array would make a fourth
+        n, layers, hidden = 300, 20, 64
+        rng = np.random.default_rng(17)
+        params = init_params(12, hidden, 2, layers, alpha=0.0, beta=0.0, rng=rng)
+        op = normalize_adjacency(random_graph(n, 0.05, seed=17))
+        x = rng.normal(size=(n, 12))
+        peak, [logits] = peak_bytes(forward_logits, [params], op, x)
+        assert peak <= 3.2 * n * hidden * 8
+        assert logits.tobytes() == forward(params, op, x).logits.tobytes()
+
     def test_activations_nonnegative(self):
         g = random_graph(6, 0.5, seed=5)
         a_hat = normalize_adjacency(g)

@@ -1,5 +1,6 @@
 """Every function, class and method in the package is used by the package,
-and the CLI reaches its data and its graph through one call site each."""
+the CLI reaches its data and its graph through one call site each, and one
+loop applies the layer rule."""
 
 import ast
 from pathlib import Path
@@ -45,12 +46,24 @@ def test_every_definition_is_referenced_outside_itself():
     assert unused == []
 
 
+def called(tree):
+    """The name of each function called in a module, once per call site."""
+    return [node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Attribute, ast.Name))]
+
+
 def test_cli_reads_data_and_makes_graphs_at_one_site_each():
     # every command, eval included, goes from --data to its graph through one
     # function: a second call site would be a second recipe for the graph
-    tree = ast.parse((Path(angcn.__file__).parent / "cli.py").read_text())
-    called = [node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
-              for node in ast.walk(tree) if isinstance(node, ast.Call)
-              and isinstance(node.func, (ast.Attribute, ast.Name))]
+    calls = called(ast.parse((Path(angcn.__file__).parent / "cli.py").read_text()))
     names = ("load_bundle", "load_adjacency", "build_adjacency", "rfe_ridge")
-    assert {name: called.count(name) for name in names} == dict.fromkeys(names, 1)
+    assert {name: calls.count(name) for name in names} == dict.fromkeys(names, 1)
+
+
+def test_the_layer_rule_is_applied_at_one_site():
+    # one weight set and many go through the same layer loop: a second call
+    # site would be a second loop body to keep in step with the first
+    calls = [name for path in sorted(Path(angcn.__file__).parent.glob("*.py"))
+             for name in called(ast.parse(path.read_text()))]
+    assert calls.count("layer_forward") == 1
