@@ -1,5 +1,6 @@
 """Dense adjacency matrices for the tests (a population graph is its N x N
-array), the memory peak of one call, and a set BLAS thread count."""
+array), a triple-loop product oracle, the memory peak of one call, and a set
+BLAS thread count."""
 
 import contextlib
 import tracemalloc
@@ -22,6 +23,27 @@ def random_adjacency(n, p, seed, low, high):
     rng = np.random.default_rng(seed)
     return adjacency(n, [(i, j, rng.uniform(low, high))
                          for i in range(n) for j in range(i + 1, n) if rng.uniform() < p])
+
+
+def wide_random_graph(n, p, seed):
+    """A random_adjacency with weights in [0.1, 2.0): the graphs the
+    normalized operator and the training operator are checked on."""
+    return random_adjacency(n, p, seed, 0.1, 2.0)
+
+
+def naive_matmul(a, b):
+    """Independent triple-loop product used as the oracle."""
+    n, k = a.shape
+    k2, m = b.shape
+    assert k == k2
+    out = np.zeros((n, m))
+    for i in range(n):
+        for j in range(m):
+            acc = 0.0
+            for t in range(k):
+                acc += a[i, t] * b[t, j]
+            out[i, j] = acc
+    return out
 
 
 def adjacency_file(directory, rows):

@@ -22,12 +22,25 @@ from angcn.data import (
     save_bundle,
     save_checkpoint,
 )
-from angcn.errors import ParseError, SchemaMismatch
+from angcn.errors import BadAdjacency, ParseError, SchemaMismatch
 from angcn.model import ModelParams, init_params
-from angcn.popgraph import QUALITATIVE, QUANTITATIVE, PhenotypicMeasure, build_adjacency
+from angcn.popgraph import (
+    QUALITATIVE,
+    QUANTITATIVE,
+    PhenotypicMeasure,
+    build_adjacency,
+    normalize_adjacency,
+)
 from angcn.training import AdamState, TrainConfig, adam_step
 
-from graphs import adjacency, adjacency_file, edge_list, peak_bytes, random_adjacency
+from graphs import (
+    adjacency,
+    adjacency_file,
+    edge_list,
+    peak_bytes,
+    random_adjacency,
+    wide_random_graph,
+)
 
 PINNED_CHECKPOINT_SHA256 = "360987671f3d53a2de72127dfa6796a4ada19058d94fddf66f9e990b233c7415"
 
@@ -295,6 +308,40 @@ class TestAdjacencyFile:
         save_adjacency(a, path)
         assert path.read_text() == "i,j,weight\n0,1,0.25\n1,3,1.75\n"
         assert load_adjacency(path, n=4).tobytes() == a.tobytes()
+
+    def test_adjacency_symmetric_zero_diagonal(self, tmp_path):
+        want = wide_random_graph(6, 0.5, seed=0)
+        a = load_adjacency(adjacency_file(tmp_path, edge_list(want)), n=6)
+        assert np.array_equal(a, want)
+        assert np.array_equal(a, a.T)
+        assert np.all(np.diag(a) == 0.0)
+
+    def test_rejects_duplicate_edge(self, tmp_path):
+        with pytest.raises(ParseError, match="duplicate"):
+            load_adjacency(adjacency_file(tmp_path, [(0, 1, 1.0), (0, 1, 2.0)]), n=3)
+
+    def test_rejects_self_edge_and_bad_order(self, tmp_path):
+        with pytest.raises(ParseError):
+            load_adjacency(adjacency_file(tmp_path, [(1, 1, 1.0)]), n=3)
+        with pytest.raises(ParseError):
+            load_adjacency(adjacency_file(tmp_path, [(2, 1, 1.0)]), n=3)
+
+    def test_first_bad_edge_is_reported(self, tmp_path):
+        for rows, message in (
+            ([(0, 1, 1.0), (1, 2, -0.5), (0, 1, 2.0)], r"line 3: edge \(1, 2\) has negative "
+                                                       r"weight -0.5$"),
+            ([(0, 1, 1.0), (0, 1, 2.0), (3, 1, 1.0)], r"line 3: duplicate edge \(0, 1\)$"),
+            ([(0, 1, 1.0), (3, 1, 1.0), (0, 1, -1.0)], r"line 3: edge \(3, 1\) is not "
+                                                       r"0 <= i < j < 4$"),
+        ):
+            with pytest.raises(ParseError, match=message):
+                load_adjacency(adjacency_file(tmp_path, rows), n=4)
+
+    def test_rejects_negative_weight(self, tmp_path):
+        with pytest.raises(ParseError, match="negative"):
+            load_adjacency(adjacency_file(tmp_path, [(0, 1, -0.5)]), n=2)
+        with pytest.raises(BadAdjacency, match=">= 0, got min -0.5"):
+            normalize_adjacency(adjacency(2, [(0, 1, -0.5)]))
 
     @pytest.mark.parametrize("row, where", [
         ("0,x,1.0", "line 3, column 'j'"),

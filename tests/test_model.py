@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angcn.errors import ShapeMismatch
 from angcn.model import (
@@ -12,22 +14,9 @@ from angcn.model import (
     predict,
 )
 from angcn.popgraph import normalize_adjacency
-from angcn.sampler import aggregation_matrix, presample
+from angcn.sampler import aggregation_matrix, presample, sample_node_subgraph
 
-from graphs import blas_threads, peak_bytes, random_adjacency
-
-
-def naive_matmul(a, b):
-    n, k = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
+from graphs import blas_threads, naive_matmul, peak_bytes, random_adjacency, wide_random_graph
 
 
 def random_graph(n, p, seed):
@@ -63,7 +52,14 @@ def aggregate(op, h):
     return s
 
 
-class TestFeatureDiffusion:
+def project(x, w):
+    """x @ w as the forward pass computes it: projection w, no layers and an
+    identity head, which leaves the product exact."""
+    params = ModelParams(w, [], np.eye(w.shape[1]), alpha=0.0, beta=0.0)
+    return forward(params, np.eye(len(x)), x).logits
+
+
+class TestTracedDiffusion:
     def test_identity_operator(self):
         h = np.random.default_rng(0).normal(size=(4, 3))
         assert np.array_equal(diffuse(np.eye(4), h), h)
@@ -80,8 +76,8 @@ class TestFeatureDiffusion:
         np.testing.assert_allclose(diffuse(a, h), naive_matmul(a, h), atol=1e-13)
 
 
-class TestAggregatedDiffusion:
-    def test_ones_gamma_reduces_to_plain_diffusion(self):
+class TestOperatorPropagation:
+    def test_a_hat_alone_is_plain_diffusion(self):
         g = random_graph(6, 0.5, seed=2)
         a_hat = normalize_adjacency(g)
         h = np.random.default_rng(3).normal(size=(6, 4))
@@ -95,7 +91,7 @@ class TestAggregatedDiffusion:
         h = np.random.default_rng(5).normal(size=(5, 3))
         np.testing.assert_allclose(aggregate(a_hat * gamma, h), 2.0 * (a_hat @ h), atol=1e-13)
 
-    def test_composition_of_hadamard_then_matmul(self):
+    def test_gamma_scaled_operator_is_elementwise_then_product(self):
         g = random_graph(7, 0.4, seed=6)
         a_hat = normalize_adjacency(g)
         stats = presample(len(g), runs=40, budget=3, seed=7)
@@ -103,6 +99,53 @@ class TestAggregatedDiffusion:
         h = np.random.default_rng(8).normal(size=(7, 2))
         expected = (a_hat * gamma) @ h
         assert np.array_equal(aggregate(a_hat * gamma, h), expected)
+
+
+class TestInputProjection:
+    """Products of the forward pass, checked through `forward` itself."""
+
+    def test_identity(self):
+        m = np.arange(9.0).reshape(3, 3)
+        assert np.array_equal(project(np.eye(3), m), m)
+
+    def test_row_times_column(self):
+        out = project(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
+        assert np.array_equal(out, [[11.0]])
+
+    def test_matches_naive_oracle(self):
+        rng = np.random.default_rng(42)
+        a = rng.normal(size=(5, 5))
+        b = rng.normal(size=(5, 5))
+        np.testing.assert_allclose(project(a, b), naive_matmul(a, b), rtol=1e-13, atol=1e-13)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="input width 3 != projection rows 2"):
+            project(np.ones((2, 3)), np.ones((2, 3)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_projection_and_sampled_operator_agree_with_oracles(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 3))
+    c = rng.normal(size=(3, 5))
+    np.testing.assert_allclose(project(a, c), naive_matmul(a, c), rtol=1e-12, atol=1e-12)
+    # a_hat * gamma entry by entry: a_hat_ij * C_i / max(C_ij, 1), with the
+    # counts tallied pair by pair over the draws presample makes
+    g = wide_random_graph(4, 0.5, seed)
+    budget = int(rng.integers(1, 5))
+    counts = np.zeros((4, 4), dtype=int)
+    for r in range(6):
+        nodes = sample_node_subgraph(4, budget, np.random.default_rng([seed, r])).tolist()
+        for i in nodes:
+            for j in nodes:
+                counts[i, j] += 1
+    stats = presample(4, runs=6, budget=budget, seed=seed)
+    assert np.array_equal(stats.T @ stats, counts)
+    a_hat = normalize_adjacency(g)
+    op = a_hat * aggregation_matrix(stats)
+    for (i, j), value in np.ndenumerate(op):
+        assert value == a_hat[i, j] * (float(counts[i, i]) / max(counts[i, j], 1))
 
 
 class TestLayerForward:

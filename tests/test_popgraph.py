@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angcn.errors import DegenerateVector, NonPositiveSigma, OutOfRange
+from angcn.data import SyntheticSpec, generate_synthetic
+from angcn.errors import (
+    BadAdjacency,
+    DegenerateVector,
+    NonPositiveSigma,
+    OutOfRange,
+    ShapeMismatch,
+)
 from angcn.popgraph import (
     QUALITATIVE,
     QUANTITATIVE,
@@ -16,8 +23,11 @@ from angcn.popgraph import (
     build_adjacency,
     connectome_features,
     elimination_order,
+    normalize_adjacency,
     rfe_ridge,
 )
+
+from graphs import adjacency, peak_bytes, wide_random_graph
 
 # -- independent oracles ------------------------------------------------------
 
@@ -196,7 +206,7 @@ class TestMedianSigma:
             build_adjacency(features, measures)
 
 
-class TestPhenotypicDistance:
+class TestPhenotypicAgreement:
     def test_qualitative_equal(self):
         m = PhenotypicMeasure(name="gender", kind=QUALITATIVE, values=("F", "F", "M"))
         d = m.agreement()
@@ -277,7 +287,7 @@ class TestBuildAdjacency:
         with pytest.raises(DegenerateVector, match="subject 0"):
             build_adjacency(features, measures, sigma=1.0)
 
-    def test_auto_sigma_is_median_of_distances(self):
+    def test_sigma_none_is_median_of_distances(self):
         # sigma=None resolves to the median heuristic over all pairs i < j
         rng = np.random.default_rng(3)
         features = rng.normal(size=(5, 6))
@@ -301,6 +311,155 @@ class TestBuildAdjacency:
         assert a is not b and a.tobytes() == b.tobytes()
         assert np.float64(s).tobytes() == np.float64(t).tobytes()
         assert features.tobytes() == before.tobytes()
+
+
+# -- normalized operator ------------------------------------------------------
+
+
+def a_tilde_of(a_hat):
+    """A + I recovered from a_hat = D^-1/2 (A + I) D^-1/2: a unit diagonal
+    fixes D, since a_hat_ii = 1 / d_i."""
+    d = 1.0 / np.diag(a_hat)
+    return a_hat * np.sqrt(np.outer(d, d))
+
+
+class TestUnitSelfLoops:
+    """normalize_adjacency normalizes A + I: a unit self-loop on every node."""
+
+    def test_single_node_no_edges(self):
+        assert np.array_equal(normalize_adjacency(adjacency(1)), [[1.0]])
+
+    def test_two_nodes_unit_edge(self):
+        g = adjacency(2, ((0, 1, 1.0),))
+        assert np.array_equal(a_tilde_of(normalize_adjacency(g)), [[1, 1], [1, 1]])
+
+    def test_three_node_path(self):
+        g = adjacency(3, ((0, 1, 1.0), (1, 2, 1.0)))
+        expected = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+        np.testing.assert_allclose(a_tilde_of(normalize_adjacency(g)), expected,
+                                   rtol=1e-15, atol=0)
+
+
+class TestNormalizeAdjacency:
+    def test_isolated_node_with_self_loop(self):
+        out = normalize_adjacency(adjacency(3, ((0, 1, 2.0),)))
+        assert out[2].tolist() == [0.0, 0.0, 1.0]
+
+    def test_two_node_clique(self):
+        out = normalize_adjacency(adjacency(2, ((0, 1, 1.0),)))
+        assert np.array_equal(out, [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_three_node_path_hand_value(self):
+        # degrees with self-loops are (2, 3, 2), so the 0-1 entry is 1/sqrt(6)
+        out = normalize_adjacency(adjacency(3, ((0, 1, 1.0), (1, 2, 1.0))))
+        assert out[0][1] == pytest.approx(1.0 / np.sqrt(6.0), abs=1e-15)
+        assert out[0][1] == pytest.approx(0.40825, abs=1e-5)
+        assert out[0][0] == pytest.approx(0.5)
+        assert out[1][1] == pytest.approx(1.0 / 3.0)
+        assert out[0][2] == 0.0
+
+    def test_zero_weight_edge_leaves_every_degree_one(self):
+        # weights are >= 0, so every degree of A + I is >= 1: no zero division
+        out = normalize_adjacency(adjacency(2, ((0, 1, 0.0),)))
+        assert np.array_equal(out, np.eye(2))
+
+    @pytest.mark.parametrize("a, error, message", [
+        (np.zeros((2, 3)), ShapeMismatch, r"must be square, got shape \(2, 3\)$"),
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), BadAdjacency, "matrix is not symmetric$"),
+        (adjacency(3, [(0, 2, np.nan)]), BadAdjacency,
+         "must be finite and >= 0, got min nan, max nan$"),
+        (adjacency(3, [(0, 2, -1.0)]), BadAdjacency,
+         "must be finite and >= 0, got min -1.0, max 0.0$"),
+        (np.eye(2), BadAdjacency, "diagonal must be 0"),
+    ], ids=["non-square", "asymmetric", "nan", "negative", "nonzero-diagonal"])
+    def test_refuses_a_matrix_that_is_no_graph(self, a, error, message):
+        # what a graph's adjacency matrix is: square, symmetric, finite, >= 0, zero diagonal
+        with pytest.raises(error, match=message):
+            normalize_adjacency(a)
+
+    def test_output_exactly_symmetric(self):
+        for seed in range(5):
+            g = wide_random_graph(7, 0.4, seed=seed)
+            out = normalize_adjacency(g)
+            assert np.array_equal(out, out.T)
+
+    def test_eigenvalues_in_unit_interval(self):
+        for seed in range(8):
+            g = wide_random_graph(5, 0.6, seed=seed)
+            out = normalize_adjacency(g)
+            eig = np.linalg.eigvalsh(out)
+            assert eig.min() >= -1.0 - 1e-12
+            assert eig.max() <= 1.0 + 1e-12
+
+    def test_all_entries_finite(self):
+        g = wide_random_graph(6, 0.5, seed=3)
+        out = normalize_adjacency(g)
+        assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("n", [1, 63, 65, 131])
+    def test_row_blocks_equal_the_whole_matrix_formula(self, n):
+        # bit for bit, at sizes that end in a partial block of rows
+        g = wide_random_graph(n, 0.3, seed=n)
+        a_tilde = g + np.eye(n)
+        d = a_tilde.sum(axis=1)
+        assert np.array_equal(normalize_adjacency(g), a_tilde / np.sqrt(np.outer(d, d)))
+
+    def test_keeps_no_second_n_by_n_array(self):
+        # the divisors sqrt(d_i d_j) exist for one block of rows at a time
+        n = 2000
+        g = adjacency(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+        peak, out = peak_bytes(normalize_adjacency, g)
+        assert peak < 1.25 * n * n * 8
+        assert out.shape == (n, n)
+
+    def test_forms_a_hat_in_its_float64_argument(self):
+        # the adjacency matrix becomes A_hat: from graph to operator, one N x N array
+        n = 2000
+
+        def chain_operator():
+            g = adjacency(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+            return g, normalize_adjacency(g)
+
+        peak, (g, out) = peak_bytes(chain_operator)
+        assert out is g
+        assert peak <= 1.2 * n * n * 8
+        d = np.r_[2.0, np.full(n - 2, 3.0), 2.0]
+        assert out[0, 0] == 1.0 / d[0] and out[0, 1] == 1.0 / np.sqrt(d[0] * d[1])
+
+    def test_other_input_is_converted_and_a_refused_matrix_left_as_it_was(self):
+        ints = np.array([[0, 2], [2, 0]])
+        out = normalize_adjacency(ints)
+        assert out.dtype == np.float64 and ints.tolist() == [[0, 2], [2, 0]]
+        assert np.array_equal(out, normalize_adjacency(ints.astype(float)))
+        lopsided = adjacency(3, [(0, 1, 1.0)])
+        lopsided[2, 0] = 0.5
+        before = lopsided.copy()
+        with pytest.raises(BadAdjacency, match="not symmetric"):
+            normalize_adjacency(lopsided)
+        assert np.array_equal(lopsided, before)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weight(self, weight):
+        # the file refuses a non-finite cell as it parses it; a matrix is refused here
+        with pytest.raises(BadAdjacency, match="^adjacency weights must be finite and >= 0, "
+                                               rf"got min .*{weight}"):
+            normalize_adjacency(adjacency(3, [(0, 1, 1.0), (1, 2, weight)]))
+
+
+# a_hat is exactly symmetric, so a_hat.T equals a_hat bit for bit
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=40))
+def test_normalized_operator_exactly_symmetric_on_random_weighted_graphs(seed, n):
+    out = normalize_adjacency(wide_random_graph(n, 0.3, seed))
+    assert np.array_equal(out, out.T)
+
+
+def test_normalized_population_graph_exactly_symmetric():
+    bundle = generate_synthetic(SyntheticSpec(n_subjects=120, n_roi=8, seed=3))
+    g = build_adjacency(bundle.features, bundle.phenotypes)[0]
+    assert np.count_nonzero(g) > 0
+    out = normalize_adjacency(g)
+    assert np.array_equal(out, out.T)
 
 
 # -- connectome features ------------------------------------------------------

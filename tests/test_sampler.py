@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from angcn.errors import BudgetOutOfRange, EmptyStats
+from angcn.errors import BudgetOutOfRange, EmptyStats, ShapeMismatch
 from angcn.popgraph import normalize_adjacency
 from angcn.sampler import aggregation_matrix, json_chunks, presample, sample_node_subgraph
+from angcn.training import TrainConfig, cross_validate
 
-from graphs import adjacency, edge_list, peak_bytes, random_adjacency
+from graphs import adjacency, edge_list, peak_bytes, random_adjacency, wide_random_graph
 
 
 def path_graph(n):
@@ -91,7 +92,7 @@ class TestSampleNodeSubgraph:
             assert edges == expected
 
 
-class TestAccumulateCounts:
+class TestAppearanceCounts:
     """The appearance counts `presample` tallies over its runs."""
 
     def test_exhaustive_runs_count_everything(self):
@@ -185,6 +186,52 @@ class TestAggregationMatrix:
         assert gamma[1, 2] == 2.0          # C_1 / max(0, 1)
         assert gamma[2, 1] == 0.0          # C_2 = 0
         assert gamma[2, 2] == 0.0          # never-sampled node
+
+
+def stats_of(membership):
+    """The membership S of hand-listed runs: row r marks the nodes run r took."""
+    return np.array(membership, dtype=float)
+
+
+class TestTrainingOperator:
+    """The training operator a_hat * gamma, the Hadamard product of a_hat and
+    the aggregation matrix."""
+
+    def test_ones_is_identity(self):
+        # every run takes every node: gamma is 1 everywhere
+        a_hat = normalize_adjacency(wide_random_graph(5, 0.5, seed=1))
+        assert np.array_equal(a_hat * aggregation_matrix(stats_of(np.ones((10, 5)))), a_hat)
+
+    def test_zeros_annihilate(self):
+        # no run takes any node: C_i = 0 makes gamma, and the operator, 0
+        a_hat = normalize_adjacency(wide_random_graph(5, 0.5, seed=1))
+        gamma = aggregation_matrix(stats_of(np.zeros((10, 5))))
+        assert np.array_equal(a_hat * gamma, np.zeros((5, 5)))
+
+    def test_direct_substitution(self):
+        # a_hat is 0.5 everywhere; C_0 = 4, C_1 = C_01 = 2 over 10 runs, so
+        # gamma = [[4/4, 4/2], [2/2, 2/2]]
+        a_hat = normalize_adjacency(adjacency(2, ((0, 1, 1.0),)))
+        gamma = aggregation_matrix(stats_of([[1, 1]] * 2 + [[1, 0]] * 2 + [[0, 0]] * 6))
+        assert np.array_equal(a_hat * gamma, [[0.5, 1.0], [0.5, 0.5]])
+
+    def test_shape_mismatch(self):
+        # minibatch gammas read stats of other nodes silently, so cross_validate refuses them
+        a_hat = normalize_adjacency(wide_random_graph(20, 0.3, seed=2))
+        labels = np.arange(20) % 2
+        stats = presample(21, runs=5, budget=10, seed=0)
+        with pytest.raises(ShapeMismatch, match="stats cover 21 nodes, the graph 20"):
+            cross_validate(TrainConfig(folds=2, batch_budget=10), a_hat, stats,
+                           np.ones((20, 3)), labels)
+
+    def test_exhaustive_sampling_keeps_the_support_of_a_plus_i(self):
+        # the operator's support is that of A + I, which exhaustive sampling keeps
+        g = adjacency(3, ((0, 2, 0.7),))
+        expected = [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
+        a_hat = normalize_adjacency(g)
+        op = a_hat * aggregation_matrix(presample(3, runs=4, budget=3, seed=0))
+        assert np.array_equal(op, a_hat)
+        assert np.array_equal(op > 0, expected)
 
 
 class TestLoopReference:
@@ -311,7 +358,7 @@ class TestDeterminismAndExport:
         assert "".join(chunks) == json.dumps(payload, indent=2, sort_keys=True)
 
 
-class TestMinibatches:
+class TestSamplesAsBatches:
     # training uses each sample as one minibatch, in sampler order
 
     def test_single_exhaustive_sample_is_full_batch(self):
