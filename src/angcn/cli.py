@@ -5,8 +5,9 @@ graph construction, sampler statistics, cross-validated training, checkpoint
 evaluation, the depth and batch-size sweeps, and the gradient-check harness.
 
 Configuration precedence for training options: command-line flag, then
---config file, then defaults. All outputs are deterministic for a fixed seed
-and are written atomically.
+--config file, then defaults. Every command runs with OpenBLAS held at one
+thread, whatever OPENBLAS_NUM_THREADS says, so its outputs are the same bytes
+for a fixed seed at any thread count; they are written atomically.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import itertools
 import json
 import math
 import sys
-import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .metrics import confusion, pr_curve, roc_curve, scalar_metrics
 from .model import forward_logits, init_params, predict
 from .popgraph import build_adjacency, normalize_adjacency, rfe_ridge
 from .sampler import aggregation_matrix, json_chunks, presample
-from .training import TrainConfig, cross_validate, finite_difference_check
+from .training import TrainConfig, blas_pin, cross_validate, finite_difference_check
 
 GRADCHECK_TOLERANCE = 1e-4
 DEFAULT_DEPTHS = (2, 4, 8, 12, 16, 20, 24, 30)
@@ -50,9 +50,10 @@ def cli_run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if getattr(args, "out", None) is not None:
-            _check_out(args.out, directory=args.command in ("synth", "train"))
-        return args.func(args)
+        with blas_pin():  # the caller's thread count comes back on return and on error
+            if getattr(args, "out", None) is not None:
+                _check_out(args.out, directory=args.command in ("synth", "train"))
+            return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -123,7 +124,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="nodes per sampled minibatch (omit for full-batch)")
     p.add_argument("--sampler-runs", type=int, default=None,
                    help="pre-training sampler runs used to build the aggregation matrix")
-    p.add_argument("--loss-reduction", choices=["sum", "mean"], default=None)
     p.add_argument("--sigma", type=_number(float, 0), default=None,
                    help="kernel width for graph construction (default: median heuristic)")
     p.add_argument("--rfe-dim", type=_number(int, 3, " (correlation distances need >= 3 columns)"),
@@ -260,6 +260,13 @@ def _graph(args, ckpt: dataio.Checkpoint | None = None):
     return bundle, features, columns, a, sigma
 
 
+def _graph_note(args, a: np.ndarray, sigma: float | None) -> str:
+    """a's edge count, and the sigma that built it or the file it was read from."""
+    file = getattr(args, "adjacency", None)
+    source = f"read from {file}" if file else f"sigma={sigma:.6g}"
+    return f"{np.count_nonzero(a) // 2} edges, {source}"
+
+
 def _stats_for(config: TrainConfig, n: int) -> np.ndarray | None:
     """The sampler's membership S of n nodes at the batch budget, or None in full batch,
     whose aggregation is never restricted to a subgraph (unit gamma)."""
@@ -284,9 +291,8 @@ def _aggregate(per_fold: list[dict]) -> dict:
 
 
 def _write_curve(path: Path, curve) -> None:
-    lines = [f"# kind={curve.kind} area={curve.area!r}", "x,y"]
-    for x, y in curve.points:
-        lines.append(f"{x!r},{y!r}")
+    lines = [f"# kind={curve.kind} area={curve.area!r}", "x,y",
+             *(f"{x!r},{y!r}" for x, y in curve.points)]
     dataio._atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -318,7 +324,7 @@ def _cmd_synth(args) -> int:
 def _cmd_build_graph(args) -> int:
     _, _, _, a, sigma = _graph(args)
     dataio.save_adjacency(a, args.out)
-    print(f"wrote {args.out} ({np.count_nonzero(a) // 2} edges, sigma={sigma:.6g})")
+    print(f"wrote {args.out} ({_graph_note(args, a, sigma)})")
     return 0
 
 
@@ -334,6 +340,7 @@ def _cmd_sample_stats(args) -> int:
 def _cmd_train(args) -> int:
     config = resolve_config(args)
     bundle, features, columns, a, sigma = _graph(args)
+    print(f"graph: {_graph_note(args, a, sigma)}")
     digest = dataio.graph_digest(a)   # before normalize_adjacency turns a into A_hat
     a_hat = normalize_adjacency(a)
     results = cross_validate(config, a_hat, _stats_for(config, len(a)), features, bundle.labels)
@@ -391,7 +398,8 @@ def _sweep_setup(args, field: str, values: list[int] | None):
     config = resolve_config(args, defaults=sweep_defaults)
     for value in values or ():
         replace(config, **{field: value})
-    bundle, features, _, a, _ = _graph(args)
+    bundle, features, _, a, sigma = _graph(args)
+    print(f"graph: {_graph_note(args, a, sigma)}")
     return config, bundle, features, normalize_adjacency(a)
 
 
@@ -441,9 +449,7 @@ def gradcheck_fixture(seed: int):
     a_hat = normalize_adjacency(a)
     gamma = aggregation_matrix(presample(n, runs=50, budget=4, seed=seed))
     x_raw = rng.normal(size=(n, f_in))
-    labels = rng.integers(0, n_classes, size=n)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), labels] = 1.0
+    onehot = np.eye(n_classes)[rng.integers(0, n_classes, size=n)]
     labeled = np.arange(0, n, 2)
     params = init_params(f_in, f_hidden, n_classes, n_layers, alpha=0.1, beta=0.3, rng=rng)
     return params, a_hat * gamma, x_raw, onehot, labeled
@@ -451,8 +457,6 @@ def gradcheck_fixture(seed: int):
 
 def _cmd_gradcheck(args) -> int:
     params, op, x_raw, onehot, labeled = gradcheck_fixture(args.seed)
-    start = time.perf_counter()
     err = finite_difference_check(params, op, x_raw, onehot, labeled, eps=args.eps)
-    elapsed = time.perf_counter() - start
-    print(f"max relative gradient error: {err:.3e} ({elapsed:.2f}s)")
+    print(f"max relative gradient error: {err:.3e}")
     return 0 if err < GRADCHECK_TOLERANCE else 1

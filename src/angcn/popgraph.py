@@ -118,8 +118,9 @@ def build_adjacency(features: np.ndarray, measures: Sequence[PhenotypicMeasure],
     names a subject whose feature row is constant. sigma=None resolves to the
     median heuristic, the median of the distances over all pairs i < j
     (`_median`: np.median's bits from a one-pivot partition), and the width
-    used is returned. A width that is not > 0 (NaN included, as from a NaN
-    distance) raises NonPositiveSigma.
+    used is returned. NonPositiveSigma refuses a width that is not > 0 (NaN
+    included, as from a NaN distance), or one at which rho^2 / (2 sigma^2)
+    could overflow: rho <= 2, so 4 / (2 sigma^2) must be finite.
 
     Symmetric with zero diagonal; pairs whose phenotypic sum is zero weigh 0.
     Formed in the distance buffer `_BLOCK_ROWS` rows at a time, each pair
@@ -140,8 +141,9 @@ def build_adjacency(features: np.ndarray, measures: Sequence[PhenotypicMeasure],
     a = _correlation_distances(features)
     if sigma is None:   # one buffer of the pairs i < j, gathered row by row
         sigma = _median(np.concatenate([a[i, i + 1:] for i in range(n - 1)]))
-    if not sigma > 0:
-        raise NonPositiveSigma(f"sigma must be > 0, got {sigma}")
+    twice_square = 2.0 * float(sigma) * float(sigma) if sigma > 0 else 0.0
+    if not (twice_square > 0 and math.isfinite(4.0 / twice_square)):
+        raise NonPositiveSigma(f"sigma must be > 0 with 4 / (2 sigma^2) finite, got {sigma}")
     a *= a
     a /= -2.0 * sigma * sigma   # the same bits as -(rho^2) / (2 sigma^2)
     np.exp(a, out=a)

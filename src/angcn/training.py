@@ -1,29 +1,29 @@
 """Loss, exact reverse-mode gradients, Adam, early stopping, and k-fold CV.
 
-The backward pass differentiates the four-term propagation rule by hand;
-a central finite-difference harness validates it entry by entry. The loss
-is a sum over labeled nodes (a mean variant is available as a config flag),
-read off the logits wherever the softmax underflows. Backward reads each
-layer's diffusion and I + W from the forward trace, so a step costs two
-N x N products per layer: op @ h forward and op.T @ d_s backward, which
-full-batch steps take as a_hat @ d_s, the same bits, since a_hat is
-exactly symmetric. Both passes skip every term whose coefficient is 0, so
-at alpha = beta = 0 a layer does no H x H product either way, and at
-beta = 0 Adam leaves the layer weights, which get no gradient, untouched.
-Each fold computes every product once: its test probabilities are the best
-epoch's scoring pass. Sampled training scores several epochs' weights in
-one full-graph pass, with the same bits and the same epochs trained as a
-pass per epoch. Every fold of a `cross_validate` call shares the caller's
-a_hat. It holds OpenBLAS at one thread, where its thread-count
-symbols exist, and trains the folds in forked worker processes, one per
+The backward pass differentiates the four-term propagation rule by hand; a
+central finite-difference harness validates it entry by entry. The loss is
+a sum over labeled nodes, read off the logits wherever the softmax
+underflows. Backward reads each layer's diffusion and I + W from the
+forward trace, so a step costs two N x N products per layer: op @ h forward
+and op.T @ d_s backward, which full-batch steps take as a_hat @ d_s, the
+same bits, since a_hat is exactly symmetric. Both passes skip every term
+whose coefficient is 0, so at alpha = beta = 0 a layer does no H x H
+product either way, and at beta = 0 Adam leaves the layer weights, which
+get no gradient, untouched. Each fold computes every product once: its test
+probabilities are the best epoch's scoring pass. Sampled training scores
+several epochs' weights in one full-graph pass, with the same bits and the
+same epochs trained as a pass per epoch. Every fold of a `cross_validate`
+call shares the caller's a_hat. It holds OpenBLAS at one thread
+(`blas_pin`) and trains the folds in forked worker processes, one per
 usable CPU, which inherit the arrays and that one thread. A single worker,
-a platform without `fork` or without those symbols, or a caller running
-other threads trains them in this process instead, through the same
-per-fold function. Results are the same bits for any worker count.
+a platform without `fork` or without OpenBLAS's thread-count symbols, or a
+caller running other threads trains them in this process instead, through
+the same per-fold function. Results are the same bits for any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -55,7 +55,6 @@ class TrainConfig:
     seed: int = 0
     batch_budget: int | None = None   # None = full-batch
     sampler_runs: int = 200
-    loss_reduction: str = "sum"
 
     def __post_init__(self):
         lr = self.learning_rate
@@ -73,8 +72,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if self.loss_reduction not in ("sum", "mean"):
-            raise ValueError(f"loss_reduction must be sum or mean, got {self.loss_reduction}")
 
     def full_batch(self, n: int) -> bool:
         """Whether training on n nodes takes whole-graph steps (unit gamma)."""
@@ -108,7 +105,6 @@ def cross_entropy(
     logits: np.ndarray,
     labels_onehot: np.ndarray,
     labeled_idx: Sequence[int],
-    reduction: str = "sum",
 ) -> float:
     """Cross-entropy of the softmax of `logits` over the labeled rows:
     -sum_i sum_c Y_ic log Yhat_ic.
@@ -116,11 +112,8 @@ def cross_entropy(
     log Yhat_ic is the log of the softmax probability; where that probability
     is below 1e-300 (the softmax underflows) it is the log-softmax
     z_ic - logsumexp(z_i) read off the logits instead, so the loss stays
-    exact, finite and in step with `backward`'s gradient. `reduction` is
-    "sum" or "mean" (ValueError otherwise).
+    exact, finite and in step with `backward`'s gradient.
     """
-    if reduction not in ("sum", "mean"):
-        raise ValueError(f"reduction must be sum or mean, got {reduction!r}")
     labeled = np.asarray(labeled_idx, dtype=int)
     if labeled.size == 0:
         raise EmptyLabeledSet("loss needs at least one labeled node")
@@ -132,10 +125,7 @@ def cross_entropy(
     if low.any():
         shifted = z - z.max(axis=1, keepdims=True)
         log_p[low] = (shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))[low]
-    loss = -float(np.sum(onehot * log_p))
-    if reduction == "mean":
-        loss /= labeled.size
-    return loss
+    return -float(np.sum(onehot * log_p))
 
 
 def backward(
@@ -144,7 +134,7 @@ def backward(
     op: np.ndarray,
     labels_onehot: np.ndarray,
     labeled_idx: Sequence[int],
-    reduction: str = "sum",
+    *,
     symmetric: bool = False,
 ) -> list[np.ndarray]:
     """Exact gradients of the cross-entropy through the full stack, one per
@@ -165,11 +155,8 @@ def backward(
     array is the product op.T @ d_s. `symmetric=True` promises that op
     equals op.T bit for bit, as normalize_adjacency's a_hat does: backward
     then multiplies by op itself, the same sums without the transposed read.
-    `op` and `params` must be those the trace was computed with, and
-    `reduction` is "sum" or "mean" (ValueError otherwise).
+    `op` and `params` must be those the trace was computed with.
     """
-    if reduction not in ("sum", "mean"):
-        raise ValueError(f"reduction must be sum or mean, got {reduction!r}")
     n_layers = len(params.layers)
     if len(trace.activations) != n_layers:
         raise TraceMismatch(
@@ -189,8 +176,6 @@ def backward(
     y_hat = predict(trace.logits)
     d_logits = np.zeros_like(y_hat)
     d_logits[labeled] = y_hat[labeled] - np.asarray(labels_onehot, dtype=float)[labeled]
-    if reduction == "mean":
-        d_logits /= labeled.size
 
     x0 = trace.projected_input
     h_last = trace.activations[-1] if n_layers else x0
@@ -361,10 +346,7 @@ def train(
     since a_hat[b, b] * gamma is not symmetric.
 
     `train` runs at the caller's BLAS thread count, and its bits depend on
-    that count: at n = 400, L = 3 and H = 16 or 64, each of the 8 sampled
-    runs of the blocked-history digest test returns another history or other
-    logits at two OpenBLAS threads than at one. `cross_validate` holds
-    OpenBLAS at one thread for its folds.
+    that count; `cross_validate` and every CLI command hold one (`blas_pin`).
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
@@ -418,8 +400,7 @@ def train(
             for step_op, x, y, labeled in steps(epoch):
                 if trace is None:
                     trace = forward(params, step_op, x)
-                grads = backward(trace, params, step_op, y, labeled, config.loss_reduction,
-                                 symmetric=full_batch)
+                grads = backward(trace, params, step_op, y, labeled, symmetric=full_batch)
                 trace = None  # release it before the next forward: one trace live at a time
                 adam_step(params, grads, state, config.learning_rate)
             weights.append(params.copy() if epoch < epochs[-1] else params)
@@ -429,8 +410,8 @@ def train(
         else:
             scores = forward_logits(weights, a_hat, features)
         for epoch, scored, logits in zip(epochs, weights, scores):
-            train_loss = cross_entropy(logits, labels_oh, train_idx, config.loss_reduction)
-            val_loss = cross_entropy(logits, labels_oh, val_idx, config.loss_reduction)
+            train_loss = cross_entropy(logits, labels_oh, train_idx)
+            val_loss = cross_entropy(logits, labels_oh, val_idx)
             if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
                 raise NonFiniteLoss(
                     f"epoch {epoch}: train loss {train_loss}, validation loss {val_loss}"
@@ -542,7 +523,29 @@ def _train_fold(shared: tuple, task: tuple) -> FoldResult:
 
 _worker_shared: tuple | None = None  # the arrays forked workers train on, set only while they run
 _pin_lock = threading.Lock()
-_pin = [0, None]  # calls inside _train_folds, and the thread count the outermost one saved
+_pin = [0, None]  # blocks inside blas_pin, and the thread count the outermost one saved
+
+
+@contextlib.contextmanager
+def blas_pin():
+    """Hold OpenBLAS at one thread inside the block, where numpy's OpenBLAS
+    exports its thread-count functions, and yield those (get, set) functions,
+    or None. Blocks nest, and may run in several threads at once: the
+    outermost entry saves the count and sets 1, and the last exit, on error
+    too, restores the saved count."""
+    api = _blas_thread_api()
+    with _pin_lock:
+        _pin[0] += 1
+        if api and _pin[0] == 1:
+            _pin[1] = api[0]()
+            api[1](1)
+    try:
+        yield api
+    finally:
+        with _pin_lock:
+            _pin[0] -= 1
+            if api and _pin[0] == 0:
+                api[1](_pin[1])
 
 
 def _train_fold_in_worker(task: tuple) -> FoldResult:
@@ -551,15 +554,10 @@ def _train_fold_in_worker(task: tuple) -> FoldResult:
 
 def _train_folds(shared: tuple, tasks: list[tuple]) -> list[FoldResult]:
     """Every task's FoldResult, in task order, trained with one BLAS thread
-    per fold: in forked workers when more than one is worth starting."""
+    per fold: in forked workers, which inherit the pin, when more than one is
+    worth starting."""
     global _worker_shared
-    api = _blas_thread_api()
-    with _pin_lock:  # the outermost call pins one thread, which forked workers inherit
-        _pin[0] += 1
-        if api and _pin[0] == 1:
-            _pin[1] = api[0]()
-            api[1](1)
-    try:
+    with blas_pin() as api:
         import multiprocessing  # here: importing the CLI loads no pool machinery
         # fork copies only this thread: a lock another thread holds would stay
         # locked in the worker, so a caller running threads trains in-process.
@@ -570,16 +568,13 @@ def _train_folds(shared: tuple, tasks: list[tuple]) -> list[FoldResult]:
 
             # Forked workers inherit `shared` copy-on-write: nothing N x N is pickled.
             _worker_shared = shared
-            with ProcessPoolExecutor(workers,
-                                     mp_context=multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(_train_fold_in_worker, tasks))
+            try:
+                with ProcessPoolExecutor(workers,
+                                         mp_context=multiprocessing.get_context("fork")) as pool:
+                    return list(pool.map(_train_fold_in_worker, tasks))
+            finally:
+                _worker_shared = None
         return [_train_fold(shared, task) for task in tasks]
-    finally:
-        _worker_shared = None
-        with _pin_lock:  # the last call out restores the saved count
-            _pin[0] -= 1
-            if api and _pin[0] == 0:
-                api[1](_pin[1])
 
 
 def cross_validate(
@@ -598,12 +593,10 @@ def cross_validate(
     shares `a_hat`, normalize_adjacency's operator, and none changes it, so a
     sweep forms it once for all its calls. The splits and the fold seeds are
     built once here; the folds then train as the module docstring says, and
-    the results come back in fold order. The folds train at one OpenBLAS
-    thread, where its thread-count symbols exist, whatever the caller's
-    count, which is restored when the last of any concurrent calls ends, on
-    error too. Test
-    probabilities come from the full-graph scoring pass with unit aggregation
-    (a_hat) of each fold's best epoch. A non-finite loss raises NonFiniteLoss naming the fold and
+    the results come back in fold order, trained at one OpenBLAS thread
+    whatever the caller's count (`blas_pin`). Test probabilities come from
+    the full-graph scoring pass with unit aggregation (a_hat) of each fold's
+    best epoch. A non-finite loss raises NonFiniteLoss naming the fold and
     epoch; an error in any fold reaches the caller, the earliest failing
     fold's first."""
     labels = np.asarray(labels, dtype=int)

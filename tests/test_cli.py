@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -19,7 +21,7 @@ from angcn.data import (
 from angcn.sampler import json_chunks, presample
 from angcn.training import TrainConfig
 
-from graphs import peak_bytes
+from graphs import blas_threads, peak_bytes
 
 SMALL = ["--n-subjects", "48", "--n-roi", "6", "--seed", "5"]
 FAST_TRAIN = [
@@ -92,13 +94,15 @@ class TestBuildGraph:
             assert int(i) < int(j) and float(w) > 0
 
     def test_file_is_the_built_matrix_bit_for_bit(self, tmp_path):
-        # the paper-scale bundle: the file loads to build_adjacency's matrix, and
-        # save_adjacency of that matrix writes the file's bytes again
+        # the paper-scale bundle: the file loads to build_adjacency's matrix at the
+        # command's one BLAS thread, and save_adjacency of that matrix writes the
+        # file's bytes again
         data, out, again = tmp_path / "bundle", tmp_path / "adjacency.csv", tmp_path / "again.csv"
         assert cli_run(["synth", "--out", str(data), "--n-subjects", "300", "--seed", "0"]) == 0
         assert cli_run(["build-graph", "--data", str(data), "--out", str(out)]) == 0
         bundle = load_bundle(data)
-        a = popgraph.build_adjacency(bundle.features, bundle.phenotypes)[0]
+        with training.blas_pin():
+            a = popgraph.build_adjacency(bundle.features, bundle.phenotypes)[0]
         assert load_adjacency(out, n=300).tobytes() == a.tobytes()
         save_adjacency(a, again)
         assert again.read_bytes() == out.read_bytes()
@@ -182,6 +186,22 @@ class TestBuildGraph:
             capsys.readouterr()
             assert cli_run(argv + [f"--sigma={sigma}"]) == 2
             assert "argument --sigma" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-160"])
+    @pytest.mark.parametrize("command", ["build-graph", "train"])
+    def test_sigma_at_which_the_kernel_overflows_is_refused(self, data_dir, tmp_path, capsys,
+                                                            command, sigma):
+        # at 1e-300 sigma^2 underflows to 0, and at 1e-160 rho^2 / (2 sigma^2)
+        # overflows: each once wrote a 0-edge graph after numpy's warnings
+        out = tmp_path / "out"
+        flags = QUICK_TRAIN if command == "train" else []
+        capsys.readouterr()
+        assert cli_run([command, "--data", str(data_dir), "--out", str(out), "--sigma", sigma]
+                       + flags) == 1
+        assert capsys.readouterr().err == (
+            f"error: sigma must be > 0 with 4 / (2 sigma^2) finite, got {float(sigma)}\n")
+        assert not out.exists()
 
     def test_rfe_dim_is_not_a_build_graph_option(self, data_dir, tmp_path, capsys):
         # a graph built from RFE columns fitted on every label would leak them
@@ -526,6 +546,30 @@ class TestEval:
         assert {key: body[key] for key in fold} == fold
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("train", QUICK_TRAIN),
+    ("sweep-depth", QUICK_TRAIN + ["--depths", "1"]),
+    ("sweep-batch", QUICK_TRAIN + ["--budgets", "16", "--sampler-runs", "5"]),
+])
+def test_commands_that_train_print_the_graph_they_train_on(data_dir, tmp_path, capsys,
+                                                           command, flags):
+    # at sigma 1e-3 every kernel weight underflows: the model fits the
+    # features alone, through A_hat = I, and the first line says so
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli_run([command, "--data", str(data_dir), "--out", str(out), "--sigma", "1e-3"]
+                   + flags) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "graph: 0 edges, sigma=0.001"
+
+
+def test_train_names_the_adjacency_file_it_trains_on(data_dir, adjacency_run, tmp_path, capsys):
+    adj, _ = adjacency_run
+    capsys.readouterr()
+    assert cli_run(["train", "--data", str(data_dir), "--adjacency", str(adj),
+                    "--out", str(tmp_path / "run")] + QUICK_TRAIN) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"graph: 458 edges, read from {adj}"
+
+
 class TestSweeps:
     def test_sweep_depth_csv(self, data_dir, tmp_path):
         out = tmp_path / "depth.csv"
@@ -687,6 +731,13 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "max relative gradient error" in out
 
+    def test_stdout_is_the_error_alone(self, capsys):
+        # no wall time: two runs of the same code print the same bytes
+        capsys.readouterr()
+        assert cli_run(["gradcheck", "--seed", "7"]) == 0
+        assert re.fullmatch(r"max relative gradient error: \d\.\d{3}e-\d{2}\n",
+                            capsys.readouterr().out)
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.5", "x"])
     def test_eps_must_be_finite_and_positive(self, capsys, eps):
         assert cli_run(["gradcheck", "--eps", eps]) == 2
@@ -739,7 +790,6 @@ TRAIN_FLAGS = {
     "seed": ("--seed", 1, 2),
     "batch_budget": ("--batch-budget", 20, 30),
     "sampler_runs": ("--sampler-runs", 5, 6),
-    "loss_reduction": ("--loss-reduction", "mean", "sum"),
 }
 
 
@@ -802,6 +852,35 @@ class TestConfigPrecedence:
         assert f"error: config file {config}: not a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @staticmethod
+    def train_args(config):
+        return cli._build_parser().parse_args(["train", "--data", "d", "--out", "o",
+                                               "--config", str(config)])
+
+    def test_unreadable_config_file_is_named(self, tmp_path):
+        config = tmp_path / "missing.json"
+        with pytest.raises(ValueError, match=rf"^config file {re.escape(str(config))}: "
+                                             r"\[Errno 2\] No such file"):
+            cli.resolve_config(self.train_args(config))
+
+    def test_config_file_that_is_not_json_is_named(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("{learning_rate: 0.1}")
+        with pytest.raises(ValueError, match=rf"^config file {re.escape(str(config))}: "
+                                             "Expecting property name"):
+            cli.resolve_config(self.train_args(config))
+
+    def test_loss_reduction_is_neither_a_flag_nor_a_config_key(self, tmp_path, capsys):
+        # the loss is a sum over the labeled nodes; nothing selects another reduction
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"loss_reduction": "sum"}))
+        with pytest.raises(ValueError,
+                           match=r"^config file has unknown keys: \['loss_reduction'\]$"):
+            cli.resolve_config(self.train_args(config))
+        assert cli_run(["train", "--data", "d", "--out", str(tmp_path / "o"),
+                        "--loss-reduction", "sum"]) == 2
+        assert "unrecognized arguments: --loss-reduction" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, data_dir, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"learning_rat": 0.1}))
@@ -862,3 +941,87 @@ class TestFullPipelineDemo:
         # sample-stats reads back the graph file that build-graph wrote
         assert (f"$ angcn sample-stats --data {tmp_path / 'bundle'} "
                 f"--adjacency {tmp_path / 'adjacency.csv'} ") in capsys.readouterr().out
+
+
+def test_readme_names_every_long_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (commands,) = [a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for p in commands.choices.values() for a in p._actions
+               for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+    unnamed = [o for o in options if not re.search(rf"{re.escape(o)}(?![\w-])", readme)]
+    assert sorted(unnamed) == []
+
+
+@pytest.fixture(scope="module")
+def paper_bundle(tmp_path_factory):
+    """The n = 300 seed-0 bundle, whose graph OpenBLAS builds with other last
+    bits at two threads than at one."""
+    d = tmp_path_factory.mktemp("paper-bundle")
+    assert cli_run(["synth", "--out", str(d), "--n-subjects", "300", "--seed", "0"]) == 0
+    return d
+
+
+class TestBlasThreadCount:
+    """Every command holds OpenBLAS at one thread, so its outputs are the same
+    bytes whatever OPENBLAS_NUM_THREADS says."""
+
+    TRAIN = ["--folds", "2", "--epochs", "3", "--patience", "3", "--layers", "2",
+             "--hidden", "16"]
+
+    @staticmethod
+    def run_at(threads, cwd, argv):
+        """(stdout, {relative path: bytes} of every file under cwd) of one
+        `python -m angcn` run in cwd at OPENBLAS_NUM_THREADS=threads."""
+        cwd.mkdir(parents=True)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+        result = subprocess.run([sys.executable, "-m", "angcn", *argv], cwd=cwd, env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        return result.stdout, {p.relative_to(cwd).as_posix(): p.read_bytes()
+                               for p in sorted(cwd.rglob("*")) if p.is_file()}
+
+    def assert_same_at_one_and_two_threads(self, tmp_path, argv):
+        (out1, files1), (out2, files2) = (self.run_at(t, tmp_path / f"threads{t}", argv)
+                                          for t in (1, 2))
+        assert out1 == out2
+        assert sorted(files1) == sorted(files2)
+        assert [name for name in files1 if files1[name] != files2[name]] == []
+        return files1
+
+    def test_train_writes_the_same_bytes_at_one_and_two_threads(self, paper_bundle, tmp_path):
+        files = self.assert_same_at_one_and_two_threads(
+            tmp_path, ["train", "--data", str(paper_bundle), "--out", "run", *self.TRAIN])
+        assert "run/checkpoint_fold0.json" in files
+
+    def test_eval_writes_the_same_bytes_at_one_and_two_threads(self, paper_bundle, tmp_path):
+        run = tmp_path / "run"
+        assert cli_run(["train", "--data", str(paper_bundle), "--out", str(run), *self.TRAIN]) == 0
+        files = self.assert_same_at_one_and_two_threads(
+            tmp_path, ["eval", "--checkpoint", str(run / "checkpoint_fold0.json"),
+                       "--data", str(paper_bundle), "--out", "eval.json"])
+        assert json.loads(files["eval.json"])["fold"] == 0
+
+    @pytest.mark.skipif(training._blas_thread_api() is None,
+                        reason="no OpenBLAS thread-count symbols to read")
+    def test_a_command_runs_at_one_thread_and_gives_the_count_back(self, monkeypatch):
+        get_threads = training._blas_thread_api()[0]
+        seen = []
+
+        def check(*args, **kwargs):
+            seen.append(get_threads())
+            if len(seen) == 2:
+                raise ValueError("planted")
+            return 0.0
+
+        monkeypatch.setattr(cli, "finite_difference_check", check)
+        with blas_threads(2):
+            threads = get_threads()
+            if threads < 2:
+                pytest.skip("OpenBLAS runs one thread here, so a lost restore would not show")
+            assert cli_run(["gradcheck"]) == 0
+            assert get_threads() == threads
+            assert cli_run(["gradcheck"]) == 1   # on error too
+            assert get_threads() == threads
+        assert seen == [1, 1]

@@ -42,7 +42,7 @@ from graphs import (
     wide_random_graph,
 )
 
-PINNED_CHECKPOINT_SHA256 = "360987671f3d53a2de72127dfa6796a4ada19058d94fddf66f9e990b233c7415"
+PINNED_CHECKPOINT_SHA256 = "b94fe341e6c1f7d98b6440173995688ea228a371debebe17b09bbe896b7891cf"
 
 
 def checkpoint(params, digest, test_idx, columns=None, fold=0, sigma=0.5):
@@ -228,6 +228,11 @@ def shuffle_rows(path, seed):
 
 
 class TestBundleValidation:
+    def test_labels_of_the_wrong_shape_are_refused(self):
+        bundle = generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=8))
+        with pytest.raises(ValueError, match=r"^labels shape \(21,\) != \(22,\)$"):
+            DatasetBundle(bundle.features, bundle.phenotypes, bundle.labels[:-1])
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_feature_names_file_line_and_column(self, tmp_path, value):
         save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=8)), tmp_path)
@@ -822,6 +827,22 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, checkpoint(params, "d" * 64, np.arange(2)))
         return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("config", [[], "sum", 3, None])
+    def test_config_that_is_not_an_object_is_refused(self, tmp_path, config):
+        path, payload = self._saved_payload(tmp_path)
+        payload["config"] = config
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaMismatch, match=r"checkpoint\.json: config is not an object$"):
+            load_checkpoint(path)
+
+    def test_an_extra_config_key_is_ignored(self, tmp_path):
+        # checkpoints written while TrainConfig had a loss_reduction field still load
+        path, payload = self._saved_payload(tmp_path)
+        want = load_checkpoint(path).config
+        payload["config"]["loss_reduction"] = "sum"
+        path.write_text(json.dumps(payload))
+        assert load_checkpoint(path).config == want
 
     @pytest.mark.parametrize("key", ["test_idx", "layers", "graph_digest"])
     def test_missing_key_is_named(self, tmp_path, key):

@@ -88,6 +88,10 @@ class TestConfusion:
 
 
 class TestScalarMetrics:
+    def test_empty_counts_are_refused(self):
+        with pytest.raises(ValueError, match=r"^confusion counts are empty$"):
+            scalar_metrics(ConfusionCounts(tp=0, fp=0, tn=0, fn=0))
+
     def test_perfect_classifier(self):
         m = scalar_metrics(ConfusionCounts(tp=50, fp=0, tn=50, fn=0))
         for key in ("accuracy", "recall", "precision", "f1", "mcc", "kappa"):
@@ -158,6 +162,10 @@ class TestScalarMetrics:
 
 
 class TestRocCurve:
+    def test_scores_and_labels_of_different_lengths_are_refused(self):
+        with pytest.raises(LengthMismatch, match=r"^lengths differ: \(3,\) vs \(2,\)$"):
+            roc_curve([0.9, 0.5, 0.1], [1, 0])
+
     def test_perfect_separation(self):
         curve = roc_curve([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
         assert curve.area == 1.0

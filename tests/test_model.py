@@ -431,6 +431,11 @@ class TestPredict:
 
 
 class TestModelParams:
+    def test_rejects_an_output_head_of_the_wrong_height(self):
+        with pytest.raises(ShapeMismatch, match=r"^output head rows 3 != hidden width 4$"):
+            ModelParams(np.ones((3, 4)), [np.ones((4, 4))], np.ones((3, 2)),
+                        alpha=0.1, beta=0.3)
+
     def test_rejects_non_square_layer(self):
         with pytest.raises(ShapeMismatch):
             ModelParams(

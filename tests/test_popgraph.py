@@ -231,6 +231,40 @@ class TestPhenotypicAgreement:
 
 
 class TestBuildAdjacency:
+    @staticmethod
+    def two_subjects(values=("F", "M")):
+        features = np.array([[1.0, 2.0, 4.0], [2.0, 1.0, 3.0]])
+        return features, [PhenotypicMeasure(name="sex", kind=QUALITATIVE, values=values)]
+
+    def test_refuses_fewer_than_two_subjects(self):
+        features, measures = self.two_subjects(("F",))
+        with pytest.raises(ValueError, match=r"^need at least 2 subjects, got 1$"):
+            build_adjacency(features[:1], measures, sigma=1.0)
+
+    def test_refuses_no_measures(self):
+        features, _ = self.two_subjects()
+        with pytest.raises(ValueError, match=r"^need at least one phenotypic measure$"):
+            build_adjacency(features, [], sigma=1.0)
+
+    def test_refuses_a_measure_of_the_wrong_length(self):
+        features, measures = self.two_subjects(("F", "M", "F"))
+        with pytest.raises(ValueError, match=r"^measure 'sex' covers 3 subjects, expected 2$"):
+            build_adjacency(features, measures, sigma=1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160, 5e-324])
+    def test_refuses_a_sigma_at_which_the_kernel_overflows(self, sigma):
+        # rho <= 2, so rho^2 / (2 sigma^2) is finite for every pair only while
+        # 4 / (2 sigma^2) is; at 1e-300 sigma^2 underflows to 0
+        features, measures = self.two_subjects()
+        with pytest.raises(NonPositiveSigma, match=rf"finite, got {sigma}$"):
+            build_adjacency(features, measures, sigma=sigma)
+
+    def test_smallest_sigma_the_kernel_holds_is_accepted(self):
+        # 4 / (2 sigma^2) is finite here, and every weight underflows to 0
+        features, measures = self.two_subjects(("F", "F"))
+        assert not build_adjacency(features, measures, sigma=1.1e-154)[0].any()
+
     def test_identical_features_matching_phenotypes(self):
         # rho = 0 so K = 1; same gender and close ages give a weight of 2
         features = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
