@@ -89,9 +89,8 @@ def _int_list(text: str) -> list[int]:
 
 def _number(kind: type, low: int, why: str = ""):
     """argparse type of an integer >= low (kind int: a seed or a column count)
-    or a finite number > low (kind float: a gradient-check step, or a kernel
-    width, checked here because a graph read from --adjacency never uses it,
-    yet its checkpoints record it); `why` follows the refusal."""
+    or a finite number > low (kind float: a gradient-check step or a kernel
+    width); `why` follows the refusal."""
     rule = f"an integer >= {low}" if kind is int else f"a finite number > {low}"
 
     def parse(text: str):
@@ -228,12 +227,21 @@ def _graph(args, ckpt: dataio.Checkpoint | None = None):
     the bundle, its features at the kept columns, those columns (None for
     all), the adjacency matrix and its sigma. The columns are the checkpoint's,
     else ridge-RFE's at --rfe-dim, else all. The graph is read from
-    --adjacency, with the sigma as given (None without one), else built at the
-    checkpoint's sigma or --sigma, the median heuristic for None, which is
-    then returned. A checkpoint index past the bundle is refused before any
-    graph work, and a graph whose digest is not the checkpoint's after it."""
+    --adjacency (the sigma returned is then the checkpoint's, else None),
+    else built at the checkpoint's sigma or --sigma, the median heuristic for
+    None, which is then returned. Refused before any graph work: --sigma with
+    --adjacency, a checkpoint trained on an adjacency file (sigma None)
+    without --adjacency, and a checkpoint index past the bundle; a graph
+    whose digest is not the checkpoint's is refused after it."""
+    sigma, file = getattr(args, "sigma", None), getattr(args, "adjacency", None)
+    if sigma is not None and file is not None:
+        raise ValueError("--sigma and --adjacency exclude each other: --sigma builds the "
+                         "graph from --data, --adjacency reads it from a file")
+    if ckpt is not None and ckpt.sigma is None and file is None:
+        raise SchemaMismatch(f"{args.checkpoint} was trained on an adjacency file "
+                             "(its sigma_resolved is null): give that file with --adjacency")
     bundle = dataio.load_bundle(args.data)
-    features, sigma, columns = bundle.features, getattr(args, "sigma", None), None
+    features, columns = bundle.features, None
     if ckpt is not None:
         for key, index, size, what in (("test_idx", ckpt.test_idx, len(features), "subjects"),
                                        ("feature_columns", ckpt.feature_columns,
@@ -247,12 +255,12 @@ def _graph(args, ckpt: dataio.Checkpoint | None = None):
         columns = rfe_ridge(features, pm1, target_dim=args.rfe_dim)
     if columns is not None:
         features = features[:, columns]
-    if getattr(args, "adjacency", None) is not None:
-        a = dataio.load_adjacency(args.adjacency, n=features.shape[0])
+    if file is not None:
+        a = dataio.load_adjacency(file, n=features.shape[0])
     else:
         a, sigma = build_adjacency(features, bundle.phenotypes, sigma)
     if ckpt is not None and (digest := dataio.graph_digest(a)) != ckpt.graph_digest:
-        source = args.adjacency or f"the graph rebuilt from {args.data}"
+        source = file or f"the graph rebuilt from {args.data}"
         raise ValueError(
             f"graph digest {digest[:12]} of {source} does not "
             f"match the checkpoint's training graph digest {ckpt.graph_digest[:12]}"

@@ -306,6 +306,33 @@ def one_hot(labels: Sequence[int]) -> np.ndarray:
     return out
 
 
+_pin_lock = threading.Lock()
+_pin = [0, None]  # blocks inside blas_pin, and the thread count the outermost one saved
+
+
+@contextlib.contextmanager
+def blas_pin():
+    """Hold OpenBLAS at one thread inside the block, where numpy's OpenBLAS
+    exports its thread-count functions, and yield those (get, set) functions,
+    or None. Blocks nest, and may run in several threads at once: the
+    outermost entry saves the count and sets 1, and the last exit, on error
+    too, restores the saved count."""
+    api = _blas_thread_api()
+    with _pin_lock:
+        _pin[0] += 1
+        if api and _pin[0] == 1:
+            _pin[1] = api[0]()
+            api[1](1)
+    try:
+        yield api
+    finally:
+        with _pin_lock:
+            _pin[0] -= 1
+            if api and _pin[0] == 0:
+                api[1](_pin[1])
+
+
+@blas_pin()
 def train(
     config: TrainConfig,
     a_hat: np.ndarray,
@@ -345,8 +372,9 @@ def train(
     normalize_adjacency returns it; sampled steps multiply by step_op.T,
     since a_hat[b, b] * gamma is not symmetric.
 
-    `train` runs at the caller's BLAS thread count, and its bits depend on
-    that count; `cross_validate` and every CLI command hold one (`blas_pin`).
+    `train` holds OpenBLAS at one thread (`blas_pin`), whatever the caller's
+    count, which it gives back on return: its bits do not depend on that
+    count, and block scoring needs its premise only at one thread.
     """
     train_idx = np.asarray(train_idx, dtype=int)
     val_idx = np.asarray(val_idx, dtype=int)
@@ -522,30 +550,6 @@ def _train_fold(shared: tuple, task: tuple) -> FoldResult:
 
 
 _worker_shared: tuple | None = None  # the arrays forked workers train on, set only while they run
-_pin_lock = threading.Lock()
-_pin = [0, None]  # blocks inside blas_pin, and the thread count the outermost one saved
-
-
-@contextlib.contextmanager
-def blas_pin():
-    """Hold OpenBLAS at one thread inside the block, where numpy's OpenBLAS
-    exports its thread-count functions, and yield those (get, set) functions,
-    or None. Blocks nest, and may run in several threads at once: the
-    outermost entry saves the count and sets 1, and the last exit, on error
-    too, restores the saved count."""
-    api = _blas_thread_api()
-    with _pin_lock:
-        _pin[0] += 1
-        if api and _pin[0] == 1:
-            _pin[1] = api[0]()
-            api[1](1)
-    try:
-        yield api
-    finally:
-        with _pin_lock:
-            _pin[0] -= 1
-            if api and _pin[0] == 0:
-                api[1](_pin[1])
 
 
 def _train_fold_in_worker(task: tuple) -> FoldResult:

@@ -21,7 +21,7 @@ from angcn.data import (
 from angcn.sampler import json_chunks, presample
 from angcn.training import TrainConfig
 
-from graphs import blas_threads, peak_bytes
+from graphs import adjacency_file, blas_threads, edge_list, peak_bytes
 
 SMALL = ["--n-subjects", "48", "--n-roi", "6", "--seed", "5"]
 FAST_TRAIN = [
@@ -81,6 +81,23 @@ class TestSynth:
         assert not out.exists()
 
 
+def reference_adjacency(features, measures, sigma=None):
+    """(A, sigma) of the population graph as its definition reads, at one
+    BLAS thread: the correlation distances rho = 1 - z z^T of the centred,
+    row-normalised features, sigma the np.median of the pairs i < j unless
+    given, each weight exp(-rho^2 / (2 sigma^2)) times the summed agreement
+    of every measure, and the strict upper triangle mirrored to the lower."""
+    z = features - features.mean(axis=1, keepdims=True)
+    z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    with training.blas_pin():
+        rho = 1.0 - z @ z.T
+    if sigma is None:
+        sigma = float(np.median(rho[np.triu_indices(len(z), k=1)]))
+    upper = np.triu(np.exp(-(rho ** 2) / (2 * sigma ** 2))
+                    * sum(m.agreement() for m in measures), k=1)
+    return upper + upper.T, sigma
+
+
 class TestBuildGraph:
     def test_adjacency_file_properties(self, data_dir, tmp_path):
         out = tmp_path / "adjacency.csv"
@@ -107,30 +124,28 @@ class TestBuildGraph:
         save_adjacency(a, again)
         assert again.read_bytes() == out.read_bytes()
 
-    @pytest.mark.parametrize("flags, file_sha, digest", [
-        ([], "2b54f19dccbfbef1d03215697e9d714337060e7bf7975ee2743c200914813e36",
-         "22ca01fbd8825a8c7847ca520be1cd924211d70235da71818b545ee2d224f417"),
-        (["--sigma", "0.05"], "167b4bb87b2fe5a64eccbe14e67cd0ffe8aaea332338a5a9cc8b4f3729473553",
-         "f45b97d6288b046af1a1f044a8db99233ac02c7e4806c480a1765c63f64dfd57"),
-    ])
-    def test_adjacency_bytes_are_pinned(self, data_dir, tmp_path, capsys, flags, file_sha,
-                                        digest):
-        out = tmp_path / "adjacency.csv"
+    @pytest.mark.parametrize("sigma", [None, 0.05])
+    def test_adjacency_bytes_are_pinned(self, data_dir, tmp_path, capsys, sigma):
+        # the file lists i,j,repr(w) for each nonzero upper entry of the
+        # reference, in row order
+        bundle, out = load_bundle(data_dir), tmp_path / "graph.csv"
+        want, want_sigma = reference_adjacency(bundle.features, bundle.phenotypes, sigma)
+        flags = [] if sigma is None else ["--sigma", str(sigma)]
         capsys.readouterr()
         assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(out)] + flags) == 0
-        assert capsys.readouterr().out.endswith(" (458 edges, sigma=%s)\n"
-                                                % ("0.794666" if not flags else "0.05"))
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == file_sha
-        assert graph_digest(load_adjacency(out, n=48)) == digest
+        assert capsys.readouterr().out.endswith(f" (458 edges, sigma={want_sigma:.6g})\n")
+        assert out.read_bytes() == adjacency_file(tmp_path, edge_list(want)).read_bytes()
+        assert graph_digest(load_adjacency(out, n=48)) == graph_digest(want)
 
     def test_median_sigma_is_pinned(self, data_dir, train_dir):
         bundle = load_bundle(data_dir)
-        _, sigma = popgraph.build_adjacency(bundle.features, bundle.phenotypes)
-        assert repr(sigma) == "0.7946659174222371"
+        want, sigma = reference_adjacency(bundle.features, bundle.phenotypes)
+        with training.blas_pin():
+            assert repr(popgraph.build_adjacency(bundle.features, bundle.phenotypes)[1]) == (
+                repr(sigma))
         payload = json.loads((train_dir / "checkpoint_fold0.json").read_text())
-        assert repr(payload["config"]["sigma_resolved"]) == "0.7946659174222371"
-        assert payload["graph_digest"] == (
-            "22ca01fbd8825a8c7847ca520be1cd924211d70235da71818b545ee2d224f417")
+        assert repr(payload["config"]["sigma_resolved"]) == repr(sigma)
+        assert payload["graph_digest"] == graph_digest(want)
 
     def test_graph_is_built_in_the_distance_buffer(self):
         # the N x N distances become the adjacency matrix, and sigma's median
@@ -177,7 +192,7 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("sigma", ["-1", "0", "nan", "inf"])
     def test_bad_sigma_is_a_usage_error(self, data_dir, tmp_path, capsys, sigma):
-        # with --adjacency the sigma builds nothing, yet the checkpoint records it
+        # with --adjacency too: the value is refused before the pair of flags is
         adj = tmp_path / "adjacency.csv"
         assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]) == 0
         for argv in (["build-graph", "--data", str(data_dir), "--out", str(adj)],
@@ -186,6 +201,22 @@ class TestBuildGraph:
             capsys.readouterr()
             assert cli_run(argv + [f"--sigma={sigma}"]) == 2
             assert "argument --sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [("train", QUICK_TRAIN), ("sample-stats", [])],
+                             ids=["train", "sample-stats"])
+    def test_sigma_with_adjacency_is_refused(self, data_dir, adjacency_run, tmp_path, capsys,
+                                             monkeypatch, command, flags):
+        # a graph read from a file has no sigma, so a given one would build nothing
+        adj, _ = adjacency_run
+        out = tmp_path / "out"
+        monkeypatch.setattr(data, "load_bundle", lambda path: pytest.fail("bundle read"))
+        capsys.readouterr()
+        assert cli_run([command, "--data", str(data_dir), "--adjacency", str(adj),
+                        "--out", str(out), "--sigma", "0.5"] + flags) == 1
+        assert capsys.readouterr().err == (
+            "error: --sigma and --adjacency exclude each other: --sigma builds the graph "
+            "from --data, --adjacency reads it from a file\n")
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sigma", ["1e-300", "1e-160"])
@@ -482,22 +513,31 @@ class TestEval:
                       "--data", str(data_dir)])
         assert rc == 0
 
-    def test_graph_mismatch_names_the_digest(self, data_dir, tmp_path, capsys):
+    def test_graph_mismatch_names_the_digest(self, data_dir, train_dir, tmp_path, capsys):
+        # a checkpoint of the median-sigma graph evaluates with that graph's
+        # file, and not with a file built at another sigma
+        ckpt = ["eval", "--checkpoint", str(train_dir / "checkpoint_fold0.json"),
+                "--data", str(data_dir)]
         for sigma, want in ((None, 0), ("0.05", 1)):
             adj = tmp_path / f"adjacency_{sigma}.csv"
             flags = [] if sigma is None else ["--sigma", sigma]
             assert cli_run(["build-graph", "--data", str(data_dir), "--out", str(adj)]
                            + flags) == 0
-            run = tmp_path / f"run_{sigma}"
-            rc = cli_run(["train", "--data", str(data_dir), "--adjacency", str(adj),
-                          "--out", str(run)] + FAST_TRAIN)
-            assert rc == 0
             capsys.readouterr()
-            rc = cli_run(["eval", "--checkpoint", str(run / "checkpoint_fold0.json"),
-                          "--data", str(data_dir)])
-            assert rc == want
+            assert cli_run(ckpt + ["--adjacency", str(adj)]) == want
             if want:
                 assert "graph digest" in capsys.readouterr().err
+
+    def test_adjacency_checkpoint_without_its_file_is_refused(self, data_dir, adjacency_run,
+                                                              capsys, monkeypatch):
+        # a null sigma would rebuild the median-sigma graph, whatever the file held
+        ckpt = adjacency_run[1] / "checkpoint_fold0.json"
+        monkeypatch.setattr(data, "load_bundle", lambda path: pytest.fail("bundle read"))
+        capsys.readouterr()
+        assert cli_run(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt} was trained on an adjacency file (its sigma_resolved is null): "
+            "give that file with --adjacency\n")
 
     def test_eval_with_the_adjacency_file_reproduces_fold_zero(self, data_dir, tmp_path,
                                                               capsys):
@@ -512,7 +552,7 @@ class TestEval:
                 "--data", str(data_dir)]
         capsys.readouterr()
         assert cli_run(ckpt) == 1
-        assert "graph digest" in capsys.readouterr().err
+        assert "trained on an adjacency file" in capsys.readouterr().err
         assert cli_run(ckpt + ["--adjacency", str(other)]) == 1
         err = capsys.readouterr().err
         assert "graph digest" in err and str(other) in err
@@ -540,7 +580,7 @@ class TestEval:
         fold = json.loads((run / "metrics.json").read_text())["folds"][0]
         report = tmp_path / "eval.json"
         rc = cli_run(["eval", "--checkpoint", str(run / "checkpoint_fold0.json"),
-                      "--data", str(data_dir), "--out", str(report)])
+                      "--data", str(data_dir), "--adjacency", str(adj), "--out", str(report)])
         assert rc == 0
         body = json.loads(report.read_text())
         assert {key: body[key] for key in fold} == fold

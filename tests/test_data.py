@@ -176,8 +176,10 @@ class TestBundleRoundTrip:
         *((f'[{{"name": "age", "kind": "quantitative", "tau": {tau}}}]', SchemaMismatch,
            f"entry 0: quantitative measure 'age' needs tau > 0, a finite number, got {got}")
           for tau, got in (("NaN", "nan"), ("Infinity", "inf"), ("true", "True"))),
+        ('[{"name": "site", "kind": "ordinal"}]', SchemaMismatch,
+         "entry 0: unknown measure kind 'ordinal'$"),
     ], ids=["no-name", "no-tau", "not-json", "object-for-list", "tau-nan", "tau-infinity",
-            "tau-true"])
+            "tau-true", "unknown-kind"])
     def test_malformed_schema_names_file_and_entry(self, tmp_path, text, error, match):
         save_bundle(generate_synthetic(SyntheticSpec(n_subjects=22, n_roi=5, seed=7)), tmp_path)
         (tmp_path / "phenotypes.schema.json").write_text(text)

@@ -525,6 +525,11 @@ class TestConnectomeFeatures:
         with pytest.raises(OutOfRange):
             connectome_features(corr)
 
+    def test_non_square_matrix_is_refused(self):
+        with pytest.raises(ShapeMismatch,
+                           match=r"^correlation matrix must be square, got \(2, 3\)$"):
+            connectome_features(np.ones((2, 3)))
+
     def test_round_trip_is_identity(self):
         # filling the upper triangle row by row and mirroring it is the
         # inverse of the row-wise vectorization, up to the z-transform
@@ -593,5 +598,9 @@ class TestRfeRidge:
         assert np.array_equal(a, b)
 
     def test_target_dim_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^target_dim must be in \[1, 3\], got 0$"):
             rfe_ridge(np.ones((5, 3)), np.ones(5), target_dim=0)
+
+    def test_labels_of_another_length_are_refused(self):
+        with pytest.raises(ShapeMismatch, match=r"^labels shape \(4,\) does not match 5 rows$"):
+            rfe_ridge(np.ones((5, 3)), np.ones(4), target_dim=1)
