@@ -4,21 +4,27 @@ The backward pass differentiates the four-term propagation rule by hand; a
 central finite-difference harness validates it entry by entry. The loss is
 a sum over labeled nodes, read off the logits wherever the softmax
 underflows. Backward reads each layer's diffusion and I + W from the
-forward trace, so a step costs two N x N products per layer: op @ h forward
-and op.T @ d_s backward, which full-batch steps take as a_hat @ d_s, the
-same bits, since a_hat is exactly symmetric. Both passes skip every term
-whose coefficient is 0, so at alpha = beta = 0 a layer does no H x H
-product either way, and at beta = 0 Adam leaves the layer weights, which
-get no gradient, untouched. Each fold computes every product once: its test
-probabilities are the best epoch's scoring pass. Sampled training scores
-several epochs' weights in one full-graph pass, with the same bits and the
-same epochs trained as a pass per epoch. Every fold of a `cross_validate`
-call shares the caller's a_hat. It holds OpenBLAS at one thread
-(`blas_pin`) and trains the folds in forked worker processes, one per
-usable CPU, which inherit the arrays and that one thread. A single worker,
-a platform without `fork` or without OpenBLAS's thread-count symbols, or a
-caller running other threads trains them in this process instead, through
-the same per-fold function. Results are the same bits for any worker count.
+forward trace, so a step of the layer loop costs two N x N products per
+layer: op @ h forward and op.T @ d_s backward, which full-batch steps take
+as a_hat @ d_s, the same bits, since a_hat is exactly symmetric. Both
+passes skip every term whose coefficient is 0, so at alpha = beta = 0 a
+layer does no H x H product either way, and at beta = 0 Adam leaves the
+layer weights, which get no gradient, untouched. Full-batch training of the
+plain GCN (alpha = beta = 0) at L >= 3 over an a_hat >= 0 goes further: its
+layers 2..L are linear, so `train` forms P = a_hat^(L-1) once and a step
+costs 4 N x N products whatever L is (model's docstring; its bits move
+within 1e-12 of the layer loop's). Sampled steps and their scoring passes,
+`eval`, L <= 2 and a signed a_hat keep the layer loop. Each fold computes
+every product once: its test probabilities are the best epoch's scoring
+pass. Sampled training scores several epochs' weights in one full-graph
+pass, with the same bits and the same epochs trained as a pass per epoch.
+Every fold of a `cross_validate` call shares the caller's a_hat. It holds
+OpenBLAS at one thread (`blas_pin`) and trains the folds in forked worker
+processes, one per usable CPU, which inherit the arrays and that one
+thread. A single worker, a platform without `fork` or without OpenBLAS's
+thread-count symbols, or a caller running other threads trains them in
+this process instead, through the same per-fold function. Results are the
+same bits for any worker count.
 """
 
 from __future__ import annotations
@@ -155,10 +161,15 @@ def backward(
     array is the product op.T @ d_s. `symmetric=True` promises that op
     equals op.T bit for bit, as normalize_adjacency's a_hat does: backward
     then multiplies by op itself, the same sums without the transposed read.
-    `op` and `params` must be those the trace was computed with.
+    A trace whose forward took layers 2..L through P = op^(L-1) (plain GCN)
+    takes them back as one product P.T @ d_h, transposed whatever
+    `symmetric` says, since a P from repeated squaring is not bit for bit
+    symmetric; layer 1's ReLU mask then stands for every layer's, since a
+    zero of a later layer's output has only zeros of h_1 below it. `op` and
+    `params` must be those the trace was computed with.
     """
     n_layers = len(params.layers)
-    if len(trace.activations) != n_layers:
+    if len(trace.activations) != (n_layers if trace.power is None else 2):
         raise TraceMismatch(
             f"trace has {len(trace.activations)} layers, params have {n_layers}"
         )
@@ -189,7 +200,10 @@ def backward(
     op_t = op if symmetric else op.T
     if beta:  # buffers that every layer reuses
         s_x0, g_iw, skip = np.empty_like(x0), np.empty_like(x0), np.empty_like(x0)
-    for ell in range(n_layers - 1, -1, -1):
+    top = n_layers - 1
+    if trace.power is not None:  # layers L..2 as one product, masked by layer 1's ReLU alone
+        d_h, top = trace.power.T @ d_h, 0
+    for ell in range(top, -1, -1):
         g = np.multiply(d_h, trace.activations[ell] > 0, out=d_h)
         if beta:
             d_layers[ell] = np.add(trace.diffused[ell], x0, out=s_x0).T @ g
@@ -367,10 +381,12 @@ def train(
     once its block is scored, naming the same epoch. Full batch
     (`config.full_batch(n)`) restricts nothing, so it takes no S; its block
     cap is 1, and each epoch is scored by a traced `forward` that is also the
-    next epoch's training forward. Its backward multiplies by a_hat
-    untransposed (`symmetric=True`), so a_hat must be exactly symmetric, as
-    normalize_adjacency returns it; sampled steps multiply by step_op.T,
-    since a_hat[b, b] * gamma is not symmetric.
+    next epoch's training forward; for the plain GCN at L >= 3 over an
+    a_hat >= 0 that forward and its backward take layers 2..L through
+    P = a_hat^(L-1), formed once per call (module docstring). Its backward
+    multiplies by a_hat untransposed (`symmetric=True`), so a_hat must be
+    exactly symmetric, as normalize_adjacency returns it; sampled steps
+    multiply by step_op.T, since a_hat[b, b] * gamma is not symmetric.
 
     `train` holds OpenBLAS at one thread (`blas_pin`), whatever the caller's
     count, which it gives back on return: its bits do not depend on that
@@ -398,6 +414,13 @@ def train(
         return best_params, history, forward_logits([params], a_hat, features)[0]
 
     train_mask = np.isin(np.arange(n), train_idx)
+    # the plain GCN over an operator >= 0: ReLU passes the products of layers 2..L
+    # unchanged, so the forward takes them as one product with a_hat^(L-1); at
+    # L = 2 that product is a_hat itself, and the layer loop costs the same
+    power = None
+    if (full_batch and config.layers >= 3 and not (config.alpha or config.beta)
+            and a_hat.min() >= 0):
+        power = np.linalg.matrix_power(a_hat, config.layers - 1)
 
     def steps(epoch: int):
         """(operator, features, labels, labeled rows) of each gradient step."""
@@ -415,7 +438,7 @@ def train(
                     step_op *= aggregation_matrix(s, batch)
                 yield step_op, features[batch], labels_oh[batch], labeled_local
 
-    trace = forward(params, a_hat, features) if full_batch else None
+    trace = forward(params, a_hat, features, power) if full_batch else None
     # a column block of a_hat @ [h_1 ... h_k] is the bits of a_hat @ h_i for
     # widths of whole 16-column panels (OpenBLAS), not for H = 5 or 33
     block_cap = 1 if full_batch or config.hidden_dim % 16 else max(1, n // (3 * config.hidden_dim))
@@ -433,7 +456,7 @@ def train(
                 adam_step(params, grads, state, config.learning_rate)
             weights.append(params.copy() if epoch < epochs[-1] else params)
         if full_batch:
-            trace = forward(params, a_hat, features)
+            trace = forward(params, a_hat, features, power)
             scores = [trace.logits]
         else:
             scores = forward_logits(weights, a_hat, features)

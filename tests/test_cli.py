@@ -438,6 +438,30 @@ class TestEval:
                 # all 48 subjects are scored separately, under their own label
                 assert set(body["all_subjects"]) == set(fold) - {"fold"}
 
+    def test_eval_reproduces_a_plain_gcn_fold_that_train_took_through_a_power(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        # train takes layers 2..4 of the plain GCN as one product with a_hat^3,
+        # eval takes the checkpoint through the layer loop: fold 0's metrics
+        # must read the same
+        monkeypatch.setattr(training, "fold_workers", lambda folds: 1)
+        powers, real = [], training.forward
+
+        def recorded(params, op, x_raw, power=None):
+            powers.append(power is not None)
+            return real(params, op, x_raw, power)
+
+        monkeypatch.setattr(training, "forward", recorded)
+        run, report = tmp_path / "run", tmp_path / "eval.json"
+        assert cli_run(["train", "--data", str(data_dir), "--out", str(run)] + FAST_TRAIN
+                       + ["--alpha", "0", "--beta", "0", "--layers", "4"]) == 0
+        assert powers and all(powers)
+        assert cli_run(["eval", "--checkpoint", str(run / "checkpoint_fold0.json"),
+                        "--data", str(data_dir), "--out", str(report)]) == 0
+        fold = json.loads((run / "metrics.json").read_text())["folds"][0]
+        body = json.loads(report.read_text())
+        assert {key: body[key] for key in fold} == fold
+
     @pytest.mark.parametrize("key, value", [
         ("test_idx", [-1, 0]),
         ("test_idx", [5000]),

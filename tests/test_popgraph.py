@@ -12,6 +12,7 @@ from angcn.errors import (
     NonPositiveSigma,
     OutOfRange,
     ShapeMismatch,
+    SingularSystem,
 )
 from angcn.popgraph import (
     QUALITATIVE,
@@ -604,3 +605,10 @@ class TestRfeRidge:
     def test_labels_of_another_length_are_refused(self):
         with pytest.raises(ShapeMismatch, match=r"^labels shape \(4,\) does not match 5 rows$"):
             rfe_ridge(np.ones((5, 3)), np.ones(4), target_dim=1)
+
+    def test_singular_ridge_system_is_refused(self):
+        # two equal columns of 1e150: X^T X is 6e300 in every entry, the ridge
+        # term 1.0 is absorbed, and X^T X + I is exactly singular
+        x = np.full((6, 2), 1e150)
+        with pytest.raises(SingularSystem, match=r"^ridge system singular at lambda=1\.0$"):
+            rfe_ridge(x, np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]), target_dim=1)

@@ -244,6 +244,29 @@ class TestBackward:
         for p in (params, replace(params, alpha=0.0, beta=0.0)):
             assert finite_difference_check(p, op, x_raw, onehot, labeled, eps=1e-5) < 1e-6
 
+    def test_power_path_matches_central_differences(self):
+        # L = 4 plain GCN, its layers 2..4 taken as one product with op^3 and
+        # back through (op^3).T and layer 1's mask: each gradient entry against
+        # a central difference of the layer loop's loss
+        _, op, x, onehot, labeled = gradcheck_fixture(seed=7)
+        params = init_params(x.shape[1], 4, 2, 4, 0.0, 0.0, np.random.default_rng(7))
+        power = np.linalg.matrix_power(op, 3)
+        assert op.min() >= 0 and not np.array_equal(op, op.T)
+        grads = backward(forward(params, op, x, power), params, op, onehot, labeled)
+        worst, step = 0.0, 1e-5
+        for mat, grad in zip(params.matrices(), grads, strict=True):
+            for ix in np.ndindex(mat.shape):
+                theta, losses = mat[ix], []
+                for shifted in (theta + step, theta - step):
+                    mat[ix] = shifted
+                    losses.append(cross_entropy(forward_logits([params], op, x)[0], onehot,
+                                                labeled))
+                mat[ix] = theta
+                numeric = (losses[0] - losses[1]) / (2.0 * step)
+                denom = max(abs(grad[ix]), abs(numeric), 1e-8)
+                worst = max(worst, abs(grad[ix] - numeric) / denom)
+        assert worst < 1e-6
+
     @staticmethod
     def paper_shape():
         """n = 300 seed-0 bundle, whole-graph a_hat * gamma from presample(300,
@@ -830,17 +853,36 @@ class TestTrainTraceReuse:
         with pytest.raises(ValueError, match="gamma"):
             cross_validate(cfg, a_hat, stats, bundle.features, bundle.labels)
 
-    def assert_trains_like_the_reference(self, n=40, labeled=30, budget=None, **fields):
+    def assert_trains_like_the_reference(self, n=40, labeled=30, budget=None, signed=False,
+                                         **fields):
         """Train on setup(n), its first `labeled` nodes labeled, with seed 9
         and a TrainConfig of `fields`, by `train` and by reference_train;
         assert the same history, logits and weights, bit for bit, and
-        return the history."""
+        return the history. `signed` negates a_hat's first edge.
+
+        Full-batch training of the plain GCN at L >= 3 over an a_hat >= 0
+        takes layers 2..L as one product with a_hat^(L-1), which sums in
+        another order: there each array (the history's losses, the logits,
+        every weight) must lie within 1e-12 of its largest value, and the
+        epochs and the best epoch must be the same."""
         bundle, g, idx = self.setup(n)
         a_hat, cfg = normalize_adjacency(g), TrainConfig(seed=9, batch_budget=budget,
                                                          sampler_runs=30, **fields)
+        if signed:
+            i, j = np.argwhere(np.triu(a_hat, k=1))[0]
+            a_hat[i, j] = a_hat[j, i] = -a_hat[i, j]
         stats = None if budget is None else presample(n, runs=30, budget=budget, seed=9)
         got, want = (fit(cfg, a_hat, stats, bundle.features, bundle.labels, idx[:labeled],
                          idx[labeled:]) for fit in (train, reference_train))
+        if budget is None and cfg.layers >= 3 and not (cfg.alpha or cfg.beta) \
+                and a_hat.min() >= 0:
+            got_rows, want_rows = np.array(got[1]), np.array(want[1])
+            assert got_rows[:, 0].tolist() == want_rows[:, 0].tolist()
+            assert np.argmin(got_rows[:, 2]) == np.argmin(want_rows[:, 2])
+            for got_a, want_a in [(got_rows[:, 1:], want_rows[:, 1:]), (got[2], want[2]),
+                                  *zip(got[0].matrices(), want[0].matrices(), strict=True)]:
+                assert np.abs(got_a - want_a).max() <= 1e-12 * np.abs(want_a).max()
+            return got[1]
         assert got[1] == want[1]
         assert got[2].tobytes() == want[2].tobytes()
         for got_w, want_w in zip(got[0].matrices(), want[0].matrices(), strict=True):
@@ -877,6 +919,42 @@ class TestTrainTraceReuse:
         # its own array and multiplies every step by op.T
         self.assert_trains_like_the_reference(budget=budget, max_epochs=12, patience=12,
                                               layers=20, hidden_dim=8, alpha=alpha, beta=beta)
+
+    def test_signed_operator_histories_match_the_reference_bitwise(self):
+        # one negative edge: a later layer's ReLU may cut, so the plain GCN at
+        # L = 3 keeps the layer loop, and its bits are the reference's
+        self.assert_trains_like_the_reference(signed=True, max_epochs=12, patience=12,
+                                              layers=3, hidden_dim=8, alpha=0.0, beta=0.0)
+
+    @pytest.mark.parametrize("alpha, beta, per_epoch", [(0.0, 0.0, 4), (0.1, 0.3, 2 * 20)])
+    def test_full_batch_epoch_products_with_the_operator(self, alpha, beta, per_epoch):
+        # L = 20: an N x N x H product per layer each way for the ANGCN; for the
+        # plain GCN a_hat and a_hat^19 once each way, whatever L is. The first
+        # forward adds half an epoch's products
+        bundle, g, idx = self.setup()
+        n, hidden, epochs = len(g), 8, 3
+        products = []
+
+        class Counted(np.ndarray):
+            """An operator that counts its N x N x H products, and passes
+            itself on to the N x N products made from it (its powers)."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                if ufunc is np.matmul:
+                    shapes = sorted(np.shape(x) for x in plain)
+                    if shapes == [(n, hidden), (n, n)]:
+                        products.append(shapes)
+                    elif shapes == [(n, n), (n, n)]:
+                        return result.view(Counted)
+                return result
+
+        cfg = TrainConfig(max_epochs=epochs, patience=epochs, layers=20, hidden_dim=hidden,
+                          seed=9, alpha=alpha, beta=beta)
+        train(cfg, normalize_adjacency(g).view(Counted), None, bundle.features, bundle.labels,
+              idx[:30], idx[30:])
+        assert len(products) == per_epoch * epochs + per_epoch // 2
 
     @pytest.mark.parametrize("hidden, alpha, beta, patience, epochs", [
         (16, 0.0, 0.0, 2, 6), (16, 0.0, 0.0, 9, 9), (16, 0.1, 0.3, 2, 6), (16, 0.1, 0.3, 9, 9),
@@ -1369,7 +1447,8 @@ def test_the_reference_comparisons_pass_on_a_second_openblas_kernel(tmp_path):
         pytest.skip(f"OpenBLAS does not run its {kernel} kernel here")
     result = run(["-m", "pytest", "-q", "-p", "no:cacheprovider", f"--basetemp={tmp_path}",
                   "tests/test_training.py", "tests/test_cli.py",
-                  "-k", "digests_taken_before or bytes_are_pinned or median_sigma_is_pinned"],
+                  "-k", "digests_taken_before or bytes_are_pinned or median_sigma_is_pinned"
+                        " or power_path_matches or signed_operator_histories"],
                  kernel)
     assert result.returncode == 0, result.stdout[-3000:]
-    assert result.stdout.splitlines()[-1].startswith("22 passed")
+    assert result.stdout.splitlines()[-1].startswith("24 passed")
