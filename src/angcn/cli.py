@@ -206,7 +206,7 @@ def resolve_config(args, defaults: TrainConfig | None = None) -> TrainConfig:
     if getattr(args, "config", None):
         try:
             file_values = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # an undecodable byte, or not JSON
             raise ValueError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ValueError(f"config file {args.config}: not a JSON object")

@@ -8,7 +8,9 @@ Two phenotypic measures accompany them: a site-like categorical one and an
 age-like thresholded one, each weakly class-informative.
 
 All files are CSV/JSON written atomically (temp + rename); floats round-trip
-exactly. A checkpoint binds the graph it was trained on by a digest of the
+exactly. A file that is missing, undecodable or malformed is refused by an
+error that names it, and the line of a CSV table's bad byte, row or cell.
+A checkpoint binds the graph it was trained on by a digest of the
 adjacency matrix, and stores the fold's test subjects and the feature columns
 it reads, so `eval` can rebuild exactly what training saw.
 """
@@ -97,17 +99,15 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
     base = rng.normal(0.0, _TEMPLATE_SCALE, size=m)
     direction = rng.normal(0.0, 1.0, size=m)
     offset = 0.5 * spec.class_separation * _SEPARATION_SCALE * direction
-    templates = {0: base - offset, 1: base + offset}
+    templates = np.stack([base - offset, base + offset])
 
-    features = np.zeros((n, m))
-    iu = np.triu_indices(n_roi, k=1)
-    for i in range(n):
-        z = templates[int(labels[i])] + rng.normal(0.0, _SUBJECT_NOISE, size=m)
-        z = np.clip(z, -8.0, 8.0)
-        corr = np.eye(n_roi)
-        corr[iu] = np.tanh(z)
-        corr = np.triu(corr) + np.triu(corr, k=1).T
-        features[i] = connectome_features(corr)
+    # row i of one n x m draw is the m normals a draw per subject gives subject i
+    z = np.clip(templates[labels] + rng.normal(0.0, _SUBJECT_NOISE, size=(n, m)), -8.0, 8.0)
+    rows, cols = np.triu_indices(n_roi, k=1)
+    corr = np.tile(np.eye(n_roi), (n, 1, 1))
+    corr[:, rows, cols] = np.tanh(z)
+    corr = np.triu(corr) + np.triu(corr, k=1).swapaxes(1, 2)
+    features = connectome_features(corr)
 
     p = spec.phenotype_informativeness
     sites = []
@@ -211,17 +211,28 @@ def _read_csv(path: Path, head: list[str], numeric: bool = False, ints: int = 0)
     `_BLOCK_CELLS` cells at a time into the array (sized by a first pass over
     the lines), so no whole-file list of rows, cell strings or parsed blocks
     is held. ParseError or SchemaMismatch names the file and line of the
-    first fault; of faults on two lines, the earlier line's.
+    first fault; of faults on two lines, the earlier line's. A byte that the
+    locale's encoding (UTF-8 on most systems) cannot decode is refused before
+    any other fault, by a ParseError naming its line.
     """
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     with fh:
-        if numeric and (table := _loadtxt_table(fh, path, head, ints)) is not None:
-            return table
-        fh.seek(0)
-        lines = sum(1 for _ in fh) if numeric else 0   # each row takes at least one
+        try:   # one pass decodes every byte before any cell is read
+            if numeric and (table := _loadtxt_table(fh, path, head, ints)) is not None:
+                return table
+            fh.seek(0)
+            lines = sum(1 for _ in fh)   # each row takes at least one
+        except UnicodeDecodeError as exc:   # name the line of the first such byte
+            fh.buffer.seek(0)
+            for line, raw in enumerate(fh.buffer, start=1):
+                try:
+                    raw.decode(exc.encoding)
+                except UnicodeDecodeError as bad:
+                    raise ParseError(f"{path}: line {line}: {bad}") from exc
+            raise ParseError(f"{path}: {exc}") from exc
         fh.seek(0)
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -240,7 +251,7 @@ def _read_csv(path: Path, head: list[str], numeric: bool = False, ints: int = 0)
         position: dict[str, int] = {}
         rows: list[list[str]] = []
         first_line, width = 2, len(header)
-        out = np.empty((max(lines - 1, 0), width - subjects))
+        out = np.empty((max(lines - 1, 0) if numeric else 0, width - subjects))
         for line, row in enumerate(reader, start=2):
             if len(row) != width or subjects and row[0] in position:
                 if numeric:  # a bad number on an earlier line is the first fault
@@ -282,27 +293,24 @@ def _loadtxt_table(fh, path: Path, head: list[str], ints: int):
     subjects = head[0] == "subject_id"
     ids: list[str] = []
     rows = 0
-    try:
-        line = fh.readline()
-        header = line[:-1].split(",")
-        width = len(header)
-        if (not line.endswith("\n") or '"' in line or "\r" in line or width == subjects
-                or (header[:len(head)] if subjects else header) != head):
-            return None
-        while block := fh.read(_BLOCK_CHARS):
-            block += fh.readline()
-            lines = block.count("\n")
-            if (not block.endswith("\n") or '"' in block or "\r" in block
-                    or block.count(",") != lines * (width - 1)):
-                return None
-            start = 0
-            while subjects and start < len(block):   # each line's first cell
-                end = block.index("\n", start) + 1
-                ids.append(block[start:block.find(",", start, end)])
-                start = end
-            rows += lines
-    except UnicodeDecodeError:
+    line = fh.readline()
+    header = line[:-1].split(",")
+    width = len(header)
+    if (not line.endswith("\n") or '"' in line or "\r" in line or width == subjects
+            or (header[:len(head)] if subjects else header) != head):
         return None
+    while block := fh.read(_BLOCK_CHARS):
+        block += fh.readline()
+        lines = block.count("\n")
+        if (not block.endswith("\n") or '"' in block or "\r" in block
+                or block.count(",") != lines * (width - 1)):
+            return None
+        start = 0
+        while subjects and start < len(block):   # each line's first cell
+            end = block.index("\n", start) + 1
+            ids.append(block[start:block.find(",", start, end)])
+            start = end
+        rows += lines
     position = {sid: r for r, sid in enumerate(ids)}
     if rows == 0 or subjects and len(position) != rows:
         return None
@@ -546,7 +554,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # an undecodable byte, or not JSON
         raise ParseError(f"{path}: {exc}") from exc
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:

@@ -40,10 +40,6 @@ class EmptyLabeledSet(ValueError):
     """No labeled nodes were supplied to the loss."""
 
 
-class TraceMismatch(ValueError):
-    """A forward trace does not match the parameters it is paired with."""
-
-
 class ClassTooSmall(ValueError):
     """A class has fewer members than the number of folds."""
 

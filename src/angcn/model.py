@@ -20,11 +20,12 @@ projection maps raw inputs to the hidden width once, and a linear head maps
 the last layer to class scores.
 
 A forward forms alpha * x0 once and each layer's identity map I + W once.
-The trace keeps each layer's activation and, at beta != 0, its diffusion s
-and I + W, so the backward pass never repeats an N x N product or rebuilds
-I + W. `forward_logits` runs one layer loop for one weight set or several,
-with one N x N product per layer; without a trace, which only scores, it
-keeps none of them, and each layer's ReLU overwrites its product.
+The trace keeps the pass's weights and operator, each layer's activation
+and, at beta != 0, its diffusion s and I + W, so the backward pass needs
+nothing else and never repeats an N x N product or rebuilds I + W.
+`forward_logits` runs one layer loop for one weight set or several, with
+one N x N product per layer; without a trace, which only scores, it keeps
+none of them, and each layer's ReLU overwrites its product.
 `pre` is accumulated in place in the order written above, so skipping a
 zero term changes no bit of the result (save the sign of an exact zero, and
 NaN from 0 * inf), and neither does skipping a temporary.
@@ -88,7 +89,8 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, cached layer by layer.
+    """Everything the backward pass reads: the pass's weights `params` and
+    operator `op`, and what it cached layer by layer.
 
     activations[l] is the layer output; its positive entries are exactly
     those of the pre-activation, which is all the ReLU derivative needs.
@@ -101,8 +103,10 @@ class ForwardTrace:
     holds h_1 and h_L alone, and backward reads P from here.
     """
 
-    raw_input: np.ndarray
-    projected_input: np.ndarray
+    params: ModelParams | None = None
+    op: np.ndarray | None = None
+    raw_input: np.ndarray | None = None
+    projected_input: np.ndarray | None = None
     diffused: list[np.ndarray] = field(default_factory=list)
     activations: list[np.ndarray] = field(default_factory=list)
     identity_maps: list[np.ndarray] = field(default_factory=list)
@@ -172,7 +176,7 @@ def forward(params: ModelParams, op: np.ndarray, x_raw: np.ndarray,
     """Full forward pass over the N x N operator op: project, L propagation
     layers, linear head, traced for the backward pass; layers 2..L through
     `power` if given (see forward_logits)."""
-    trace = ForwardTrace(raw_input=None, projected_input=None)   # filled in as it runs
+    trace = ForwardTrace()   # filled in as it runs
     [trace.logits] = forward_logits([params], op, x_raw, trace, power)
     return trace
 
@@ -189,11 +193,11 @@ def forward_logits(param_sets: Sequence[ModelParams], op: np.ndarray, x_raw: np.
     of the wide product is the bits of op @ h_i (for OpenBLAS, H a multiple
     of 16), each set's logits are the bits of its own pass. Into `trace`, if
     given (one set only), goes what the backward pass reads (at beta = 0 the
-    activations alone), and each ReLU output is a new array. Without a trace,
-    for one set as for many, each layer's ReLU output overwrites its block of
-    the product, so the pass holds four N x kH arrays at most (x0, alpha * x0,
-    the layer input and its product; three at alpha = beta = 0), and no
-    layer's arrays outlive the next.
+    set, op and activations alone), and each ReLU output is a new array.
+    Without a trace, for one set as for many, each layer's ReLU output
+    overwrites its block of the product, so the pass holds four N x kH
+    arrays at most (x0, alpha * x0, the layer input and its product; three
+    at alpha = beta = 0), and no layer's arrays outlive the next.
 
     `power`, if given, is op^(L-1) for an op >= 0, which the caller promises,
     and stands in for layers 2..L of a plain GCN (alpha = beta = 0, L >= 2;
@@ -226,7 +230,7 @@ def forward_logits(param_sets: Sequence[ModelParams], op: np.ndarray, x_raw: np.
     alpha_x0s = [alpha * x0 for x0 in x0s] if alpha else [None] * k
     h = x0s[0] if k == 1 else np.hstack(x0s)
     if trace is not None:
-        trace.raw_input, trace.projected_input = x_raw, x0s[0]
+        trace.params, trace.op, trace.raw_input, trace.projected_input = first, op, x_raw, x0s[0]
     for ell, w in enumerate(first.layers if power is None else first.layers[:1]):
         if w.shape != (width, width):
             raise ShapeMismatch(f"layer {ell}: weight {w.shape} incompatible with width {width}")

@@ -190,22 +190,23 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
 
 
 def connectome_features(corr: np.ndarray) -> np.ndarray:
-    """Fisher z-transform of the strict upper triangle, vectorized row-wise.
+    """Fisher z-transform of the strict upper triangle, vectorized row-wise,
+    of each matrix in a stack (..., r, r): one vector of r(r-1)/2 per matrix.
 
-    Input is a symmetric correlation matrix with unit diagonal and
-    off-diagonal entries strictly inside (-1, 1); output has length
-    n(n-1)/2.
+    Each is a symmetric correlation matrix with unit diagonal and
+    off-diagonal entries strictly inside (-1, 1); OutOfRange names the first
+    entry that is not, by its flat index and, in a stack, its matrix.
     """
     corr = np.asarray(corr, dtype=float)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
+    if corr.ndim < 2 or corr.shape[-1] != corr.shape[-2]:
         raise ShapeMismatch(f"correlation matrix must be square, got {corr.shape}")
-    iu = np.triu_indices(corr.shape[0], k=1)
-    upper = corr[iu]
+    rows, cols = np.triu_indices(corr.shape[-1], k=1)
+    upper = corr[..., rows, cols]
     if np.any(np.abs(upper) >= 1.0):
-        bad = int(np.argmax(np.abs(upper) >= 1.0))
-        raise OutOfRange(
-            f"off-diagonal correlation at flat index {bad} is {upper[bad]}, needs |r| < 1"
-        )
+        *matrix, bad = np.argwhere(np.abs(upper) >= 1.0)[0]
+        where = f" of matrix {', '.join(map(str, matrix))}" if matrix else ""
+        raise OutOfRange(f"off-diagonal correlation at flat index {bad}{where} is "
+                         f"{upper[(*matrix, bad)]}, needs |r| < 1")
     return np.arctanh(upper)
 
 

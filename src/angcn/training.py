@@ -3,13 +3,14 @@
 The backward pass differentiates the four-term propagation rule by hand; a
 central finite-difference harness validates it entry by entry. The loss is
 a sum over labeled nodes, read off the logits wherever the softmax
-underflows. Backward reads each layer's diffusion and I + W from the
-forward trace, so a step of the layer loop costs two N x N products per
-layer: op @ h forward and op.T @ d_s backward, which full-batch steps take
-as a_hat @ d_s, the same bits, since a_hat is exactly symmetric. Both
-passes skip every term whose coefficient is 0, so at alpha = beta = 0 a
-layer does no H x H product either way, and at beta = 0 Adam leaves the
-layer weights, which get no gradient, untouched. Full-batch training of the
+underflows. Backward reads the weights, the operator, and each layer's
+diffusion and I + W from the forward trace, and Adam the weights from its
+state, so a step of the layer loop costs two N x N products per layer:
+op @ h forward and op.T @ d_s backward, which full-batch steps take as
+a_hat @ d_s, the same bits, since a_hat is exactly symmetric. Both passes
+skip every term whose coefficient is 0, so at alpha = beta = 0 a layer
+does no H x H product either way, and at beta = 0 Adam leaves the layer
+weights, which get no gradient, untouched. Full-batch training of the
 plain GCN (alpha = beta = 0) at L >= 3 over an a_hat >= 0 goes further: its
 layers 2..L are linear, so `train` forms P = a_hat^(L-1) once and a step
 costs 4 N x N products whatever L is (model's docstring; its bits move
@@ -42,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, ShapeMismatch, TraceMismatch
+from .errors import ClassTooSmall, EmptyLabeledSet, NonFiniteLoss, ShapeMismatch
 from .model import ForwardTrace, ModelParams, check_coefficient, forward, forward_logits
 from .model import init_params, predict
 from .sampler import aggregation_matrix, sample_node_subgraph
@@ -95,8 +96,10 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam's moments, one per parameter matrix in `ModelParams.matrices()` order."""
+    """Adam's state for the weights `params`: step count and moments, one
+    per matrix in `ModelParams.matrices()` order."""
 
+    params: ModelParams
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     t: int = 0
@@ -104,7 +107,7 @@ class AdamState:
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
         mats = params.matrices()
-        return cls([np.zeros_like(m) for m in mats], [np.zeros_like(m) for m in mats])
+        return cls(params, [np.zeros_like(m) for m in mats], [np.zeros_like(m) for m in mats])
 
 
 def cross_entropy(
@@ -136,15 +139,14 @@ def cross_entropy(
 
 def backward(
     trace: ForwardTrace,
-    params: ModelParams,
-    op: np.ndarray,
     labels_onehot: np.ndarray,
     labeled_idx: Sequence[int],
     *,
     symmetric: bool = False,
 ) -> list[np.ndarray]:
-    """Exact gradients of the cross-entropy through the full stack, one per
-    parameter matrix in `ModelParams.matrices()` order.
+    """Exact gradients of the cross-entropy through the full stack of the
+    traced forward, one per matrix of its weights `trace.params`, in
+    `ModelParams.matrices()` order, taken over its operator `trace.op`.
 
     Softmax and cross-entropy fuse to (Yhat - Y) on labeled rows. Each layer
     contributes through the diffusion term, the identity-plus-weight term,
@@ -165,21 +167,10 @@ def backward(
     takes them back as one product P.T @ d_h, transposed whatever
     `symmetric` says, since a P from repeated squaring is not bit for bit
     symmetric; layer 1's ReLU mask then stands for every layer's, since a
-    zero of a later layer's output has only zeros of h_1 below it. `op` and
-    `params` must be those the trace was computed with.
+    zero of a later layer's output has only zeros of h_1 below it.
     """
+    params, op = trace.params, trace.op
     n_layers = len(params.layers)
-    if len(trace.activations) != (n_layers if trace.power is None else 2):
-        raise TraceMismatch(
-            f"trace has {len(trace.activations)} layers, params have {n_layers}"
-        )
-    if trace.projected_input.shape[1] != params.input_projection.shape[1]:
-        raise TraceMismatch("trace hidden width disagrees with the projection")
-    if len(trace.identity_maps) != (n_layers if params.beta else 0):
-        raise TraceMismatch(
-            f"trace has {len(trace.identity_maps)} identity maps for {n_layers} layers "
-            f"at beta {params.beta}"
-        )
     labeled = np.asarray(labeled_idx, dtype=int)
     if labeled.size == 0:
         raise EmptyLabeledSet("gradients need at least one labeled node")
@@ -224,18 +215,14 @@ def backward(
     return [trace.raw_input.T @ d_x0, *d_layers, d_head]
 
 
-def adam_step(
-    params: ModelParams,
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> None:
-    """One bias-corrected Adam update of `params` and `state`, in place;
-    `grads` holds one gradient per matrix in `ModelParams.matrices()` order.
+def adam_step(state: AdamState, grads: list[np.ndarray], lr: float) -> None:
+    """One bias-corrected Adam update of `state` and its weights `state.params`,
+    in place; `grads` holds one gradient per matrix in `ModelParams.matrices()`
+    order, else ShapeMismatch, before anything changes.
 
     A matrix whose gradient and both moments are exactly 0 (a layer weight at
     beta = 0) is skipped: its update would leave every bit as it is."""
-    mats = params.matrices()
+    mats = state.params.matrices()
     if len(mats) != len(grads) or any(m.shape != g.shape for m, g in zip(mats, grads)):
         raise ShapeMismatch("gradient shapes do not mirror parameter shapes")
     state.t += 1
@@ -451,9 +438,9 @@ def train(
             for step_op, x, y, labeled in steps(epoch):
                 if trace is None:
                     trace = forward(params, step_op, x)
-                grads = backward(trace, params, step_op, y, labeled, symmetric=full_batch)
+                grads = backward(trace, y, labeled, symmetric=full_batch)
                 trace = None  # release it before the next forward: one trace live at a time
-                adam_step(params, grads, state, config.learning_rate)
+                adam_step(state, grads, config.learning_rate)
             weights.append(params.copy() if epoch < epochs[-1] else params)
         if full_batch:
             trace = forward(params, a_hat, features, power)
@@ -498,8 +485,7 @@ def finite_difference_check(
     def loss_of(p: ModelParams) -> float:
         return cross_entropy(forward_logits([p], op, x_raw)[0], labels_onehot, labeled_idx)
 
-    trace = forward(params, op, x_raw)
-    grads = backward(trace, params, op, labels_onehot, labeled_idx)
+    grads = backward(forward(params, op, x_raw), labels_onehot, labeled_idx)
     worst = 0.0
     work = params.copy()
     for mat, grad in zip(work.matrices(), grads):

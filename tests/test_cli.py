@@ -934,6 +934,13 @@ class TestConfigPrecedence:
                                              "Expecting property name"):
             cli.resolve_config(self.train_args(config))
 
+    def test_undecodable_config_file_is_named(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": 1}\n\xff')
+        with pytest.raises(ValueError, match=rf"^config file {re.escape(str(config))}: "
+                                             "'utf-8' codec can't decode byte 0xff"):
+            cli.resolve_config(self.train_args(config))
+
     def test_loss_reduction_is_neither_a_flag_nor_a_config_key(self, tmp_path, capsys):
         # the loss is a sum over the labeled nodes; nothing selects another reduction
         config = tmp_path / "config.json"

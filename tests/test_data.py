@@ -29,6 +29,7 @@ from angcn.popgraph import (
     QUANTITATIVE,
     PhenotypicMeasure,
     build_adjacency,
+    connectome_features,
     normalize_adjacency,
 )
 from angcn.training import AdamState, TrainConfig, adam_step
@@ -104,6 +105,18 @@ class TestGenerateSynthetic:
         )
         assert ridge_cv_accuracy(bundle.features, bundle.labels) > 0.85
 
+    @pytest.mark.parametrize("n, n_roi, separation, informativeness, seed", [
+        (300, 16, 2.0, 0.1, 0), (1000, 16, 2.0, 0.1, 23), (300, 16, 0.0, 0.0, 5),
+        (60, 4, 2.0, 0.5, 1), (20, 3, 5.0, 1.0, 3), (200, 10, 1.0, 0.3, 7),
+    ])
+    def test_features_match_a_per_subject_loop_bitwise(self, n, n_roi, separation,
+                                                        informativeness, seed):
+        spec = SyntheticSpec(n, n_roi, separation, informativeness, seed)
+        labels, features = per_subject_features(spec)
+        bundle = generate_synthetic(spec)
+        assert bundle.labels.tolist() == labels.tolist()
+        assert bundle.features.tobytes() == features.tobytes()
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n_subjects=10)
@@ -117,6 +130,32 @@ class TestGenerateSynthetic:
         for n_roi in (1, 2):  # no feature column, or one whose correlation is undefined
             with pytest.raises(ValueError, match=f"n_roi must be >= 3, got {n_roi}"):
                 SyntheticSpec(n_roi=n_roi)
+
+
+def per_subject_features(spec):
+    """generate_synthetic's labels and features with each subject's noise
+    drawn, its correlation matrix made and z-transformed one subject at a
+    time: the same seed, draws and constants."""
+    rng = np.random.default_rng(spec.seed)
+    n, n_roi = spec.n_subjects, spec.n_roi
+    m = n_roi * (n_roi - 1) // 2
+    labels = np.zeros(n, dtype=int)
+    labels[n // 2:] = 1
+    labels = rng.permutation(labels)
+    base = rng.normal(0.0, dataio._TEMPLATE_SCALE, size=m)
+    direction = rng.normal(0.0, 1.0, size=m)
+    offset = 0.5 * spec.class_separation * dataio._SEPARATION_SCALE * direction
+    templates = {0: base - offset, 1: base + offset}
+    features = np.zeros((n, m))
+    iu = np.triu_indices(n_roi, k=1)
+    for i in range(n):
+        z = templates[int(labels[i])] + rng.normal(0.0, dataio._SUBJECT_NOISE, size=m)
+        z = np.clip(z, -8.0, 8.0)
+        corr = np.eye(n_roi)
+        corr[iu] = np.tanh(z)
+        corr = np.triu(corr) + np.triu(corr, k=1).T
+        features[i] = connectome_features(corr)
+    return labels, features
 
 
 class TestBundleRoundTrip:
@@ -223,6 +262,24 @@ def edit_cell(path, line, column, value):
     path.write_text("\n".join(lines) + "\n")
 
 
+def with_undecodable_byte(path, line, column):
+    """Put byte 0xff, which no UTF-8 text holds, at the start of one cell of a
+    CSV file (line 1 is the header); returns its byte position in the line."""
+    lines = path.read_bytes().split(b"\n")
+    cells = lines[line - 1].split(b",")
+    k = lines[0].split(b",").index(column.encode())
+    cells[k] = b"\xff" + cells[k]
+    lines[line - 1] = b",".join(cells)
+    path.write_bytes(b"\n".join(lines))
+    return lines[line - 1].index(b"\xff")
+
+
+def undecodable(path, line, position):
+    """The pattern of the refusal of a CSV file's byte 0xff."""
+    return "^" + re.escape(f"{path}: line {line}: 'utf-8' codec can't decode byte 0xff in "
+                           f"position {position}: invalid start byte") + "$"
+
+
 def shuffle_rows(path, seed):
     lines = path.read_text().splitlines()
     body = [lines[1 + k] for k in np.random.default_rng(seed).permutation(len(lines) - 1)]
@@ -308,6 +365,42 @@ class TestBundleValidation:
         assert str(refused.value).startswith(str(tmp_path / file))
 
 
+    @pytest.mark.parametrize("file, line, column", [
+        ("features.csv", 30, "f3"), ("phenotypes.csv", 7, "site"), ("labels.csv", 12, "label"),
+    ])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, file, line, column):
+        save_bundle(generate_synthetic(SyntheticSpec(n_subjects=40, n_roi=5, seed=8)), tmp_path)
+        path = tmp_path / file
+        position = with_undecodable_byte(path, line, column)
+        with pytest.raises(ParseError, match=undecodable(path, line, position)):
+            load_bundle(tmp_path)
+
+    def test_undecodable_byte_is_refused_before_an_earlier_bad_cell(self, tmp_path):
+        # decoding reads the whole table before any cell is parsed
+        save_bundle(generate_synthetic(SyntheticSpec(n_subjects=40, n_roi=5, seed=8)), tmp_path)
+        path = tmp_path / "features.csv"
+        edit_cell(path, 3, "f1", "x")
+        position = with_undecodable_byte(path, 35, "f2")
+        with pytest.raises(ParseError, match=undecodable(path, 35, position)):
+            load_bundle(tmp_path)
+
+
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    # the first chunk outgrows the write buffer, so the temp file holds bytes
+    # when the chunk source fails
+    path = tmp_path / "adjacency.csv"
+    path.write_text("i,j,weight\n")
+
+    def chunks():
+        yield "i,j,weight\n" + "0,1,1.0\n" * 10_000
+        raise RuntimeError("chunk source failed")
+
+    with pytest.raises(RuntimeError, match="^chunk source failed$"):
+        dataio._atomic_write(path, chunks())
+    assert path.read_text() == "i,j,weight\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["adjacency.csv"]
+
+
 class TestAdjacencyFile:
     def test_round_trip(self, tmp_path):
         a = adjacency(4, ((0, 1, 0.25), (1, 3, 1.75)))
@@ -380,6 +473,13 @@ class TestAdjacencyFile:
         path = tmp_path / "adjacency.csv"
         path.write_text(f"i,j,weight\n0,1,1.0\n0,2,0.5\n{row}\n")
         with pytest.raises(ParseError, match=f"adjacency.csv: line 4: {edge}$"):
+            load_adjacency(path, n=3)
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "adjacency.csv"
+        path.write_text("i,j,weight\n0,1,1.0\n0,2,0.5\n1,2,0.25\n")
+        position = with_undecodable_byte(path, 3, "weight")
+        with pytest.raises(ParseError, match=undecodable(path, 3, position)):
             load_adjacency(path, n=3)
 
     def test_header_checked(self, tmp_path):
@@ -747,6 +847,29 @@ class TestCheckpoint:
         after = forward(loaded, op, x).logits
         assert np.array_equal(before, after)
 
+    def test_missing_or_non_json_file_is_named(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(ParseError,
+                           match=rf"^{re.escape(str(missing))}: \[Errno 2\] No such file"):
+            load_checkpoint(missing)
+        path = tmp_path / "checkpoint.json"
+        path.write_text("{format_version: 4}\n")
+        with pytest.raises(ParseError,
+                           match=rf"^{re.escape(str(path))}: Expecting property name"):
+            load_checkpoint(path)
+
+    def test_undecodable_byte_names_the_file(self, tmp_path):
+        rng = np.random.default_rng(14)
+        params = init_params(3, 2, 2, n_layers=1, alpha=0.1, beta=0.3, rng=rng)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, checkpoint(params, "d" * 64, np.arange(2)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:40] + b"\xff" + raw[41:])
+        with pytest.raises(ParseError, match="^" + re.escape(
+                f"{path}: 'utf-8' codec can't decode byte 0xff in position 40: "
+                "invalid start byte") + "$"):
+            load_checkpoint(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(14)
         params = init_params(3, 2, 2, n_layers=0, alpha=0.0, beta=0.0, rng=rng)
@@ -819,7 +942,7 @@ class TestCheckpoint:
         for m in loaded.matrices():
             assert m.dtype == np.float64 and m.flags.writeable and m.flags.c_contiguous
         grads = [np.ones_like(m) for m in loaded.matrices()]
-        adam_step(loaded, grads, AdamState.for_params(loaded), lr=0.01)
+        adam_step(AdamState.for_params(loaded), grads, lr=0.01)
         assert not np.array_equal(loaded.input_projection, params.input_projection)
 
     @staticmethod

@@ -1,6 +1,6 @@
 """Every function, class and method in the package is used by the package,
-the CLI reaches its data and its graph through one call site each, and one
-loop applies the layer rule."""
+every error class is raised, the CLI reaches its data and its graph through
+one call site each, and one loop applies the layer rule."""
 
 import ast
 from pathlib import Path
@@ -44,6 +44,21 @@ def test_every_definition_is_referenced_outside_itself():
                          and not (where == module and first <= line <= last)
                          for where, name, line in refs)]
     assert unused == []
+
+
+def test_every_error_class_is_raised():
+    # a refusal that no input can reach is deleted, and an error class that
+    # nothing raises any more goes with it
+    package = Path(angcn.__file__).parent
+    classes = [node.name for node in ast.parse((package / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    raised = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "attr", None) or getattr(exc, "id", None))
+    assert [name for name in classes if name not in raised] == []
 
 
 def called(tree):

@@ -531,6 +531,24 @@ class TestConnectomeFeatures:
                            match=r"^correlation matrix must be square, got \(2, 3\)$"):
             connectome_features(np.ones((2, 3)))
 
+    def test_a_stack_gives_each_matrix_its_own_bits(self):
+        rng = np.random.default_rng(3)
+        rows, cols = np.triu_indices(5, 1)
+        stack = np.broadcast_to(np.eye(5), (2, 3, 5, 5)).copy()
+        stack[..., rows, cols] = np.tanh(rng.normal(size=(2, 3, len(rows))))
+        stack += np.triu(stack, 1).swapaxes(-1, -2)
+        out = connectome_features(stack)
+        assert out.shape == (2, 3, 10)
+        for ix in np.ndindex(2, 3):
+            assert out[ix].tobytes() == connectome_features(stack[ix]).tobytes()
+
+    def test_out_of_range_in_a_stack_names_its_matrix(self):
+        stack = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
+        stack[2, 1, 2] = stack[2, 2, 1] = -1.0
+        with pytest.raises(OutOfRange, match=r"^off-diagonal correlation at flat index 2 "
+                                             r"of matrix 2 is -1.0, needs \|r\| < 1$"):
+            connectome_features(stack)
+
     def test_round_trip_is_identity(self):
         # filling the upper triangle row by row and mirroring it is the
         # inverse of the row-wise vectorization, up to the z-transform
