@@ -105,7 +105,8 @@ def _number(kind: type, low: int, why: str = ""):
     return parse
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_train_flags(p: argparse.ArgumentParser, swept: str = "") -> None:
+    """The training flags, less the one that sets `swept`, the field a sweep sets itself."""
     p.add_argument("--config", type=Path, help="JSON file with TrainConfig fields")
     p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None,
                    help="learning rate")
@@ -115,12 +116,14 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--folds", type=int, default=None, help="cross-validation folds")
     p.add_argument("--alpha", type=float, default=None, help="skip-connection weight")
     p.add_argument("--beta", type=float, default=None, help="identity-mapping weight")
-    p.add_argument("--layers", type=int, default=None, help="number of hidden layers")
+    if swept != "layers":
+        p.add_argument("--layers", type=int, default=None, help="number of hidden layers")
     p.add_argument("--hidden", dest="hidden_dim", metavar="HIDDEN", type=int, default=None,
                    help="hidden width")
     p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--batch-budget", type=int, default=None,
-                   help="nodes per sampled minibatch (omit for full-batch)")
+    if swept != "batch_budget":
+        p.add_argument("--batch-budget", type=int, default=None,
+                       help="nodes per sampled minibatch (omit for full-batch)")
     p.add_argument("--sampler-runs", type=int, default=None,
                    help="pre-training sampler runs used to build the aggregation matrix")
     p.add_argument("--sigma", type=_number(float, 0), default=None,
@@ -177,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--depths", type=_int_list, default=list(DEFAULT_DEPTHS))
-    _add_train_flags(p)
+    _add_train_flags(p, swept="layers")
     p.set_defaults(func=_cmd_sweep_depth)
 
     p = sub.add_parser("sweep-batch", help="accuracy vs sampled batch budget")
@@ -185,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--budgets", type=_int_list, default=None,
                    help="comma list; default 50,100,200,500,1000 capped at n")
-    _add_train_flags(p)
+    _add_train_flags(p, swept="batch_budget")
     p.set_defaults(func=_cmd_sweep_batch)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
@@ -200,8 +203,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def resolve_config(args, defaults: TrainConfig | None = None) -> TrainConfig:
-    """flag > config file > defaults."""
+def resolve_config(args, defaults: TrainConfig | None = None,
+                   swept: tuple[str, str] | None = None) -> TrainConfig:
+    """flag > config file > defaults; a sweep's `swept` = (field, the flag
+    that lists its values) refuses a config file key naming that field."""
     values = asdict(defaults if defaults is not None else TrainConfig())
     if getattr(args, "config", None):
         try:
@@ -214,6 +219,9 @@ def resolve_config(args, defaults: TrainConfig | None = None) -> TrainConfig:
         unknown = set(file_values) - known
         if unknown:
             raise ValueError(f"config file has unknown keys: {sorted(unknown)}")
+        if swept and swept[0] in file_values:
+            raise ValueError(f"config file {args.config}: key {swept[0]!r} is what "
+                             f"{swept[1]} sweeps")
         values.update(file_values)
     for f in fields(TrainConfig):  # every train flag's dest is its field's name
         v = getattr(args, f.name, None)
@@ -399,12 +407,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_setup(args, field: str, values: list[int] | None):
+def _sweep_setup(args, field: str, flag: str):
     """The sweep's config, bundle, features and A_hat, the one operator of all its runs;
-    each swept value of the TrainConfig `field` is checked before any data is read."""
+    each value that `flag` lists for the TrainConfig `field` is checked before any data
+    is read, and so is the --config file, which may not name `field`."""
     sweep_defaults = TrainConfig(max_epochs=SWEEP_EPOCHS, patience=SWEEP_EPOCHS)
-    config = resolve_config(args, defaults=sweep_defaults)
-    for value in values or ():
+    config = resolve_config(args, defaults=sweep_defaults, swept=(field, flag))
+    for value in getattr(args, flag[2:]) or ():
         replace(config, **{field: value})
     bundle, features, _, a, sigma = _graph(args)
     print(f"graph: {_graph_note(args, a, sigma)}")
@@ -412,7 +421,7 @@ def _sweep_setup(args, field: str, values: list[int] | None):
 
 
 def _cmd_sweep_depth(args) -> int:
-    config, bundle, features, a_hat = _sweep_setup(args, "layers", args.depths)
+    config, bundle, features, a_hat = _sweep_setup(args, "layers", "--depths")
     stats_an = _stats_for(config, len(a_hat))
     lines = ["depth,angcn_accuracy,gcn_accuracy"]
     for depth in args.depths:
@@ -427,7 +436,7 @@ def _cmd_sweep_depth(args) -> int:
 
 
 def _cmd_sweep_batch(args) -> int:
-    config, bundle, features, a_hat = _sweep_setup(args, "batch_budget", args.budgets)
+    config, bundle, features, a_hat = _sweep_setup(args, "batch_budget", "--budgets")
     budgets = [*DEFAULT_BUDGETS, len(a_hat)] if args.budgets is None else args.budgets
     # budgets above the graph size collapse to the full node set
     budgets = sorted({min(b, len(a_hat)) for b in budgets})

@@ -31,6 +31,13 @@ FAST_TRAIN = [
 QUICK_TRAIN = FAST_TRAIN + ["--folds", "2", "--epochs", "2"]
 
 
+def no_layers(flags):
+    """`flags` less `--layers` and its value, which sweep-depth refuses: it sets
+    the depth itself."""
+    i = flags.index("--layers")
+    return flags[:i] + flags[i + 2:]
+
+
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("bundle")
@@ -166,7 +173,7 @@ class TestBuildGraph:
         ("train", QUICK_TRAIN + ["--rfe-dim", "6"], [(48, 6)]),
         ("eval", ["--checkpoint", "{checkpoint}"], [(48, 15)]),
         ("eval", ["--checkpoint", "{adjacency_checkpoint}", "--adjacency", "{adj}"], []),
-        ("sweep-depth", ["--depths", "2"] + QUICK_TRAIN, [(48, 15)]),
+        ("sweep-depth", ["--depths", "2"] + no_layers(QUICK_TRAIN), [(48, 15)]),
         ("sweep-batch", ["--budgets", "24", "--rfe-dim", "6", "--sampler-runs", "20"]
          + QUICK_TRAIN, [(48, 6)]),
     ], ids=["build-graph", "sample-stats", "sample-stats-adjacency", "train", "train-adjacency",
@@ -612,7 +619,7 @@ class TestEval:
 
 @pytest.mark.parametrize("command, flags", [
     ("train", QUICK_TRAIN),
-    ("sweep-depth", QUICK_TRAIN + ["--depths", "1"]),
+    ("sweep-depth", no_layers(QUICK_TRAIN) + ["--depths", "1"]),
     ("sweep-batch", QUICK_TRAIN + ["--budgets", "16", "--sampler-runs", "5"]),
 ])
 def test_commands_that_train_print_the_graph_they_train_on(data_dir, tmp_path, capsys,
@@ -639,7 +646,7 @@ class TestSweeps:
         out = tmp_path / "depth.csv"
         rc = cli_run(
             ["sweep-depth", "--data", str(data_dir), "--out", str(out),
-             "--depths", "1,2"] + FAST_TRAIN
+             "--depths", "1,2"] + no_layers(FAST_TRAIN)
         )
         assert rc == 0
         lines = out.read_text().splitlines()
@@ -663,8 +670,10 @@ class TestSweeps:
         budgets = [int(line.split(",")[0]) for line in lines[2:]]
         assert budgets == [16, 48]
 
-    @pytest.mark.parametrize("command, values", [("sweep-depth", ["--depths", "1,2"]),
-                                                 ("sweep-batch", ["--budgets", "16,24"])])
+    @pytest.mark.parametrize("command, values", [
+        ("sweep-depth", ["--depths", "1,2"] + no_layers(FAST_TRAIN)),
+        ("sweep-batch", ["--budgets", "16,24"] + FAST_TRAIN),
+    ])
     def test_builds_a_hat_once_per_command(self, data_dir, tmp_path, monkeypatch, command,
                                            values):
         # every cross-validation of a sweep shares the one A_hat the command formed
@@ -676,7 +685,7 @@ class TestSweeps:
                             lambda arrays, tasks: shared.append(arrays[0]) or real_train_folds(
                                 arrays, tasks))
         rc = cli_run([command, "--data", str(data_dir), "--out", str(tmp_path / "out.csv")]
-                     + values + FAST_TRAIN + ["--epochs", "2", "--sampler-runs", "20"])
+                     + values + ["--epochs", "2", "--sampler-runs", "20"])
         assert rc == 0
         assert built == [48]
         assert len(shared) == (4 if command == "sweep-depth" else 2)
@@ -700,6 +709,32 @@ class TestSweeps:
         assert f"argument {flag}: not a non-empty comma list" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [("sweep-depth", "--layers", "7"),
+                                                      ("sweep-batch", "--batch-budget", "30")])
+    def test_a_sweep_takes_no_flag_for_the_field_it_sweeps(self, tmp_path, capsys, command,
+                                                          flag, value):
+        # the sweep sets that field from its list, so the flag would be ignored
+        out = tmp_path / "out.csv"
+        rc = cli_run([command, "--data", str(tmp_path / "missing"), "--out", str(out), flag,
+                      value])
+        assert rc == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, field, flag", [("sweep-depth", "layers", "--depths"),
+                                                     ("sweep-batch", "batch_budget",
+                                                      "--budgets")])
+    def test_a_config_key_naming_the_swept_field_is_refused(self, tmp_path, capsys, command,
+                                                           field, flag):
+        # before any data is read, naming the key and the flag that sweeps it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: 30}))
+        rc = cli_run([command, "--data", str(tmp_path / "missing"),
+                      "--out", str(tmp_path / "out.csv"), "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: config file {config}: key {field!r} is "
+                                           f"what {flag} sweeps\n")
+
     @pytest.mark.parametrize("command, flag, value, field", [
         ("sweep-depth", "--depths", "2,-1", "layers must be >= 0"),
         ("sweep-batch", "--budgets", "0", "batch_budget must be >= 1"),
@@ -717,7 +752,7 @@ class TestOutDirectory:
         ("build-graph", []),
         ("sample-stats", ["--runs", "5"]),
         ("eval", None),
-        ("sweep-depth", ["--depths", "2"] + FAST_TRAIN),
+        ("sweep-depth", ["--depths", "2"] + no_layers(FAST_TRAIN)),
         ("sweep-batch", ["--budgets", "20"] + FAST_TRAIN),
     ], ids=lambda value: value if isinstance(value, str) else "")
     def test_out_into_a_missing_directory_creates_it(self, data_dir, train_dir, tmp_path,
@@ -734,7 +769,7 @@ class TestOutDirectory:
     @pytest.mark.parametrize("command, flags, out, why", [
         ("train", FAST_TRAIN, "file", "{out} is a file"),
         ("train", FAST_TRAIN, "file/run", "{out}: {file} is a file"),
-        ("sweep-depth", ["--depths", "2"] + FAST_TRAIN, "file/depth.csv",
+        ("sweep-depth", ["--depths", "2"] + no_layers(FAST_TRAIN), "file/depth.csv",
          "{out}: {file} is a file"),
         ("sweep-batch", ["--budgets", "20"] + FAST_TRAIN, "file/batch.csv",
          "{out}: {file} is a file"),
@@ -768,11 +803,11 @@ class TestFoldWorkerCount:
         return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
 
     @pytest.mark.parametrize("command, extra", [
-        ("train", []),
-        ("train", ["--batch-budget", "24", "--sampler-runs", "40"]),
-        ("train", ["--rfe-dim", "5"]),
-        ("sweep-depth", ["--depths", "2,3"]),
-        ("sweep-batch", ["--budgets", "16,24", "--sampler-runs", "40"]),
+        ("train", FAST_TRAIN),
+        ("train", FAST_TRAIN + ["--batch-budget", "24", "--sampler-runs", "40"]),
+        ("train", FAST_TRAIN + ["--rfe-dim", "5"]),
+        ("sweep-depth", no_layers(FAST_TRAIN) + ["--depths", "2,3"]),
+        ("sweep-batch", FAST_TRAIN + ["--budgets", "16,24", "--sampler-runs", "40"]),
     ])
     def test_one_and_two_workers_write_identical_files(self, data_dir, tmp_path, monkeypatch,
                                                        command, extra):
@@ -781,8 +816,7 @@ class TestFoldWorkerCount:
             monkeypatch.setattr(training, "fold_workers", lambda folds, w=workers: w)
             out = tmp_path / f"workers{workers}" / ("run" if command == "train" else "out.csv")
             out.parent.mkdir()
-            rc = cli_run([command, "--data", str(data_dir), "--out", str(out)]
-                         + FAST_TRAIN + extra)
+            rc = cli_run([command, "--data", str(data_dir), "--out", str(out)] + extra)
             assert rc == 0
             seen[workers] = self.digests(out)
         assert seen[1] == seen[2]
@@ -969,14 +1003,15 @@ if "numpy.ma" in sys.modules:
 from angcn import cli, training
 training.fold_workers = lambda folds: 1   # the folds train here, so their imports show
 data, out = sys.argv[1:]
-fast = ["--folds", "3", "--epochs", "3", "--patience", "3", "--layers", "2", "--hidden", "8"]
+sweep = ["--folds", "3", "--epochs", "3", "--patience", "3", "--hidden", "8"]
+fast = sweep + ["--layers", "2"]   # sweep-depth sets the depth itself
 for argv in (["train", "--data", data, "--out", out + "/full", *fast],
              ["train", "--data", data, "--out", out + "/sampled", *fast,
               "--batch-budget", "24", "--sampler-runs", "10"],
              ["eval", "--checkpoint", out + "/full/checkpoint_fold0.json", "--data", data,
               "--out", out + "/eval.json"],
              ["sweep-depth", "--data", data, "--out", out + "/depth.csv", "--depths", "2",
-              *fast]):
+              *sweep]):
     assert cli.cli_run(argv) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
 """
