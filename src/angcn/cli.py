@@ -407,13 +407,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_setup(args, field: str, flag: str):
+def _sweep_setup(args, field: str, values: list[int] | None, flag: str):
     """The sweep's config, bundle, features and A_hat, the one operator of all its runs;
-    each value that `flag` lists for the TrainConfig `field` is checked before any data
-    is read, and so is the --config file, which may not name `field`."""
+    each swept value of the TrainConfig `field`, listed by `flag`, is checked before any
+    data is read, and so is the --config file, which may not name `field`."""
     sweep_defaults = TrainConfig(max_epochs=SWEEP_EPOCHS, patience=SWEEP_EPOCHS)
     config = resolve_config(args, defaults=sweep_defaults, swept=(field, flag))
-    for value in getattr(args, flag[2:]) or ():
+    for value in values or ():
         replace(config, **{field: value})
     bundle, features, _, a, sigma = _graph(args)
     print(f"graph: {_graph_note(args, a, sigma)}")
@@ -421,7 +421,7 @@ def _sweep_setup(args, field: str, flag: str):
 
 
 def _cmd_sweep_depth(args) -> int:
-    config, bundle, features, a_hat = _sweep_setup(args, "layers", "--depths")
+    config, bundle, features, a_hat = _sweep_setup(args, "layers", args.depths, "--depths")
     stats_an = _stats_for(config, len(a_hat))
     lines = ["depth,angcn_accuracy,gcn_accuracy"]
     for depth in args.depths:
@@ -436,7 +436,8 @@ def _cmd_sweep_depth(args) -> int:
 
 
 def _cmd_sweep_batch(args) -> int:
-    config, bundle, features, a_hat = _sweep_setup(args, "batch_budget", "--budgets")
+    config, bundle, features, a_hat = _sweep_setup(args, "batch_budget", args.budgets,
+                                                   "--budgets")
     budgets = [*DEFAULT_BUDGETS, len(a_hat)] if args.budgets is None else args.budgets
     # budgets above the graph size collapse to the full node set
     budgets = sorted({min(b, len(a_hat)) for b in budgets})

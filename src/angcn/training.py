@@ -6,12 +6,11 @@ a sum over labeled nodes, read off the logits wherever the softmax
 underflows. Backward reads the weights, the operator, and each layer's
 diffusion and I + W from the forward trace, and Adam the weights from its
 state, so a step of the layer loop costs two N x N products per layer:
-op @ h forward and op.T @ d_s backward, which backward takes as op @ d_s,
-the same bits, wherever op is exactly symmetric, as a_hat is. Both passes
-skip every term whose coefficient is 0, so at alpha = beta = 0 a layer
-does no H x H product either way, and at beta = 0 Adam leaves the layer
-weights, which get no gradient, untouched. Full-batch training of the
-plain GCN (alpha = beta = 0) at L >= 3 over an a_hat >= 0 goes further: its
+op @ h forward and op.T @ d_s backward. Both passes skip every term whose
+coefficient is 0, so at alpha = beta = 0 a layer does no H x H product
+either way, and at beta = 0 Adam leaves the layer weights, which get no
+gradient, untouched. Full-batch training of the plain GCN
+(alpha = beta = 0) at L >= 3 over an a_hat >= 0 goes further: its
 layers 2..L are linear, so `train` forms P = a_hat^(L-1) once and a step
 costs 4 N x N products whatever L is (model's docstring; its bits move
 within 1e-12 of the layer loop's). Sampled steps and their scoring passes,
@@ -158,14 +157,10 @@ def backward(
     holds no diffusion, which only the weight gradient reads. A layer forms
     g and then d_s in the buffer of its incoming gradient, and s + x0 and
     the skip terms in buffers that every layer reuses; its only new N x H
-    array is the product op.T @ d_s. Where op equals op.T bit for bit, as
-    normalize_adjacency's a_hat does, backward multiplies by op itself: the
-    same sums without the transposed read. A trace whose forward took
-    layers 2..L through P = op^(L-1) (plain GCN) takes them back as one
-    product P.T @ d_h, always transposed, since a P from repeated squaring
-    is not bit for bit symmetric; layer 1's ReLU mask then stands for every
-    layer's, since a zero of a later layer's output has only zeros of h_1
-    below it.
+    array is the product op.T @ d_s. A trace whose forward took layers 2..L
+    through P = op^(L-1) (plain GCN) takes them back as one product
+    P.T @ d_h; layer 1's ReLU mask then stands for every layer's, since a
+    zero of a later layer's output has only zeros of h_1 below it.
     """
     params, op = trace.params, trace.op
     n_layers = len(params.layers)
@@ -186,7 +181,6 @@ def backward(
     d_layers = [np.broadcast_to(0.0, (width, width))] * n_layers
     d_x0 = np.zeros_like(x0)
     alpha, beta = params.alpha, params.beta
-    op_t = op if np.array_equal(op, op.T) else op.T
     if beta:  # buffers that every layer reuses
         s_x0, g_iw, skip = np.empty_like(x0), np.empty_like(x0), np.empty_like(x0)
     top = n_layers - 1
@@ -208,7 +202,7 @@ def backward(
             g *= 1.0 - alpha
         if beta:
             g += g_iw
-        d_h = op_t @ g
+        d_h = op.T @ g
     d_x0 += d_h  # H^(0) = x0
     return [trace.raw_input.T @ d_x0, *d_layers, d_head]
 
@@ -368,10 +362,7 @@ def train(
     cap is 1, and each epoch is scored by a traced `forward` that is also the
     next epoch's training forward; for the plain GCN at L >= 3 over an
     a_hat >= 0 that forward and its backward take layers 2..L through
-    P = a_hat^(L-1), formed once per call (module docstring). `backward`
-    multiplies a step's operator untransposed where it is exactly symmetric,
-    as normalize_adjacency's a_hat is, and as its transpose otherwise, as
-    a_hat[b, b] * gamma of a sampled step or any asymmetric a_hat is.
+    P = a_hat^(L-1), formed once per call (module docstring).
 
     `train` holds OpenBLAS at one thread (`blas_pin`), whatever the caller's
     count, which it gives back on return: its bits do not depend on that

@@ -117,8 +117,8 @@ def four_term_backward(trace, params, op, onehot, labeled):
 
 def reference_train(config, a_hat, s, features, labels, train_idx, val_idx):
     """The plainest loop that `train` must match bit for bit, with none of
-    trace reuse, term skipping, Adam skipping, buffer reuse, the untransposed
-    symmetric operator or block scoring: `train`'s seeds and minibatch operator
+    trace reuse, term skipping, Adam skipping, buffer reuse or block
+    scoring: `train`'s seeds and minibatch operator
     a_hat[b, b] * aggregation_matrix(s, b); per step a traced forward of its
     own and four_term_backward; Adam on every matrix; each epoch scored by a
     forward_logits pass of its own; EarlyStopper's rule; one BLAS thread.
@@ -173,9 +173,9 @@ class TestBackward:
 
     @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.1, 0.3)])
     def test_a_hat_untransposed_gives_the_transposed_bits(self, alpha, beta):
-        # normalize_adjacency makes a_hat exactly symmetric, so backward
-        # multiplies by a_hat itself, and a_hat @ d_s sums what the
-        # reference's a_hat.T @ d_s does
+        # normalize_adjacency makes a_hat exactly symmetric, and a_hat @ d_s
+        # sums what backward's a_hat.T @ d_s does: the reference, handed
+        # a_hat.T, multiplies by a_hat itself
         bundle = generate_synthetic(SyntheticSpec(n_subjects=300, seed=23))
         a_hat = normalize_adjacency(build_adjacency(bundle.features, bundle.phenotypes)[0])
         assert np.array_equal(a_hat, a_hat.T)
@@ -184,7 +184,7 @@ class TestBackward:
         onehot, labeled = np.eye(2)[bundle.labels], np.arange(0, 300, 2)
         trace = forward(params, a_hat, bundle.features)
         got = backward(trace, onehot, labeled)
-        want = four_term_backward(trace, params, a_hat, onehot, labeled)
+        want = four_term_backward(trace, params, a_hat.T, onehot, labeled)
         for g, w in zip(got, want, strict=True):  # at beta = 0 the reference's zeros are signed
             assert np.array_equal(g, w)
 
